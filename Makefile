@@ -32,7 +32,7 @@ BENCH_kernels.json: FORCE
 	go run ./cmd/benchkernels -check
 
 # Refresh BENCH_runtime.json (end-to-end engine throughput) and fail if
-# aggregate clean-read throughput drops below 3x the frozen seed baseline
+# aggregate clean-read throughput drops below 8x the frozen seed baseline
 # or the clean read path allocates.
 benchruntime:
 	go run ./cmd/benchruntime -check
@@ -66,12 +66,14 @@ soak:
 	go test -tags soak -count=1 -run TestSoakSuite -v ./internal/inject/
 	go run ./cmd/faultcampaign -suite soak
 
-# Short coverage-guided fuzz pass over both decoders; the checked-in seed
-# corpora under internal/{bch,rs}/testdata/fuzz also run in plain `go test`.
+# Short coverage-guided fuzz pass over the decoders and the RS erasure
+# solver; the checked-in seed corpora under internal/{bch,rs}/testdata/fuzz
+# also run in plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	go test ./internal/bch/ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	go test ./internal/rs/ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
+	go test ./internal/rs/ -fuzz=FuzzErasureSolver -fuzztime=$(FUZZTIME)
 	go test ./internal/guard/ -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 
 check:

@@ -186,7 +186,11 @@ type Controller struct {
 	deltaBuf     []byte // old XOR new data for writes
 	checkDelta   []byte // RS check delta for writes
 	internalBuf  []byte // OMV fetches and other internal reads
-	erasureIdx   []int  // erasure positions for chip-failure decodes
+
+	// solver reconstructs chip solverChip's eight symbols of a block; built
+	// on first use (chipSolver) and kept, since a chip failure is sticky.
+	solver     *rs.ErasureSolver
+	solverChip int
 
 	// Correction-path scratch, reused across corrections so reads under
 	// drift stay allocation-free: RS corrections land in corrBuf via the
@@ -230,7 +234,6 @@ func NewController(r *rank.Rank, cfg Config, omv OMVProvider) (*Controller, erro
 		deltaBuf:     make([]byte, bb),
 		checkDelta:   make([]byte, checkBytes),
 		internalBuf:  make([]byte, bb),
-		erasureIdx:   make([]int, checkBytes),
 
 		corrBuf:        make([]rs.Correction, 0, checkBytes),
 		vlewDataBuf:    make([]byte, r.Config().Geometry.VLEWDataBytes),
@@ -389,6 +392,23 @@ func (c *Controller) readCorrectedInto(dst []byte, block int64) error {
 	return c.vlewCorrectBlockInto(dst, block)
 }
 
+// chipSolver returns the RS erasure solver for chip ci's symbols (data
+// chip or parity chip: chip ci holds codeword positions ci*n .. ci*n+n-1).
+func (c *Controller) chipSolver(ci int) *rs.ErasureSolver {
+	if c.solver == nil || c.solverChip != ci {
+		pos := make([]int, c.rank.Config().ChipAccessBytes)
+		for i := range pos {
+			pos[i] = ci*len(pos) + i
+		}
+		solver, err := c.rsCode.NewErasureSolver(pos)
+		if err != nil {
+			panic(fmt.Sprintf("core: erasure solver for chip %d: %v", ci, err))
+		}
+		c.solver, c.solverChip = solver, ci
+	}
+	return c.solver
+}
+
 // vlewCorrectBlockInto corrects one block through the VLEWs of every chip,
 // then lets the per-block RS handle any chip whose VLEW was uncorrectable
 // (a chip-level fault) via erasure correction.
@@ -450,18 +470,9 @@ func (c *Controller) vlewCorrectBlockInto(dst []byte, block int64) error {
 			c.tel.DUEs++
 			return fmt.Errorf("block %d: chip %d failed and parity unavailable: %w", block, ci, ErrUncorrectable)
 		}
-		// Erase the failed chip's bytes and reconstruct via RS. Erasure
-		// decoding replaces whatever the failed chip returned, so dst needs
-		// no pre-zeroing.
-		erasures := c.erasureIdx[:n]
-		for i := 0; i < n; i++ {
-			erasures[i] = ci*n + i
-		}
-		if _, err := c.rsCode.DecodeAppend(c.corrBuf, dst, check, erasures); err != nil {
-			c.stats.Uncorrectable++
-			c.tel.DUEs++
-			return fmt.Errorf("block %d: erasure correction failed: %w", block, ErrUncorrectable)
-		}
+		// Reconstruct the failed chip's bytes via RS erasure; the solve
+		// replaces whatever the chip returned, so dst needs no pre-zeroing.
+		c.chipSolver(ci).Solve(dst, check)
 		c.tel.Chips[ci].ErasureRepairs++
 	default:
 		c.stats.Uncorrectable++

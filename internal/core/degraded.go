@@ -112,19 +112,11 @@ func (c *Controller) EnterDegradedMode(failedChip int) error {
 
 	// Step 1: place the failed chip's data into the parity chip. If the
 	// chip is dead, reconstruct each slice via RS erasure first.
-	erasures := make([]int, n)
-	for i := range erasures {
-		erasures[i] = failedChip*n + i
-	}
+	dead := !r.Chip(failedChip).Healthy()
 	for b := int64(0); b < r.Blocks(); b++ {
 		data, check := r.ReadBlockRaw(b)
-		if !r.Chip(failedChip).Healthy() {
-			for i := failedChip * n; i < (failedChip+1)*n; i++ {
-				data[i] = 0
-			}
-			if _, err := c.rsCode.Decode(data, check, erasures); err != nil {
-				return fmt.Errorf("core: reconstructing block %d for remap (%v): %w", b, err, ErrUncorrectable)
-			}
+		if dead {
+			c.chipSolver(failedChip).Solve(data, check)
 		}
 		loc := r.Locate(b)
 		parity.WriteDataRaw(loc.Bank, loc.Row, loc.Col, data[failedChip*n:(failedChip+1)*n])

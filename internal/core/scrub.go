@@ -5,6 +5,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"chipkillpm/internal/nvram"
+	"chipkillpm/internal/rank"
+	"chipkillpm/internal/rs"
 )
 
 // ScrubReport summarises a boot-time scrub (Sec V-B).
@@ -42,8 +46,8 @@ type scrubPartial struct {
 // Config.ScrubWorkers sets the pool size — modelling a controller that
 // scrubs banks in parallel under the bank-level parallelism of the rank.
 // Decoding VLEWs dominates the cost and runs without locks; only the
-// per-chip ReadVLEW/WriteVLEW accesses synchronise. The rebuild phase is
-// serial: it runs at most once per scrub and walks the whole rank.
+// per-chip ReadVLEW/WriteVLEW accesses synchronise. The rebuild phase
+// (rebuildChip) fans the same pool out over banks.
 //
 //chipkill:rankwide
 func (c *Controller) BootScrub() ScrubReport {
@@ -73,68 +77,49 @@ func (c *Controller) BootScrub() ScrubReport {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(units) {
-		workers = len(units)
-	}
 	partials := make([]scrubPartial, len(units))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker working set: one data/code buffer pair per VLEW of
-			// a row, reused for every row the worker scans (ReadVLEWInto
-			// fills them in place), plus the row's write-back batch. A
-			// worker allocates once, not twice per VLEW.
-			vpr := g.VLEWsPerRow()
-			rowData := make([][]byte, vpr)
-			rowCode := make([][]byte, vpr)
-			for v := range rowData {
-				rowData[v] = make([]byte, g.VLEWDataBytes)
-				rowCode[v] = make([]byte, g.VLEWCodeBytes)
-			}
-			dirtyVs := make([]int, 0, vpr)
-			dirtyData := make([][]byte, 0, vpr)
-			dirtyCode := make([][]byte, 0, vpr)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(units) {
-					return
-				}
-				u, p := units[i], &partials[i]
-				chip := r.Chip(u.chip)
-				for row := 0; row < g.RowsPerBank; row++ {
-					dirtyVs = dirtyVs[:0]
-					dirtyData = dirtyData[:0]
-					dirtyCode = dirtyCode[:0]
-					for v := 0; v < vpr; v++ {
-						p.vlews++
-						p.fetches += fetchesPerVLEW
-						data, vcode := rowData[v], rowCode[v]
-						chip.ReadVLEWInto(data, vcode, u.bank, row, v)
-						fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
-						if err != nil {
-							p.uncorrectable++
-							continue
-						}
-						if fixed > 0 {
-							p.bits += int64(fixed)
-							dirtyVs = append(dirtyVs, v)
-							dirtyData = append(dirtyData, data)
-							dirtyCode = append(dirtyCode, vcode)
-						}
+	fanOut(workers, len(units), func() func(int) {
+		// Per-worker working set: one data/code buffer pair per VLEW of
+		// a row, reused for every row the worker scans (ReadVLEWInto
+		// fills them in place), plus the row's write-back batch. A
+		// worker allocates once, not twice per VLEW.
+		vpr := g.VLEWsPerRow()
+		_, rowData, rowCode := rowBuffers(g)
+		dirtyVs := make([]int, 0, vpr)
+		dirtyData := make([][]byte, 0, vpr)
+		dirtyCode := make([][]byte, 0, vpr)
+		return func(i int) {
+			u, p := units[i], &partials[i]
+			chip := r.Chip(u.chip)
+			for row := 0; row < g.RowsPerBank; row++ {
+				dirtyVs = dirtyVs[:0]
+				dirtyData = dirtyData[:0]
+				dirtyCode = dirtyCode[:0]
+				for v := 0; v < vpr; v++ {
+					p.vlews++
+					p.fetches += fetchesPerVLEW
+					data, vcode := rowData[v], rowCode[v]
+					chip.ReadVLEWInto(data, vcode, u.bank, row, v)
+					fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
+					if err != nil {
+						p.uncorrectable++
+						continue
 					}
-					// One locked write-back per row covers every corrected
-					// VLEW in it, instead of one lock round-trip per VLEW.
-					if len(dirtyVs) > 0 {
-						chip.WriteVLEWRow(u.bank, row, dirtyVs, dirtyData, dirtyCode)
+					if fixed > 0 {
+						p.bits += int64(fixed)
+						dirtyVs = append(dirtyVs, v)
+						dirtyData = append(dirtyData, data)
+						dirtyCode = append(dirtyCode, vcode)
 					}
 				}
+				// One locked write-back per row covers every corrected
+				// VLEW in it, instead of one lock round-trip per VLEW.
+				if len(dirtyVs) > 0 {
+					chip.WriteVLEWRow(u.bank, row, dirtyVs, dirtyData, dirtyCode)
+				}
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	for i := range partials {
 		p := &partials[i]
 		rep.VLEWsScrubbed += p.vlews
@@ -156,11 +141,7 @@ func (c *Controller) BootScrub() ScrubReport {
 		return rep
 	case 1:
 		ci := rep.ChipsFailed[0]
-		if ci == r.ParityChipIndex() {
-			c.rebuildParityChip(&rep)
-		} else {
-			c.rebuildDataChip(ci, &rep, &d)
-		}
+		c.rebuildChip(ci, workers, &rep)
 		d.ChipFailuresCorrected++
 		rep.ChipsRebuilt = append(rep.ChipsRebuilt, ci)
 		return rep
@@ -171,62 +152,94 @@ func (c *Controller) BootScrub() ScrubReport {
 	}
 }
 
-// rebuildDataChip reconstructs every block's slice on a failed data chip
-// via RS erasure correction over the (already scrubbed) healthy chips and
-// parity chip, then writes the reconstructed contents into the repaired
-// device and re-encodes its VLEW code bits. Runs only from BootScrub's
-// serial rebuild phase.
-//
-//chipkill:rankwide
-func (c *Controller) rebuildDataChip(ci int, rep *ScrubReport, d *Stats) {
-	r := c.rank
-	rcfg := r.Config()
-	n := rcfg.ChipAccessBytes
-	chip := r.Chip(ci)
-	r.RepairChip(ci)
-
-	erasures := make([]int, n)
-	for i := 0; i < n; i++ {
-		erasures[i] = ci*n + i
+// fanOut runs body(i) for every i in [0, n) on up to `workers` goroutines
+// and waits for them. newWorker is called once per goroutine to build its
+// private working set and returns that goroutine's body.
+func fanOut(workers, n int, newWorker func() func(i int)) {
+	if workers > n {
+		workers = n
 	}
-	for b := int64(0); b < r.Blocks(); b++ {
-		data, check := r.ReadBlockRaw(b)
-		rep.BusBlockFetches++
-		// Zero the failed chip's garbage before erasure correction; the
-		// freshly repaired chip reads as zeros already, but be explicit.
-		for i := ci * n; i < (ci+1)*n; i++ {
-			data[i] = 0
-		}
-		if _, err := c.rsCode.Decode(data, check, erasures); err != nil {
-			// Residual errors beyond the erasure budget (should not
-			// happen after a successful scrub of the healthy chips).
-			rep.Unrecoverable = true
-			d.Uncorrectable++
-			continue
-		}
-		loc := r.Locate(b)
-		chip.WriteData(loc.Bank, loc.Row, loc.Col, data[ci*n:(ci+1)*n])
-		rep.BlocksRebuilt++
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := newWorker()
+			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+				body(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// rowBuffers carves one chip row's per-VLEW data and code buffers out of
+// two slabs; row is the data slab, the VLEWs back to back as stored.
+func rowBuffers(g nvram.Geometry) (row []byte, data, code [][]byte) {
+	vpr := g.VLEWsPerRow()
+	row = make([]byte, vpr*g.VLEWDataBytes)
+	codeSlab := make([]byte, vpr*g.VLEWCodeBytes)
+	data, code = make([][]byte, vpr), make([][]byte, vpr)
+	for v := range data {
+		data[v] = row[v*g.VLEWDataBytes : (v+1)*g.VLEWDataBytes]
+		code[v] = codeSlab[v*g.VLEWCodeBytes : (v+1)*g.VLEWCodeBytes]
+	}
+	return row, data, code
+}
+
+// gatherRow fills row with chip ci's slice of every block of the rank row
+// starting at block first: raw gather into block (data then check bytes),
+// erasure solve, copy out.
+//
+//chipkill:noalloc
+func gatherRow(row, block []byte, r *rank.Rank, solver *rs.ErasureSolver, ci int, first int64) {
+	n := r.Config().ChipAccessBytes
+	data, check := block[:len(block)-n], block[len(block)-n:]
+	for off := 0; off < len(row); off += n {
+		r.ReadBlockRawInto(first+int64(off/n), data, check)
+		solver.Solve(data, check)
+		copy(row[off:off+n], block[ci*n:])
 	}
 }
 
-// rebuildParityChip recomputes every block's RS check bytes from the
-// scrubbed data chips (Sec V-B: "the memory controller recalculates the
-// parity values in the parity chip"). Runs only from BootScrub's serial
-// rebuild phase.
+// rebuildChip reconstructs a failed chip, data or parity, from the scrubbed
+// survivors: every block's slice on the dead chip is the RS erasure solution
+// for that chip's eight symbols — for the parity chip simply the re-encoded
+// check bytes (Sec V-B). Workers take whole banks (disjoint under the
+// nvram.Chip contract); each assembles the dead chip's row, encodes every
+// VLEW of it once, and lands the row with one WriteVLEWRow.
 //
 //chipkill:rankwide
-func (c *Controller) rebuildParityChip(rep *ScrubReport) {
+func (c *Controller) rebuildChip(ci, workers int, rep *ScrubReport) {
 	r := c.rank
-	chip := r.Chip(r.ParityChipIndex())
-	r.RepairChip(r.ParityChipIndex())
-	for b := int64(0); b < r.Blocks(); b++ {
-		data, _ := r.ReadBlockRaw(b)
-		rep.BusBlockFetches++
-		loc := r.Locate(b)
-		chip.WriteData(loc.Bank, loc.Row, loc.Col, c.rsCode.Encode(data))
-		rep.BlocksRebuilt++
-	}
+	rcfg := r.Config()
+	g := rcfg.Geometry
+	code := rcfg.VLEWCode
+	chip := r.Chip(ci)
+	r.RepairChip(ci)
+	solver := c.chipSolver(ci)
+
+	fanOut(workers, g.Banks, func() func(int) {
+		block := make([]byte, rcfg.BlockBytes()+rcfg.ChipAccessBytes)
+		rowBuf, rowData, rowCode := rowBuffers(g)
+		vs := make([]int, len(rowData))
+		for v := range vs {
+			vs[v] = v
+		}
+		return func(bank int) {
+			for row := 0; row < g.RowsPerBank; row++ {
+				first := int64(row*g.Banks+bank) * int64(rcfg.BlocksPerRow())
+				gatherRow(rowBuf, block, r, solver, ci, first)
+				for v, vd := range rowData {
+					code.EncodeDeltaInto(rowCode[v][:code.ParityBytes()], vd, 0)
+				}
+				chip.WriteVLEWRow(bank, row, vs, rowData, rowCode)
+			}
+		}
+	})
+	rep.BlocksRebuilt += r.Blocks()
+	rep.BusBlockFetches += r.Blocks()
 }
 
 // String renders the report.

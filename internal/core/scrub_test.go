@@ -135,3 +135,93 @@ func TestScrubWorkersValidation(t *testing.T) {
 		t.Error("negative ScrubWorkers accepted")
 	}
 }
+
+// rebuildPair builds two identically seeded, identically filled and
+// identically drifted ranks (4 banks, so a 4-worker rebuild really fans
+// out) and fails chip ci on the first only.
+func rebuildPair(t testing.TB, ci, workers, rowsPerBank int) (failed, twin *Controller) {
+	t.Helper()
+	build := func() *Controller {
+		r, err := rank.New(rank.PaperConfig(4, rowsPerBank, 1024, 61))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.ScrubWorkers = workers
+		c, err := NewController(r, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillRandom(t, c, 62)
+		r.InjectRetentionErrors(1e-3)
+		return c
+	}
+	failed, twin = build(), build()
+	failed.Rank().FailChip(ci)
+	return failed, twin
+}
+
+// TestRebuildMatchesNeverFailedTwin is the rebuild kernel's oracle: after
+// BootScrub, a rank that lost chip ci must hold exactly the cells — data
+// and VLEW code regions, on every chip — of a twin that never lost it, for
+// each of the nine chips, and the report must not depend on the worker
+// count.
+func TestRebuildMatchesNeverFailedTwin(t *testing.T) {
+	for ci := 0; ci <= 8; ci++ {
+		var ref ScrubReport
+		for _, workers := range []int{1, 4} {
+			failed, twin := rebuildPair(t, ci, workers, 4)
+			rep := failed.BootScrub()
+			if trep := twin.BootScrub(); trep.Unrecoverable || len(trep.ChipsFailed) != 0 {
+				t.Fatalf("twin scrub: %v", trep)
+			}
+			if rep.Unrecoverable || len(rep.ChipsRebuilt) != 1 || rep.ChipsRebuilt[0] != ci ||
+				rep.BlocksRebuilt != failed.Rank().Blocks() {
+				t.Fatalf("chip %d workers %d: %v", ci, workers, rep)
+			}
+			failed.Rank().CloseAllRows()
+			twin.Rank().CloseAllRows()
+			for chip := 0; chip < failed.Rank().NumChips(); chip++ {
+				got, want := failed.Rank().Chip(chip).CellArray(), twin.Rank().Chip(chip).CellArray()
+				if !bytes.Equal(got, want) {
+					t.Fatalf("failed chip %d, workers %d: chip %d cells differ from the never-failed twin", ci, workers, chip)
+				}
+			}
+			if workers == 1 {
+				ref = rep
+			} else if rep.BlocksRebuilt != ref.BlocksRebuilt || rep.BusBlockFetches != ref.BusBlockFetches ||
+				rep.BitsCorrected != ref.BitsCorrected {
+				t.Fatalf("chip %d: report depends on worker count\n1: %v (%d fetches)\n%d: %v (%d fetches)",
+					ci, ref, ref.BusBlockFetches, workers, rep, rep.BusBlockFetches)
+			}
+		}
+	}
+}
+
+// TestRebuildAllocatesPerWorkerNotPerBlock pins the kernel's memory
+// behaviour: buffers belong to workers, so rebuilding a rank four times the
+// size allocates the same number of times (the block-at-a-time rebuild it
+// replaced allocated several times per block). It drives rebuildChip
+// directly: the scan phase's BCH decoder draws on a sync.Pool, which race
+// builds empty at random.
+func TestRebuildAllocatesPerWorkerNotPerBlock(t *testing.T) {
+	for _, ci := range []int{2, 8} {
+		var allocs [2]float64
+		for i, rows := range []int{4, 16} {
+			c, _ := rebuildPair(t, ci, 4, rows)
+			c.BootScrub() // builds the cached solver; leaves the rank clean
+			allocs[i] = testing.AllocsPerRun(3, func() {
+				var rep ScrubReport
+				c.Rank().FailChip(ci)
+				c.rebuildChip(ci, 4, &rep)
+				if rep.BlocksRebuilt != c.Rank().Blocks() {
+					t.Fatalf("rebuild did not run: %v", rep)
+				}
+			})
+		}
+		if allocs[1] > allocs[0]+8 {
+			t.Errorf("chip %d: %.0f allocations at 2048 blocks, %.0f at 8192: rebuild allocates per block",
+				ci, allocs[0], allocs[1])
+		}
+	}
+}

@@ -282,14 +282,16 @@ func (h *Harness) fleetRankKillLoad(spec FleetSpec) {
 		err    error
 	}
 	var killedFlag atomic.Bool
-	var postKill atomic.Int64
+	var postKill, live atomic.Int64
 	stop := make(chan struct{})
 	results := make([]workerState, spec.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < spec.Workers; w++ {
 		wg.Add(1)
+		live.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer live.Add(-1)
 			res := &results[w]
 			res.shadow = make(map[int64][]byte)
 			rng := rand.New(rand.NewSource(seed + int64(w)*977 + 11))
@@ -305,12 +307,17 @@ func (h *Harness) fleetRankKillLoad(spec FleetSpec) {
 				default:
 				}
 				b := owned[rng.Intn(len(owned))]
+				// An op counts as post-kill only if it started after the
+				// kill, but a contained error is legal as soon as the kill
+				// has been flagged (the flag is stored before KillRank): an
+				// op that starts before the kill may fail after it, so the
+				// flag is re-read where the error surfaces.
 				killed := killedFlag.Load()
 				if rng.Intn(3) == 0 {
 					data := make([]byte, h.blockBytes)
 					rng.Read(data)
 					if err := f.WriteBlock(b, data); err != nil {
-						if !fleet.Contained(err) || !killed {
+						if !fleet.Contained(err) || !killedFlag.Load() {
 							res.err = fmt.Errorf("write %d: %w", b, err)
 							return
 						}
@@ -319,7 +326,7 @@ func (h *Harness) fleetRankKillLoad(spec FleetSpec) {
 					}
 				} else {
 					if err := f.ReadBlockInto(b, buf); err != nil {
-						if !fleet.Contained(err) || !killed {
+						if !fleet.Contained(err) || !killedFlag.Load() {
 							res.err = fmt.Errorf("read %d: %w", b, err)
 							return
 						}
@@ -350,6 +357,10 @@ func (h *Harness) fleetRankKillLoad(spec FleetSpec) {
 	killedFlag.Store(true)
 	f.KillRank(spec.KillRank)
 	for postKill.Load() < int64(200*spec.Workers) {
+		if live.Load() == 0 { // workers only leave early on an error
+			h.fail("fleet", -1, "every worker stopped before the post-kill quota")
+			break
+		}
 		if err := f.Tick(); err != nil {
 			h.fail("fleet", -1, fmt.Sprintf("post-kill tick: %v", err))
 			break

@@ -330,6 +330,7 @@ func (r *Rank) Stats() nvram.Stats {
 		s.RowCloses += cs.RowCloses
 		s.BitErrorsInjected += cs.BitErrorsInjected
 		s.BitsWritten += cs.BitsWritten
+		s.FailedAccesses += cs.FailedAccesses
 	}
 	return s
 }

@@ -241,6 +241,17 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
+// A read served by a failed chip must show up in the rank-level sum, not
+// only in that chip's own counters.
+func TestStatsCountsFailedAccesses(t *testing.T) {
+	r := testRank(t)
+	r.FailChip(3)
+	r.ReadBlockRaw(0)
+	if got := r.Stats().FailedAccesses; got != 1 {
+		t.Errorf("FailedAccesses=%d after one block read with a failed chip, want 1", got)
+	}
+}
+
 func TestInjectRetentionErrorsSpansAllChips(t *testing.T) {
 	r := testRank(t)
 	flips := r.InjectRetentionErrors(1e-3)

@@ -111,3 +111,33 @@ func BenchmarkKernelDecodeErasures(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelErasureSolve is BenchmarkKernelDecodeErasures' problem —
+// one failed chip, eight known positions — through the fixed-pattern solver.
+func BenchmarkKernelErasureSolve(b *testing.B) {
+	data, c := benchBlock()
+	check := c.Encode(data)
+	erasures := []int{8, 9, 10, 11, 12, 13, 14, 15}
+	s, err := c.NewErasureSolver(erasures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range erasures {
+			data[p] = 0
+		}
+		s.Solve(data, check)
+	}
+}
+
+// BenchmarkKernelNewErasureSolver is the one-off table build per failed chip.
+func BenchmarkKernelNewErasureSolver(b *testing.B) {
+	c := benchCode()
+	erasures := []int{8, 9, 10, 11, 12, 13, 14, 15}
+	for i := 0; i < b.N; i++ {
+		if _, err := c.NewErasureSolver(erasures); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,0 +1,162 @@
+package rs
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// chipErasures lists the eight symbol positions of chip ci in the paper's
+// layout: data chips 0..7 hold data bytes 8ci..8ci+7, chip 8 the check
+// bytes.
+func chipErasures(ci int) []int {
+	pos := make([]int, 8)
+	for i := range pos {
+		pos[i] = ci*8 + i
+	}
+	return pos
+}
+
+// solveBoth runs the solver and the general decoder on copies of the same
+// damaged word and requires both to restore want exactly.
+func solveBoth(t *testing.T, code *Code, s *ErasureSolver, erasures []int, data, check, wantData, wantCheck []byte) {
+	t.Helper()
+	d1, c1 := append([]byte(nil), data...), append([]byte(nil), check...)
+	d2, c2 := append([]byte(nil), data...), append([]byte(nil), check...)
+	s.Solve(d1, c1)
+	if _, err := code.DecodeAppend(nil, d2, c2, erasures); err != nil {
+		t.Fatalf("erasures %v: DecodeAppend failed: %v", erasures, err)
+	}
+	if !bytes.Equal(d1, d2) || !bytes.Equal(c1, c2) {
+		t.Fatalf("erasures %v: solver and DecodeAppend disagree\nsolver %x %x\ndecode %x %x", erasures, d1, c1, d2, c2)
+	}
+	if !bytes.Equal(d1, wantData) || !bytes.Equal(c1, wantCheck) {
+		t.Fatalf("erasures %v: word not restored", erasures)
+	}
+}
+
+// scribble overwrites the erased symbols with rng bytes (sometimes the
+// correct value, sometimes zero — what a repaired chip reads as).
+func scribble(rng *rand.Rand, code *Code, erasures []int, data, check []byte) {
+	zero := rng.Intn(4) == 0
+	for _, p := range erasures {
+		v := byte(rng.Intn(256))
+		if zero {
+			v = 0
+		}
+		if p < code.K() {
+			data[p] = v
+		} else {
+			check[p-code.K()] = v
+		}
+	}
+}
+
+// TestErasureSolverMatchesDecode is the differential test against the
+// general errors-and-erasures decoder: all nine chip positions of
+// RS(72,64), random words, plus random 8-subsets and other code shapes.
+func TestErasureSolverMatchesDecode(t *testing.T) {
+	code := Must(64, 8)
+	rng := rand.New(rand.NewSource(13))
+	data := make([]byte, code.K())
+	for ci := 0; ci <= 8; ci++ {
+		erasures := chipErasures(ci)
+		s, err := code.NewErasureSolver(erasures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 200; trial++ {
+			rng.Read(data)
+			if trial == 0 {
+				for i := range data {
+					data[i] = 0 // the all-zero codeword
+				}
+			}
+			check := code.Encode(data)
+			d, c := append([]byte(nil), data...), append([]byte(nil), check...)
+			scribble(rng, code, erasures, d, c)
+			solveBoth(t, code, s, erasures, d, c, data, check)
+		}
+	}
+	for _, p := range []struct{ k, r int }{{64, 8}, {32, 4}, {16, 2}, {100, 8}, {1, 1}, {5, 3}} {
+		code := Must(p.k, p.r)
+		data := make([]byte, code.K())
+		for trial := 0; trial < 50; trial++ {
+			erasures := rng.Perm(code.N())[:code.R()]
+			s, err := code.NewErasureSolver(erasures)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng.Read(data)
+			check := code.Encode(data)
+			d, c := append([]byte(nil), data...), append([]byte(nil), check...)
+			scribble(rng, code, erasures, d, c)
+			solveBoth(t, code, s, erasures, d, c, data, check)
+		}
+	}
+}
+
+// The solver only exists for exactly r distinct in-range positions: fewer
+// would leave detection capability it silently discards, more is unsolvable.
+func TestErasureSolverRejectsBadSets(t *testing.T) {
+	code := Must(64, 8)
+	for name, pos := range map[string][]int{
+		"empty":        nil,
+		"seven":        {0, 1, 2, 3, 4, 5, 6},
+		"nine":         {0, 1, 2, 3, 4, 5, 6, 7, 8},
+		"duplicate":    {0, 1, 2, 3, 4, 5, 6, 6},
+		"negative":     {-1, 1, 2, 3, 4, 5, 6, 7},
+		"out of range": {0, 1, 2, 3, 4, 5, 6, 72},
+	} {
+		if _, err := code.NewErasureSolver(pos); err == nil {
+			t.Errorf("%s erasure set accepted", name)
+		}
+	}
+	if _, err := Must(64, 12).NewErasureSolver(make([]int, 12)); err == nil {
+		t.Error("r=12 code (no packed LFSR) accepted")
+	}
+}
+
+func TestErasureSolveDoesNotAllocate(t *testing.T) {
+	code := Must(64, 8)
+	s, err := code.NewErasureSolver(chipErasures(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, code.K())
+	rand.New(rand.NewSource(1)).Read(data)
+	check := code.Encode(data)
+	if n := testing.AllocsPerRun(100, func() { s.Solve(data, check) }); n != 0 {
+		t.Errorf("Solve allocates %.0f times per block", n)
+	}
+}
+
+// FuzzErasureSolver holds the solver to the general decoder on fuzzer-
+// chosen words: sel picks one of the nine chips, or (sel%10 == 9) a
+// seed-drawn 8-subset of the 72 positions.
+func FuzzErasureSolver(f *testing.F) {
+	f.Add([]byte("sixty-four bytes of block data"), byte(0), int64(1))
+	f.Add(bytes.Repeat([]byte{0x5a}, 64), byte(8), int64(2))
+	f.Add([]byte{}, byte(9), int64(3))
+	f.Add(bytes.Repeat([]byte{0xff}, 70), byte(5), int64(4))
+	f.Add([]byte("chipkill"), byte(19), int64(5))
+
+	f.Fuzz(func(t *testing.T, data []byte, sel byte, seed int64) {
+		code := fuzzCode
+		buf := make([]byte, code.K())
+		copy(buf, data)
+		check := code.Encode(buf)
+		rng := rand.New(rand.NewSource(seed))
+		erasures := rng.Perm(code.N())[:code.R()]
+		if ci := int(sel % 10); ci < 9 {
+			erasures = chipErasures(ci)
+		}
+		s, err := code.NewErasureSolver(erasures)
+		if err != nil {
+			t.Fatalf("erasures %v: %v", erasures, err)
+		}
+		d, c := append([]byte(nil), buf...), append([]byte(nil), check...)
+		scribble(rng, code, erasures, d, c)
+		solveBoth(t, code, s, erasures, d, c, buf, check)
+	})
+}

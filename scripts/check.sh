@@ -52,9 +52,10 @@ if ! $quick; then
 		./internal/memctrl/... ./internal/sim/... ./internal/inject/... \
 		./internal/engine/... ./internal/guard/... ./internal/fleet/...
 
-	echo "== fuzz smoke (10s per decoder)"
+	echo "== fuzz smoke (10s per target)"
 	go test ./internal/bch/ -fuzz=FuzzDecode -fuzztime=10s
 	go test ./internal/rs/ -fuzz=FuzzDecode -fuzztime=10s
+	go test ./internal/rs/ -fuzz=FuzzErasureSolver -fuzztime=10s
 	go test ./internal/guard/ -fuzz=FuzzJournalDecode -fuzztime=10s
 
 	echo "== fault campaigns (standard suite)"
