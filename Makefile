@@ -1,7 +1,7 @@
 # Standard entry points; scripts/check.sh is the single source of truth
 # for what "passing" means.
 
-.PHONY: all build test race bench benchruntime profile check check-quick campaign fleet-campaign soak fuzz vet
+.PHONY: all build test race bench profile check check-quick campaign fleet-campaign soak fuzz vet
 
 all: build
 
@@ -23,31 +23,20 @@ race:
 		./internal/memctrl/... ./internal/sim/... ./internal/inject/... \
 		./internal/engine/... ./internal/guard/... ./internal/fleet/...
 
-# Kernel microbenchmarks (per-package, human-readable).
+# Kernel microbenchmarks: each table-driven kernel next to its retained
+# bit-serial / poly-div reference, so one run shows the fast-vs-reference
+# ratios on this host. End-to-end and per-layer numbers are `go run ./bench`
+# (bench/README.md).
 bench:
 	go test -run xxx -bench Kernel -benchmem ./internal/gf/ ./internal/bch/ ./internal/rs/
 
-# Refresh BENCH_kernels.json and fail on fast-path speedup regressions.
-BENCH_kernels.json: FORCE
-	go run ./cmd/benchkernels -check
-
-# Refresh BENCH_runtime.json (end-to-end engine throughput) and fail if
-# aggregate clean-read throughput drops below 8x the frozen seed baseline
-# or the clean read path allocates.
-benchruntime:
-	go run ./cmd/benchruntime -check
-
-BENCH_runtime.json: FORCE
-	go run ./cmd/benchruntime -check
-
-# CPU + allocation profiles of the write scenarios (the zero-alloc write
-# pipeline); inspect with `go tool pprof profiles/write_{cpu,mem}.pprof`.
-PROFILE_SCENARIO ?= Write
+# CPU + allocation profiles of the engine write benchmark (the zero-alloc
+# write pipeline); inspect with `go tool pprof profiles/write_{cpu,mem}.pprof`.
+PROFILE_BENCH ?= EngineWrite
 profile:
 	mkdir -p profiles
-	go run ./cmd/benchruntime -scenario $(PROFILE_SCENARIO) \
-		-cpuprofile profiles/write_cpu.pprof -memprofile profiles/write_mem.pprof \
-		-out profiles/write_profile.json
+	go test -run xxx -bench $(PROFILE_BENCH) -benchmem -o profiles/chipkillpm.test \
+		-cpuprofile profiles/write_cpu.pprof -memprofile profiles/write_mem.pprof .
 
 # Fault-injection campaigns (internal/inject). `campaign` is the
 # acceptance suite; `soak` adds the deep campaigns and runs the soak-tagged
@@ -81,5 +70,3 @@ check:
 
 check-quick:
 	sh scripts/check.sh -quick
-
-FORCE:

@@ -159,8 +159,9 @@ func BenchmarkChipkillRebuild(b *testing.B) {
 	}
 }
 
-// --- Runtime demand-path throughput (cmd/benchruntime is the committed
-// harness; these give `go test -bench Engine -benchmem` the same paths) ---
+// --- Runtime demand-path throughput: `go test -bench Engine -benchmem`,
+// and what `make profile` profiles. The gated end-to-end numbers are the
+// read_clean / write_random / write_rowlocal workloads of `go run ./bench`. ---
 
 // newBenchEngine builds a populated 4-bank engine for the demand-path
 // benchmarks.

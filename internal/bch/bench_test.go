@@ -7,9 +7,8 @@ import (
 
 // Kernel microbenchmarks at the paper-relevant shape: the 256 B VLEW code
 // BCH(m=12, k=2048, t=22). The *BitSerial benchmarks measure the retained
-// reference implementations so one `go test -bench=Kernel` run shows the
-// before/after story; cmd/benchkernels turns the same pairs into
-// BENCH_kernels.json.
+// reference implementations so one `go test -bench=Kernel` run (`make
+// bench`) shows each fast-vs-reference ratio on the host that ran it.
 
 func paperCode() *Code { return Must(12, 2048, 22) }
 

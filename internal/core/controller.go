@@ -184,7 +184,7 @@ type Controller struct {
 	readCheckBuf []byte // RS check bytes of the block being read
 	vlewCheckBuf []byte // check bytes recovered from the parity chip's VLEW
 	deltaBuf     []byte // old XOR new data for writes
-	checkDelta   []byte // RS check delta for writes
+	checkDelta   []byte // RS check bytes for writes: the delta on the XOR path, the full check on raw writes
 	internalBuf  []byte // OMV fetches and other internal reads
 
 	// solver reconstructs chip solverChip's eight symbols of a block; built
@@ -545,18 +545,24 @@ func (c *Controller) writeDelta(block int64, delta []byte) {
 }
 
 // WriteBlockInitial writes a block conventionally (raw data on the bus),
-// used to populate memory before measurement and by scrub write-back.
+// used to populate memory before measurement, by scrub write-back and by
+// the fleet's write-through to a replica, which puts it on a demand path.
+//
+//chipkill:noalloc
 func (c *Controller) WriteBlockInitial(block int64, data []byte) error {
 	if len(data) != c.rank.Config().BlockBytes() {
+		//chipkill:allow noalloc caller bug, not a demand write
 		return fmt.Errorf("core: WriteBlockInitial: got %d bytes, want %d", len(data), c.rank.Config().BlockBytes())
 	}
 	if c.blockStriped(block) {
 		// A raw lockstep write would clobber the remapped parity-chip data
 		// and leave the striped code word stale; route through the
 		// degraded write path instead.
+		//chipkill:allow noalloc striped writes use the migration scratch; only the original layout is on the zero-alloc contract
 		return c.writeDegraded(block, data)
 	}
-	c.rank.WriteBlockRaw(block, data, c.rsCode.Encode(data))
+	c.rsCode.EncodeInto(c.checkDelta, data)
+	c.rank.WriteBlockRaw(block, data, c.checkDelta)
 	c.stats.BlockWrites++
 	return nil
 }

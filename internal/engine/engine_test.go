@@ -308,6 +308,24 @@ func TestReadAllocsZero(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("ReadBlocks allocates %.1f objects/batch, want 0", allocs)
 	}
+
+	// Locked-path variant: with the seqlock off every clean read takes the
+	// shard mutex, the fallback a reader parked behind a writer lands on.
+	locked, err := New(e.Rank(), Config{Core: core.DefaultConfig(), DisableSeqlock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		if err := locked.ReadBlockInto(b, dst); err != nil {
+			t.Fatal(err)
+		}
+		b = (b + 7) % blocks
+	}); allocs != 0 {
+		t.Fatalf("ReadBlockInto (locked path) allocates %.1f objects/op, want 0", allocs)
+	}
+	if locked.SeqStats() != (SeqStats{}) || locked.Stats().ReadsClean == 0 {
+		t.Fatalf("locked-path pin took the wrong path: %+v %+v", locked.SeqStats(), locked.Stats())
+	}
 }
 
 // shadowOMV is an always-hit OMVProvider backed by a flat shadow of every
@@ -352,6 +370,24 @@ func TestWriteAllocsZero(t *testing.T) {
 	}
 	if st := e.Stats(); st.OMVMisses == 0 {
 		t.Fatal("OMV-miss pin never exercised the miss path")
+	}
+
+	// Row-local variant: consecutive blocks stay in one open row, so the
+	// EUR coalesces their deltas and the run crosses row-close drains.
+	b = 0
+	closes := e.Rank().Stats().RowCloses
+	if allocs := testing.AllocsPerRun(500, func() {
+		version++
+		fillBlock(buf, b, version)
+		if err := e.WriteBlock(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		b = (b + 1) % blocks
+	}); allocs != 0 {
+		t.Fatalf("WriteBlock (row-local run) allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := e.Rank().Stats().RowCloses - closes; got == 0 || got >= 500 {
+		t.Fatalf("row-local pin closed %d rows over ~500 writes, want a few coalesced drains", got)
 	}
 
 	const n = 32

@@ -176,6 +176,48 @@ func TestWriteThroughKeepsReplicaCoherent(t *testing.T) {
 	}
 }
 
+// TestFleetDemandAllocsZero pins the fleet's steady-state demand paths at
+// zero allocations per operation: a primary read, a write to an
+// unreplicated band, and a write-through to a replicated band (whose
+// replica leg is the engine's raw WriteBlockInitial).
+func TestFleetDemandAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins run without -race")
+	}
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, f)
+	if err := f.ReplicateBand(0); err != nil {
+		t.Fatal(err)
+	}
+	if !f.BandReplicated(0) || f.BandReplicated(f.BandBlocks()) {
+		t.Fatal("want band 0 replicated and band 1 not")
+	}
+	buf := make([]byte, f.BlockBytes())
+	pattern(9999, buf)
+	var i int64
+	for _, tc := range []struct {
+		name string
+		op   func(block int64) error
+		base int64 // first block of the band the case runs in
+	}{
+		{"primary ReadBlockInto", func(b int64) error { return f.ReadBlockInto(b, buf) }, f.BandBlocks()},
+		{"unreplicated WriteBlock", func(b int64) error { return f.WriteBlock(b, buf) }, f.BandBlocks()},
+		{"replicated write-through WriteBlock", func(b int64) error { return f.WriteBlock(b, buf) }, 0},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := tc.op(tc.base + i%f.BandBlocks()); err != nil {
+				t.Fatal(err)
+			}
+			i += 7
+		}); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 func TestRankKillContainment(t *testing.T) {
 	f, err := New(testConfig())
 	if err != nil {

@@ -104,17 +104,44 @@ type Campaign struct {
 	Expect Expect  `json:"expect"`
 }
 
-// Harness couples one demand backend (a bare controller, or a sharded
-// engine when the campaign sets EngineShards) + rank stack with the
-// shadow-map oracle and drives a campaign through it.
+// backend is what a campaign drives: the demand contract plus the two
+// rank-wide transitions scripted events use. *core.Controller and
+// *engine.Engine satisfy it as they are.
+type backend interface {
+	ReadBlock(block int64) ([]byte, error)
+	WriteBlock(block int64, data []byte) error
+	WriteBlockInitial(block int64, data []byte) error
+	Stats() core.Stats
+	BootScrub() core.ScrubReport
+	EnterDegradedMode(chip int) error
+}
+
+// fleetBackend narrows a fleet to backend: demand counters are the sum
+// over its ranks, and the rank-wide transitions do not exist at fleet
+// level (NewHarness rejects scripted events on fleet campaigns).
+type fleetBackend struct{ *fleet.Fleet }
+
+func (f fleetBackend) Stats() core.Stats { return f.Fleet.Stats().Demand }
+
+func (f fleetBackend) BootScrub() core.ScrubReport {
+	panic("inject: fleet campaigns script no boot scrub")
+}
+
+func (f fleetBackend) EnterDegradedMode(int) error {
+	panic("inject: fleet campaigns script no degraded-mode entry")
+}
+
+// Harness couples one demand backend (a bare controller, a sharded
+// engine when the campaign sets EngineShards, or a fleet) + rank stack
+// with the shadow-map oracle and drives a campaign through it.
 type Harness struct {
 	c      Campaign
 	suite  string
 	rng    *rand.Rand
-	rank   *rank.Rank       // nil in fleet mode
-	ctrl   *core.Controller // nil when eng or fleet is set
-	eng    *engine.Engine   // nil when ctrl or fleet is set
-	fleet  *fleet.Fleet     // set only for fleet campaigns
+	rank   *rank.Rank     // nil in fleet mode
+	be     backend        // chosen in NewHarness, re-pointed by rebuild
+	eng    *engine.Engine // be's engine in engine mode, else nil
+	fleet  *fleet.Fleet   // be's fleet in fleet mode, else nil
 	oracle *Oracle
 	omv    *omvSource
 	rep    *CampaignReport
@@ -185,7 +212,7 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 		if err != nil {
 			return nil, fmt.Errorf("inject: building fleet: %w", err)
 		}
-		h.fleet = fl
+		h.fleet, h.be = fl, fleetBackend{fl}
 		h.blockBytes = fl.BlockBytes()
 		h.rep.Geometry = fmt.Sprintf("%dr x %dx%dx%dB", spec.Ranks, c.Banks, c.RowsPerBank, c.RowBytes)
 		h.rep.Blocks = fl.Blocks()
@@ -202,17 +229,31 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 	if c.EngineShards > 0 {
 		h.rep.EngineShards = c.EngineShards
 		h.rep.EngineBatchWrites = c.EngineBatchWrites
-		h.eng, err = engine.New(r, h.engCfg())
-		if err != nil {
-			return nil, fmt.Errorf("inject: building engine: %w", err)
-		}
-	} else {
-		h.ctrl, err = core.NewController(r, h.ctrlCfg(), h.omv)
-		if err != nil {
-			return nil, fmt.Errorf("inject: building controller: %w", err)
-		}
+	}
+	if err := h.rebuild(); err != nil {
+		return nil, fmt.Errorf("inject: %w", err)
 	}
 	return h, nil
+}
+
+// rebuild brings up a cold single-rank backend over the rank — at
+// construction and again after every simulated crash, when the previous
+// one is discarded with its counters.
+func (h *Harness) rebuild() error {
+	if h.c.EngineShards > 0 {
+		eng, err := engine.New(h.rank, h.engCfg())
+		if err != nil {
+			return fmt.Errorf("building engine: %w", err)
+		}
+		h.eng, h.be = eng, eng
+		return nil
+	}
+	ctrl, err := core.NewController(h.rank, h.ctrlCfg(), h.omv)
+	if err != nil {
+		return fmt.Errorf("building controller: %w", err)
+	}
+	h.be = ctrl
+	return nil
 }
 
 func (h *Harness) ctrlCfg() core.Config {
@@ -229,81 +270,17 @@ func (h *Harness) engCfg() engine.Config {
 	return cfg
 }
 
-// Controller exposes the live controller (it changes across crash events);
-// nil when the campaign runs in engine mode.
-func (h *Harness) Controller() *core.Controller { return h.ctrl }
-
-// Engine exposes the live engine; nil outside engine mode.
-func (h *Harness) Engine() *engine.Engine { return h.eng }
-
-// Fleet exposes the live fleet; nil outside fleet mode.
-func (h *Harness) Fleet() *fleet.Fleet { return h.fleet }
-
 // Demand-backend indirection: every workload touch of memory goes through
 // these, so serial-controller and sharded-engine campaigns share one code
 // path and must produce identical reports.
 
-func (h *Harness) readBlock(b int64) ([]byte, error) {
-	if h.fleet != nil {
-		return h.fleet.ReadBlock(b)
-	}
-	if h.eng != nil {
-		return h.eng.ReadBlock(b)
-	}
-	return h.ctrl.ReadBlock(b)
-}
+func (h *Harness) readBlock(b int64) ([]byte, error) { return h.be.ReadBlock(b) }
 
-func (h *Harness) writeBlock(b int64, data []byte) error {
-	if h.fleet != nil {
-		return h.fleet.WriteBlock(b, data)
-	}
-	if h.eng != nil {
-		return h.eng.WriteBlock(b, data)
-	}
-	return h.ctrl.WriteBlock(b, data)
-}
+func (h *Harness) writeBlock(b int64, data []byte) error { return h.be.WriteBlock(b, data) }
 
-func (h *Harness) writeInitial(b int64, data []byte) error {
-	if h.fleet != nil {
-		return h.fleet.WriteBlockInitial(b, data)
-	}
-	if h.eng != nil {
-		return h.eng.WriteBlockInitial(b, data)
-	}
-	return h.ctrl.WriteBlockInitial(b, data)
-}
+func (h *Harness) writeInitial(b int64, data []byte) error { return h.be.WriteBlockInitial(b, data) }
 
-func (h *Harness) stats() core.Stats {
-	if h.fleet != nil {
-		return h.fleet.Stats().Demand
-	}
-	if h.eng != nil {
-		return h.eng.Stats()
-	}
-	return h.ctrl.Stats()
-}
-
-// runBootScrub reboots through the scrub; the harness drives the rank
-// serially, so the rank-wide scan cannot race demand traffic.
-//
-//chipkill:rankwide
-func (h *Harness) runBootScrub() core.ScrubReport {
-	if h.eng != nil {
-		return h.eng.BootScrub()
-	}
-	return h.ctrl.BootScrub()
-}
-
-// enterDegraded performs the stop-the-world transition from the serial
-// campaign loop.
-//
-//chipkill:rankwide
-func (h *Harness) enterDegraded(chip int) error {
-	if h.eng != nil {
-		return h.eng.EnterDegradedMode(chip)
-	}
-	return h.ctrl.EnterDegradedMode(chip)
-}
+func (h *Harness) stats() core.Stats { return h.be.Stats() }
 
 // Rank exposes the rank under test.
 func (h *Harness) Rank() *rank.Rank { return h.rank }
@@ -361,17 +338,9 @@ func RunCampaign(suite string, c Campaign) *CampaignReport {
 	return h.Run()
 }
 
-// totalBlocks is the demand backend's block capacity.
-func (h *Harness) totalBlocks() int64 {
-	if h.fleet != nil {
-		return h.fleet.Blocks()
-	}
-	return h.rank.Blocks()
-}
-
 // initWorkingSet commits WorkingSet blocks, strided across the backend.
 func (h *Harness) initWorkingSet() {
-	total := h.totalBlocks()
+	total := h.rep.Blocks // the backend's capacity, set in NewHarness
 	ws := int64(h.c.WorkingSet)
 	if ws <= 0 || ws > total {
 		ws = total
@@ -562,7 +531,7 @@ func (h *Harness) apply(ev Event) {
 	case EvBootScrub:
 		h.bootScrub()
 	case EvEnterDegraded:
-		if err := h.enterDegraded(ev.Chip); err != nil {
+		if err := h.be.EnterDegradedMode(ev.Chip); err != nil {
 			h.fail("event", -1, fmt.Sprintf("enter-degraded(%d): %v", ev.Chip, err))
 			return
 		}
@@ -633,20 +602,9 @@ func (h *Harness) applyFlips(ev Event) {
 //chipkill:rankwide
 func (h *Harness) crashReboot(ev Event) {
 	h.rank.CloseAllRows()
-	if h.eng != nil {
-		eng, err := engine.New(h.rank, h.engCfg())
-		if err != nil {
-			h.fail("event", -1, fmt.Sprintf("reboot: %v", err))
-			return
-		}
-		h.eng = eng
-	} else {
-		ctrl, err := core.NewController(h.rank, h.ctrlCfg(), h.omv)
-		if err != nil {
-			h.fail("event", -1, fmt.Sprintf("reboot: %v", err))
-			return
-		}
-		h.ctrl = ctrl
+	if err := h.rebuild(); err != nil {
+		h.fail("event", -1, fmt.Sprintf("reboot: %v", err))
+		return
 	}
 	h.rep.Crashes++
 	if ev.RBER > 0 {
@@ -676,7 +634,9 @@ func (h *Harness) bootScrub() {
 			}
 		}()
 	}
-	rep := h.runBootScrub()
+	// The harness drives the rank serially, so the rank-wide scan cannot
+	// race demand traffic.
+	rep := h.be.BootScrub()
 	if stop != nil {
 		close(stop)
 		wg.Wait()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"chipkillpm/internal/engine"
 	"chipkillpm/internal/guard"
 )
 
@@ -278,12 +277,10 @@ func (h *Harness) guardCrashDuringMigration(sup *guard.Supervisor, region *guard
 	// the supervisor's recovery runs before any traffic or boot scrub.
 	h.rank.CloseAllRows()
 	region.Reboot()
-	eng, err := engine.New(h.rank, h.engCfg())
-	if err != nil {
+	if err := h.rebuild(); err != nil {
 		h.fail("guard", -1, fmt.Sprintf("reboot: %v", err))
 		return nil
 	}
-	h.eng = eng
 	h.rep.Crashes++
 	sup2, err := guard.New(h.eng, region, cfg)
 	if err != nil {
