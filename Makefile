@@ -1,7 +1,7 @@
 # Standard entry points; scripts/check.sh is the single source of truth
 # for what "passing" means.
 
-.PHONY: all build test race bench profile check check-quick campaign fleet-campaign soak fuzz vet
+.PHONY: all build test race bench bench-smoke profile check check-quick campaign fleet-campaign soak fuzz vet
 
 all: build
 
@@ -19,7 +19,7 @@ test:
 	go test ./... -count=1
 
 race:
-	go test -race -count=1 ./internal/core/... ./internal/rank/... \
+	go test -race -count=1 ./internal/bch/... ./internal/core/... ./internal/rank/... \
 		./internal/memctrl/... ./internal/sim/... ./internal/inject/... \
 		./internal/engine/... ./internal/guard/... ./internal/fleet/...
 
@@ -29,6 +29,11 @@ race:
 # (bench/README.md).
 bench:
 	go test -run xxx -bench Kernel -benchmem ./internal/gf/ ./internal/bch/ ./internal/rs/
+
+# One iteration of every kernel benchmark: they carry b.Fatal correctness
+# checks (decode counts, clean words staying clean) that nothing else runs.
+bench-smoke:
+	go test -run xxx -bench Kernel -benchtime 1x ./internal/gf/ ./internal/bch/ ./internal/rs/
 
 # CPU + allocation profiles of the engine write benchmark (the zero-alloc
 # write pipeline); inspect with `go tool pprof profiles/write_{cpu,mem}.pprof`.

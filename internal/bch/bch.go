@@ -34,6 +34,7 @@ var ErrUncorrectable = errors.New("bch: uncorrectable error pattern")
 // decoding) and per-call working memory comes from an internal pool.
 type Code struct {
 	field *gf.Field
+	exp   []gf.Elem // field.ExpTable(): alpha^i for i in [0, 2*(2^m-1))
 	m     uint
 	t     int
 	k     int // data bits
@@ -43,7 +44,7 @@ type Code struct {
 
 	enc       *encTables // byte-wise LFSR tables; nil when r < 8
 	decOnce   sync.Once
-	dec       *decTables // syndrome/Chien/quadratic tables, built on demand
+	dec       *decTables // syndrome and closed-form root tables, built on demand
 	deltaTabs atomic.Pointer[deltaTables]
 	scratch   sync.Pool // *decodeScratch
 }
@@ -71,7 +72,7 @@ func New(m uint, k, t int) (*Code, error) {
 		return nil, fmt.Errorf("bch: k+r = %d+%d exceeds 2^%d-1 = %d; use a larger m",
 			k, r, m, field.N())
 	}
-	c := &Code{field: field, m: m, t: t, k: k, r: r, n: k + r, gen: gen}
+	c := &Code{field: field, exp: field.ExpTable(), m: m, t: t, k: k, r: r, n: k + r, gen: gen}
 	c.enc = c.buildEncTables()
 	return c, nil
 }
@@ -148,9 +149,9 @@ func (c *Code) Generator() gf.Poly2 { return c.gen.Clone() }
 // DataBytes(); when k is not a byte multiple the unused high bits of the
 // last byte must be zero. The returned slice has ParityBytes() bytes.
 //
-// The computation streams data through a 256-entry byte-at-a-time LFSR
-// remainder table; EncodeBitSerial is the retained reference
-// implementation.
+// The computation streams data through the table-driven LFSR (eight bytes
+// per step for the paper's code, see remainder264); EncodeBitSerial is the
+// retained reference implementation.
 func (c *Code) Encode(data []byte) []byte {
 	if len(data) != c.DataBytes() {
 		panic(fmt.Sprintf("bch: Encode: got %d data bytes, want %d", len(data), c.DataBytes()))
@@ -236,8 +237,9 @@ const maxDeltaWords = 8
 //	row[p][v] = v(x) * x^(8p+r) mod g(x)
 //
 // so an s-byte delta costs s table-row XORs regardless of its offset. The
-// rows (DataBytes x 256 x w words, ~2.6 MB for the paper's code) are built
-// once per Code on first use and shared by all chips holding the Code.
+// rows (DataBytes x 256 x w words, ~2.6 MB for the paper's code) continue
+// the encoder's own LFSR rows; they are built once per Code on first use
+// and shared by all chips holding the Code.
 //
 // The table only pays for itself on sparse deltas: each (position, value)
 // row is its own cache line, so a dense delta — an EUR drain covering a
@@ -284,8 +286,13 @@ func (c *Code) EncodeDeltaInto(out, delta []byte, bitOffset int) {
 		if v == 0 {
 			continue
 		}
-		base := ((p0+i)*256 + int(v)) * w
-		row := d.tab[base : base+w : base+w]
+		var row []uint64
+		if p := p0 + i; p < d.first {
+			row = c.enc.row(p, v)
+		} else {
+			base := ((p-d.first)*256 + int(v)) * w
+			row = d.tab[base : base+w : base+w]
+		}
 		for j, x := range row {
 			acc[j] ^= x
 		}
@@ -421,7 +428,7 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 	if c.syndromesInto(syn, data, parity, sc) {
 		return 0, nil
 	}
-	sigma := c.berlekampMasseyFast(syn, sc)
+	sigma := c.berlekampMassey(syn, sc)
 	if gf.PolyDeg(sigma) > c.t {
 		return 0, ErrUncorrectable
 	}
@@ -429,6 +436,36 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 	if !ok {
 		return 0, ErrUncorrectable
 	}
+	c.flip(data, parity, positions)
+	// Guard against residual errors: with e <= t genuine errors the
+	// corrected word is a codeword. Rather than re-evaluating the whole
+	// word, fold each flipped bit's contribution alpha^(p*e) into the
+	// syndromes — flipping bit p changes S_e by exactly that term — and
+	// check that they cancel. Only the odd ones are folded and checked:
+	// the corrected word is a binary polynomial, so S_2e = S_e^2 and
+	// vanishing odd syndromes force the even ones.
+	n := c.field.N()
+	for _, p := range positions {
+		idx, step := p, 2*p%n // alpha^p, then times alpha^(2p) per odd syndrome
+		for j := 0; j < len(syn); j += 2 {
+			syn[j] ^= c.exp[idx]
+			if idx += step; idx >= n {
+				idx -= n
+			}
+		}
+	}
+	for j := 0; j < len(syn); j += 2 {
+		if syn[j] != 0 {
+			c.flip(data, parity, positions) // roll back
+			return 0, ErrUncorrectable
+		}
+	}
+	return len(positions), nil
+}
+
+// flip toggles the codeword bits at the given degrees: p < r is parity bit
+// p, otherwise data bit p-r.
+func (c *Code) flip(data, parity []byte, positions []int) {
 	for _, p := range positions {
 		if p < c.r {
 			parity[p/8] ^= 1 << uint(p%8)
@@ -437,34 +474,6 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 			data[d/8] ^= 1 << uint(d%8)
 		}
 	}
-	// Guard against residual errors: with e <= t genuine errors the
-	// corrected word is a codeword. Rather than re-evaluating the whole
-	// word, fold each flipped bit's contribution alpha^(p*e) into the
-	// syndromes — flipping bit p changes S_e by exactly that term — and
-	// check that all 2t syndromes cancel.
-	f := c.field
-	for _, p := range positions {
-		a := f.Exp(p)
-		acc := gf.Elem(1)
-		for j := range syn {
-			acc = f.Mul(acc, a)
-			syn[j] ^= acc
-		}
-	}
-	for _, s := range syn {
-		if s != 0 {
-			for _, p := range positions { // roll back
-				if p < c.r {
-					parity[p/8] ^= 1 << uint(p%8)
-				} else {
-					d := p - c.r
-					data[d/8] ^= 1 << uint(d%8)
-				}
-			}
-			return 0, ErrUncorrectable
-		}
-	}
-	return len(positions), nil
 }
 
 // CheckClean reports whether data||parity is a codeword (no errors

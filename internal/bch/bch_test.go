@@ -284,39 +284,6 @@ func TestGeneratorDividesCodewords(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeVLEW(b *testing.B) {
-	code := Must(12, 2048, 22)
-	data := make([]byte, code.DataBytes())
-	rand.New(rand.NewSource(1)).Read(data)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		code.Encode(data)
-	}
-}
-
-func BenchmarkDecodeVLEW22Errors(b *testing.B) {
-	code := Must(12, 2048, 22)
-	rng := rand.New(rand.NewSource(1))
-	data := make([]byte, code.DataBytes())
-	rng.Read(data)
-	parity := code.Encode(data)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d := bytes.Clone(data)
-		p := bytes.Clone(parity)
-		for e := 0; e < 22; e++ {
-			flipDataBits(d, rng.Intn(code.K()))
-		}
-		b.StartTimer()
-		if _, err := code.Decode(d, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestFlashStyleCode exercises the Fig 3 regime: a 512B-data Flash-style
 // VLEW at 41-bit correction, the strongest commercial code the paper
 // cites.

@@ -107,26 +107,22 @@ func BenchmarkKernelCheckCleanClean(b *testing.B) {
 	}
 }
 
-// benchmarkDecode measures a full decode correcting e errors.
+// benchmarkDecode measures a full decode correcting e errors, cycling
+// through pre-drawn error sets: above the closed forms the cost depends on
+// where the scanned roots sit, so one draw would make the figure hostage
+// to its first root.
 func benchmarkDecode(b *testing.B, e int) {
 	c := paperCode()
 	data := benchData(c)
 	parity := c.Encode(data)
 	rng := rand.New(rand.NewSource(int64(e)))
-	positions := rng.Perm(c.N())[:e]
-	flip := func() {
-		for _, p := range positions {
-			if p < c.ParityBits() {
-				parity[p/8] ^= 1 << uint(p%8)
-			} else {
-				d := p - c.ParityBits()
-				data[d/8] ^= 1 << uint(d%8)
-			}
-		}
+	sets := make([][]int, 64)
+	for i := range sets {
+		sets[i] = rng.Perm(c.N())[:e]
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flip()
+		c.flip(data, parity, sets[i%len(sets)])
 		fixed, err := c.Decode(data, parity)
 		if err != nil || fixed != e {
 			b.Fatalf("decode: fixed=%d err=%v", fixed, err)
@@ -138,4 +134,48 @@ func BenchmarkKernelDecodeE1(b *testing.B)  { benchmarkDecode(b, 1) }
 func BenchmarkKernelDecodeE2(b *testing.B)  { benchmarkDecode(b, 2) }
 func BenchmarkKernelDecodeE3(b *testing.B)  { benchmarkDecode(b, 3) }
 func BenchmarkKernelDecodeE4(b *testing.B)  { benchmarkDecode(b, 4) }
+func BenchmarkKernelDecodeE5(b *testing.B)  { benchmarkDecode(b, 5) }
+func BenchmarkKernelDecodeE8(b *testing.B)  { benchmarkDecode(b, 8) }
 func BenchmarkKernelDecodeE22(b *testing.B) { benchmarkDecode(b, 22) }
+
+// BenchmarkKernelDecodeBootMix decodes the error mix a boot scrub sees:
+// 512 words with every codeword bit flipped independently at RBER 1e-3
+// (mean 2.3 flips per 2312-bit word; about one word in ten is clean and
+// one in twelve needs the scan). Each iteration copies the next corrupted
+// word into one buffer pair, as the scrub reads a VLEW into its row
+// buffers, and decodes it there.
+func BenchmarkKernelDecodeBootMix(b *testing.B) {
+	const words, rber = 512, 1e-3
+	c := paperCode()
+	rng := rand.New(rand.NewSource(1e3))
+	type word struct {
+		data, parity []byte
+		flips        int
+	}
+	mix := make([]word, words)
+	for i := range mix {
+		w := word{data: make([]byte, c.DataBytes())}
+		rng.Read(w.data)
+		w.parity = c.Encode(w.data)
+		for p := 0; p < c.N(); p++ {
+			if rng.Float64() < rber {
+				c.flip(w.data, w.parity, []int{p})
+				w.flips++
+			}
+		}
+		mix[i] = w
+	}
+	data := make([]byte, c.DataBytes())
+	parity := make([]byte, c.ParityBytes())
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &mix[i%words]
+		copy(data, w.data)
+		copy(parity, w.parity)
+		fixed, err := c.Decode(data, parity)
+		if err != nil || fixed != w.flips {
+			b.Fatalf("word %d: %d flips decoded as (%d, %v)", i%words, w.flips, fixed, err)
+		}
+	}
+}

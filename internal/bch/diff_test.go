@@ -103,6 +103,17 @@ func TestEncodeDeltaIntoMatchesBitSerial(t *testing.T) {
 					code, trial, off, out, slow)
 			}
 		}
+		// Short deltas at every byte offset around the boundary between the
+		// rows the encoder holds (1, or 8 when it slices) and the positions
+		// the delta table continues them with.
+		delta := make([]byte, 6)
+		for off := 0; off < 16 && 8*(off+len(delta)) <= code.k; off++ {
+			rng.Read(delta)
+			code.EncodeDeltaInto(out, delta, 8*off)
+			if slow := code.EncodeDeltaBitSerial(delta, 8*off); !bytes.Equal(out, slow) {
+				t.Fatalf("%v byte offset %d: EncodeDeltaInto mismatch\nfast %x\nslow %x", code, off, out, slow)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package bch
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sort"
 
@@ -13,43 +14,52 @@ import (
 // oracles and as fallbacks for degenerate codes with fewer than 8 parity
 // bits, where byte-at-a-time processing does not apply.
 //
-// Three precomputed structures carry the speedup:
+// Decode runs five stages, each on its own precomputed structure:
 //
-//   - An LFSR remainder table: 256 entries of u(x)*x^r mod g(x), one per
-//     input byte value. Encode and the decoder's codeword check stream
-//     data through it one byte per step instead of one bit per step.
-//   - Per-byte-position syndrome tables over the r-bit remainder
-//     D(x) = data(x)*x^r + parity(x) mod g(x). Because g | x^n - 1 has
-//     alpha^1..alpha^2t as roots, S_e(received) = D(alpha^e), so
-//     syndromes are evaluated over ParityBytes() bytes instead of the
-//     whole codeword. Only odd-index syndromes are tabulated; even ones
-//     follow from S_2e = S_e^2 in characteristic 2.
-//   - Chien-search step tables (multiplication tables for alpha^-i) plus
-//     closed-form root extraction for degree-1 and degree-2 locators,
-//     which dominate scrub workloads at realistic bit error rates.
+//  1. Remainder. D(x) = data(x)*x^r + parity(x) mod g(x) through an LFSR
+//     table of u(x)*x^r mod g(x) per input byte value. The paper's r = 264
+//     layout keeps eight byte positions of that table and consumes eight
+//     data bytes per step (slicing-by-8); other layouts step per byte.
+//  2. Syndromes. Because g | x^n - 1 has alpha^1..alpha^2t as roots,
+//     S_e(received) = D(alpha^e), so syndromes are evaluated over the
+//     ParityBytes() remainder bytes instead of the whole codeword. Only
+//     odd-index syndromes are tabulated, four 16-bit lanes per uint64 so a
+//     row is XORed in word-wise; even ones follow from S_2e = S_e^2.
+//  3. Locator. Berlekamp-Massey with Berlekamp's binary simplification:
+//     given S_2e = S_e^2 every second discrepancy is zero and is skipped.
+//  4. Roots. Closed forms up to degree 4; above that a blocked Chien scan
+//     in the log domain over the field's exp table, deflating the locator
+//     by each root found until the closed forms take over.
+//  5. Verification. Each flipped bit's contribution is folded back into
+//     the odd syndromes, which must all cancel (Decode, in bch.go).
 
-// encTables drive the byte-at-a-time LFSR for Encode/EncodeDelta and the
-// decoder's remainder computation.
+// encTables drive the LFSR for Encode/EncodeDelta and the decoder's
+// remainder computation. Rows are delta-table rows (see deltaTables):
+// position 0 in every layout, positions 0..7 in the r = 264 one.
 type encTables struct {
-	w      int      // uint64 words per r-bit LFSR state
-	tab    []uint64 // 256 rows of w words: tab[u] = u(x)*x^r mod g
-	loWord int      // word holding bit r-8 (start of the outgoing byte)
-	loOff  uint     // offset of bit r-8 within loWord
-	split  bool     // outgoing byte straddles loWord and loWord+1
+	w      int                // uint64 words per r-bit LFSR state
+	tab    []uint64           // 256 rows of w words: tab[u] = u(x)*x^r mod g; nil when slice8 is set
+	slice8 *[8][256][5]uint64 // r = 264 only: slice8[k][u] = u(x)*x^(8k+r) mod g
+	loWord int                // word holding bit r-8 (start of the outgoing byte)
+	loOff  uint               // offset of bit r-8 within loWord
+	split  bool               // outgoing byte straddles loWord and loWord+1
 }
 
 // quadNone marks "no solution" entries of the quadratic-root table; the
 // same sentinel marks non-cubes in the cube-root table.
 const quadNone gf.Elem = 0xFFFF
 
+// scanBlock is the most positions one block of the root scan evaluates.
+const scanBlock = 64
+
 // decTables hold everything the fast decode path needs.
 type decTables struct {
-	pb       int           // parity bytes, the remainder width
-	lastMask byte          // valid-bit mask for the top parity byte
-	synTab   []gf.Elem     // [pb][256][t] odd-syndrome contributions, flattened
-	step     []gf.MulTable // step[i]: multiply by alpha^-(i+1), for Chien scan
-	quad     []gf.Elem     // quad[c] = y solving y^2+y=c, or quadNone
-	cbrt     []gf.Elem     // cbrt[c] = one y with y^3=c, or quadNone
+	lastMask byte      // valid-bit mask for the top parity byte
+	synWords int       // uint64 words per synTab row: ceil(t/4)
+	synTab   []uint64  // [pb][256][synWords]: odd-syndrome contributions, S_(2j+1) in 16-bit lane j
+	scanBlk  int       // root-scan block: largest b <= scanBlock with t*(b-1) < 2^m-1
+	quad     []gf.Elem // quad[c] = y solving y^2+y=c, or quadNone
+	cbrt     []gf.Elem // cbrt[c] = one y with y^3=c, or quadNone
 }
 
 // decodeScratch is the per-call working set, pooled on the Code so that
@@ -58,12 +68,12 @@ type decTables struct {
 type decodeScratch struct {
 	state     []uint64  // LFSR state, enc.w words
 	rem       []byte    // remainder bytes, pb
+	synAcc    []uint64  // packed odd syndromes, ceil(t/4) words
 	syn       []gf.Elem // 2t syndromes
-	bmSigma   []gf.Elem // Berlekamp-Massey buffers, 4t+2 each
+	bmSigma   []gf.Elem // Berlekamp-Massey buffers, 2t+2 each
 	bmPrev    []gf.Elem
 	bmNext    []gf.Elem
 	sigmaWork []gf.Elem // root finding: deflated locator, t+1
-	terms     []gf.Elem // root finding: Chien term registers, t+1
 	positions []int     // found error positions, cap 2t
 }
 
@@ -123,7 +133,39 @@ func (c *Code) buildEncTables() *encTables {
 			dst[i] ^= x
 		}
 	}
+	if w == 5 && e.loOff == 0 && !e.split {
+		// Positions 1..7: each is the previous one advanced by one
+		// zero-feed step (multiply by x^8 mod g).
+		s := new([8][256][5]uint64)
+		for u := range s[0] {
+			copy(s[0][u][:], e.tab[u*w:u*w+w])
+		}
+		for k := 1; k < 8; k++ {
+			for u := 1; u < 256; u++ {
+				s[k][u] = s[k-1][u]
+				e.step(s[k][u][:], 0)
+			}
+		}
+		e.slice8, e.tab = s, nil
+	}
 	return e
+}
+
+// held is how many leading delta-table positions the encoder holds itself.
+func (e *encTables) held() int {
+	if e.slice8 != nil {
+		return len(e.slice8)
+	}
+	return 1
+}
+
+// row returns the delta-table row of byte value u at position p < held():
+// u(x)*x^(8p+r) mod g.
+func (e *encTables) row(p int, u byte) []uint64 {
+	if e.slice8 != nil {
+		return e.slice8[p][u][:]
+	}
+	return e.tab[int(u)*e.w : int(u)*e.w+e.w]
 }
 
 // step advances the LFSR by one input byte: state = (state<<8 + v*x^r) mod g.
@@ -141,8 +183,7 @@ func (e *encTables) step(state []uint64, v byte) {
 		state[i] = state[i]<<8 | state[i-1]>>56
 	}
 	state[0] <<= 8
-	row := e.tab[int(u)*e.w : int(u)*e.w+e.w]
-	for i, t := range row {
+	for i, t := range e.row(0, u) {
 		state[i] ^= t
 	}
 }
@@ -150,7 +191,7 @@ func (e *encTables) step(state []uint64, v byte) {
 // remainder runs the LFSR over data (highest byte first, matching data bit
 // i at degree r+i) and leaves data(x)*x^r mod g in state.
 func (e *encTables) remainder(state []uint64, data []byte) {
-	if e.w == 5 && e.loOff == 0 && !e.split {
+	if e.slice8 != nil {
 		e.remainder264(state, data)
 		return
 	}
@@ -171,18 +212,35 @@ func (e *encTables) remainder(state []uint64, data []byte) {
 }
 
 // remainder264 is the register-resident specialisation of remainder for the
-// 5-word byte-aligned layout (r = 264, the paper's BCH code): the outgoing
-// byte is exactly the low byte of word 4, so the whole per-byte step unrolls
-// into shift/xor chains on five locals with one table row load.
+// 5-word byte-aligned layout (r = 264, the paper's BCH code), eight data
+// bytes per step. With S the 264-bit state and D the next eight bytes,
+//
+//	S' = (S mod x^200)*x^64  +  sum_k slice8[k][byte_k((S >> 200) + D)]
+//
+// because byte k of the 64 bits leaving the register sits 8k degrees above
+// x^r, which is delta-table position k. The eight row loads of a step are
+// independent of each other; only the next step waits on them. Fewer than
+// eight trailing bytes take the per-byte step: the outgoing byte is exactly
+// the low byte of word 4, so it unrolls into shift/xor chains on five
+// locals with one row load.
 func (e *encTables) remainder264(state []uint64, data []byte) {
-	tab := e.tab
+	t := e.slice8
 	i := len(data) - 1
 	for ; i >= 0 && data[i] == 0; i-- {
 	}
 	var s0, s1, s2, s3, s4 uint64
+	for ; i >= 7; i -= 8 {
+		v := (s4<<56 | s3>>8) ^ binary.LittleEndian.Uint64(data[i-7:i+1])
+		r0, r1, r2, r3 := &t[0][byte(v)], &t[1][byte(v>>8)], &t[2][byte(v>>16)], &t[3][byte(v>>24)]
+		r4, r5, r6, r7 := &t[4][byte(v>>32)], &t[5][byte(v>>40)], &t[6][byte(v>>48)], &t[7][byte(v>>56)]
+		s4 = s3&0xFF ^ r0[4] ^ r1[4] ^ r2[4] ^ r3[4] ^ r4[4] ^ r5[4] ^ r6[4] ^ r7[4]
+		s3 = s2 ^ r0[3] ^ r1[3] ^ r2[3] ^ r3[3] ^ r4[3] ^ r5[3] ^ r6[3] ^ r7[3]
+		s2 = s1 ^ r0[2] ^ r1[2] ^ r2[2] ^ r3[2] ^ r4[2] ^ r5[2] ^ r6[2] ^ r7[2]
+		s1 = s0 ^ r0[1] ^ r1[1] ^ r2[1] ^ r3[1] ^ r4[1] ^ r5[1] ^ r6[1] ^ r7[1]
+		s0 = r0[0] ^ r1[0] ^ r2[0] ^ r3[0] ^ r4[0] ^ r5[0] ^ r6[0] ^ r7[0]
+	}
 	for ; i >= 0; i-- {
-		base := (int(byte(s4)) ^ int(data[i])) * 5
-		row := tab[base : base+5 : base+5]
+		row := &t[0][byte(s4)^data[i]]
 		s4 = (s3 >> 56) ^ row[4]
 		s3 = (s3<<8 | s2>>56) ^ row[3]
 		s2 = (s2<<8 | s1>>56) ^ row[2]
@@ -200,32 +258,40 @@ func stateBytes(state []uint64, out []byte) {
 }
 
 // deltaTables hold per-byte-position remainder rows for EncodeDeltaInto:
-// tab[(p*256+v)*w : ...+w] = v(x)*x^(8p+r) mod g(x). Position 0 is exactly
-// the LFSR feed table; each later position is the previous one advanced by
-// one zero-feed step (multiply by x^8 mod g).
+// the row of byte value v at position p is v(x)*x^(8p+r) mod g(x). The
+// encoder's own rows are the leading positions of the family (position 0
+// is exactly the LFSR feed table); tab continues it from position first,
+// each position the previous one advanced by one zero-feed step (multiply
+// by x^8 mod g): tab[((p-first)*256+v)*w : ...+w].
 type deltaTables struct {
-	w   int
-	tab []uint64
+	w     int
+	first int // positions below first are read from encTables.row
+	tab   []uint64
 }
 
-// deltaTables returns the per-position delta rows, building them on first
-// use. Racing builders each construct a candidate; CompareAndSwap keeps
-// exactly one, so callers always share a single table. Requires c.enc != nil.
+// deltaTables returns the per-position delta rows, extending the
+// encoder's rows to every data byte position on first use. Racing builders
+// each construct a candidate; CompareAndSwap keeps exactly one, so callers
+// always share a single table. Requires c.enc != nil.
 func (c *Code) deltaTables() *deltaTables {
 	if d := c.deltaTabs.Load(); d != nil {
 		return d
 	}
 	e := c.enc
 	w := e.w
-	db := c.DataBytes()
-	d := &deltaTables{w: w, tab: make([]uint64, db*256*w)}
-	copy(d.tab[:256*w], e.tab)
-	for p := 1; p < db; p++ {
-		prev := d.tab[(p-1)*256*w : p*256*w]
-		cur := d.tab[p*256*w : (p+1)*256*w]
+	d := &deltaTables{w: w, first: e.held()}
+	if db := c.DataBytes(); db > d.first {
+		d.tab = make([]uint64, (db-d.first)*256*w)
+	}
+	for base := 0; base < len(d.tab); base += 256 * w {
+		cur := d.tab[base : base+256*w]
 		for v := 1; v < 256; v++ {
 			row := cur[v*w : v*w+w]
-			copy(row, prev[v*w:v*w+w])
+			if base == 0 {
+				copy(row, e.row(d.first-1, byte(v)))
+			} else {
+				copy(row, d.tab[base-256*w+v*w:])
+			}
 			e.step(row, 0)
 		}
 	}
@@ -244,7 +310,8 @@ func (c *Code) decTables() *decTables {
 	c.decOnce.Do(func() {
 		f := c.field
 		pb := c.ParityBytes()
-		d := &decTables{pb: pb}
+		t := c.t
+		d := &decTables{synWords: (t + 3) / 4}
 		if rem := uint(c.r % 8); rem == 0 {
 			d.lastMask = 0xFF
 		} else {
@@ -253,36 +320,39 @@ func (c *Code) decTables() *decTables {
 
 		// Odd-syndrome tables over remainder bytes: entry (i, u) holds the
 		// contributions of byte value u at byte position i to S_1, S_3,
-		// ..., S_(2t-1).
-		t := c.t
-		d.synTab = make([]gf.Elem, pb*256*t)
-		bitRow := make([]gf.Elem, 8*t)
+		// ..., S_(2t-1), lane j of the row carrying S_(2j+1).
+		sw := d.synWords
+		d.synTab = make([]uint64, pb*256*sw)
+		bitRow := make([]uint64, 8*sw)
 		for i := 0; i < pb; i++ {
 			for bit := 0; bit < 8; bit++ {
+				row := bitRow[bit*sw : bit*sw+sw]
+				for j := range row {
+					row[j] = 0
+				}
 				deg := 8*i + bit
+				if deg >= c.r {
+					continue // masked bits never contribute
+				}
 				for j := 0; j < t; j++ {
-					if deg < c.r {
-						bitRow[bit*t+j] = f.Exp(deg * (2*j + 1))
-					} else {
-						bitRow[bit*t+j] = 0 // masked bits never contribute
-					}
+					row[j/4] |= uint64(f.Exp(deg*(2*j+1))) << (16 * uint(j%4))
 				}
 			}
-			base := i * 256 * t
+			base := i * 256 * sw
 			for u := 1; u < 256; u++ {
 				b := bits.TrailingZeros8(uint8(u))
 				rest := u & (u - 1)
-				dst := d.synTab[base+u*t : base+u*t+t]
-				copy(dst, d.synTab[base+rest*t:base+rest*t+t])
-				gf.AddSlice(dst, bitRow[b*t:b*t+t])
+				dst := d.synTab[base+u*sw : base+u*sw+sw]
+				for j := range dst {
+					dst[j] = d.synTab[base+rest*sw+j] ^ bitRow[b*sw+j]
+				}
 			}
 		}
 
-		// Chien step tables: multiply-by-alpha^-i for i = 1..t.
-		d.step = make([]gf.MulTable, t)
-		for i := range d.step {
-			d.step[i] = f.MulTable(f.Exp(-(i + 1)))
-		}
+		// Root-scan block: term j of a block walks j*(blk-1) entries down
+		// the doubled exp table from an index in [n, 2n), so it must not
+		// reach below zero for the highest term, j = t.
+		d.scanBlk = min(scanBlock, (f.N()-1)/t+1)
 
 		// Quadratic solver: quad[y^2+y] = y. Both y and y+1 solve the same
 		// right-hand side; either representative works since callers derive
@@ -320,12 +390,12 @@ func (c *Code) getScratch() *decodeScratch {
 	return &decodeScratch{
 		state:     make([]uint64, w),
 		rem:       make([]byte, c.ParityBytes()),
+		synAcc:    make([]uint64, (c.t+3)/4),
 		syn:       make([]gf.Elem, 2*c.t),
-		bmSigma:   make([]gf.Elem, 4*c.t+2),
-		bmPrev:    make([]gf.Elem, 4*c.t+2),
-		bmNext:    make([]gf.Elem, 4*c.t+2),
+		bmSigma:   make([]gf.Elem, 2*c.t+2),
+		bmPrev:    make([]gf.Elem, 2*c.t+2),
+		bmNext:    make([]gf.Elem, 2*c.t+2),
 		sigmaWork: make([]gf.Elem, c.t+1),
-		terms:     make([]gf.Elem, c.t+1),
 		positions: make([]int, 0, 2*c.t),
 	}
 }
@@ -333,8 +403,9 @@ func (c *Code) getScratch() *decodeScratch {
 func (c *Code) putScratch(sc *decodeScratch) { c.scratch.Put(sc) }
 
 // syndromesInto computes the 2t syndromes into syn and reports whether the
-// received word is a codeword. It uses the remainder-based fast path when
-// tables are available and falls back to the bit-serial oracle otherwise.
+// received word is a codeword; syn is written only when it is not. It uses
+// the remainder-based fast path when tables are available and falls back
+// to the bit-serial oracle otherwise.
 func (c *Code) syndromesInto(syn []gf.Elem, data, parity []byte, sc *decodeScratch) bool {
 	d := c.decTables()
 	if d == nil {
@@ -358,24 +429,29 @@ func (c *Code) syndromesInto(syn []gf.Elem, data, parity []byte, sc *decodeScrat
 			clean = false
 		}
 	}
-	for i := range syn {
-		syn[i] = 0
-	}
 	if clean {
 		return true
 	}
-	// Odd syndromes from the sparse remainder.
-	t := c.t
+	// Odd syndromes from the remainder, four lanes per word.
+	acc := sc.synAcc
+	for j := range acc {
+		acc[j] = 0
+	}
+	sw := d.synWords
 	for i, b := range sc.rem {
 		if b == 0 {
 			continue
 		}
-		row := d.synTab[(i*256+int(b))*t : (i*256+int(b))*t+t]
-		for j, v := range row {
-			syn[2*j] ^= v
+		base := (i*256 + int(b)) * sw
+		for j, v := range d.synTab[base : base+sw : base+sw] {
+			acc[j] ^= v
 		}
 	}
-	// Even syndromes by squaring: S_2e = S_e^2.
+	// Unpack S_(2j+1), then even syndromes by squaring: S_2e = S_e^2.
+	t := c.t
+	for j := 0; j < t; j++ {
+		syn[2*j] = gf.Elem(acc[j/4] >> (16 * uint(j%4)))
+	}
 	f := c.field
 	for e := 2; e <= 2*t; e += 2 {
 		syn[e-1] = f.Sqr(syn[e/2-1])
@@ -407,59 +483,67 @@ func (c *Code) isCodeword(data, parity []byte) bool {
 	return true
 }
 
-// berlekampMasseyFast is the allocation-free Berlekamp-Massey, writing into
-// the scratch buffers and returning the error locator (aliasing sc.bmSigma
-// or sc.bmNext, valid until the scratch is reused).
-func (c *Code) berlekampMasseyFast(syn []gf.Elem, sc *decodeScratch) gf.Poly {
+// berlekampMassey is the allocation-free Berlekamp-Massey, writing into the
+// scratch buffers and returning the error locator (aliasing one of them,
+// valid until the scratch is reused).
+//
+// It relies on syn being the syndromes of a binary word, S_2e = S_e^2 —
+// true by construction, the even ones are derived by squaring. For such a
+// sequence the discrepancy of every second step (0-based odd i) is zero
+// whatever the number of errors (Berlekamp's binary simplification), so
+// those steps reduce to the shift they would have applied and only t
+// discrepancies are evaluated. The buffers are not cleared: ns and np
+// track the live prefix of sigma and prev, and an update zero-extends
+// exactly the elements it grows into. Massey's length bound keeps both
+// within degree 2t.
+func (c *Code) berlekampMassey(syn []gf.Elem, sc *decodeScratch) gf.Poly {
 	f := c.field
 	sigma, prev, next := sc.bmSigma, sc.bmPrev, sc.bmNext
-	for i := range sigma {
-		sigma[i], prev[i], next[i] = 0, 0, 0
-	}
 	sigma[0], prev[0] = 1, 1
+	ns, np := 1, 1
 	l := 0
 	shift := 1
 	b := gf.Elem(1)
-	for i := 0; i < len(syn); i++ {
+	for i := 0; i < len(syn); i += 2 {
 		d := syn[i]
-		for j := 1; j <= l; j++ {
-			if sigma[j] != 0 && syn[i-j] != 0 {
-				d ^= f.Mul(sigma[j], syn[i-j])
-			}
+		for j := 1; j < ns; j++ {
+			d ^= f.Mul(sigma[j], syn[i-j])
 		}
 		if d == 0 {
-			shift++
+			shift += 2
 			continue
 		}
 		scale := f.Div(d, b)
+		grown := max(ns, np+shift)
 		if 2*l <= i {
-			copy(next, sigma)
-			for j, p := range prev {
-				if p != 0 {
-					next[j+shift] ^= f.Mul(scale, p)
-				}
+			copy(next[:ns], sigma[:ns])
+			for j := ns; j < grown; j++ {
+				next[j] = 0
+			}
+			for j, p := range prev[:np] {
+				next[j+shift] ^= f.Mul(scale, p)
 			}
 			sigma, prev, next = next, sigma, prev
+			np = ns
 			b = d
 			l = i + 1 - l
 			shift = 1
 		} else {
-			for j, p := range prev {
-				if p != 0 {
-					sigma[j+shift] ^= f.Mul(scale, p)
-				}
+			for j := ns; j < grown; j++ {
+				sigma[j] = 0
+			}
+			for j, p := range prev[:np] {
+				sigma[j+shift] ^= f.Mul(scale, p)
 			}
 			shift++
 		}
+		ns = grown
+		shift++ // step i+1: zero discrepancy
 	}
-	deg := -1
-	for i := len(sigma) - 1; i >= 0; i-- {
-		if sigma[i] != 0 {
-			deg = i
-			break
-		}
+	for ns > 0 && sigma[ns-1] == 0 {
+		ns--
 	}
-	return gf.Poly(sigma[:deg+1])
+	return gf.Poly(sigma[:ns])
 }
 
 // elemPosition maps a locator root x = alpha^-p back to its bit position p,
@@ -575,11 +659,138 @@ func (c *Code) cubicRoots(d *decTables, s0, s1, s2, s3 gf.Elem, positions []int)
 	return positions, true
 }
 
-// findRoots locates all roots of sigma inside the shortened code,
-// combining an early-exit Chien scan with locator deflation and
-// closed-form extraction once the residual degree drops to two. Semantics
-// match the reference chien(): it returns ok=false unless exactly
-// deg(sigma) positions are found.
+// quarticRoots appends all four root positions of the quartic locator
+// s0 + s1*x + ... + s4*x^4 without scanning. Made monic it reads
+// x^4 + a*x^3 + b*x^2 + c*x + d. When a != 0, x = z + e with e^2 = c/a
+// removes the linear term, leaving z^4 + a*z^3 + B*z^2 + D, and y = 1/z
+// turns that into y^4 + (B/D)*y^2 + (a/D)*y = 1/D; when a == 0 the monic
+// quartic already has that shape in x. Either way the left side is linear
+// over GF(2) and affineRoots solves it exactly. Returns ok=false — with
+// positions untouched — unless there are four distinct roots, all inside
+// the shortened code, which mirrors a Chien scan coming up short.
+func (c *Code) quarticRoots(s0, s1, s2, s3, s4 gf.Elem, positions []int) ([]int, bool) {
+	f := c.field
+	if s0 == 0 || s4 == 0 {
+		return positions, false // x=0 root or not a quartic: invalid locator
+	}
+	a := f.Div(s3, s4)
+	b := f.Div(s2, s4)
+	cc := f.Div(s1, s4)
+	dd := f.Div(s0, s4)
+
+	var e, a2, b2, c2 gf.Elem
+	if a != 0 {
+		if cc != 0 {
+			// Square root: halve the logarithm, made even by adding the
+			// (odd) group order.
+			le := f.Log(f.Div(cc, a))
+			if le&1 != 0 {
+				le += f.N()
+			}
+			e = f.Exp(le / 2)
+		}
+		bz := f.Mul(a, e) ^ b
+		dz := f.Mul(f.Mul(f.Mul(e^a, e)^b, e)^cc, e) ^ dd
+		if dz == 0 {
+			return positions, false // z^2 divides the shifted quartic: repeated root
+		}
+		a2, b2, c2 = f.Div(bz, dz), f.Div(a, dz), f.Inv(dz)
+	} else {
+		if cc == 0 {
+			return positions, false // a polynomial in x^2 is a square: repeated roots
+		}
+		a2, b2, c2 = b, cc, dd
+	}
+	ys, ok := c.affineRoots(a2, b2, c2)
+	if !ok {
+		return positions, false
+	}
+	base := len(positions)
+	for _, y := range ys {
+		x := y // c2 != 0, so y != 0
+		if a != 0 {
+			x = f.Inv(y) ^ e
+		}
+		p, ok := c.elemPosition(x)
+		if !ok {
+			return positions[:base], false
+		}
+		positions = append(positions, p)
+	}
+	return positions, true
+}
+
+// affineRoots solves y^4 + a*y^2 + b*y = k. The left side L is linear over
+// GF(2), so the images L(alpha^i) of the polynomial basis (alpha^i is the
+// element 1<<i for i < m) are eliminated into an echelon basis that
+// remembers each vector's preimage; basis elements whose image reduces to
+// zero span the kernel. The equation has four distinct solutions — one
+// preimage of k plus the kernel — exactly when the kernel is
+// 2-dimensional and k lies in the image.
+func (c *Code) affineRoots(a, b, k gf.Elem) (ys [4]gf.Elem, ok bool) {
+	f := c.field
+	var img, pre [16]gf.Elem // indexed by the image's leading bit; img 0 = empty
+	var ker [2]gf.Elem
+	nk := 0
+	for i := uint(0); i < c.m; i++ {
+		u := gf.Elem(1) << i
+		u2 := f.Sqr(u)
+		v := f.Sqr(u2) ^ f.Mul(a, u2) ^ f.Mul(b, u)
+		for v != 0 {
+			h := bits.Len16(v) - 1
+			if img[h] == 0 {
+				img[h], pre[h] = v, u
+				break
+			}
+			v ^= img[h]
+			u ^= pre[h]
+		}
+		if v == 0 {
+			if nk == len(ker) {
+				return ys, false
+			}
+			ker[nk] = u
+			nk++
+		}
+	}
+	if nk != len(ker) {
+		return ys, false
+	}
+	var y gf.Elem
+	for k != 0 {
+		h := bits.Len16(k) - 1
+		if img[h] == 0 {
+			return ys, false
+		}
+		k ^= img[h]
+		y ^= pre[h]
+	}
+	return [4]gf.Elem{y, y ^ ker[0], y ^ ker[1], y ^ ker[0] ^ ker[1]}, true
+}
+
+// closedFormRoots appends the root positions of a locator of degree 1..4
+// (its coefficients, constant term first) without scanning. It returns
+// ok=false — with positions untouched — when the locator does not have
+// that many distinct roots inside the shortened code.
+func (c *Code) closedFormRoots(d *decTables, s []gf.Elem, positions []int) ([]int, bool) {
+	switch len(s) {
+	case 2:
+		return c.linearRoot(s[0], s[1], positions)
+	case 3:
+		return c.quadraticRoots(d, s[0], s[1], s[2], positions)
+	case 4:
+		return c.cubicRoots(d, s[0], s[1], s[2], s[3], positions)
+	case 5:
+		return c.quarticRoots(s[0], s[1], s[2], s[3], s[4], positions)
+	}
+	return positions, false
+}
+
+// findRoots locates all roots of sigma inside the shortened code: closed
+// forms up to degree four, and above that a blocked Chien scan that
+// deflates the locator by every root it meets until the closed forms
+// apply. Semantics match the reference chien(): it returns ok=false unless
+// exactly deg(sigma) positions are found.
 func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 	deg := gf.PolyDeg(sigma)
 	if deg <= 0 {
@@ -590,68 +801,74 @@ func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 		return c.chien(sigma)
 	}
 	f := c.field
+	n := f.N()
+	exp := c.exp
 	positions := sc.positions[:0]
 	work := sc.sigmaWork[:deg+1]
 	copy(work, sigma[:deg+1])
 
-	var ok bool
-	p := 0
-	for deg > 2 {
-		if deg == 3 {
-			// Closed-form cubic: no scan at all for three residual roots.
-			// On failure fall through to the scan, which either finds a
-			// root the closed form missed or proves there are too few.
-			if positions, ok = c.cubicRoots(d, work[0], work[1], work[2], work[3], positions); ok {
+	var acc [scanBlock]gf.Elem
+	for p := 0; ; {
+		if deg <= 4 {
+			var ok bool
+			if positions, ok = c.closedFormRoots(d, work, positions); ok {
 				sort.Ints(positions)
 				sc.positions = positions[:0]
 				return positions, true
 			}
-		}
-		// Chien scan with incremental term registers: terms[j] tracks
-		// work[j] * alpha^(-p*j); advancing p multiplies term j by
-		// alpha^-j via its precomputed table.
-		terms := sc.terms[:deg+1]
-		for j := 0; j <= deg; j++ {
-			terms[j] = f.Mul(work[j], f.Exp(-p*j))
-		}
-		found := -1
-		for ; p < c.n; p++ {
-			v := terms[0]
-			for j := 1; j <= deg; j++ {
-				v ^= terms[j]
+			if deg <= 2 {
+				return nil, false
 			}
-			if v == 0 {
-				found = p
-				break
-			}
-			for j := 1; j <= deg; j++ {
-				terms[j] = d.step[j-1][terms[j]]
-			}
+			// A failed cubic or quartic falls through to the scan, which
+			// either finds a root the closed form missed or proves there
+			// are too few.
 		}
-		if found < 0 {
+		if p >= c.n {
 			return nil, false // fewer in-range roots than deg(sigma)
 		}
-		positions = append(positions, found)
-		// Deflate: work /= (x + root), synthetic division from the top.
-		root := f.Exp(-found)
-		for j := deg - 1; j >= 0; j-- {
-			work[j] ^= f.Mul(work[j+1], root)
+		// One block of the scan: acc[q] = work(alpha^-(p+q)). Term j at
+		// position p+q is alpha^(log work[j] - (p+q)*j); with the q = 0
+		// exponent reduced into [n, 2n) the block's loads walk down the
+		// doubled exp table by j per position, independent of each other
+		// and (scanBlk is sized for it) never below index zero.
+		blk := min(d.scanBlk, c.n-p)
+		block := acc[:blk]
+		for q := range block {
+			block[q] = work[0]
 		}
-		copy(work, work[1:deg+1]) // remainder work[0] is zero by construction
-		deg--
-		work = work[:deg+1]
-		p = found + 1
+		for j := 1; j <= deg; j++ {
+			if work[j] == 0 {
+				continue
+			}
+			idx := n + (f.Log(work[j])+n-p*j%n)%n
+			for q := range block {
+				block[q] ^= exp[idx]
+				idx -= j
+			}
+		}
+		next := p + blk
+		for q, v := range block {
+			if v != 0 {
+				continue
+			}
+			// Root at position p+q. Deflate: work /= (x + root), synthetic
+			// division from the top; the remainder work[0] is zero by
+			// construction. The block's later zeros are roots of the
+			// quotient too, so the walk over it continues until the
+			// closed forms can take the rest.
+			positions = append(positions, p+q)
+			root := f.Exp(-(p + q))
+			for j := deg - 1; j >= 0; j-- {
+				work[j] ^= f.Mul(work[j+1], root)
+			}
+			copy(work, work[1:deg+1])
+			deg--
+			work = work[:deg+1]
+			if deg <= 4 {
+				next = p + q + 1
+				break
+			}
+		}
+		p = next
 	}
-	switch deg {
-	case 1:
-		positions, ok = c.linearRoot(work[0], work[1], positions)
-	case 2:
-		positions, ok = c.quadraticRoots(d, work[0], work[1], work[2], positions)
-	}
-	if !ok {
-		return nil, false
-	}
-	sort.Ints(positions)
-	sc.positions = positions[:0]
-	return positions, true
 }

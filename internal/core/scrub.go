@@ -22,32 +22,29 @@ type ScrubReport struct {
 	BusBlockFetches int64 // block transfers the scrub cost
 }
 
-// scrubUnit is one shard of the boot scrub: all VLEWs of one bank on one
+// scrubUnit is one shard of the VLEW scan: all VLEWs of one bank on one
 // chip. Shards are disjoint, so workers never contend on a VLEW.
 type scrubUnit struct {
 	chip, bank int
 }
 
-// scrubPartial is one shard's contribution to the report, merged serially
-// after the pool drains so the final report is deterministic regardless of
-// worker count or scheduling.
+// scrubPartial is one shard's contribution to the scan's totals, merged
+// serially after the pool drains so the result is deterministic regardless
+// of worker count or scheduling.
 type scrubPartial struct {
-	vlews, fetches, bits, uncorrectable int64
+	vlews, bits, uncorrectable int64
 }
 
 // BootScrub fetches and decodes every VLEW on every chip, writing
-// corrected contents back. A data chip with uncorrectable VLEWs is treated
-// as failed and rebuilt block-by-block through Reed-Solomon erasure
-// correction using the parity chip; an uncorrectable parity chip is
-// rebuilt by re-encoding the (corrected) data chips. Two or more failed
-// chips exceed the scheme's capability.
+// corrected contents back (ScrubVLEWs). A data chip with uncorrectable
+// VLEWs is treated as failed and rebuilt block-by-block through
+// Reed-Solomon erasure correction using the parity chip; an uncorrectable
+// parity chip is rebuilt by re-encoding the (corrected) data chips. Two or
+// more failed chips exceed the scheme's capability.
 //
-// The scan is sharded across a worker pool keyed by (chip, bank) —
-// Config.ScrubWorkers sets the pool size — modelling a controller that
-// scrubs banks in parallel under the bank-level parallelism of the rank.
-// Decoding VLEWs dominates the cost and runs without locks; only the
-// per-chip ReadVLEW/WriteVLEW accesses synchronise. The rebuild phase
-// (rebuildChip) fans the same pool out over banks.
+// Config.ScrubWorkers sets the worker-pool size (0 = GOMAXPROCS) for the
+// scan and for the rebuild phase (rebuildChip), which fans the same pool
+// out over banks.
 //
 //chipkill:rankwide
 func (c *Controller) BootScrub() ScrubReport {
@@ -56,16 +53,59 @@ func (c *Controller) BootScrub() ScrubReport {
 	defer func() { c.addStats(d) }()
 	r := c.rank
 	rcfg := r.Config()
-	g := rcfg.Geometry
-	code := rcfg.VLEWCode
 	r.CloseAllRows()
 
-	fetchesPerVLEW := int64(g.VLEWDataBytes/rcfg.ChipAccessBytes) / int64(rcfg.DataChips)
-	uncorrectablePerChip := make([]int64, r.NumChips())
+	workers := c.cfg.ScrubWorkers
+	vlews, bits, uncorrectablePerChip := ScrubVLEWs(r, workers)
+	rep.VLEWsScrubbed, rep.BitsCorrected = vlews, bits
+	fetchesPerVLEW := int64(rcfg.Geometry.VLEWDataBytes/rcfg.ChipAccessBytes) / int64(rcfg.DataChips)
+	rep.BusBlockFetches = rep.VLEWsScrubbed * fetchesPerVLEW
+	d.ScrubCorrections += rep.BitsCorrected
+	d.ScrubbedVLEWs += rep.VLEWsScrubbed
+
+	for ci, n := range uncorrectablePerChip {
+		if n > 0 || !r.Chip(ci).Healthy() { // a known-dead chip is not scanned
+			rep.ChipsFailed = append(rep.ChipsFailed, ci)
+		}
+	}
+
+	switch len(rep.ChipsFailed) {
+	case 0:
+		return rep
+	case 1:
+		ci := rep.ChipsFailed[0]
+		c.rebuildChip(ci, workers, &rep)
+		d.ChipFailuresCorrected++
+		rep.ChipsRebuilt = append(rep.ChipsRebuilt, ci)
+		return rep
+	default:
+		rep.Unrecoverable = true
+		d.Uncorrectable++
+		return rep
+	}
+}
+
+// ScrubVLEWs BCH-decodes every VLEW of every healthy chip of r in place,
+// writing corrected contents back, and returns the VLEWs scanned, the bits
+// corrected and, per chip, how many VLEWs were beyond the code (those are
+// left as found). It is the scan half of BootScrub, shared with the
+// fleet's chip repair; the caller has closed all rows and holds the rank
+// quiesced.
+//
+// The scan is sharded across a pool of `workers` goroutines (0 =
+// GOMAXPROCS) keyed by (chip, bank), modelling a controller that
+// scrubs banks in parallel under the bank-level parallelism of the rank.
+// Decoding VLEWs dominates the cost and runs without locks; only the
+// per-chip ReadVLEWInto/WriteVLEWRow accesses synchronise.
+//
+//chipkill:rankwide
+func ScrubVLEWs(r *rank.Rank, workers int) (vlews, bitsCorrected int64, uncorrectablePerChip []int64) {
+	rcfg := r.Config()
+	g, code := rcfg.Geometry, rcfg.VLEWCode
+	uncorrectablePerChip = make([]int64, r.NumChips())
 	units := make([]scrubUnit, 0, r.NumChips()*g.Banks)
 	for ci := 0; ci < r.NumChips(); ci++ {
 		if !r.Chip(ci).Healthy() {
-			uncorrectablePerChip[ci] = 1 // known-dead chip
 			continue
 		}
 		for bank := 0; bank < g.Banks; bank++ {
@@ -73,10 +113,6 @@ func (c *Controller) BootScrub() ScrubReport {
 		}
 	}
 
-	workers := c.cfg.ScrubWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	partials := make([]scrubPartial, len(units))
 	fanOut(workers, len(units), func() func(int) {
 		// Per-worker working set: one data/code buffer pair per VLEW of
@@ -97,7 +133,6 @@ func (c *Controller) BootScrub() ScrubReport {
 				dirtyCode = dirtyCode[:0]
 				for v := 0; v < vpr; v++ {
 					p.vlews++
-					p.fetches += fetchesPerVLEW
 					data, vcode := rowData[v], rowCode[v]
 					chip.ReadVLEWInto(data, vcode, u.bank, row, v)
 					fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
@@ -122,40 +157,21 @@ func (c *Controller) BootScrub() ScrubReport {
 	})
 	for i := range partials {
 		p := &partials[i]
-		rep.VLEWsScrubbed += p.vlews
-		rep.BusBlockFetches += p.fetches
-		rep.BitsCorrected += p.bits
+		vlews += p.vlews
+		bitsCorrected += p.bits
 		uncorrectablePerChip[units[i].chip] += p.uncorrectable
 	}
-	d.ScrubCorrections += rep.BitsCorrected
-
-	for ci, n := range uncorrectablePerChip {
-		if n > 0 {
-			rep.ChipsFailed = append(rep.ChipsFailed, ci)
-		}
-	}
-	d.ScrubbedVLEWs += rep.VLEWsScrubbed
-
-	switch len(rep.ChipsFailed) {
-	case 0:
-		return rep
-	case 1:
-		ci := rep.ChipsFailed[0]
-		c.rebuildChip(ci, workers, &rep)
-		d.ChipFailuresCorrected++
-		rep.ChipsRebuilt = append(rep.ChipsRebuilt, ci)
-		return rep
-	default:
-		rep.Unrecoverable = true
-		d.Uncorrectable++
-		return rep
-	}
+	return vlews, bitsCorrected, uncorrectablePerChip
 }
 
 // fanOut runs body(i) for every i in [0, n) on up to `workers` goroutines
-// and waits for them. newWorker is called once per goroutine to build its
-// private working set and returns that goroutine's body.
+// (GOMAXPROCS when workers <= 0) and waits for them. newWorker is called
+// once per goroutine to build its private working set and returns that
+// goroutine's body.
 func fanOut(workers, n int, newWorker func() func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

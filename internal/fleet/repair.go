@@ -12,6 +12,8 @@ package fleet
 import (
 	"fmt"
 	"time"
+
+	"chipkillpm/internal/core"
 )
 
 // RepairReport records one chip repair: how many bands each
@@ -107,43 +109,6 @@ func (f *Fleet) rankHasLiveReplica(rk int) bool {
 	return false
 }
 
-// scrubVLEWs drift-corrects every healthy chip's VLEWs in place — the
-// serial equivalent of BootScrub's scan. The erasure decode that follows
-// a repair needs it: RS(72,64) with a whole chip erased has consumed all
-// eight check symbols, so any residual drift error in the surviving
-// chips would corrupt the rebuild silently.
-//
-//chipkill:rankwide
-//chipkill:holds engine.rank
-func (f *Fleet) scrubVLEWs(n *node) {
-	r := n.rank
-	rcfg := r.Config()
-	g := rcfg.Geometry
-	code := rcfg.VLEWCode
-	data := make([]byte, g.VLEWDataBytes)
-	vcode := make([]byte, g.VLEWCodeBytes)
-	for ci := 0; ci < r.NumChips(); ci++ {
-		chip := r.Chip(ci)
-		if !chip.Healthy() {
-			continue
-		}
-		for bank := 0; bank < g.Banks; bank++ {
-			for row := 0; row < g.RowsPerBank; row++ {
-				for v := 0; v < g.VLEWsPerRow(); v++ {
-					chip.ReadVLEWInto(data, vcode, bank, row, v)
-					fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
-					if err != nil {
-						continue // leave it for the RS decode to flag
-					}
-					if fixed > 0 {
-						chip.WriteVLEW(bank, row, v, data, vcode)
-					}
-				}
-			}
-		}
-	}
-}
-
 // repairParityChip re-encodes every block's RS check bytes from the data
 // chips — parity carries no user data, so there is nothing to copy from
 // a replica.
@@ -153,7 +118,8 @@ func (f *Fleet) scrubVLEWs(n *node) {
 func (f *Fleet) repairParityChip(n *node, rep *RepairReport) {
 	r := n.rank
 	r.CloseAllRows() // drain EURs so raw reads see settled cells
-	f.scrubVLEWs(n)  // re-encoding drifted data would freeze the drift in
+	// Re-encoding drifted data would freeze the drift in.
+	core.ScrubVLEWs(r, 0)
 	r.RepairChip(n.rank.ParityChipIndex())
 	chip := r.Chip(r.ParityChipIndex())
 	start := time.Now()
@@ -177,7 +143,12 @@ func (f *Fleet) repairParityChip(n *node, rep *RepairReport) {
 func (f *Fleet) repairDataChip(n *node, chip int, rep *RepairReport) {
 	r := n.rank
 	r.CloseAllRows()
-	f.scrubVLEWs(n) // the erasure path has no margin for residual drift
+	// Drift-correct the survivors with BootScrub's scan first: RS(72,64)
+	// with a whole chip erased has consumed all eight check symbols, so a
+	// residual drift error would corrupt the rebuild silently. A VLEW
+	// beyond the BCH code stays as found (the counts are ignored) for the
+	// RS decode to flag.
+	core.ScrubVLEWs(r, 0)
 	// RepairChip zeroes the chip's cells and clears its failed latch;
 	// from here on WriteData lands (it is a no-op on a failed chip).
 	r.RepairChip(chip)

@@ -43,11 +43,11 @@ var defaultPrimitive = map[uint]uint32{
 // exponentiation are table lookups.
 type Field struct {
 	m    uint
-	size int    // 2^m
-	n    int    // 2^m - 1, the multiplicative order of alpha
-	poly uint32 // primitive polynomial
-	exp  []Elem // exp[i] = alpha^i for i in [0, 2n); doubled to skip a mod
-	log  []int  // log[a] = i with alpha^i = a; log[0] is unused
+	size int      // 2^m
+	n    int      // 2^m - 1, the multiplicative order of alpha
+	poly uint32   // primitive polynomial
+	exp  []Elem   // exp[i] = alpha^i for i in [0, 2n); doubled to skip a mod
+	log  []uint16 // log[a] = i with alpha^i = a; log[0] is unused
 }
 
 // NewField returns GF(2^m) built from the package's default primitive
@@ -87,7 +87,7 @@ func NewFieldPoly(m uint, poly uint32) (*Field, error) {
 		poly: poly,
 	}
 	f.exp = make([]Elem, 2*f.n)
-	f.log = make([]int, f.size)
+	f.log = make([]uint16, f.size)
 	x := uint32(1)
 	for i := 0; i < f.n; i++ {
 		if x == 1 && i != 0 {
@@ -95,7 +95,7 @@ func NewFieldPoly(m uint, poly uint32) (*Field, error) {
 		}
 		f.exp[i] = Elem(x)
 		f.exp[i+f.n] = Elem(x)
-		f.log[x] = i
+		f.log[x] = uint16(i)
 		x <<= 1
 		if x&(1<<m) != 0 {
 			x ^= poly
@@ -129,7 +129,7 @@ func (f *Field) Mul(a, b Elem) Elem {
 	if a == 0 || b == 0 {
 		return 0
 	}
-	return f.exp[f.log[a]+f.log[b]]
+	return f.exp[int(f.log[a])+int(f.log[b])]
 }
 
 // Div returns a / b. It panics if b is zero.
@@ -140,7 +140,7 @@ func (f *Field) Div(a, b Elem) Elem {
 	if a == 0 {
 		return 0
 	}
-	return f.exp[f.log[a]-f.log[b]+f.n]
+	return f.exp[int(f.log[a])-int(f.log[b])+f.n]
 }
 
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
@@ -148,7 +148,7 @@ func (f *Field) Inv(a Elem) Elem {
 	if a == 0 {
 		panic("gf: zero has no inverse")
 	}
-	return f.exp[f.n-f.log[a]]
+	return f.exp[f.n-int(f.log[a])]
 }
 
 // Exp returns alpha^i for any integer i (negative allowed).
@@ -160,13 +160,21 @@ func (f *Field) Exp(i int) Elem {
 	return f.exp[i]
 }
 
+// ExpTable returns the field's doubled exponential table: ExpTable()[i] ==
+// alpha^i for every i in [0, 2N()), so a sum of two logarithms indexes it
+// without a reduction. The table is shared, not copied; callers must not
+// modify it. It exists for scans that issue many independent alpha^i
+// loads (the BCH root search), where a method call per load would hide
+// the loads from each other.
+func (f *Field) ExpTable() []Elem { return f.exp }
+
 // Log returns the discrete logarithm of a to base alpha. It panics if a is
 // zero, which has no logarithm.
 func (f *Field) Log(a Elem) int {
 	if a == 0 {
 		panic("gf: zero has no logarithm")
 	}
-	return f.log[a]
+	return int(f.log[a])
 }
 
 // Pow returns a^k for k >= 0, with 0^0 defined as 1.
@@ -177,7 +185,7 @@ func (f *Field) Pow(a Elem, k int) Elem {
 	if a == 0 {
 		return 0
 	}
-	e := (f.log[a] * k) % f.n
+	e := (int(f.log[a]) * k) % f.n
 	if e < 0 {
 		e += f.n
 	}

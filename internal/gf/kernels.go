@@ -26,9 +26,9 @@ func (f *Field) MulTable(c Elem) MulTable {
 	if c == 0 {
 		return t
 	}
-	lc := f.log[c]
+	lc := int(f.log[c])
 	for a := 1; a < f.size; a++ {
-		t[a] = f.exp[lc+f.log[a]]
+		t[a] = f.exp[lc+int(f.log[a])]
 	}
 	return t
 }
@@ -65,7 +65,7 @@ func (f *Field) Sqr(a Elem) Elem {
 	if a == 0 {
 		return 0
 	}
-	return f.exp[2*f.log[a]]
+	return f.exp[2*int(f.log[a])]
 }
 
 // AddSlice XORs src into dst elementwise (addition in characteristic 2).
@@ -91,7 +91,7 @@ func (f *Field) MulSlice(dst, a, b []Elem) {
 			dst[i] = 0
 			continue
 		}
-		dst[i] = f.exp[f.log[x]+f.log[y]]
+		dst[i] = f.exp[int(f.log[x])+int(f.log[y])]
 	}
 }
 

@@ -63,12 +63,12 @@ func (f *Field) PolyMul(p, q Poly) Poly {
 		if a == 0 {
 			continue
 		}
-		la := f.log[a]
+		la := int(f.log[a])
 		for j, b := range q[:dq+1] {
 			if b == 0 {
 				continue
 			}
-			r[i+j] ^= f.exp[la+f.log[b]]
+			r[i+j] ^= f.exp[la+int(f.log[b])]
 		}
 	}
 	return PolyTrim(r)

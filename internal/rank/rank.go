@@ -11,6 +11,7 @@ package rank
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"chipkillpm/internal/bch"
@@ -54,6 +55,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// paperVLEWCode is the paper's VLEW code, built once per process: a
+// bch.Code is immutable and safe for concurrent use, and its tables run
+// to megabytes, so every rank PaperConfig describes shares this one.
+var paperVLEWCode = sync.OnceValue(func() *bch.Code { return bch.Must(12, 2048, 22) })
+
 // PaperConfig returns a rank configured exactly as the paper's layout:
 // 8 data chips, 8 B per chip per block, 256 B VLEWs with 33 B code bits
 // (22-bit-EC BCH over GF(2^12)). rowsPerBank and banks size the capacity.
@@ -65,7 +71,7 @@ func PaperConfig(banks, rowsPerBank, rowDataBytes int, seed int64) Config {
 			Banks: banks, RowsPerBank: rowsPerBank, RowDataBytes: rowDataBytes,
 			VLEWDataBytes: 256, VLEWCodeBytes: 33,
 		},
-		VLEWCode: bch.Must(12, 2048, 22),
+		VLEWCode: paperVLEWCode(),
 		Seed:     seed,
 	}
 }

@@ -27,6 +27,10 @@ func TestConfigShape(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// The VLEW code and its tables exist once per process, not per rank.
+	if other := PaperConfig(4, 16, 2048, 2); other.VLEWCode != cfg.VLEWCode {
+		t.Error("two PaperConfig calls built two bch.Codes")
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -6,13 +6,15 @@
 #   checked-in fuzz seed corpora and the quick pass of ./bench over every
 #   workload and the ladder), then `make race` (race detector on the
 #   concurrent packages), `make fuzz` (a short coverage-guided pass per
-#   fuzz target) and the standard and fleet fault-injection campaign
-#   suites. The race package list and the fuzz targets live in the
-#   Makefile only. Nothing here times anything or writes a tracked file:
+#   fuzz target), `make bench-smoke` (one iteration of every kernel
+#   benchmark, for their correctness checks) and the standard and fleet
+#   fault-injection campaign suites. The race package list, the fuzz
+#   targets and the benchmark packages live in the Makefile only. Nothing here times anything or writes a tracked file:
 #   performance is compared same-host with scripts/benchpair.sh.
 #
 # Usage: scripts/check.sh [-quick]
-#   -quick skips the race pass, the fuzz pass and the campaign suites.
+#   -quick skips the race pass, the fuzz pass, the benchmark smoke and the
+#   campaign suites.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -53,6 +55,9 @@ if ! $quick; then
 
 	echo "== make fuzz"
 	make fuzz
+
+	echo "== make bench-smoke"
+	make bench-smoke
 
 	echo "== fault campaigns (standard suite)"
 	go run ./cmd/faultcampaign -suite standard
