@@ -19,21 +19,24 @@ test:
 	go test ./... -count=1
 
 race:
-	go test -race -count=1 ./internal/bch/... ./internal/core/... ./internal/rank/... \
+	go test -race -count=1 ./internal/bch/... ./internal/nvram/... ./internal/core/... ./internal/rank/... \
 		./internal/memctrl/... ./internal/sim/... ./internal/inject/... \
 		./internal/engine/... ./internal/guard/... ./internal/fleet/...
 
 # Kernel microbenchmarks: each table-driven kernel next to its retained
 # bit-serial / poly-div reference, so one run shows the fast-vs-reference
-# ratios on this host. End-to-end and per-layer numbers are `go run ./bench`
-# (bench/README.md).
+# ratios on this host, plus the nine-chip row-miss write whose EUR drains
+# run the BCH delta encode with the chip cells competing for cache.
+# End-to-end and per-layer numbers are `go run ./bench` (bench/README.md).
+KERNEL_BENCH = 'Kernel|WriteXORRowMiss'
+KERNEL_PKGS = ./internal/gf/ ./internal/bch/ ./internal/rs/ ./internal/nvram/
 bench:
-	go test -run xxx -bench Kernel -benchmem ./internal/gf/ ./internal/bch/ ./internal/rs/
+	go test -run xxx -bench $(KERNEL_BENCH) -benchmem $(KERNEL_PKGS)
 
 # One iteration of every kernel benchmark: they carry b.Fatal correctness
 # checks (decode counts, clean words staying clean) that nothing else runs.
 bench-smoke:
-	go test -run xxx -bench Kernel -benchtime 1x ./internal/gf/ ./internal/bch/ ./internal/rs/
+	go test -run xxx -bench $(KERNEL_BENCH) -benchtime 1x $(KERNEL_PKGS)
 
 # CPU + allocation profiles of the engine write benchmark (the zero-alloc
 # write pipeline); inspect with `go tool pprof profiles/write_{cpu,mem}.pprof`.

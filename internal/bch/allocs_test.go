@@ -31,3 +31,28 @@ func TestDecodeAllocsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeDeltaIntoAllocFree pins steady-state EncodeDeltaInto at zero
+// heap allocations on both branches — nibble rows for the 8-byte demand
+// shape, the LFSR with its zero-feed for EUR-drain-sized deltas — for the
+// paper's typed layout and a flat one; chips call it on every EUR drain.
+func TestEncodeDeltaIntoAllocFree(t *testing.T) {
+	for _, code := range []*Code{Must(12, 2048, 22), Must(10, 512, 14)} {
+		out := make([]byte, code.ParityBytes())
+		sparse := []byte{0xA5, 0x5A, 0x01, 0xFF, 0x80, 0x7E, 0x33, 0xCC}
+		dense := make([]byte, min(lfsrDeltaBytes+5, code.DataBytes()))
+		for i := range dense {
+			dense[i] = byte(i*37 + 1)
+		}
+		last := 8 * (code.DataBytes() - len(sparse))
+		code.EncodeDeltaInto(out, sparse, 0) // build the nibble rows
+		for name, run := range map[string]func(){
+			"sparse": func() { code.EncodeDeltaInto(out, sparse, last) },
+			"dense":  func() { code.EncodeDeltaInto(out, dense, 8*(code.DataBytes()-len(dense))) },
+		} {
+			if n := testing.AllocsPerRun(200, run); n != 0 {
+				t.Errorf("%v %s: EncodeDeltaInto allocates %.1f per op, want 0", code, name, n)
+			}
+		}
+	}
+}

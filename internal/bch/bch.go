@@ -150,7 +150,7 @@ func (c *Code) Generator() gf.Poly2 { return c.gen.Clone() }
 // last byte must be zero. The returned slice has ParityBytes() bytes.
 //
 // The computation streams data through the table-driven LFSR (eight bytes
-// per step for the paper's code, see remainder264); EncodeBitSerial is the
+// per step for the paper's code, see feed264); EncodeBitSerial is the
 // retained reference implementation.
 func (c *Code) Encode(data []byte) []byte {
 	if len(data) != c.DataBytes() {
@@ -201,19 +201,7 @@ func (c *Code) EncodeDelta(delta []byte, bitOffset int) []byte {
 	}
 	sc := c.getScratch()
 	c.enc.remainder(sc.state, delta)
-	// Multiply by x^bitOffset: feed zero bytes. A zero state stays zero.
-	zero := true
-	for _, w := range sc.state {
-		if w != 0 {
-			zero = false
-			break
-		}
-	}
-	if !zero {
-		for s := bitOffset / 8; s > 0; s-- {
-			c.enc.step(sc.state, 0)
-		}
-	}
+	c.enc.zeroFeed(sc.state, bitOffset/8)
 	out := make([]byte, c.ParityBytes())
 	stateBytes(sc.state, out)
 	c.putScratch(sc)
@@ -229,25 +217,20 @@ const maxDeltaWords = 8
 // write path: it writes the ParityBytes() parity update for delta at
 // bitOffset into out.
 //
-// Unlike EncodeDelta, which streams the delta through the LFSR and then
-// pays bitOffset/8 zero-feed steps for the x^bitOffset shift (up to
-// DataBytes-1 steps for a write near the end of a VLEW), this path sums
-// precomputed per-byte-position remainder rows
+// Short deltas — a demand write hands each chip 8 bytes — skip the LFSR
+// and its x^bitOffset zero-feed: they sum precomputed nibble rows
 //
-//	row[p][v] = v(x) * x^(8p+r) mod g(x)
+//	row[p][n] = n(x) * x^(8p+r) mod g(x),  row[p][16+n] = (n<<4)(x) * x^(8p+r) mod g(x)
 //
-// so an s-byte delta costs s table-row XORs regardless of its offset. The
-// rows (DataBytes x 256 x w words, ~2.6 MB for the paper's code) continue
-// the encoder's own LFSR rows; they are built once per Code on first use
-// and shared by all chips holding the Code.
+// two per byte, lo[v&15] ^ hi[v>>4], whatever the offset (see deltaTables;
+// DataBytes x 32 x w words, 320 KiB for the paper's code, built once per
+// Code on first use and shared by every chip holding it).
 //
-// The table only pays for itself on sparse deltas: each (position, value)
-// row is its own cache line, so a dense delta — an EUR drain covering a
-// whole VLEW — would take a cold miss per byte walking the 2.6 MB table,
-// where the LFSR streams the same bytes through a 10 KB table that stays
-// hot. Deltas of lfsrDeltaBytes or more therefore take the LFSR path with
-// a stack-resident state; short demand-write deltas (8 bytes per chip
-// access) take the table path and skip the up-to-DataBytes zero-feed.
+// Long deltas — an EUR drain covering most of a VLEW — take the LFSR with
+// a stack-resident state instead. It reads one byte-indexed encoder row
+// per delta byte, where the nibble path reads two, but then pays the
+// x^bitOffset shift: one more row per zero byte, eight zero bytes per step
+// for the paper's code. lfsrDeltaBytes is the crossover.
 //
 //chipkill:noalloc
 func (c *Code) EncodeDeltaInto(out, delta []byte, bitOffset int) {
@@ -265,46 +248,27 @@ func (c *Code) EncodeDeltaInto(out, delta []byte, bitOffset int) {
 	w := c.enc.w
 	if len(delta) >= lfsrDeltaBytes {
 		c.enc.remainder(acc[:w], delta)
-		zero := true
-		for _, x := range acc[:w] {
-			if x != 0 {
-				zero = false
-				break
-			}
-		}
-		if !zero {
-			for s := bitOffset / 8; s > 0; s-- {
-				c.enc.step(acc[:w], 0)
-			}
-		}
+		c.enc.zeroFeed(acc[:w], bitOffset/8)
 		stateBytes(acc[:w], out)
 		return
 	}
 	d := c.deltaTables() //chipkill:allow noalloc one-time table build; steady state is an atomic pointer load
-	p0 := bitOffset / 8
-	for i, v := range delta {
-		if v == 0 {
-			continue
-		}
-		var row []uint64
-		if p := p0 + i; p < d.first {
-			row = c.enc.row(p, v)
-		} else {
-			base := ((p-d.first)*256 + int(v)) * w
-			row = d.tab[base : base+w : base+w]
-		}
-		for j, x := range row {
-			acc[j] ^= x
-		}
+	if d.rows264 != nil {
+		d.encode264(out, delta, bitOffset/8)
+		return
 	}
+	d.encode(acc[:w], delta, bitOffset/8)
 	stateBytes(acc[:w], out)
 }
 
 // lfsrDeltaBytes is the crossover between EncodeDeltaInto's two
 // strategies: deltas at least this long stream through the LFSR, shorter
-// ones sum delta-table rows. Demand writes hand each chip 8 bytes and EUR
-// drains hand it a whole VLEW (256 bytes for the paper's code); any value
-// between those is equivalent.
+// ones sum nibble rows. With warm tables the nibble path costs about 3.5 ns
+// per delta byte wherever it sits, the LFSR about 1.1 ns per byte of delta
+// plus offset (2-CPU Xeon host), so at 64 bytes the LFSR wins for offsets
+// up to ~150 bytes and is close beyond. The lengths that occur are far from
+// it: demand writes hand each chip 8 bytes, and row-streaming EUR drains a
+// whole VLEW at offset 0 (256 bytes for the paper's code).
 const lfsrDeltaBytes = 64
 
 // EncodeDeltaBitSerial is the original bit-serial delta encoder, retained

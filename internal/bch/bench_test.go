@@ -1,6 +1,7 @@
 package bch
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -57,6 +58,32 @@ func BenchmarkKernelEncodeDeltaInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.EncodeDeltaInto(out, delta, 1024)
+	}
+}
+
+// BenchmarkKernelEncodeDeltaIntoScattered is the demand-write shape as the
+// write path sees it: 8-byte deltas at pre-drawn random 8-aligned offsets,
+// so successive calls touch different table positions and the figure
+// includes the cache misses a fixed offset hides.
+func BenchmarkKernelEncodeDeltaIntoScattered(b *testing.B) {
+	c := paperCode()
+	const draws = 4096
+	rng := rand.New(rand.NewSource(3))
+	deltas := make([]byte, 8*draws)
+	rng.Read(deltas)
+	offs := make([]int, draws)
+	for i := range offs {
+		offs[i] = 64 * rng.Intn(c.DataBytes()/8)
+	}
+	out := make([]byte, c.ParityBytes())
+	c.EncodeDeltaInto(out, deltas[:8], 0)
+	if !bytes.Equal(out, c.EncodeDeltaBitSerial(deltas[:8], 0)) {
+		b.Fatal("EncodeDeltaInto disagrees with the bit-serial oracle")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % draws
+		c.EncodeDeltaInto(out, deltas[8*j:8*j+8], offs[j])
 	}
 }
 

@@ -2,6 +2,7 @@ package bch
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -103,40 +104,74 @@ func TestEncodeDeltaIntoMatchesBitSerial(t *testing.T) {
 					code, trial, off, out, slow)
 			}
 		}
-		// Short deltas at every byte offset around the boundary between the
-		// rows the encoder holds (1, or 8 when it slices) and the positions
-		// the delta table continues them with.
-		delta := make([]byte, 6)
-		for off := 0; off < 16 && 8*(off+len(delta)) <= code.k; off++ {
+		// The demand shape: 8-byte deltas at every byte offset, so every
+		// position of the nibble rows is read.
+		delta := make([]byte, 8)
+		for off := 0; off+len(delta) <= code.DataBytes() && 8*(off+len(delta)) <= code.k; off++ {
 			rng.Read(delta)
 			code.EncodeDeltaInto(out, delta, 8*off)
 			if slow := code.EncodeDeltaBitSerial(delta, 8*off); !bytes.Equal(out, slow) {
-				t.Fatalf("%v byte offset %d: EncodeDeltaInto mismatch\nfast %x\nslow %x", code, off, out, slow)
+				t.Fatalf("%v 8 bytes at byte offset %d: EncodeDeltaInto mismatch\nfast %x\nslow %x", code, off, out, slow)
+			}
+		}
+		// Dense deltas (the LFSR branch) at odd byte offsets, so the
+		// x^bitOffset zero-feed runs both its eight-byte steps and its
+		// single-byte tail.
+		for off := 1; 8*(off+lfsrDeltaBytes) <= code.k; off += 2 {
+			dense := make([]byte, lfsrDeltaBytes+rng.Intn(code.k/8-off-lfsrDeltaBytes+1))
+			rng.Read(dense)
+			code.EncodeDeltaInto(out, dense, 8*off)
+			if slow := code.EncodeDeltaBitSerial(dense, 8*off); !bytes.Equal(out, slow) {
+				t.Fatalf("%v %d bytes at byte offset %d: EncodeDeltaInto mismatch\nfast %x\nslow %x", code, len(dense), off, out, slow)
 			}
 		}
 	}
 }
 
-// TestEncodeDeltaIntoAllocFree pins the demand-write encoder at 0 allocs/op
-// once its position tables are warm; chips call it on every EUR drain.
-func TestEncodeDeltaIntoAllocFree(t *testing.T) {
+// TestDeltaNibbleRowsMatchBitSerial checks the table itself, not only the
+// encoder built on it: at a spread of byte positions, the low-nibble row
+// of every byte value XORed with its high-nibble row must be the bit-serial
+// encode of that single byte there.
+func TestDeltaNibbleRowsMatchBitSerial(t *testing.T) {
+	for _, p := range diffCodes {
+		code := Must(p.m, p.k, p.t)
+		d := code.deltaTables()
+		state := make([]uint64, code.enc.w)
+		got := make([]byte, code.ParityBytes())
+		for _, pos := range []int{0, 7, 8, 9, 100, code.DataBytes() - 1} {
+			if pos >= code.DataBytes() {
+				continue
+			}
+			for v := 0; v < 256; v++ {
+				if 8*pos+bits.Len8(uint8(v)) > code.k {
+					continue // past k in a partial last byte
+				}
+				lo, hi := d.row(pos, v&15, code.enc.w), d.row(pos, 16+v>>4, code.enc.w)
+				for j := range state {
+					state[j] = lo[j] ^ hi[j]
+				}
+				stateBytes(state, got)
+				if want := code.EncodeDeltaBitSerial([]byte{byte(v)}, 8*pos); !bytes.Equal(got, want) {
+					t.Fatalf("%v position %d value %#02x: nibble rows %x, bit-serial %x", code, pos, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaTablesSize pins the delta table of the paper's code (the one
+// rank.PaperConfig hands every chip) at the nibble layout's size: one
+// typed [32][5]uint64 block per data byte, nothing held beside it.
+func TestDeltaTablesSize(t *testing.T) {
 	code := Must(12, 2048, 22)
-	out := make([]byte, code.ParityBytes())
-	delta := []byte{0xA5, 0x5A, 0x01, 0xFF, 0x80, 0x7E, 0x33, 0xCC}
-	code.EncodeDeltaInto(out, delta, 0) // warm the tables
-	if n := testing.AllocsPerRun(200, func() {
-		code.EncodeDeltaInto(out, delta, 1984)
-	}); n != 0 {
-		t.Fatalf("EncodeDeltaInto allocates %.1f per op, want 0", n)
+	d := code.deltaTables()
+	if d.rows != nil || len(d.rows264) != code.DataBytes() {
+		t.Fatalf("paper code: %d typed positions and %d flat words, want %d and 0",
+			len(d.rows264), len(d.rows), code.DataBytes())
 	}
-	dense := make([]byte, code.DataBytes()) // EUR drain shape: the LFSR branch
-	for i := range dense {
-		dense[i] = byte(i*37 + 1)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		code.EncodeDeltaInto(out, dense, 0)
-	}); n != 0 {
-		t.Fatalf("EncodeDeltaInto (dense) allocates %.1f per op, want 0", n)
+	const maxBytes = 340 << 10
+	if n := cap(d.rows264) * 32 * 5 * 8; n > maxBytes {
+		t.Fatalf("paper code delta table holds %d bytes, want <= %d", n, maxBytes)
 	}
 }
 

@@ -34,8 +34,8 @@ import (
 //     the odd syndromes, which must all cancel (Decode, in bch.go).
 
 // encTables drive the LFSR for Encode/EncodeDelta and the decoder's
-// remainder computation. Rows are delta-table rows (see deltaTables):
-// position 0 in every layout, positions 0..7 in the r = 264 one.
+// remainder computation: one byte-indexed feed row per input byte value,
+// and in the r = 264 layout the same rows advanced by 1..7 more bytes.
 type encTables struct {
 	w      int                // uint64 words per r-bit LFSR state
 	tab    []uint64           // 256 rows of w words: tab[u] = u(x)*x^r mod g; nil when slice8 is set
@@ -151,19 +151,10 @@ func (c *Code) buildEncTables() *encTables {
 	return e
 }
 
-// held is how many leading delta-table positions the encoder holds itself.
-func (e *encTables) held() int {
+// row returns the LFSR feed row of byte value u: u(x)*x^r mod g.
+func (e *encTables) row(u byte) []uint64 {
 	if e.slice8 != nil {
-		return len(e.slice8)
-	}
-	return 1
-}
-
-// row returns the delta-table row of byte value u at position p < held():
-// u(x)*x^(8p+r) mod g.
-func (e *encTables) row(p int, u byte) []uint64 {
-	if e.slice8 != nil {
-		return e.slice8[p][u][:]
+		return e.slice8[0][u][:]
 	}
 	return e.tab[int(u)*e.w : int(u)*e.w+e.w]
 }
@@ -183,7 +174,7 @@ func (e *encTables) step(state []uint64, v byte) {
 		state[i] = state[i]<<8 | state[i-1]>>56
 	}
 	state[0] <<= 8
-	for i, t := range e.row(0, u) {
+	for i, t := range e.row(u) {
 		state[i] ^= t
 	}
 }
@@ -191,44 +182,67 @@ func (e *encTables) step(state []uint64, v byte) {
 // remainder runs the LFSR over data (highest byte first, matching data bit
 // i at degree r+i) and leaves data(x)*x^r mod g in state.
 func (e *encTables) remainder(state []uint64, data []byte) {
-	if e.slice8 != nil {
-		e.remainder264(state, data)
-		return
-	}
-	for i := range state {
-		state[i] = 0
-	}
-	live := false
-	for i := len(data) - 1; i >= 0; i-- {
-		v := data[i]
-		if !live {
-			if v == 0 {
-				continue // leading zeros leave a zero remainder
-			}
-			live = true
-		}
-		e.step(state, v)
+	clear(state)
+	e.feed(state, data)
+}
+
+// zeroBlock is the zero data zeroFeed streams through the LFSR; its length
+// is a multiple of eight, so every block but the last takes whole steps.
+var zeroBlock [256]byte
+
+// zeroFeed multiplies the LFSR state by x^(8n) mod g by feeding it n zero
+// bytes: eight per step in the r = 264 layout.
+func (e *encTables) zeroFeed(state []uint64, n int) {
+	for n > 0 {
+		k := min(n, len(zeroBlock))
+		e.feed(state, zeroBlock[:k])
+		n -= k
 	}
 }
 
-// remainder264 is the register-resident specialisation of remainder for the
-// 5-word byte-aligned layout (r = 264, the paper's BCH code), eight data
-// bytes per step. With S the 264-bit state and D the next eight bytes,
+// feed continues the LFSR over data, highest byte first: state becomes
+// (state*x^(8*len(data)) + data(x)*x^r) mod g. From a zero state, leading
+// zero bytes leave it zero and are skipped.
+func (e *encTables) feed(state []uint64, data []byte) {
+	if e.slice8 != nil {
+		e.feed264(state, data)
+		return
+	}
+	zero := true
+	for _, w := range state {
+		zero = zero && w == 0
+	}
+	i := len(data) - 1
+	if zero {
+		for ; i >= 0 && data[i] == 0; i-- {
+		}
+	}
+	for ; i >= 0; i-- {
+		e.step(state, data[i])
+	}
+}
+
+// feed264 is the register-resident specialisation of feed for the 5-word
+// byte-aligned layout (r = 264, the paper's BCH code), eight data bytes per
+// step. With S the 264-bit state and D the next eight bytes,
 //
 //	S' = (S mod x^200)*x^64  +  sum_k slice8[k][byte_k((S >> 200) + D)]
 //
 // because byte k of the 64 bits leaving the register sits 8k degrees above
-// x^r, which is delta-table position k. The eight row loads of a step are
+// x^r, which is row family slice8[k]. The eight row loads of a step are
 // independent of each other; only the next step waits on them. Fewer than
 // eight trailing bytes take the per-byte step: the outgoing byte is exactly
 // the low byte of word 4, so it unrolls into shift/xor chains on five
 // locals with one row load.
-func (e *encTables) remainder264(state []uint64, data []byte) {
+func (e *encTables) feed264(state []uint64, data []byte) {
 	t := e.slice8
+	_ = state[4]
+	s0, s1, s2, s3, s4 := state[0], state[1], state[2], state[3], state[4]
 	i := len(data) - 1
-	for ; i >= 0 && data[i] == 0; i-- {
+	if s0|s1|s2|s3|s4 == 0 {
+		for ; i >= 0 && data[i] == 0; i-- {
+		}
 	}
-	var s0, s1, s2, s3, s4 uint64
 	for ; i >= 7; i -= 8 {
 		v := (s4<<56 | s3>>8) ^ binary.LittleEndian.Uint64(data[i-7:i+1])
 		r0, r1, r2, r3 := &t[0][byte(v)], &t[1][byte(v>>8)], &t[2][byte(v>>16)], &t[3][byte(v>>24)]
@@ -250,55 +264,122 @@ func (e *encTables) remainder264(state []uint64, data []byte) {
 	state[0], state[1], state[2], state[3], state[4] = s0, s1, s2, s3, s4
 }
 
-// stateBytes serialises the LFSR state little-endian into out.
+// stateBytes serialises the LFSR state little-endian into out, which holds
+// at most 8*len(state) bytes: whole words, then the bytes of a partial one.
 func stateBytes(state []uint64, out []byte) {
-	for i := range out {
-		out[i] = byte(state[i/8] >> (8 * uint(i%8)))
+	n := len(out) &^ 7
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], state[i>>3])
+	}
+	if n < len(out) {
+		x := state[n>>3]
+		for i := n; i < len(out); i++ {
+			out[i] = byte(x)
+			x >>= 8
+		}
 	}
 }
 
-// deltaTables hold per-byte-position remainder rows for EncodeDeltaInto:
-// the row of byte value v at position p is v(x)*x^(8p+r) mod g(x). The
-// encoder's own rows are the leading positions of the family (position 0
-// is exactly the LFSR feed table); tab continues it from position first,
-// each position the previous one advanced by one zero-feed step (multiply
-// by x^8 mod g): tab[((p-first)*256+v)*w : ...+w].
+// deltaTables hold the nibble rows behind EncodeDeltaInto's sparse path.
+// Byte position p keeps 32 rows: row n is n(x)*x^(8p+r) mod g and row
+// 16+n is (n<<4)(x)*x^(8p+r) mod g, for nibble values n = 0..15. Encoding
+// is linear, so byte value v at position p contributes
+// row[v&15] ^ row[16+v>>4]: two loads from 32*w words per position where a
+// byte-indexed row would need 256*w (for the paper's code 320 KiB instead
+// of 2.5 MiB, small enough to stay cache-resident beside the chip cells).
+// The r = 264 layout (the one feed264 specialises) is rows264; every
+// other layout is rows, the same rows flattened to [p][32][w] words.
 type deltaTables struct {
-	w     int
-	first int // positions below first are read from encTables.row
-	tab   []uint64
+	rows264 [][32][5]uint64
+	rows    []uint64
 }
 
-// deltaTables returns the per-position delta rows, extending the
-// encoder's rows to every data byte position on first use. Racing builders
-// each construct a candidate; CompareAndSwap keeps exactly one, so callers
-// always share a single table. Requires c.enc != nil.
+// deltaTables returns the nibble rows for every data byte position,
+// building them on first use: position 0 from the encoder's feed rows,
+// each later one the previous advanced by one zero-feed step (multiply by
+// x^8 mod g), 30 steps per position. Racing builders each construct a
+// candidate; CompareAndSwap keeps exactly one, so callers always share a
+// single table. Requires c.enc != nil.
 func (c *Code) deltaTables() *deltaTables {
 	if d := c.deltaTabs.Load(); d != nil {
 		return d
 	}
 	e := c.enc
-	w := e.w
-	d := &deltaTables{w: w, first: e.held()}
-	if db := c.DataBytes(); db > d.first {
-		d.tab = make([]uint64, (db-d.first)*256*w)
+	w, db := e.w, c.DataBytes()
+	d := &deltaTables{}
+	if e.slice8 != nil {
+		d.rows264 = make([][32][5]uint64, db)
+	} else {
+		d.rows = make([]uint64, db*32*w)
 	}
-	for base := 0; base < len(d.tab); base += 256 * w {
-		cur := d.tab[base : base+256*w]
-		for v := 1; v < 256; v++ {
-			row := cur[v*w : v*w+w]
-			if base == 0 {
-				copy(row, e.row(d.first-1, byte(v)))
-			} else {
-				copy(row, d.tab[base-256*w+v*w:])
+	for p := 0; p < db; p++ {
+		for i := 1; i < 32; i++ {
+			if i == 16 {
+				continue // the zero high nibble
 			}
-			e.step(row, 0)
+			dst := d.row(p, i, w)
+			if p > 0 {
+				copy(dst, d.row(p-1, i, w))
+				e.step(dst, 0)
+			} else if i < 16 {
+				copy(dst, e.row(byte(i)))
+			} else {
+				copy(dst, e.row(byte(i-16)<<4))
+			}
 		}
 	}
 	if !c.deltaTabs.CompareAndSwap(nil, d) {
 		d = c.deltaTabs.Load()
 	}
 	return d
+}
+
+// row returns nibble row i (0..31) of byte position p, w words, in
+// whichever layout the table took.
+func (d *deltaTables) row(p, i, w int) []uint64 {
+	if d.rows264 != nil {
+		return d.rows264[p][i][:]
+	}
+	return d.rows[(32*p+i)*w : (32*p+i+1)*w]
+}
+
+// encode264 is the sparse delta encode for the r = 264 layout: the delta
+// starting at byte position p0 sums two nibble rows per byte into five
+// locals and writes the 33 parity bytes.
+func (d *deltaTables) encode264(out, delta []byte, p0 int) {
+	rows := d.rows264[p0 : p0+len(delta)]
+	delta = delta[:len(rows)]
+	var s0, s1, s2, s3, s4 uint64
+	for i := range rows {
+		v := delta[i]
+		// v>>4 is already below 16; the mask lets the compiler see it.
+		lo, hi := &rows[i][v&15], &rows[i][16+(v>>4&15)]
+		s0 ^= lo[0] ^ hi[0]
+		s1 ^= lo[1] ^ hi[1]
+		s2 ^= lo[2] ^ hi[2]
+		s3 ^= lo[3] ^ hi[3]
+		s4 ^= lo[4] ^ hi[4]
+	}
+	out = out[:33]
+	binary.LittleEndian.PutUint64(out[0:], s0)
+	binary.LittleEndian.PutUint64(out[8:], s1)
+	binary.LittleEndian.PutUint64(out[16:], s2)
+	binary.LittleEndian.PutUint64(out[24:], s3)
+	out[32] = byte(s4)
+}
+
+// encode is encode264 for every other layout: acc (w words) accumulates
+// the nibble rows of the delta starting at byte position p0.
+func (d *deltaTables) encode(acc []uint64, delta []byte, p0 int) {
+	w := len(acc)
+	for i, v := range delta {
+		pos := d.rows[32*w*(p0+i):]
+		lo := pos[int(v&15)*w:][:w]
+		hi := pos[(16+int(v>>4))*w:][:w]
+		for j := range acc {
+			acc[j] ^= lo[j] ^ hi[j]
+		}
+	}
 }
 
 // decTables builds (once) and returns the decode tables, or nil for codes
