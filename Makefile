@@ -19,7 +19,7 @@ test:
 	go test ./... -count=1
 
 race:
-	go test -race -count=1 ./internal/bch/... ./internal/nvram/... ./internal/core/... ./internal/rank/... \
+	go test -race -count=1 ./internal/bch/... ./internal/rs/... ./internal/nvram/... ./internal/core/... ./internal/rank/... \
 		./internal/memctrl/... ./internal/sim/... ./internal/inject/... \
 		./internal/engine/... ./internal/guard/... ./internal/fleet/...
 
@@ -63,14 +63,15 @@ soak:
 	go test -tags soak -count=1 -run TestSoakSuite -v ./internal/inject/
 	go run ./cmd/faultcampaign -suite soak
 
-# Short coverage-guided fuzz pass over the decoders and the RS erasure
-# solver; the checked-in seed corpora under internal/{bch,rs}/testdata/fuzz
-# also run in plain `go test`.
+# Short coverage-guided fuzz pass over the decoders, the RS erasure
+# solver and the packed-word corrector; the checked-in seed corpora under
+# internal/{bch,rs}/testdata/fuzz also run in plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	go test ./internal/bch/ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	go test ./internal/rs/ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	go test ./internal/rs/ -fuzz=FuzzErasureSolver -fuzztime=$(FUZZTIME)
+	go test ./internal/rs/ -fuzz=FuzzCorrectWord -fuzztime=$(FUZZTIME)
 	go test ./internal/guard/ -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 
 check:

@@ -200,6 +200,29 @@ func BenchmarkEngineCleanRead(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineDriftRead is BenchmarkEngineCleanRead on a rank aged to
+// the paper's runtime RBER (2e-4): about one read in nine needs a
+// one-symbol RS fix, which the lock-free path applies; a few take the
+// locked decoder or the VLEW fallback.
+func BenchmarkEngineDriftRead(b *testing.B) {
+	eng := newBenchEngine(b)
+	eng.Quiesce(func() { eng.Rank().InjectRetentionErrors(2e-4) })
+	buf := make([]byte, eng.BlockBytes())
+	rng := rand.New(rand.NewSource(3))
+	blocks := eng.Blocks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.ReadBlockInto(rng.Int63n(blocks), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if ss := eng.SeqStats(); ss.FastReads != 0 {
+		b.ReportMetric(float64(ss.FastCorrected)/float64(ss.FastReads), "fast-corrected/fast-read")
+	}
+}
+
 func BenchmarkEngineCleanReadBatch(b *testing.B) {
 	eng := newBenchEngine(b)
 	const n = 64

@@ -111,9 +111,15 @@ func (e *Engine) runGroup(op batchOp, s *shard, idx []int32, blocks []int64, buf
 		fastN := int64(0)
 		for _, i := range idx {
 			var err error
-			if e.seqOK && e.readFast(s, blocks[i], bufs[i]) {
+			served, corrected := false, false
+			if e.seqOK {
+				served, corrected = e.readFast(s, blocks[i], bufs[i])
+			}
+			switch {
+			case corrected: // counted by readFast
+			case served:
 				fastN++
-			} else {
+			default:
 				s.mu.Lock()
 				err = s.ctrl.ReadBlockInto(blocks[i], bufs[i])
 				s.mu.Unlock()
@@ -126,7 +132,7 @@ func (e *Engine) runGroup(op batchOp, s *shard, idx []int32, blocks []int64, buf
 			}
 		}
 		if fastN != 0 {
-			s.fastReads.Add(fastN)
+			s.fastClean.Add(fastN)
 		}
 		return fails
 	}

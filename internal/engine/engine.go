@@ -12,10 +12,12 @@
 //
 // Each shard owns the banks b with b % Shards == s and wraps its own
 // unmodified core.Controller view of the shared rank behind one striped
-// mutex. Writers still take that mutex; clean reads — the 99.98% case —
-// run lock-free under a per-shard seqlock and only park on the mutex when
-// a writer is inside, a revalidation fails, or the block needs the
-// correction machinery (see seqlock.go and DESIGN.md §12). Striped
+// mutex. Writers still take that mutex; reads run lock-free under a
+// per-shard seqlock — clean ones, and at the paper's runtime RBER the
+// ~11% that need a one-symbol RS fix — and only park on the mutex when a
+// writer is inside, a revalidation fails, or the block needs a wider
+// correction or the ~0.02% VLEW fallback (see seqlock.go and DESIGN.md
+// §12). Striped
 // mutexes were chosen over per-shard request channels for the locked
 // paths: an uncontended mutex handoff costs tens of nanoseconds and is
 // allocation-free, while a channel round trip costs several hundred
@@ -84,13 +86,20 @@ type shard struct {
 	_           cpu.CacheLinePad
 	// Lock-free read outcome counters, on their own cache line so reader
 	// cores bumping them don't invalidate the writers' mutex/seq line.
+	// fastClean and fastCorrected partition the reads served without the
+	// mutex; chipCorrected (one per chip, parity chip included) attributes
+	// each corrected symbol the way the controller's telemetry would. Its
+	// slice header is set once in New, before the engine is shared.
 	//chipkill:atomic
-	fastReads atomic.Int64
+	fastClean atomic.Int64
+	//chipkill:atomic
+	fastCorrected atomic.Int64
 	//chipkill:atomic
 	seqRetries atomic.Int64
 	//chipkill:atomic
-	seqFallbacks atomic.Int64
-	_            cpu.CacheLinePad
+	seqFallbacks  atomic.Int64
+	chipCorrected []atomic.Int64
+	_             cpu.CacheLinePad
 }
 
 // Engine dispatches demand reads and writes across bank-sharded
@@ -109,13 +118,15 @@ type Engine struct {
 	fanout   int   // batch fan-out cap from Config; 0 = auto
 	planPool sync.Pool
 
-	// Lock-free clean-read support (seqlock.go). seqOK is decided once in
-	// New; when false every read takes the shard mutex as before.
+	// Lock-free read support (seqlock.go). seqOK is decided once in New;
+	// when false every read takes the shard mutex as before.
 	seqOK       bool
+	fixOne      bool     // controllers accept RS corrections (threshold >= 1)
 	rsCode      *rs.Code // engine-owned checker for the lock-free path
 	geo         fastGeom // precomputed block→cell-offset addressing
 	cells       [][]byte // per data chip backing arrays, in symbol order
 	parityCells []byte   // parity (check) chip backing array
+	parityChip  int      // rank index of the parity chip
 
 	// degraded latches "the rank is (or may be) in the striped degraded
 	// layout": set before any shard flips, never cleared. In that layout a
@@ -168,11 +179,16 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: sizing seqlock RS checker: %w", err)
 		}
 		e.rsCode = code
+		e.fixOne = cfg.Core.Threshold >= 1
 		e.geo = newFastGeom(cr, r.Blocks())
 		for i := 0; i < cr.DataChips; i++ {
 			e.cells = append(e.cells, r.Chip(i).CellArray())
 		}
-		e.parityCells = r.Chip(r.ParityChipIndex()).CellArray()
+		e.parityChip = r.ParityChipIndex()
+		e.parityCells = r.Chip(e.parityChip).CellArray()
+		for _, s := range e.shards {
+			s.chipCorrected = make([]atomic.Int64, r.NumChips())
+		}
 	}
 	return e, nil
 }
@@ -195,18 +211,23 @@ func (e *Engine) shardOf(block int64) int {
 }
 
 // ReadBlockInto reads one block into a caller-owned buffer of
-// BlockBytes(). Clean reads are served lock-free through the shard's
-// seqlock; anything else — validation failures, retired blocks, degraded
-// or migrating layouts, blocks needing correction, sequence conflicts —
-// runs the controller's corrected read under the owning shard's lock,
-// with semantics identical to the always-locked engine.
+// BlockBytes(). Clean reads and one-symbol RS corrections are served
+// lock-free through the shard's seqlock; anything else — validation
+// failures, retired blocks, degraded or migrating layouts, blocks needing
+// a wider correction, sequence conflicts — runs the controller's
+// corrected read under the owning shard's lock, with semantics identical
+// to the always-locked engine.
 //
 //chipkill:noalloc
 func (e *Engine) ReadBlockInto(block int64, dst []byte) error {
 	s := e.shards[e.shardOf(block)]
-	if e.seqOK && e.readFast(s, block, dst) {
-		s.fastReads.Add(1)
-		return nil
+	if e.seqOK {
+		if served, corrected := e.readFast(s, block, dst); served {
+			if !corrected {
+				s.fastClean.Add(1)
+			}
+			return nil
+		}
 	}
 	s.mu.Lock()
 	err := s.ctrl.ReadBlockInto(block, dst)
@@ -277,24 +298,29 @@ func (e *Engine) Stats() core.Stats {
 		s.mu.Unlock()
 		total.Add(snap)
 		// Fold in the reads the seqlock path served without a controller.
-		// Each was exactly one clean block fetch, so the serial
-		// controller would have counted it in all three columns; the
-		// ReadsClean == Reads + OMVMisses bus identity is preserved.
-		fast := s.fastReads.Load()
-		total.Reads += fast
-		total.ReadsClean += fast
-		total.BlockFetches += fast
+		// Each was exactly one block fetch; the serial controller would
+		// have counted a clean one as a clean read (so the ReadsClean ==
+		// Reads + OMVMisses bus identity is preserved) and a corrected
+		// one as an RS-corrected read with one corrected symbol.
+		clean, fixed := s.fastClean.Load(), s.fastCorrected.Load()
+		total.Reads += clean + fixed
+		total.ReadsClean += clean
+		total.ReadsRSCorrected += fixed
+		total.BitsCorrectedRS += fixed
+		total.BlockFetches += clean + fixed
 	}
 	return total
 }
 
 // ResetStats zeroes every shard's counters, including the seqlock
-// outcome counters.
+// outcome counters. Like the controllers' own telemetry, the per-chip
+// correction counts behind Telemetry are lifetime counts and survive it.
 func (e *Engine) ResetStats() {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		s.ctrl.ResetStats()
-		s.fastReads.Store(0)
+		s.fastClean.Store(0)
+		s.fastCorrected.Store(0)
 		s.seqRetries.Store(0)
 		s.seqFallbacks.Store(0)
 		s.mu.Unlock()

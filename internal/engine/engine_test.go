@@ -275,7 +275,8 @@ func TestConcurrentShadow(t *testing.T) {
 
 // TestReadAllocsZero pins the acceptance criterion: the steady-state
 // clean-read path performs zero allocations per operation, for both the
-// single-op and the batched entry points.
+// single-op and the batched entry points, and so does a read the
+// lock-free path corrects.
 func TestReadAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
@@ -325,6 +326,40 @@ func TestReadAllocsZero(t *testing.T) {
 	}
 	if locked.SeqStats() != (SeqStats{}) || locked.Stats().ReadsClean == 0 {
 		t.Fatalf("locked-path pin took the wrong path: %+v %+v", locked.SeqStats(), locked.Stats())
+	}
+
+	// Drifted variant: at the paper's runtime RBER about one read in nine
+	// needs a one-symbol fix, which the lock-free path applies in place.
+	// A first pass finds the blocks it corrects; wider patterns take the
+	// locked decoder, whose corrected read TestWriteAllocsZero pins.
+	drift := testEngine(t, 0, 1)
+	populate(t, drift)
+	drift.Quiesce(func() { drift.rank.InjectRetentionErrors(2e-4) })
+	var fixed []int64
+	for blk := int64(0); blk < drift.Blocks(); blk++ {
+		before := drift.SeqStats().FastCorrected
+		if err := drift.ReadBlockInto(blk, dst); err != nil {
+			t.Fatal(err)
+		}
+		if drift.SeqStats().FastCorrected != before {
+			fixed = append(fixed, blk)
+		}
+	}
+	if len(fixed) == 0 {
+		t.Fatal("drifted rank has no block the lock-free path corrects")
+	}
+	before := drift.SeqStats().FastCorrected
+	i := 0
+	if allocs := testing.AllocsPerRun(500, func() {
+		if err := drift.ReadBlockInto(fixed[i%len(fixed)], dst); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Fatalf("lock-free corrected read allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := drift.SeqStats().FastCorrected - before; got != int64(i) {
+		t.Fatalf("lock-free path corrected %d of %d pinned reads", got, i)
 	}
 }
 

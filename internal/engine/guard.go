@@ -14,6 +14,8 @@ import (
 // with demand traffic, consistent per shard, not a single rank-wide
 // instant. Chip-level FailedAccesses counters are absolute (every shard
 // reads the same chips), so they are adopted once rather than summed.
+// Symbols the lock-free path corrected are added to their chips'
+// RSCorrections, exactly where the controller would have counted them.
 func (e *Engine) Telemetry() core.Telemetry {
 	var total core.Telemetry
 	for _, s := range e.shards {
@@ -21,6 +23,9 @@ func (e *Engine) Telemetry() core.Telemetry {
 		snap := s.ctrl.Telemetry()
 		s.mu.Unlock()
 		total.Add(snap)
+		for ci := range s.chipCorrected {
+			total.Chips[ci].RSCorrections += s.chipCorrected[ci].Load()
+		}
 	}
 	return total
 }

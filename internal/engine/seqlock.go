@@ -1,26 +1,31 @@
-// Seqlock clean-read path. The overwhelmingly common demand operation is
-// a clean read — a raw gather plus one RS syndrome check over state no
-// writer is touching — yet the shard mutex made every one of them pay a
-// lock handoff. This file lets clean readers skip the mutex entirely:
+// Seqlock read path. The common demand operation is a read that is clean
+// or one RS symbol away from clean — a raw gather, one RS syndrome word
+// and at most a closed-form single-symbol fix, over state no writer is
+// touching — yet the shard mutex made every one of them pay a lock
+// handoff. This file lets those readers skip the mutex entirely:
 //
 //	writer:  s.lockWrite()   // mu.Lock; seq++ (odd)
 //	         ...mutate...
 //	         s.unlockWrite() // seq++ (even); mu.Unlock
 //
 //	reader:  s1 := seq.Load()            // must be even
-//	         gather + RS check           // plain loads, may observe tears
+//	         gather + RS syndrome word   // plain loads, may observe tears
 //	         if seq.Load() != s1 → retry // tear detected, result discarded
+//	         nonzero word → fix one symbol in the validated copy, or park
 //
 // The sequence counter uses Go's sync/atomic, whose operations are
 // sequentially consistent: the reader's initial Load acquires everything
 // the last unlockWrite released, and the final Load re-ordering barrier
 // guarantees the gathered bytes belong to generation s1. A reader that
 // observes an odd sequence, loses the revalidation race seqReadRetries
-// times, needs correction, or hits any standing-down gate (degraded
-// layout, migration cursor, failed chip, retired block on the shard)
-// parks on the mutex like before — the 0.02% case keeps its locked
-// semantics, and readers never spin against a long writer (band
-// migration) on a loaded core. DESIGN.md §12 has the full argument.
+// times, needs more than a one-symbol correction, or hits any
+// standing-down gate (degraded layout, migration cursor, failed chip,
+// retired block on the shard) parks on the mutex like before. At the
+// paper's runtime RBER about 11% of reads need the one-symbol fix, which
+// stays lock-free; only the multi-symbol decodes and the ~0.02% VLEW
+// fallback keep their locked semantics, and readers never spin against a
+// long writer (band migration) on a loaded core. DESIGN.md §12 has the
+// full argument.
 package engine
 
 import (
@@ -125,12 +130,15 @@ func (g *fastGeom) offsetOf(block int64) int64 {
 	return (bank*g.rowsPerBank+row)*g.rowTotal + col
 }
 
-// readFast attempts one lock-free clean read of block into dst and
-// reports whether it served the read. On false the caller must take the
-// locked path, which reproduces the exact legacy semantics (including
-// range panics, size errors, disabled-block errors and the correction
-// machinery) and overwrites whatever torn bytes a failed attempt left in
-// dst.
+// readFast attempts one lock-free read of block into dst and reports
+// whether it served the read, and whether serving it took a one-symbol
+// RS correction. On !served the caller must take the locked path, which
+// reproduces the exact legacy semantics (including range panics, size
+// errors, disabled-block errors, multi-symbol correction and the VLEW
+// fallback) and overwrites whatever torn bytes a failed attempt left in
+// dst. A corrected read is counted here, with the chip that held the bad
+// symbol; a clean one is left to the caller, whose batch loop folds many
+// into one counter update.
 //
 // The function runs between sequence checks with no exclusion at all, so
 // it must stay pure: no stores outside dst and the shard's atomic
@@ -140,9 +148,9 @@ func (g *fastGeom) offsetOf(block int64) int64 {
 //
 //chipkill:noalloc
 //chipkill:seqread
-func (e *Engine) readFast(s *shard, block int64, dst []byte) bool {
+func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected bool) {
 	if block < 0 || block >= e.geo.blocks || len(dst) != e.geo.blockBytes {
-		return false
+		return false, false
 	}
 	for tries := 0; ; tries++ {
 		s1 := s.seq.Load()
@@ -150,7 +158,7 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) bool {
 			// A writer is inside, or one keeps beating us: park on the
 			// mutex, which blocks instead of spinning.
 			s.seqFallbacks.Add(1)
-			return false
+			return false, false
 		}
 		// Standing-down gates, re-evaluated each attempt. degraded and
 		// hasDisabled are sticky (set before the state they guard ever
@@ -160,10 +168,10 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) bool {
 		// FailedChips is also checked per attempt because a failed
 		// chip's stale cells can still look like a valid codeword.
 		if e.degraded.Load() || s.hasDisabled.Load() || e.rank.FailedChips() != 0 {
-			return false
+			return false, false
 		}
 		if m := e.mig.Load(); m != nil && block < m.Cursor() {
-			return false
+			return false, false
 		}
 		off := e.geo.offsetOf(block)
 		for i := 0; i < len(e.cells); i++ {
@@ -171,18 +179,33 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) bool {
 				binary.LittleEndian.Uint64(e.cells[i][off:]))
 		}
 		w := binary.LittleEndian.Uint64(e.parityCells[off:])
-		ok := e.rsCode.CheckWord(dst, w)
+		syn := e.rsCode.SyndromeWord(dst, w)
 		if s.seq.Load() != s1 {
 			// Torn or stale: discard everything and retry.
 			s.seqRetries.Add(1)
 			continue
 		}
-		if !ok {
-			// Validated anomaly: the block really needs correction, which
-			// allocates and must run under the lock.
-			return false
+		if syn == 0 {
+			return true, false
 		}
-		return true
+		// Validated anomaly: dst is one committed generation, so fixing a
+		// single bad symbol here is exactly the controller's weight-1
+		// decode (accepted whenever its threshold allows any correction).
+		// Wider patterns go to the locked decoder and VLEW fallback.
+		if !e.fixOne {
+			return false, false
+		}
+		pos, _, ok := e.rsCode.CorrectWord(dst, syn)
+		if !ok {
+			return false, false
+		}
+		ci := e.parityChip
+		if pos < len(dst) {
+			ci = pos / 8 // data chip i holds symbols 8i..8i+7
+		}
+		s.fastCorrected.Add(1)
+		s.chipCorrected[ci].Add(1)
+		return true, true
 	}
 }
 
@@ -191,7 +214,8 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) bool {
 // seqlock path is disabled (race builds, DisableSeqlock, incompatible
 // geometry or write-back configs).
 type SeqStats struct {
-	FastReads     int64 // clean reads served without touching the shard mutex
+	FastReads     int64 // reads served without touching the shard mutex, clean or corrected
+	FastCorrected int64 // of FastReads, those that needed a one-symbol RS correction
 	Retries       int64 // gathers discarded on a sequence conflict and retried
 	LockFallbacks int64 // reads parked on the mutex: writer inside or retries exhausted
 }
@@ -200,7 +224,9 @@ type SeqStats struct {
 func (e *Engine) SeqStats() SeqStats {
 	var t SeqStats
 	for _, s := range e.shards {
-		t.FastReads += s.fastReads.Load()
+		fixed := s.fastCorrected.Load()
+		t.FastReads += s.fastClean.Load() + fixed
+		t.FastCorrected += fixed
 		t.Retries += s.seqRetries.Load()
 		t.LockFallbacks += s.seqFallbacks.Load()
 	}

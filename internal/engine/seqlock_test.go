@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,36 +30,30 @@ func checkVersioned(buf []byte, block int64) error {
 	return nil
 }
 
-// TestSeqlockTorture hammers the lock-free read path from readers that
-// deliberately cross into blocks other goroutines are writing: unlike
-// TestConcurrentShadow (which verifies exact per-owner versions), the
-// invariant here is atomicity — every read returns some committed
-// version in full, never a tear. Under -race the same workload runs
-// through the locked path and the detector audits the fallback story.
-func TestSeqlockTorture(t *testing.T) {
-	e := testEngine(t, 0, 0)
-	populate(t, e)
+// torture runs four writers, each owning a disjoint stripe of the first
+// hot blocks and writing fresh fillBlock versions into it, against four
+// readers that cross into every stripe through read until the writers
+// finish. It returns the first read that failed or did not return some
+// committed version whole. hot must be a multiple of four.
+func torture(e *Engine, hot int64, read func(block int64, dst []byte) error) error {
 	const (
 		writers = 4
 		readers = 4
 		ops     = 500
 	)
-	var wg sync.WaitGroup
+	var wwg, rwg sync.WaitGroup
 	errCh := make(chan error, writers+readers)
 	stop := make(chan struct{})
 
-	version := make([]int, e.Blocks()) // owned slot per block, writers disjoint
+	version := make([]int, hot) // owned slot per block, writers disjoint
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		wwg.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer wwg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*277 + 1))
 			buf := make([]byte, e.BlockBytes())
 			for op := 0; op < ops; op++ {
-				b := int64(rng.Intn(int(e.Blocks())))
-				for b%writers != int64(w) { // disjoint ownership
-					b = int64(rng.Intn(int(e.Blocks())))
-				}
+				b := rng.Int63n(hot/writers)*writers + int64(w) // disjoint ownership
 				version[b]++
 				fillBlock(buf, b, version[b])
 				if err := e.WriteBlock(b, buf); err != nil {
@@ -67,9 +64,9 @@ func TestSeqlockTorture(t *testing.T) {
 		}(w)
 	}
 	for r := 0; r < readers; r++ {
-		wg.Add(1)
+		rwg.Add(1)
 		go func(r int) {
-			defer wg.Done()
+			defer rwg.Done()
 			rng := rand.New(rand.NewSource(int64(r)*991 + 7))
 			buf := make([]byte, e.BlockBytes())
 			for {
@@ -78,8 +75,8 @@ func TestSeqlockTorture(t *testing.T) {
 					return
 				default:
 				}
-				b := int64(rng.Intn(int(e.Blocks())))
-				if err := e.ReadBlockInto(b, buf); err != nil {
+				b := rng.Int63n(hot)
+				if err := read(b, buf); err != nil {
 					errCh <- fmt.Errorf("reader %d block %d: %w", r, b, err)
 					return
 				}
@@ -90,16 +87,28 @@ func TestSeqlockTorture(t *testing.T) {
 			}
 		}(r)
 	}
-	// Writers finish on their own; readers run until told to stop.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	time.Sleep(50 * time.Millisecond)
+	wwg.Wait()
 	close(stop)
-	<-done
+	rwg.Wait()
 	select {
 	case err := <-errCh:
-		t.Fatal(err)
+		return err
 	default:
+		return nil
+	}
+}
+
+// TestSeqlockTorture hammers the lock-free read path from readers that
+// deliberately cross into blocks other goroutines are writing: unlike
+// TestConcurrentShadow (which verifies exact per-owner versions), the
+// invariant here is atomicity — every read returns some committed
+// version in full, never a tear. Under -race the same workload runs
+// through the locked path and the detector audits the fallback story.
+func TestSeqlockTorture(t *testing.T) {
+	e := testEngine(t, 0, 0)
+	populate(t, e)
+	if err := torture(e, e.Blocks(), e.ReadBlockInto); err != nil {
+		t.Fatal(err)
 	}
 	st := e.Stats()
 	if st.Uncorrectable != 0 {
@@ -115,6 +124,143 @@ func TestSeqlockTorture(t *testing.T) {
 		}
 		t.Logf("seqlock outcomes: %+v", ss)
 	}
+}
+
+// TestSeqlockTortureUnderDrift reruns the atomicity check on a rank aged
+// to the paper's runtime RBER before the writers start. XOR writes carry
+// the flipped bits forward, so readers keep correcting single symbols on
+// the lock-free path while writers race them: every read must still be
+// some committed version whole. A test-local reader with the
+// revalidation removed then shows the harness really produces tears the
+// checker flags.
+func TestSeqlockTortureUnderDrift(t *testing.T) {
+	e := testEngine(t, 0, 0)
+	populate(t, e)
+	e.Quiesce(func() { e.rank.InjectRetentionErrors(2e-4) })
+	if err := torture(e, 256, e.ReadBlockInto); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Uncorrectable != 0 || st.ReadsRSCorrected == 0 {
+		t.Fatalf("drift torture: want RS-corrected reads and no uncorrectables: %+v", st)
+	}
+	if !e.SeqlockEnabled() {
+		return // race build: the locked path served everything
+	}
+	ss := e.SeqStats()
+	if ss.FastCorrected == 0 {
+		t.Fatalf("no drifted read was corrected on the lock-free path: %+v", ss)
+	}
+	t.Logf("seqlock outcomes under drift: %+v", ss)
+
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("tear detection needs a writer and a reader running in parallel")
+	}
+	// A clean rank, so that anything the broken reader serves wrong is a
+	// tear rather than a multi-symbol drift pattern it did not correct.
+	clean := testEngine(t, 0, 0)
+	populate(t, clean)
+	broken := func(block int64, dst []byte) error {
+		unvalidatedRead(clean, block, dst)
+		return nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		err := torture(clean, 8, broken)
+		if err != nil {
+			t.Logf("unvalidated reader caught: %v", err)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the checker never caught a reader that skips revalidation")
+		}
+	}
+}
+
+// unvalidatedRead is readFast's gather, syndrome word and one-symbol fix
+// with the sequence checks removed. Because the syndrome word is itself a
+// tear detector (a mix of two versions is almost never within one symbol
+// of a codeword), it also serves the words the corrector declines instead
+// of parking on the mutex: what it proves is that the torture harness
+// overlaps readers with writers and that checkVersioned flags what an
+// unvalidated reader returns.
+func unvalidatedRead(e *Engine, block int64, dst []byte) {
+	off := e.geo.offsetOf(block)
+	for i := range e.cells {
+		binary.LittleEndian.PutUint64(dst[8*i:], binary.LittleEndian.Uint64(e.cells[i][off:]))
+	}
+	if syn := e.rsCode.SyndromeWord(dst, binary.LittleEndian.Uint64(e.parityCells[off:])); syn != 0 {
+		e.rsCode.CorrectWord(dst, syn)
+	}
+}
+
+// TestFastCorrectionsFoldLikeLocked pins the counter folding: two
+// identically seeded ranks aged to RBER 2e-4, read block for block through
+// a seqlock engine and a DisableSeqlock engine, must report equal Stats
+// and Telemetry field for field — per-chip RSCorrections included — and
+// equal data. The second pass goes through the batch API after a
+// ResetStats, which zeroes Stats on both sides and leaves the lifetime
+// per-chip counts alone on both.
+func TestFastCorrectionsFoldLikeLocked(t *testing.T) {
+	build := func(disable bool) *Engine {
+		r, err := rank.New(rank.PaperConfig(4, 8, 1024, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(r, Config{Core: core.DefaultConfig(), DisableSeqlock: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate(t, e)
+		e.Quiesce(func() { e.rank.InjectRetentionErrors(2e-4) })
+		return e
+	}
+	fast, locked := build(false), build(true)
+	compare := func(pass string) {
+		t.Helper()
+		if fs, ls := fast.Stats(), locked.Stats(); fs != ls {
+			t.Fatalf("%s: Stats differ\nseqlock %+v\nlocked  %+v", pass, fs, ls)
+		}
+		if ft, lt := fast.Telemetry(), locked.Telemetry(); !reflect.DeepEqual(ft, lt) {
+			t.Fatalf("%s: Telemetry differs\nseqlock %+v\nlocked  %+v", pass, ft, lt)
+		}
+	}
+
+	got, want := make([]byte, fast.BlockBytes()), make([]byte, fast.BlockBytes())
+	for b := int64(0); b < fast.Blocks(); b++ {
+		ferr, lerr := fast.ReadBlockInto(b, got), locked.ReadBlockInto(b, want)
+		if ferr != nil || lerr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("block %d: seqlock (%v) and locked (%v) reads differ", b, ferr, lerr)
+		}
+	}
+	compare("single reads")
+	if fast.SeqlockEnabled() && fast.SeqStats().FastCorrected == 0 {
+		t.Fatalf("no read was corrected on the lock-free path: %+v", fast.SeqStats())
+	}
+	if st := fast.Stats(); st.ReadsRSCorrected == 0 || st.ReadsVLEWFallback == 0 {
+		t.Fatalf("drift too light to exercise both correction paths: %+v", st)
+	}
+
+	fast.ResetStats()
+	locked.ResetStats()
+	const n = 64
+	ids := make([]int64, n)
+	fbufs, lbufs := make([][]byte, n), make([][]byte, n)
+	for i := range fbufs {
+		fbufs[i], lbufs[i] = make([]byte, fast.BlockBytes()), make([]byte, fast.BlockBytes())
+	}
+	for b := int64(0); b < fast.Blocks(); b += n {
+		for i := range ids {
+			ids[i] = b + int64(i)
+		}
+		if ff, lf := fast.ReadBlocks(ids, fbufs, nil), locked.ReadBlocks(ids, lbufs, nil); ff != 0 || lf != 0 {
+			t.Fatalf("batch at %d: %d seqlock and %d locked failures", b, ff, lf)
+		}
+		for i := range fbufs {
+			if !bytes.Equal(fbufs[i], lbufs[i]) {
+				t.Fatalf("block %d: seqlock and locked batch reads differ", ids[i])
+			}
+		}
+	}
+	compare("batch reads after ResetStats")
 }
 
 // TestSeqlockTortureDuringMigration reruns the atomicity check across a

@@ -125,6 +125,8 @@ func (f *Field) Primitive() uint32 { return f.poly }
 func (f *Field) Add(a, b Elem) Elem { return a ^ b }
 
 // Mul returns a * b.
+//
+//chipkill:seqread
 func (f *Field) Mul(a, b Elem) Elem {
 	if a == 0 || b == 0 {
 		return 0
@@ -133,6 +135,8 @@ func (f *Field) Mul(a, b Elem) Elem {
 }
 
 // Div returns a / b. It panics if b is zero.
+//
+//chipkill:seqread
 func (f *Field) Div(a, b Elem) Elem {
 	if b == 0 {
 		panic("gf: division by zero")
@@ -170,6 +174,8 @@ func (f *Field) ExpTable() []Elem { return f.exp }
 
 // Log returns the discrete logarithm of a to base alpha. It panics if a is
 // zero, which has no logarithm.
+//
+//chipkill:seqread
 func (f *Field) Log(a Elem) int {
 	if a == 0 {
 		panic("gf: zero has no logarithm")

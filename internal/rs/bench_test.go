@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -93,6 +94,23 @@ func BenchmarkKernelDecodeSingleError(b *testing.B) {
 		corr, err := c.DecodeAppend(buf, data, check, nil)
 		if err != nil || len(corr) != 1 {
 			b.Fatalf("corr=%d err=%v", len(corr), err)
+		}
+	}
+}
+
+// BenchmarkKernelCorrectWord is BenchmarkKernelDecodeSingleError's problem
+// — one drifted data symbol — through the lock-free reader's packed-word
+// pair: the syndrome word, then the closed-form weight-1 corrector.
+func BenchmarkKernelCorrectWord(b *testing.B) {
+	data, c := benchBlock()
+	w := binary.LittleEndian.Uint64(c.Encode(data))
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data[37] ^= 0x40
+		syn := c.SyndromeWord(data, w)
+		if pos, _, ok := c.CorrectWord(data, syn); !ok || pos != 37 {
+			b.Fatalf("pos=%d ok=%v", pos, ok)
 		}
 	}
 }

@@ -261,24 +261,87 @@ func (c *Code) Check(data, check []byte) bool {
 	return rem == 0
 }
 
-// CheckWord reports whether data forms a clean codeword with its check
-// bytes packed little-endian into w — Check for callers that hold the
-// stored check region as one 64-bit word. Only codes with exactly eight
-// check symbols and encoder tables support it (the demand path's
+// SyndromeWord returns the syndrome word of data against its check bytes
+// packed little-endian into w: the received word's remainder mod g(x),
+// packed like w, which is zero exactly when data||w is a codeword — Check
+// for callers that hold the stored check region as one 64-bit word, with
+// the dirty case's remainder kept for CorrectWord. Only codes with exactly
+// eight check symbols and encoder tables support it (the demand path's
 // RS(72,64) qualifies); anything else panics. The panics use plain
 // strings because the engine's seqlock-validated reader calls this
 // between sequence checks and must stay free of impure calls.
 //
 //chipkill:noalloc
 //chipkill:seqread
-func (c *Code) CheckWord(data []byte, w uint64) bool {
+func (c *Code) SyndromeWord(data []byte, w uint64) uint64 {
+	c.validateWord(data)
+	return c.enc.remainder(data) ^ w
+}
+
+// CorrectWord applies the single-symbol correction that a nonzero
+// syn = SyndromeWord(data, w) admits, if any: it reports the public
+// position (data byte, or K()+i for check byte i) and the error magnitude,
+// and XORs the magnitude into data when the position is a data byte. A
+// check-byte position is only named; the data is already right.
+//
+// S1 and S2 come from a Horner pass over the eight remainder bytes; a
+// weight-1 error at degree d with magnitude m has S1 = m*X, S2 = m*X^2
+// for X = alpha^d, so X = S2/S1 names the position and S1/X the
+// magnitude. The candidate is accepted only when the corrected word
+// re-checks clean, which by linearity means syn equals the magnitude
+// times the syndrome word of a unit error at degree d; a declined word
+// leaves data untouched. At distance 9 a weight-1 errata pattern is
+// unique, so this accepts exactly the words DecodeAppend corrects with
+// one correction, with the same position and magnitude. Same code
+// restriction and panics as SyndromeWord.
+//
+//chipkill:noalloc
+//chipkill:seqread
+func (c *Code) CorrectWord(data []byte, syn uint64) (pos int, mag byte, ok bool) {
+	c.validateWord(data)
+	f := c.f
+	r1, r2 := c.dec.root[0], c.dec.root[1]
+	var s1, s2 gf.Elem
+	for i := c.r - 1; i >= 0; i-- {
+		b := gf.Elem(byte(syn >> (8 * uint(i))))
+		s1 = r1[s1] ^ b
+		s2 = r2[s2] ^ b
+	}
+	if s1 == 0 || s2 == 0 {
+		return 0, 0, false
+	}
+	x := f.Div(s2, s1)
+	d := f.Log(x)
+	if d >= c.n {
+		return 0, 0, false
+	}
+	m := f.Div(s1, x)
+	u := c.enc.unit[d]
+	var e uint64
+	for i := 0; i < c.r; i++ {
+		e |= uint64(f.Mul(gf.Elem(byte(u>>(8*uint(i)))), m)) << (8 * uint(i))
+	}
+	if e != syn {
+		return 0, 0, false
+	}
+	if d < c.r {
+		return c.k + d, byte(m), true // check byte d: data is already right
+	}
+	pos = d - c.r
+	data[pos] ^= byte(m)
+	return pos, byte(m), true
+}
+
+// validateWord guards SyndromeWord and CorrectWord.
+//
+//chipkill:seqread
+func (c *Code) validateWord(data []byte) {
 	if c.enc == nil || c.r != 8 {
-		panic("rs: CheckWord requires an 8-check-symbol code with encoder tables")
+		panic("rs: packed-word check requires an 8-check-symbol code with encoder tables")
 	}
 	if len(data) != c.k {
-		panic("rs: CheckWord data length mismatch")
+		panic("rs: packed-word check data length mismatch")
 	}
-	return c.enc.remainder(data) == w
 }
 
 func (c *Code) validate(data, check []byte) {

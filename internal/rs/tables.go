@@ -30,6 +30,10 @@ type encTables struct {
 	// with inputs d0..d7 equal L^8(s ^ u) with dj placed at byte 7-j of u;
 	// decomposing L^8 per input byte gives the slicing-by-8 evaluation.
 	slice [8][256]uint64
+	// unit[d] = x^d mod g for every codeword degree d < n (r == 8 only):
+	// the syndrome word of a unit error at degree d, which CorrectWord
+	// scales by a magnitude to re-check a candidate fix by linearity.
+	unit []uint64
 }
 
 func (c *Code) buildEncTables() *encTables {
@@ -58,6 +62,14 @@ func (c *Code) buildEncTables() *encTables {
 					s = e.step(s, 0)
 				}
 				e.slice[k][v] = s
+			}
+		}
+		e.unit = make([]uint64, c.n)
+		for d := range e.unit {
+			if d < c.r {
+				e.unit[d] = 1 << (8 * uint(d))
+			} else {
+				e.unit[d] = e.step(e.unit[d-1], 0)
 			}
 		}
 	}
