@@ -40,6 +40,7 @@ bench-smoke:
 
 # CPU + allocation profiles of the engine write benchmark (the zero-alloc
 # write pipeline); inspect with `go tool pprof profiles/write_{cpu,mem}.pprof`.
+# PROFILE_BENCH=FleetRepairChip profiles the fleet's chip repair instead.
 PROFILE_BENCH ?= EngineWrite
 profile:
 	mkdir -p profiles
@@ -53,7 +54,8 @@ campaign:
 	go run ./cmd/faultcampaign -suite standard
 
 # Multi-rank fleet campaigns: rank kills (serial and under concurrent
-# load), repair-from-replica with measured per-block costs, replica
+# load), chip repair with the measured per-block cost of each path (VLEW
+# copy from a replica vs bank-parallel RS erasure rebuild), replica
 # divergence healing, replica death mid-repair, and the two-rank
 # double-fault.
 fleet-campaign:

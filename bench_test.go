@@ -16,6 +16,7 @@ import (
 	"chipkillpm/internal/core"
 	"chipkillpm/internal/engine"
 	"chipkillpm/internal/experiments"
+	"chipkillpm/internal/fleet"
 	"chipkillpm/internal/nvram"
 	"chipkillpm/internal/rank"
 	"chipkillpm/internal/reliability"
@@ -157,6 +158,40 @@ func BenchmarkChipkillRebuild(b *testing.B) {
 			b.Fatal("rebuild failed")
 		}
 	}
+}
+
+// BenchmarkFleetRepairChip times Fleet.RepairChip on the recover_repair
+// workload's fleet shape (3 ranks of 4 banks x 16 rows): each iteration
+// fails one data chip of rank 0 and rebuilds it, the rank's first band
+// by VLEW copy from its replica and the rest by erasure. `make profile
+// PROFILE_BENCH=FleetRepairChip` profiles it.
+func BenchmarkFleetRepairChip(b *testing.B) {
+	f, err := fleet.New(fleet.Config{Ranks: 3, Banks: 4, RowsPerBank: 16, RowBytes: 1024, Seed: 1, ReplicatePerTick: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, f.BlockBytes())
+	rng := rand.New(rand.NewSource(2))
+	for blk := int64(0); blk < f.Blocks(); blk++ {
+		rng.Read(buf)
+		if err := f.WriteBlockInitial(blk, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := f.ReplicateBand(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chip := i % f.Rank(0).ParityChipIndex()
+		b.StopTimer()
+		f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(chip) })
+		b.StartTimer()
+		if err := f.RepairChip(0, chip); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(f.Rank(0).Blocks()), "blocks/op")
 }
 
 // --- Runtime demand-path throughput: `go test -bench Engine -benchmem`,

@@ -4,7 +4,7 @@
 // rank's guard convicts a chip (see internal/fleet and DESIGN.md §14).
 //
 //	fleetsim -scenario rankkill          # kill a rank: failover vs contained DUEs
-//	fleetsim -scenario chiprepair        # convict a chip, replica copy vs RS decode
+//	fleetsim -scenario chiprepair        # convict a chip, replica VLEW copy vs RS erasure rebuild
 //	fleetsim -scenario divergence        # corrupt a replica, anti-entropy heals it
 //	fleetsim -scenario rankkill -ranks 4 -seed 9
 package main
@@ -115,9 +115,9 @@ func main() {
 			os.Exit(1)
 		}
 		r := reps[0]
-		fmt.Printf("repaired rank %d chip %d: %d bands from replicas, %d by RS erasure decode\n",
+		fmt.Printf("repaired rank %d chip %d: %d bands copied from replicas, %d rebuilt by RS erasure\n",
 			r.Rank, r.Chip, r.ReplicaBands, r.ErasureBands)
-		fmt.Printf("cost: replica copy %.0f ns/block vs erasure decode %.0f ns/block\n",
+		fmt.Printf("cost: replica VLEW copy %.0f ns/block vs erasure rebuild %.0f ns/block\n",
 			r.ReplicaNSPerBlock(), r.ErasureNSPerBlock())
 		verify(f, want, buf)
 

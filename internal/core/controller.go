@@ -392,21 +392,38 @@ func (c *Controller) readCorrectedInto(dst []byte, block int64) error {
 	return c.vlewCorrectBlockInto(dst, block)
 }
 
-// chipSolver returns the RS erasure solver for chip ci's symbols (data
-// chip or parity chip: chip ci holds codeword positions ci*n .. ci*n+n-1).
+// chipSolver returns the RS erasure solver for chip ci, built on first use
+// and kept, since a chip failure is sticky.
 func (c *Controller) chipSolver(ci int) *rs.ErasureSolver {
 	if c.solver == nil || c.solverChip != ci {
-		pos := make([]int, c.rank.Config().ChipAccessBytes)
-		for i := range pos {
-			pos[i] = ci*len(pos) + i
-		}
-		solver, err := c.rsCode.NewErasureSolver(pos)
-		if err != nil {
-			panic(fmt.Sprintf("core: erasure solver for chip %d: %v", ci, err))
-		}
-		c.solver, c.solverChip = solver, ci
+		c.solver, c.solverChip = chipErasureSolver(c.rsCode, ci), ci
 	}
 	return c.solver
+}
+
+// NewChipSolver builds the RS erasure solver RebuildChip takes for chip ci
+// (data or parity) of ranks shaped like r. It panics if ci is not one of
+// r's chips.
+func NewChipSolver(r *rank.Rank, ci int) *rs.ErasureSolver {
+	code, err := rs.New(r.Config().BlockBytes(), r.Config().ChipAccessBytes)
+	if err != nil {
+		panic(fmt.Sprintf("core: sizing per-block RS: %v", err))
+	}
+	return chipErasureSolver(code, ci)
+}
+
+// chipErasureSolver builds code's solver for chip ci's symbols: chip ci
+// holds codeword positions ci*r .. ci*r+r-1, r = code.R().
+func chipErasureSolver(code *rs.Code, ci int) *rs.ErasureSolver {
+	pos := make([]int, code.R())
+	for i := range pos {
+		pos[i] = ci*len(pos) + i
+	}
+	solver, err := code.NewErasureSolver(pos)
+	if err != nil {
+		panic(fmt.Sprintf("core: erasure solver for chip %d: %v", ci, err))
+	}
+	return solver
 }
 
 // vlewCorrectBlockInto corrects one block through the VLEWs of every chip,

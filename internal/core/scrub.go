@@ -32,19 +32,39 @@ type scrubUnit struct {
 // serially after the pool drains so the result is deterministic regardless
 // of worker count or scheduling.
 type scrubPartial struct {
-	vlews, bits, uncorrectable int64
+	vlews, bits   int64
+	uncorrectable []VLEWLoc
+}
+
+// VLEWLoc addresses one VLEW of one chip in the original layout.
+type VLEWLoc struct {
+	Chip, Bank, Row, V int
+}
+
+// Span returns the VLEW span the word belongs to on a rank of geometry g.
+// Span s is blocks s*n .. s*n+n-1 with n = VLEWDataBytes /
+// ChipAccessBytes: the same VLEW of every chip, which is exactly one
+// fleet band and one degraded-mode migration band.
+func (l VLEWLoc) Span(g nvram.Geometry) int64 {
+	return (int64(l.Row)*int64(g.Banks)+int64(l.Bank))*int64(g.VLEWsPerRow()) + int64(l.V)
+}
+
+// SpanLoc is Span's inverse: chip's VLEW of span s.
+func SpanLoc(g nvram.Geometry, chip int, s int64) VLEWLoc {
+	vpr := int64(g.VLEWsPerRow())
+	rowIdx := s / vpr
+	return VLEWLoc{Chip: chip, Bank: int(rowIdx % int64(g.Banks)), Row: int(rowIdx / int64(g.Banks)), V: int(s % vpr)}
 }
 
 // BootScrub fetches and decodes every VLEW on every chip, writing
 // corrected contents back (ScrubVLEWs). A data chip with uncorrectable
-// VLEWs is treated as failed and rebuilt block-by-block through
-// Reed-Solomon erasure correction using the parity chip; an uncorrectable
-// parity chip is rebuilt by re-encoding the (corrected) data chips. Two or
-// more failed chips exceed the scheme's capability.
+// VLEWs is treated as failed and rebuilt through Reed-Solomon erasure
+// correction using the parity chip; an uncorrectable parity chip is
+// rebuilt by re-encoding the (corrected) data chips — both by RebuildChip.
+// Two or more failed chips exceed the scheme's capability.
 //
 // Config.ScrubWorkers sets the worker-pool size (0 = GOMAXPROCS) for the
-// scan and for the rebuild phase (rebuildChip), which fans the same pool
-// out over banks.
+// scan and for the rebuild phase, which fans the same pool out over banks.
 //
 //chipkill:rankwide
 func (c *Controller) BootScrub() ScrubReport {
@@ -56,15 +76,19 @@ func (c *Controller) BootScrub() ScrubReport {
 	r.CloseAllRows()
 
 	workers := c.cfg.ScrubWorkers
-	vlews, bits, uncorrectablePerChip := ScrubVLEWs(r, workers)
+	vlews, bits, beyond := ScrubVLEWs(r, workers)
 	rep.VLEWsScrubbed, rep.BitsCorrected = vlews, bits
 	fetchesPerVLEW := int64(rcfg.Geometry.VLEWDataBytes/rcfg.ChipAccessBytes) / int64(rcfg.DataChips)
 	rep.BusBlockFetches = rep.VLEWsScrubbed * fetchesPerVLEW
 	d.ScrubCorrections += rep.BitsCorrected
 	d.ScrubbedVLEWs += rep.VLEWsScrubbed
 
-	for ci, n := range uncorrectablePerChip {
-		if n > 0 || !r.Chip(ci).Healthy() { // a known-dead chip is not scanned
+	beyondChip := make([]bool, r.NumChips())
+	for _, loc := range beyond {
+		beyondChip[loc.Chip] = true
+	}
+	for ci, bad := range beyondChip {
+		if bad || !r.Chip(ci).Healthy() { // a known-dead chip is not scanned
 			rep.ChipsFailed = append(rep.ChipsFailed, ci)
 		}
 	}
@@ -74,7 +98,10 @@ func (c *Controller) BootScrub() ScrubReport {
 		return rep
 	case 1:
 		ci := rep.ChipsFailed[0]
-		c.rebuildChip(ci, workers, &rep)
+		r.RepairChip(ci)
+		RebuildChip(r, c.chipSolver(ci), ci, nil, workers)
+		rep.BlocksRebuilt += r.Blocks()
+		rep.BusBlockFetches += r.Blocks()
 		d.ChipFailuresCorrected++
 		rep.ChipsRebuilt = append(rep.ChipsRebuilt, ci)
 		return rep
@@ -87,10 +114,10 @@ func (c *Controller) BootScrub() ScrubReport {
 
 // ScrubVLEWs BCH-decodes every VLEW of every healthy chip of r in place,
 // writing corrected contents back, and returns the VLEWs scanned, the bits
-// corrected and, per chip, how many VLEWs were beyond the code (those are
-// left as found). It is the scan half of BootScrub, shared with the
-// fleet's chip repair; the caller has closed all rows and holds the rank
-// quiesced.
+// corrected and where each VLEW beyond the code is, in (chip, bank, row,
+// v) order (those are left as found). It is the scan half of BootScrub,
+// shared with the fleet's chip repair; the caller has closed all rows and
+// holds the rank quiesced.
 //
 // The scan is sharded across a pool of `workers` goroutines (0 =
 // GOMAXPROCS) keyed by (chip, bank), modelling a controller that
@@ -99,10 +126,9 @@ func (c *Controller) BootScrub() ScrubReport {
 // per-chip ReadVLEWInto/WriteVLEWRow accesses synchronise.
 //
 //chipkill:rankwide
-func ScrubVLEWs(r *rank.Rank, workers int) (vlews, bitsCorrected int64, uncorrectablePerChip []int64) {
+func ScrubVLEWs(r *rank.Rank, workers int) (vlews, bitsCorrected int64, uncorrectable []VLEWLoc) {
 	rcfg := r.Config()
 	g, code := rcfg.Geometry, rcfg.VLEWCode
-	uncorrectablePerChip = make([]int64, r.NumChips())
 	units := make([]scrubUnit, 0, r.NumChips()*g.Banks)
 	for ci := 0; ci < r.NumChips(); ci++ {
 		if !r.Chip(ci).Healthy() {
@@ -137,7 +163,7 @@ func ScrubVLEWs(r *rank.Rank, workers int) (vlews, bitsCorrected int64, uncorrec
 					chip.ReadVLEWInto(data, vcode, u.bank, row, v)
 					fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
 					if err != nil {
-						p.uncorrectable++
+						p.uncorrectable = append(p.uncorrectable, VLEWLoc{Chip: u.chip, Bank: u.bank, Row: row, V: v})
 						continue
 					}
 					if fixed > 0 {
@@ -159,9 +185,9 @@ func ScrubVLEWs(r *rank.Rank, workers int) (vlews, bitsCorrected int64, uncorrec
 		p := &partials[i]
 		vlews += p.vlews
 		bitsCorrected += p.bits
-		uncorrectablePerChip[units[i].chip] += p.uncorrectable
+		uncorrectable = append(uncorrectable, p.uncorrectable...)
 	}
-	return vlews, bitsCorrected, uncorrectablePerChip
+	return vlews, bitsCorrected, uncorrectable
 }
 
 // fanOut runs body(i) for every i in [0, n) on up to `workers` goroutines
@@ -204,58 +230,64 @@ func rowBuffers(g nvram.Geometry) (row []byte, data, code [][]byte) {
 	return row, data, code
 }
 
-// gatherRow fills row with chip ci's slice of every block of the rank row
-// starting at block first: raw gather into block (data then check bytes),
-// erasure solve, copy out.
+// gatherSpan fills dst, one VLEW of chip ci, with the chip's slice of the
+// blocks starting at first: raw gather into block (data then check
+// bytes), erasure solve, copy out.
 //
 //chipkill:noalloc
-func gatherRow(row, block []byte, r *rank.Rank, solver *rs.ErasureSolver, ci int, first int64) {
+func gatherSpan(dst, block []byte, r *rank.Rank, solver *rs.ErasureSolver, ci int, first int64) {
 	n := r.Config().ChipAccessBytes
 	data, check := block[:len(block)-n], block[len(block)-n:]
-	for off := 0; off < len(row); off += n {
+	for off := 0; off < len(dst); off += n {
 		r.ReadBlockRawInto(first+int64(off/n), data, check)
 		solver.Solve(data, check)
-		copy(row[off:off+n], block[ci*n:])
+		copy(dst[off:off+n], block[ci*n:])
 	}
 }
 
-// rebuildChip reconstructs a failed chip, data or parity, from the scrubbed
-// survivors: every block's slice on the dead chip is the RS erasure solution
-// for that chip's eight symbols — for the parity chip simply the re-encoded
-// check bytes (Sec V-B). Workers take whole banks (disjoint under the
-// nvram.Chip contract); each assembles the dead chip's row, encodes every
-// VLEW of it once, and lands the row with one WriteVLEWRow.
+// RebuildChip reconstructs chip ci's VLEWs of the spans want selects
+// (want[s] for span s, see VLEWLoc.Span; nil selects every span) from the
+// rank's other chips, which the caller has drift-corrected (ScrubVLEWs)
+// before clearing the chip with Rank.RepairChip. A block's slice on the
+// chip is the RS erasure solution for the chip's eight symbols — for the
+// parity chip simply the re-encoded check bytes (Sec V-B) — so solver is
+// ci's erasure solver (NewChipSolver). Spans not selected are left as they
+// are. Workers (0 = GOMAXPROCS) take whole banks, disjoint under the
+// nvram.Chip contract; each assembles a selected VLEW, encodes it once,
+// and lands each row's selected VLEWs with one WriteVLEWRow.
 //
 //chipkill:rankwide
-func (c *Controller) rebuildChip(ci, workers int, rep *ScrubReport) {
-	r := c.rank
+func RebuildChip(r *rank.Rank, solver *rs.ErasureSolver, ci int, want []bool, workers int) {
 	rcfg := r.Config()
 	g := rcfg.Geometry
 	code := rcfg.VLEWCode
 	chip := r.Chip(ci)
-	r.RepairChip(ci)
-	solver := c.chipSolver(ci)
+	spanBlocks := int64(g.VLEWDataBytes / rcfg.ChipAccessBytes)
 
 	fanOut(workers, g.Banks, func() func(int) {
 		block := make([]byte, rcfg.BlockBytes()+rcfg.ChipAccessBytes)
-		rowBuf, rowData, rowCode := rowBuffers(g)
-		vs := make([]int, len(rowData))
-		for v := range vs {
-			vs[v] = v
-		}
+		_, rowData, rowCode := rowBuffers(g)
+		vs := make([]int, 0, len(rowData))
+		datas := make([][]byte, 0, len(rowData))
+		codes := make([][]byte, 0, len(rowData))
 		return func(bank int) {
 			for row := 0; row < g.RowsPerBank; row++ {
-				first := int64(row*g.Banks+bank) * int64(rcfg.BlocksPerRow())
-				gatherRow(rowBuf, block, r, solver, ci, first)
+				vs, datas, codes = vs[:0], datas[:0], codes[:0]
 				for v, vd := range rowData {
+					s := VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)
+					if want != nil && !want[s] {
+						continue
+					}
+					gatherSpan(vd, block, r, solver, ci, s*spanBlocks)
 					code.EncodeDeltaInto(rowCode[v][:code.ParityBytes()], vd, 0)
+					vs, datas, codes = append(vs, v), append(datas, vd), append(codes, rowCode[v])
 				}
-				chip.WriteVLEWRow(bank, row, vs, rowData, rowCode)
+				if len(vs) > 0 {
+					chip.WriteVLEWRow(bank, row, vs, datas, codes)
+				}
 			}
 		}
 	})
-	rep.BlocksRebuilt += r.Blocks()
-	rep.BusBlockFetches += r.Blocks()
 }
 
 // String renders the report.
@@ -378,5 +410,24 @@ func (c *Controller) ProbeVLEW(chip, bank, row, v int) bool {
 	code := c.rank.Config().VLEWCode
 	data, vcode := c.rank.Chip(chip).ReadVLEW(bank, row, v)
 	_, err := code.Decode(data, vcode[:code.ParityBytes()])
+	return err == nil
+}
+
+// ReadVLEWInto fetches one VLEW of one chip in the original layout into
+// data (VLEWDataBytes) and code (VLEWCodeBytes) and BCH-corrects it there,
+// writing nothing back. It reports false when the word cannot stand for
+// the blocks it covers: the rank is degraded or mid-migration (the
+// original-layout VLEW no longer holds them), the chip has failed, a
+// block of this controller has been retired (its cells were zeroed under
+// the data), or the VLEW is beyond the code. Same locking contract as
+// ProbeVLEW.
+func (c *Controller) ReadVLEWInto(chip, bank, row, v int, data, code []byte) bool {
+	ch := c.rank.Chip(chip)
+	if c.degraded || c.mig != nil || len(c.disabled) != 0 || !ch.Healthy() {
+		return false
+	}
+	ch.ReadVLEWInto(data, code, bank, row, v)
+	vc := c.rank.Config().VLEWCode
+	_, err := vc.Decode(data, code[:vc.ParityBytes()])
 	return err == nil
 }

@@ -41,6 +41,20 @@ func (e *Engine) ProbeVLEW(chip, bank, row, v int) bool {
 	return ok
 }
 
+// ReadVLEWInto reads one VLEW of one chip under the owning bank's shard
+// lock, BCH-corrected into data (VLEWDataBytes) and code (VLEWCodeBytes),
+// and writes nothing back. False means the word cannot stand for its
+// blocks (see core.Controller.ReadVLEWInto) and the caller must rebuild
+// them another way. The fleet's chip repair copies a band from its
+// replica rank through it.
+func (e *Engine) ReadVLEWInto(chip, bank, row, v int, data, code []byte) bool {
+	s := e.shards[bank%len(e.shards)]
+	s.mu.Lock()
+	ok := s.ctrl.ReadVLEWInto(chip, bank, row, v, data, code)
+	s.mu.Unlock()
+	return ok
+}
+
 // PatrolScrub advances the patrol scan by count units, routing each
 // same-bank run of positions to the shard owning that bank, so patrol
 // interleaves with demand traffic instead of quiescing it. During an

@@ -305,3 +305,45 @@ func TestEngineTelemetryAttribution(t *testing.T) {
 		t.Error("probe of healthy chip failed")
 	}
 }
+
+// TestReadVLEWInto pins the replica-copy read: a correctable word comes
+// back corrected with nothing written back, and the read declines a word
+// beyond the code, a failed chip, and any chip once a migration starts.
+func TestReadVLEWInto(t *testing.T) {
+	e := testEngine(t, 0, 0)
+	populate(t, e)
+	g := e.rank.Config().Geometry
+	const bank, row, v = 1, 2, 1
+	data, code := make([]byte, g.VLEWDataBytes), make([]byte, g.VLEWCodeBytes)
+	var clean, cleanCode []byte
+	e.Quiesce(func() {
+		e.rank.CloseAllRows()
+		clean, cleanCode = e.rank.Chip(3).ReadVLEW(bank, row, v)
+		for i := 0; i < 3; i++ {
+			e.rank.Chip(3).FlipDataBit(bank, row, v*g.VLEWDataBytes+9*i, uint(i))
+		}
+		for i := 0; i < 40; i++ {
+			e.rank.Chip(4).FlipDataBit(bank, row, v*g.VLEWDataBytes+6*i, uint(i))
+		}
+	})
+	if !e.ReadVLEWInto(3, bank, row, v, data, code) || !bytes.Equal(data, clean) || !bytes.Equal(code, cleanCode) {
+		t.Fatal("correctable VLEW not served corrected")
+	}
+	if stored, _ := e.rank.Chip(3).ReadVLEW(bank, row, v); bytes.Equal(stored, clean) {
+		t.Fatal("ReadVLEWInto wrote its correction back")
+	}
+	if e.ReadVLEWInto(4, bank, row, v, data, code) {
+		t.Error("VLEW beyond the code served")
+	}
+	const failed = 5
+	e.Quiesce(func() { e.rank.FailChip(failed) })
+	if e.ReadVLEWInto(failed, bank, row, v, data, code) {
+		t.Error("failed chip's VLEW served")
+	}
+	if _, err := e.BeginMigration(failed, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e.ReadVLEWInto(0, bank, row, v, data, code) {
+		t.Error("VLEW served mid-migration")
+	}
+}

@@ -3,9 +3,9 @@
 // (each its own core.Controller + engine.Engine + guard.Supervisor), a
 // replication tier that mirrors hot bands across ranks, and a fleet
 // supervisor that fans guard ticks out, drives telemetry-directed
-// replication, and repairs a convicted chip by byte-copying its cells
-// from the replica rank instead of the local RS erasure decode — the
-// core argument of "Replication-Aware Memory-Error Protection in
+// replication, and repairs a convicted chip by copying its VLEWs from the
+// replica rank instead of rebuilding them by local RS erasure — the core
+// argument of "Replication-Aware Memory-Error Protection in
 // Disaggregated Memory", with HARP's decode-side telemetry choosing
 // which bands get replicated first (PAPERS.md). DESIGN.md §14 has the
 // full architecture.
@@ -27,7 +27,6 @@ import (
 	"chipkillpm/internal/engine"
 	"chipkillpm/internal/guard"
 	"chipkillpm/internal/rank"
-	"chipkillpm/internal/rs"
 )
 
 // Typed sentinels, policed by the chipkillvet sentinel analyzer like the
@@ -74,9 +73,12 @@ type Config struct {
 	// seeds are mixed in); the Repair hook is owned by the fleet and must
 	// be left nil.
 	Guard guard.Config
-	// RepairBandHook, when non-nil, is called after each band a chip
-	// repair reconstructs (fault campaigns use it to kill the replica
-	// rank mid-repair). It runs inside the repaired rank's quiesce.
+	// RepairBandHook, when non-nil, is called once per primary band of a
+	// data-chip repair, in band order, after the band is copied from its
+	// replica or queued for the erasure pass that follows the walk;
+	// bandsDone counts the bands walked (fault campaigns use it to kill
+	// the replica rank mid-repair). It runs inside the repaired rank's
+	// quiesce.
 	RepairBandHook func(rank, bandsDone int)
 }
 
@@ -171,7 +173,6 @@ type Fleet struct {
 	poolBase   int64       // first replica-pool block within a rank
 	blocks     int64       // fleet capacity in blocks
 	blockBytes int
-	rsCode     *rs.Code // erasure decoder for the local repair fallback
 
 	// poolMu guards every node's pool free-list.
 	//chipkill:lock fleet.pool level=40
@@ -270,12 +271,6 @@ func newFromParts(cfg Config, ranks []*rank.Rank, regions []*guard.Region) (*Fle
 	f.poolBase = f.primary * f.bandBlocks
 	f.blocks = f.primary * f.bandBlocks * int64(cfg.Ranks)
 	f.bands = make([]bandState, f.primary*int64(cfg.Ranks))
-
-	code, err := rs.New(rcfg.BlockBytes(), rcfg.ChipAccessBytes)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: sizing repair RS decoder: %w", err)
-	}
-	f.rsCode = code
 
 	for i, r := range ranks {
 		eng, err := engine.New(r, engine.Config{

@@ -232,7 +232,8 @@ func TestBeyondCapabilityDetectedOrConsistent(t *testing.T) {
 // TestSingleErrorEveryPosition sweeps a one-symbol error across every
 // position of the paper's code, exercising the closed-form weight-1 decode
 // path (geometric syndrome recognition) at all data and check offsets, and
-// checks DecodeAppend reuses the caller's buffer without allocating.
+// checks DecodeAppend reuses the caller's buffer (TestSingleErrorAllocsZero
+// pins that it does not allocate).
 func TestSingleErrorEveryPosition(t *testing.T) {
 	c := paperCode(t)
 	rng := rand.New(rand.NewSource(21))
@@ -262,14 +263,6 @@ func TestSingleErrorEveryPosition(t *testing.T) {
 		if !bytes.Equal(data, wantData) || !bytes.Equal(check, wantCheck) {
 			t.Fatalf("pos %d: decode did not restore the codeword", pos)
 		}
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		data[11] ^= 0x5A
-		if _, err := c.DecodeAppend(buf, data, check, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("single-error DecodeAppend allocates %.1f per op, want 0", n)
 	}
 }
 
