@@ -35,6 +35,7 @@ type Store struct {
 	ctrl   *core.Controller
 	slots  int64
 	omv    *omvCache
+	buf    []byte // read buffer, reused by every probe
 	Puts   int64
 	Probes int64
 }
@@ -72,7 +73,7 @@ func NewStore(banks, rows int, seed int64) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{ctrl: ctrl, slots: r.Blocks(), omv: omv}, nil
+	return &Store{ctrl: ctrl, slots: r.Blocks(), omv: omv, buf: make([]byte, 64)}, nil
 }
 
 func (s *Store) hash(key string) int64 {
@@ -90,8 +91,8 @@ func (s *Store) Put(key, value string) error {
 	for probe := int64(0); probe < s.slots; probe++ {
 		b := (s.hash(key) + probe) % s.slots
 		s.Probes++
-		data, err := s.ctrl.ReadBlock(b)
-		if err != nil {
+		data := s.buf
+		if err := s.ctrl.ReadBlockInto(b, data); err != nil {
 			return err
 		}
 		k, _ := decode(data)
@@ -117,8 +118,8 @@ func (s *Store) Put(key, value string) error {
 func (s *Store) Get(key string) (string, bool, error) {
 	for probe := int64(0); probe < s.slots; probe++ {
 		b := (s.hash(key) + probe) % s.slots
-		data, err := s.ctrl.ReadBlock(b)
-		if err != nil {
+		data := s.buf
+		if err := s.ctrl.ReadBlockInto(b, data); err != nil {
 			return "", false, err
 		}
 		k, v := decode(data)

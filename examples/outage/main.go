@@ -83,9 +83,9 @@ func surviveOutage(chipDies bool) {
 
 	// Verify every block bit-exactly.
 	bad := 0
+	got := make([]byte, 64)
 	for b := int64(0); b < r.Blocks(); b++ {
-		got, err := ctrl.ReadBlock(b)
-		if err != nil || !bytes.Equal(got, ref[b]) {
+		if err := ctrl.ReadBlockInto(b, got); err != nil || !bytes.Equal(got, ref[b]) {
 			bad++
 		}
 	}

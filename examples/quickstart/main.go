@@ -56,8 +56,8 @@ func main() {
 	for i := 0; i < 2; i++ {
 		r.Chip(i).FlipDataBit(loc.Bank, loc.Row, loc.Col+rng.Intn(8), uint(rng.Intn(8)))
 	}
-	got, err := ctrl.ReadBlock(blk)
-	check(err, got, data)
+	got := make([]byte, len(data))
+	check(ctrl.ReadBlockInto(blk, got), got, data)
 	st := ctrl.Stats()
 	fmt.Println("2 bit errors: corrected opportunistically by the per-block RS")
 	fmt.Printf("  RS-corrected reads: %d, VLEW fallbacks: %d\n\n",
@@ -67,8 +67,7 @@ func main() {
 	for i := 0; i < 4; i++ { // 4 bad bytes in 4 chips > threshold 2
 		r.Chip(i).FlipDataBit(loc.Bank, loc.Row, loc.Col+i, uint(i))
 	}
-	got, err = ctrl.ReadBlock(blk)
-	check(err, got, data)
+	check(ctrl.ReadBlockInto(blk, got), got, data)
 	st = ctrl.Stats()
 	fmt.Println("4 byte errors: RS correction rejected (threshold 2), VLEWs fetched")
 	fmt.Printf("  VLEW fallbacks: %d, bits corrected via VLEW: %d\n\n",
@@ -76,8 +75,7 @@ func main() {
 
 	// --- 3. Chipkill: a whole chip dies. ---
 	r.FailChip(3)
-	got, err = ctrl.ReadBlock(blk)
-	check(err, got, data)
+	check(ctrl.ReadBlockInto(blk, got), got, data)
 	st = ctrl.Stats()
 	fmt.Println("chip 3 failed: VLEW decode flags the dead chip, RS erasure-corrects")
 	fmt.Printf("  chip failures corrected: %d\n\n", st.ChipFailuresCorrected)

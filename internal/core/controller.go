@@ -66,7 +66,7 @@ func (NoOMV) OMV(int64) ([]byte, bool) { return nil, false }
 // in 64B-block transfers, the unit behind the paper's bandwidth-overhead
 // numbers.
 //
-// Concurrency: demand-path methods (ReadBlock, WriteBlock, ...) mutate the
+// Concurrency: demand-path methods (ReadBlockInto, WriteBlock, ...) mutate the
 // counters without locking, matching the Controller's single-owner
 // contract. BootScrub and PatrolScrub instead publish their counter
 // updates under an internal lock, so Stats and ResetStats MAY be called
@@ -297,18 +297,10 @@ func (c *Controller) DisableBlock(block int64) {
 // BlockDisabled reports whether a block has been retired.
 func (c *Controller) BlockDisabled(block int64) bool { return c.disabled[block] }
 
-// ReadBlock implements the runtime read path (Fig 9): RS-check the block,
-// accept opportunistic correction up to the threshold, otherwise fall back
-// to VLEW correction, and treat a VLEW-uncorrectable chip as failed.
-func (c *Controller) ReadBlock(block int64) ([]byte, error) {
-	dst := make([]byte, c.rank.Config().BlockBytes())
-	if err := c.ReadBlockInto(block, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ReadBlockInto is ReadBlock into a caller-owned buffer of BlockBytes().
+// ReadBlockInto implements the runtime read path (Fig 9) into a
+// caller-owned buffer of BlockBytes(): RS-check the block, accept
+// opportunistic correction up to the threshold, otherwise fall back to
+// VLEW correction, and treat a VLEW-uncorrectable chip as failed.
 // The steady-state (clean or RS-corrected) path performs zero allocations:
 // chips copy straight into dst, the RS check runs one table-driven pass,
 // and all scratch lives in per-controller buffers or the decoder pool. On

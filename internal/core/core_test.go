@@ -29,6 +29,16 @@ func newTestController(t testing.TB, seed int64, omv OMVProvider) *Controller {
 	return c
 }
 
+// readBlock reads a block through ReadBlockInto into a fresh buffer, for
+// tests that keep the result past the next read.
+func readBlock(c *Controller, b int64) ([]byte, error) {
+	dst := make([]byte, c.Rank().Config().BlockBytes())
+	if err := c.ReadBlockInto(b, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // fillRandom populates every block with deterministic random data and
 // returns the reference copy.
 func fillRandom(t testing.TB, c *Controller, seed int64) map[int64][]byte {
@@ -60,7 +70,7 @@ func TestCleanReadWrite(t *testing.T) {
 	c := newTestController(t, 1, nil)
 	ref := fillRandom(t, c, 2)
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
@@ -91,7 +101,7 @@ func TestWritePathUpdatesDataAndChecks(t *testing.T) {
 		written[b] = data
 	}
 	for b, want := range written {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d: got err=%v", b, err)
 		}
@@ -113,7 +123,7 @@ func TestRuntimeOpportunisticCorrection(t *testing.T) {
 	c.Rank().InjectRetentionErrors(2e-4)
 	bad := 0
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
@@ -140,7 +150,7 @@ func TestVLEWFallbackOnDenseErrors(t *testing.T) {
 	c.ResetStats()
 	c.Rank().InjectRetentionErrors(2e-3)
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
@@ -171,7 +181,7 @@ func TestBootScrubCorrectsOutageErrors(t *testing.T) {
 		t.Fatal("scrub corrected nothing")
 	}
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d wrong after scrub: err=%v", b, err)
 		}
@@ -201,7 +211,7 @@ func TestBootScrubRecoversFailedDataChip(t *testing.T) {
 		t.Fatalf("rebuilt %d blocks, want %d", rep.BlocksRebuilt, c.Rank().Blocks())
 	}
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d wrong after chip rebuild: err=%v", b, err)
 		}
@@ -218,7 +228,7 @@ func TestBootScrubRecoversFailedParityChip(t *testing.T) {
 		t.Fatalf("scrub: %v", rep)
 	}
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d wrong after parity rebuild: err=%v", b, err)
 		}
@@ -253,7 +263,7 @@ func TestRuntimeChipFailureCorrectedViaFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 100; i++ {
 		b := rng.Int63n(c.Rank().Blocks())
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
@@ -273,7 +283,7 @@ func TestRuntimeParityChipFailureStillReadable(t *testing.T) {
 	c.ResetStats()
 	c.Rank().FailChip(c.Rank().ParityChipIndex())
 	for b := int64(0); b < 50; b++ {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
@@ -321,7 +331,7 @@ func TestOMVProviderAvoidsMemoryFetch(t *testing.T) {
 	}
 	// Both writes must have landed correctly.
 	for _, b := range []int64{7, 8} {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, newData) {
 			t.Fatalf("block %d incorrect after OMV write: err=%v", b, err)
 		}
@@ -343,7 +353,7 @@ func TestStaleOMVKeepsCodesConsistentButCorruptsData(t *testing.T) {
 	if err := c.WriteBlock(3, newData); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReadBlock(3)
+	got, err := readBlock(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +372,7 @@ func TestDisabledBlock(t *testing.T) {
 	if !c.BlockDisabled(40) {
 		t.Fatal("block not disabled")
 	}
-	if _, err := c.ReadBlock(40); !errors.Is(err, ErrBlockDisabled) {
+	if _, err := readBlock(c, 40); !errors.Is(err, ErrBlockDisabled) {
 		t.Errorf("read of disabled block: %v", err)
 	}
 	if err := c.WriteBlock(40, make([]byte, 64)); !errors.Is(err, ErrBlockDisabled) {
@@ -397,7 +407,7 @@ func TestWriteBackVLEWCorrectionsScrubs(t *testing.T) {
 	c.Rank().InjectRetentionErrors(3e-3)
 	// Read everything once: fallback corrections are written back.
 	for b := int64(0); b < c.Rank().Blocks(); b++ {
-		if _, err := c.ReadBlock(b); err != nil {
+		if _, err := readBlock(c, b); err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
 	}
@@ -409,7 +419,7 @@ func TestWriteBackVLEWCorrectionsScrubs(t *testing.T) {
 	// again (their dense errors were scrubbed).
 	c.ResetStats()
 	for b := int64(0); b < c.Rank().Blocks(); b++ {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, ref[b]) {
 			t.Fatalf("block %d: err=%v", b, err)
 		}
@@ -459,7 +469,7 @@ func TestPatrolScrubCorrectsIncrementally(t *testing.T) {
 	// Everything must now read clean without RS corrections.
 	c.ResetStats()
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d: err=%v", b, err)
 		}

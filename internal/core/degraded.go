@@ -58,27 +58,27 @@ func (c *Controller) stripedLoc(block int64) (bank, row, chip, slot int, first i
 // each block raw (failed-chip slices come from the parity chip's data
 // region, where the remap placed them).
 func (c *Controller) stripedData(first int64) []byte {
-	out := make([]byte, 0, 256)
-	for i := int64(0); i < stripedBlocksPerVLEW; i++ {
-		out = append(out, c.readRawDegraded(first+i)...)
+	bb := c.rank.Config().BlockBytes()
+	out := make([]byte, stripedBlocksPerVLEW*bb)
+	for i := 0; i < stripedBlocksPerVLEW; i++ {
+		c.readRawDegraded(out[i*bb:(i+1)*bb], first+int64(i))
 	}
 	return out
 }
 
-// readRawDegraded gathers one block's bytes in the remapped layout.
-func (c *Controller) readRawDegraded(block int64) []byte {
+// readRawDegraded gathers one block's bytes in the remapped layout into
+// dst (BlockBytes long).
+func (c *Controller) readRawDegraded(dst []byte, block int64) {
 	rcfg := c.rank.Config()
 	loc := c.rank.Locate(block)
 	n := rcfg.ChipAccessBytes
-	data := make([]byte, rcfg.BlockBytes())
 	for ci := 0; ci < rcfg.DataChips; ci++ {
 		src := ci
 		if ci == c.failedChip {
 			src = c.rank.ParityChipIndex()
 		}
-		copy(data[ci*n:], c.rank.Chip(src).ReadData(loc.Bank, loc.Row, loc.Col, n))
+		c.rank.Chip(src).ReadDataInto(dst[ci*n:(ci+1)*n], loc.Bank, loc.Row, loc.Col)
 	}
-	return data
 }
 
 // EnterDegradedMode remaps the failed data chip into the parity chip and
@@ -113,8 +113,9 @@ func (c *Controller) EnterDegradedMode(failedChip int) error {
 	// Step 1: place the failed chip's data into the parity chip. If the
 	// chip is dead, reconstruct each slice via RS erasure first.
 	dead := !r.Chip(failedChip).Healthy()
+	data, check := make([]byte, rcfg.BlockBytes()), make([]byte, n)
 	for b := int64(0); b < r.Blocks(); b++ {
-		data, check := r.ReadBlockRaw(b)
+		r.ReadBlockRawInto(b, data, check)
 		if dead {
 			c.chipSolver(failedChip).Solve(data, check)
 		}
@@ -252,13 +253,14 @@ func (c *Controller) writeDegraded(block int64, newData []byte) error {
 	}
 
 	loc := c.rank.Locate(block)
+	cur := make([]byte, n)
 	for ci := 0; ci < rcfg.DataChips; ci++ {
 		dst := ci
 		if ci == c.failedChip {
 			dst = c.rank.ParityChipIndex()
 		}
 		chip := c.rank.Chip(dst)
-		cur := chip.ReadData(loc.Bank, loc.Row, loc.Col, n)
+		chip.ReadDataInto(cur, loc.Bank, loc.Row, loc.Col)
 		for i := 0; i < n; i++ {
 			cur[i] ^= delta[ci*n+i]
 		}

@@ -74,7 +74,7 @@ func TestDegradedModeMatrix(t *testing.T) {
 					}
 
 					for b := int64(0); b < r.Blocks(); b++ {
-						got, err := c.ReadBlock(b)
+						got, err := readBlock(c, b)
 						if err != nil {
 							t.Fatalf("block %d: %v", b, err)
 						}
@@ -93,7 +93,7 @@ func TestDegradedModeMatrix(t *testing.T) {
 							t.Fatalf("degraded write block %d: %v", b, err)
 						}
 						ref[b] = data
-						got, err := c.ReadBlock(b)
+						got, err := readBlock(c, b)
 						if err != nil {
 							t.Fatalf("degraded read-back block %d: %v", b, err)
 						}
@@ -161,7 +161,7 @@ func TestDegradedModeParityCornerMatrix(t *testing.T) {
 					t.Fatalf("expected parity rebuild, got %v", rep)
 				}
 				for b := int64(0); b < r.Blocks(); b++ {
-					got, err := c.ReadBlock(b)
+					got, err := readBlock(c, b)
 					if err != nil {
 						t.Fatalf("block %d after parity rebuild: %v", b, err)
 					}

@@ -42,7 +42,7 @@ func TestEnterDegradedModeValidation(t *testing.T) {
 func TestDegradedReadsRecoverAllData(t *testing.T) {
 	c, ref := enterDegraded(t, 52, 4)
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
@@ -65,7 +65,7 @@ func TestDegradedWritesAndReadBack(t *testing.T) {
 		ref[b] = data
 	}
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d: err=%v", b, err)
 		}
@@ -79,7 +79,7 @@ func TestDegradedCorrectsBitErrors(t *testing.T) {
 	c.ResetStats()
 	c.Rank().InjectRetentionErrors(5e-4)
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
@@ -98,13 +98,13 @@ func TestDegradedCorrectionWritesBack(t *testing.T) {
 	c, ref := enterDegraded(t, 58, 3)
 	c.Rank().InjectRetentionErrors(5e-4)
 	for b := int64(0); b < c.Rank().Blocks(); b++ {
-		if _, err := c.ReadBlock(b); err != nil {
+		if _, err := readBlock(c, b); err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
 	}
 	c.ResetStats()
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d: err=%v", b, err)
 		}
@@ -117,7 +117,7 @@ func TestDegradedCorrectionWritesBack(t *testing.T) {
 func TestDegradedReadAmplification(t *testing.T) {
 	c, _ := enterDegraded(t, 60, 1)
 	c.ResetStats()
-	if _, err := c.ReadBlock(10); err != nil {
+	if _, err := readBlock(c, 10); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -156,7 +156,7 @@ func TestDegradedModeFromHealthyChip(t *testing.T) {
 	}
 	c.Rank().FailChip(6) // now it dies for real
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d: err=%v", b, err)
 		}

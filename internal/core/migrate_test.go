@@ -56,7 +56,7 @@ func TestOnlineMigrationMatchesStopTheWorld(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			b := rng.Int63n(blocks)
 			if rng.Intn(2) == 0 {
-				got, err := c.ReadBlock(b)
+				got, err := readBlock(c, b)
 				if err != nil {
 					t.Fatalf("mid-migration read %d (cursor %d): %v", b, m.Cursor(), err)
 				}
@@ -83,7 +83,7 @@ func TestOnlineMigrationMatchesStopTheWorld(t *testing.T) {
 		t.Fatalf("WAL callback ran %d times, want %d", walBands, want)
 	}
 	for b := int64(0); b < blocks; b++ {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("post-migration read %d: %v", b, err)
 		}
@@ -145,7 +145,7 @@ func TestRedoBandFromTornState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := int64(0); b < c.Rank().Blocks(); b++ {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("read %d: %v", b, err)
 		}
@@ -162,7 +162,7 @@ func TestMigrationWithHealthyChip(t *testing.T) {
 	ref := fillRandom(t, c, 61)
 	migrateAll(t, c, 0)
 	for b := int64(0); b < c.Rank().Blocks(); b++ {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("read %d: %v", b, err)
 		}
@@ -222,7 +222,7 @@ func TestErrorSentinels(t *testing.T) {
 	fillRandom(t, c, 81)
 
 	c.DisableBlock(9)
-	if _, err := c.ReadBlock(9); !errors.Is(err, ErrBlockDisabled) {
+	if _, err := readBlock(c, 9); !errors.Is(err, ErrBlockDisabled) {
 		t.Errorf("disabled read: %v not ErrBlockDisabled", err)
 	}
 	if err := c.WriteBlock(9, make([]byte, 64)); !errors.Is(err, ErrBlockDisabled) {
@@ -234,7 +234,7 @@ func TestErrorSentinels(t *testing.T) {
 	fillRandom(t, c2, 83)
 	c2.Rank().FailChip(1)
 	c2.Rank().FailChip(4)
-	if _, err := c2.ReadBlock(0); !errors.Is(err, ErrUncorrectable) {
+	if _, err := readBlock(c2, 0); !errors.Is(err, ErrUncorrectable) {
 		t.Errorf("double-kill read: %v not ErrUncorrectable", err)
 	}
 	if tel := c2.Telemetry(); tel.DUEs == 0 {
@@ -295,7 +295,7 @@ func TestTelemetryAttribution(t *testing.T) {
 	// A couple of bit flips on chip 2 within one block: RS-corrected.
 	loc := c.Rank().Locate(100)
 	c.Rank().Chip(2).FlipDataBit(loc.Bank, loc.Row, loc.Col, 3)
-	if _, err := c.ReadBlock(100); err != nil {
+	if _, err := readBlock(c, 100); err != nil {
 		t.Fatal(err)
 	}
 	d := c.Telemetry().Delta(base)
@@ -307,7 +307,7 @@ func TestTelemetryAttribution(t *testing.T) {
 	// repair for it.
 	base = c.Telemetry()
 	c.Rank().FailChip(6)
-	if _, err := c.ReadBlock(200); err != nil {
+	if _, err := readBlock(c, 200); err != nil {
 		t.Fatal(err)
 	}
 	d = c.Telemetry().Delta(base)

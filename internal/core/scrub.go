@@ -404,11 +404,12 @@ func (c *Controller) TotalPatrolUnits() int64 {
 // fresh garbage on every read, so essentially every probe fails, while a
 // transient storm leaves isolated broken words that fail at most a few of
 // a spread of probes. The caller must hold the VLEW's bank lock (or own
-// the controller outright) — ReadVLEW drains the word's pending EUR
-// update first.
+// the controller outright) — ReadVLEWInto drains the word's pending EUR
+// update first, and the probe decodes in the controller's VLEW scratch.
 func (c *Controller) ProbeVLEW(chip, bank, row, v int) bool {
 	code := c.rank.Config().VLEWCode
-	data, vcode := c.rank.Chip(chip).ReadVLEW(bank, row, v)
+	data, vcode := c.vlewDataBuf, c.vlewCodeBuf
+	c.rank.Chip(chip).ReadVLEWInto(data, vcode, bank, row, v)
 	_, err := code.Decode(data, vcode[:code.ParityBytes()])
 	return err == nil
 }

@@ -51,8 +51,10 @@ func TestBootScrubWritesBackCorrectedParityBits(t *testing.T) {
 	if want := int64(len(sites) * 3); rep.BitsCorrected != want {
 		t.Fatalf("corrected %d bits, want %d", rep.BitsCorrected, want)
 	}
+	g := r.Config().Geometry
+	data, vcode := make([]byte, g.VLEWDataBytes), make([]byte, g.VLEWCodeBytes)
 	for _, s := range sites {
-		data, vcode := r.Chip(s.chip).ReadVLEW(s.bank, s.row, s.v)
+		r.Chip(s.chip).ReadVLEWInto(data, vcode, s.bank, s.row, s.v)
 		if !code.CheckClean(data, vcode[:code.ParityBytes()]) {
 			t.Fatalf("site %+v: stored VLEW still dirty after scrub", s)
 		}
@@ -73,8 +75,10 @@ func TestBootScrubParallelMatchesSerial(t *testing.T) {
 		c.Rank().InjectRetentionErrors(1e-3)
 		rep := c.BootScrub()
 		var contents []byte
+		data := make([]byte, c.Rank().Config().BlockBytes())
+		check := make([]byte, c.Rank().Config().ChipAccessBytes)
 		for b := int64(0); b < c.Rank().Blocks(); b++ {
-			data, check := c.Rank().ReadBlockRaw(b)
+			c.Rank().ReadBlockRawInto(b, data, check)
 			contents = append(contents, data...)
 			contents = append(contents, check...)
 		}
@@ -116,7 +120,7 @@ func TestBootScrubParallelRecoversFailedChip(t *testing.T) {
 		t.Fatalf("scrub: %v", rep)
 	}
 	for b, want := range ref {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d wrong after parallel scrub + rebuild: err=%v", b, err)
 		}

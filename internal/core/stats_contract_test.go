@@ -50,7 +50,7 @@ func TestStatsConcurrentWithScrub(t *testing.T) {
 	// The rank must still be intact after the concurrent monitoring.
 	c.ResetStats()
 	for b := int64(0); b < c.Rank().Blocks(); b += 97 {
-		got, err := c.ReadBlock(b)
+		got, err := readBlock(c, b)
 		if err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}

@@ -68,9 +68,9 @@ func (s *StartGap) Physical(logical int64) int64 {
 	return p
 }
 
-// Read reads a logical block.
-func (s *StartGap) Read(logical int64) ([]byte, error) {
-	return s.ctrl.ReadBlock(s.Physical(logical))
+// ReadInto reads a logical block into dst (BlockBytes long).
+func (s *StartGap) ReadInto(logical int64, dst []byte) error {
+	return s.ctrl.ReadBlockInto(s.Physical(logical), dst)
 }
 
 // Write writes a logical block, advancing the gap every moveInterval
@@ -135,8 +135,9 @@ func (c *Controller) WriteBlockVerified(block int64, data []byte) error {
 	if err := c.WriteBlock(block, data); err != nil {
 		return err
 	}
-	stored, check := c.rank.ReadBlockRaw(block)
-	wantCheck := c.rsCode.Encode(data)
+	stored, check, wantCheck := c.internalBuf, c.readCheckBuf, c.checkDelta
+	c.rank.ReadBlockRawInto(block, stored, check)
+	c.rsCode.EncodeInto(wantCheck, data)
 	worn := !bytesEqual(stored, data) || !bytesEqual(check, wantCheck)
 	if !worn {
 		return nil

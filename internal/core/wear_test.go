@@ -89,7 +89,8 @@ func TestStartGapPreservesDataAcrossMoves(t *testing.T) {
 		t.Fatal("no gap movement happened")
 	}
 	for l, want := range ref {
-		got, err := sg.Read(l)
+		got := make([]byte, len(want))
+		err := sg.ReadInto(l, got)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("logical %d: err=%v", l, err)
 		}
@@ -165,7 +166,8 @@ func TestStartGapSurvivesOutage(t *testing.T) {
 		t.Fatalf("scrub failed: %v", rep)
 	}
 	for l, want := range ref {
-		got, err := sg.Read(l)
+		got := make([]byte, len(want))
+		err := sg.ReadInto(l, got)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("logical %d after outage: err=%v", l, err)
 		}
@@ -211,11 +213,14 @@ func TestWearOutBitSticks(t *testing.T) {
 	fillRandom(t, c, 83)
 	loc := c.Rank().Locate(5)
 	chip := c.Rank().Chip(0)
-	before := chip.ReadData(loc.Bank, loc.Row, loc.Col, 1)[0]
+	cell := make([]byte, 1)
+	chip.ReadDataInto(cell, loc.Bank, loc.Row, loc.Col)
+	before := cell[0]
 	chip.WearOutBit(loc.Bank, loc.Row, loc.Col, 0)
 	// Try to flip bit 0 via a raw write; it must stay at its old value.
 	chip.WriteDataRaw(loc.Bank, loc.Row, loc.Col, []byte{before ^ 0x01})
-	after := chip.ReadData(loc.Bank, loc.Row, loc.Col, 1)[0]
+	chip.ReadDataInto(cell, loc.Bank, loc.Row, loc.Col)
+	after := cell[0]
 	if after&0x01 != before&0x01 {
 		t.Error("stuck bit changed value")
 	}

@@ -53,13 +53,6 @@ type Config struct {
 	// (still batched per shard, just on the caller's goroutine), larger
 	// values cap the fan-out.
 	BatchFanOut int
-	// DisableSeqlock forces every read through the shard mutex, exactly as
-	// before the lock-free clean-read path existed. For A/B comparison and
-	// for the serial-equivalence campaigns; the engine also disables the
-	// path on its own under the race detector, with
-	// WriteBackVLEWCorrections set (locked reads then mutate data cells),
-	// or on geometries without the paper's 8-byte chip access.
-	DisableSeqlock bool
 }
 
 type shard struct {
@@ -171,8 +164,7 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 		e.shards = append(e.shards, &shard{ctrl: ctrl})
 	}
 	cr := r.Config()
-	e.seqOK = seqlockCapable && !cfg.DisableSeqlock &&
-		!cfg.Core.WriteBackVLEWCorrections && cr.ChipAccessBytes == 8
+	e.seqOK = seqlockCapable && !cfg.Core.WriteBackVLEWCorrections && cr.ChipAccessBytes == 8
 	if e.seqOK {
 		code, err := rs.New(cr.BlockBytes(), cr.ChipAccessBytes)
 		if err != nil {
@@ -233,15 +225,6 @@ func (e *Engine) ReadBlockInto(block int64, dst []byte) error {
 	err := s.ctrl.ReadBlockInto(block, dst)
 	s.mu.Unlock()
 	return err
-}
-
-// ReadBlock is ReadBlockInto returning a fresh buffer.
-func (e *Engine) ReadBlock(block int64) ([]byte, error) {
-	dst := make([]byte, e.BlockBytes())
-	if err := e.ReadBlockInto(block, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // WriteBlock writes one block through the OMV-XOR write path inside the

@@ -315,10 +315,10 @@ func TestReadVLEWInto(t *testing.T) {
 	g := e.rank.Config().Geometry
 	const bank, row, v = 1, 2, 1
 	data, code := make([]byte, g.VLEWDataBytes), make([]byte, g.VLEWCodeBytes)
-	var clean, cleanCode []byte
+	clean, cleanCode := make([]byte, g.VLEWDataBytes), make([]byte, g.VLEWCodeBytes)
 	e.Quiesce(func() {
 		e.rank.CloseAllRows()
-		clean, cleanCode = e.rank.Chip(3).ReadVLEW(bank, row, v)
+		e.rank.Chip(3).ReadVLEWInto(clean, cleanCode, bank, row, v)
 		for i := 0; i < 3; i++ {
 			e.rank.Chip(3).FlipDataBit(bank, row, v*g.VLEWDataBytes+9*i, uint(i))
 		}
@@ -329,7 +329,8 @@ func TestReadVLEWInto(t *testing.T) {
 	if !e.ReadVLEWInto(3, bank, row, v, data, code) || !bytes.Equal(data, clean) || !bytes.Equal(code, cleanCode) {
 		t.Fatal("correctable VLEW not served corrected")
 	}
-	if stored, _ := e.rank.Chip(3).ReadVLEW(bank, row, v); bytes.Equal(stored, clean) {
+	stored, storedCode := make([]byte, g.VLEWDataBytes), make([]byte, g.VLEWCodeBytes)
+	if e.rank.Chip(3).ReadVLEWInto(stored, storedCode, bank, row, v); bytes.Equal(stored, clean) {
 		t.Fatal("ReadVLEWInto wrote its correction back")
 	}
 	if e.ReadVLEWInto(4, bank, row, v, data, code) {

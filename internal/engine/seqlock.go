@@ -211,8 +211,8 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected 
 
 // SeqStats reports the lock-free read path's outcome counters, summed
 // across shards. Monotonic between ResetStats calls; all zeros when the
-// seqlock path is disabled (race builds, DisableSeqlock, incompatible
-// geometry or write-back configs).
+// seqlock path is disabled (race builds, incompatible geometry or
+// write-back configs).
 type SeqStats struct {
 	FastReads     int64 // reads served without touching the shard mutex, clean or corrected
 	FastCorrected int64 // of FastReads, those that needed a one-symbol RS correction

@@ -51,13 +51,13 @@ func MonteCarloRuntime(rber float64, rounds int, seed int64) (MonteCarloResult, 
 		}
 		ref[b] = data
 	}
+	got := make([]byte, 64)
 	for round := 0; round < rounds; round++ {
 		res.Trials++
 		ctrl.Rank().InjectRetentionErrors(rber)
 		for b := int64(0); b < ctrl.Rank().Blocks(); b++ {
 			res.BlocksRead++
-			got, err := ctrl.ReadBlock(b)
-			if err != nil {
+			if err := ctrl.ReadBlockInto(b, got); err != nil {
 				res.Uncorrectable++
 				continue
 			}
@@ -83,6 +83,7 @@ func MonteCarloOutage(rber float64, rounds int, withChipFailure bool, seed int64
 		res.Scenario = "boot-time outage + chip failure"
 	}
 	rng := rand.New(rand.NewSource(seed))
+	got := make([]byte, 64)
 	for round := 0; round < rounds; round++ {
 		res.Trials++
 		ctrl, err := newSmallSystem(seed + int64(round)*17)
@@ -110,8 +111,7 @@ func MonteCarloOutage(rber float64, rounds int, withChipFailure bool, seed int64
 		res.ChipRepairs += int64(len(rep.ChipsRebuilt))
 		for b := int64(0); b < ctrl.Rank().Blocks(); b++ {
 			res.BlocksRead++
-			got, err := ctrl.ReadBlock(b)
-			if err != nil {
+			if err := ctrl.ReadBlockInto(b, got); err != nil {
 				res.Uncorrectable++
 				continue
 			}

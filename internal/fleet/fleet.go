@@ -413,8 +413,13 @@ func (f *Fleet) Servable(block int64) bool {
 // to the rank's lock-free engine path; a DUE on a replicated band
 // triggers read-repair from the replica, and a killed primary fails over
 // to it. With the primary down and no live replica the read returns an
-// error wrapping ErrRankFailed — a contained DUE, never silent data.
+// error wrapping ErrRankFailed — a contained DUE, never silent data. A
+// dst of the wrong length is a caller bug, reported before any heat,
+// repair or failover bookkeeping.
 func (f *Fleet) ReadBlockInto(block int64, dst []byte) error {
+	if len(dst) != f.blockBytes {
+		return fmt.Errorf("fleet: ReadBlockInto: got %d byte buffer, want %d", len(dst), f.blockBytes)
+	}
 	rk, local := f.locate(block)
 	bs := &f.bands[block/f.bandBlocks]
 	bs.heat.Add(1)
@@ -444,15 +449,6 @@ func (f *Fleet) ReadBlockInto(block int64, dst []byte) error {
 	}
 	f.containedDUEs.Add(1)
 	return fmt.Errorf("fleet: read block %d: rank %d down, no live replica: %w", block, rk, ErrRankFailed)
-}
-
-// ReadBlock is ReadBlockInto returning a fresh buffer.
-func (f *Fleet) ReadBlock(block int64) ([]byte, error) {
-	dst := make([]byte, f.blockBytes)
-	if err := f.ReadBlockInto(block, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // failoverRead serves a block from its replica under the band mutex —

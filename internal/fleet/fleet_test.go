@@ -51,8 +51,8 @@ func checkBlock(t *testing.T, f *Fleet, b int64) {
 	t.Helper()
 	want := make([]byte, f.BlockBytes())
 	pattern(b, want)
-	got, err := f.ReadBlock(b)
-	if err != nil {
+	got := make([]byte, f.BlockBytes())
+	if err := f.ReadBlockInto(b, got); err != nil {
 		t.Fatalf("read %d: %v", b, err)
 	}
 	if !bytes.Equal(got, want) {
@@ -176,48 +176,6 @@ func TestWriteThroughKeepsReplicaCoherent(t *testing.T) {
 	}
 }
 
-// TestFleetDemandAllocsZero pins the fleet's steady-state demand paths at
-// zero allocations per operation: a primary read, a write to an
-// unreplicated band, and a write-through to a replicated band (whose
-// replica leg is the engine's raw WriteBlockInitial).
-func TestFleetDemandAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; alloc pins run without -race")
-	}
-	f, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(t, f)
-	if err := f.ReplicateBand(0); err != nil {
-		t.Fatal(err)
-	}
-	if !f.BandReplicated(0) || f.BandReplicated(f.BandBlocks()) {
-		t.Fatal("want band 0 replicated and band 1 not")
-	}
-	buf := make([]byte, f.BlockBytes())
-	pattern(9999, buf)
-	var i int64
-	for _, tc := range []struct {
-		name string
-		op   func(block int64) error
-		base int64 // first block of the band the case runs in
-	}{
-		{"primary ReadBlockInto", func(b int64) error { return f.ReadBlockInto(b, buf) }, f.BandBlocks()},
-		{"unreplicated WriteBlock", func(b int64) error { return f.WriteBlock(b, buf) }, f.BandBlocks()},
-		{"replicated write-through WriteBlock", func(b int64) error { return f.WriteBlock(b, buf) }, 0},
-	} {
-		if allocs := testing.AllocsPerRun(200, func() {
-			if err := tc.op(tc.base + i%f.BandBlocks()); err != nil {
-				t.Fatal(err)
-			}
-			i += 7
-		}); allocs != 0 {
-			t.Errorf("%s allocates %.1f objects/op, want 0", tc.name, allocs)
-		}
-	}
-}
-
 func TestRankKillContainment(t *testing.T) {
 	f, err := New(testConfig())
 	if err != nil {
@@ -239,7 +197,7 @@ func TestRankKillContainment(t *testing.T) {
 	checkBlock(t, f, 0*f.BandBlocks()+5)
 	checkBlock(t, f, 3*f.BandBlocks()+17)
 	// Unreplicated band on the dead rank: contained, typed error.
-	_, err = f.ReadBlock(6 * f.BandBlocks())
+	err = f.ReadBlockInto(6*f.BandBlocks(), make([]byte, f.BlockBytes()))
 	if !errors.Is(err, ErrRankFailed) {
 		t.Fatalf("unreplicated dead read: %v, want ErrRankFailed", err)
 	}
@@ -253,8 +211,8 @@ func TestRankKillContainment(t *testing.T) {
 	if err := f.WriteBlock(wb, data); err != nil {
 		t.Fatalf("failover write: %v", err)
 	}
-	got, err := f.ReadBlock(wb)
-	if err != nil || !bytes.Equal(got, data) {
+	got := make([]byte, f.BlockBytes())
+	if err := f.ReadBlockInto(wb, got); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("failover write not readable: %v", err)
 	}
 	// ...an unreplicated band rejects, typed.
@@ -275,6 +233,43 @@ func TestRankKillContainment(t *testing.T) {
 	if !f.Servable(0*f.BandBlocks() + 1) {
 		t.Fatal("replicated dead band reported unservable")
 	}
+}
+
+// TestReadBlockIntoWrongSizeBuffer pins that a dst of the wrong length is
+// reported as the caller bug it is, on a live primary and after the
+// primary's death alike: never as a rank failure, and without touching
+// the band's heat or the read-repair and contained-DUE counters.
+func TestReadBlockIntoWrongSizeBuffer(t *testing.T) {
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, f)
+	if err := f.ReplicateBand(0); err != nil {
+		t.Fatal(err)
+	}
+	const b = 7 // band 0, primary on rank 0
+	check := func(phase string) {
+		t.Helper()
+		before, heat := f.Stats(), f.bands[0].heat.Load()
+		for _, n := range []int{0, f.BlockBytes() - 1, f.BlockBytes() + 1} {
+			err := f.ReadBlockInto(b, make([]byte, n))
+			if err == nil || errors.Is(err, ErrRankFailed) {
+				t.Fatalf("%s, %d byte dst: err = %v, want a size error", phase, n, err)
+			}
+		}
+		after := f.Stats()
+		if after.ContainedDUEs != before.ContainedDUEs || after.ReadRepairs != before.ReadRepairs ||
+			after.FailoverReads != before.FailoverReads || f.bands[0].heat.Load() != heat {
+			t.Fatalf("%s: wrong-size reads moved the books: contained DUEs %d -> %d, read repairs %d -> %d, failover reads %d -> %d, heat %d -> %d",
+				phase, before.ContainedDUEs, after.ContainedDUEs, before.ReadRepairs, after.ReadRepairs,
+				before.FailoverReads, after.FailoverReads, heat, f.bands[0].heat.Load())
+		}
+	}
+	check("live primary")
+	f.KillRank(0)
+	check("killed primary")
+	checkBlock(t, f, b) // the replica still serves a correctly sized read
 }
 
 func TestReadRepairHealsPrimaryDUE(t *testing.T) {

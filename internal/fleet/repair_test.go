@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -109,43 +108,14 @@ func TestRepairChipSurvivorBeyondCode(t *testing.T) {
 			if !errors.Is(err, ErrNoReplica) || !f.Repairs()[0].Unrecoverable {
 				t.Fatalf("RepairChip = %v, report %+v; want an unrecoverable repair", err, f.Repairs()[0])
 			}
-			want := make([]byte, f.BlockBytes())
+			want, got := make([]byte, f.BlockBytes()), make([]byte, f.BlockBytes())
 			for b := first; b < first+f.BandBlocks(); b++ {
 				pattern(b, want)
-				if got, err := f.ReadBlock(b); err == nil && !bytes.Equal(got, want) {
+				if err := f.ReadBlockInto(b, got); err == nil && !bytes.Equal(got, want) {
 					t.Fatalf("block %d read back wrong bytes without an error", b)
 				}
 			}
 		})
-	}
-}
-
-// TestRepairChipAllocsIndependentOfRankSize pins the repair's
-// allocations to its workers and its fixed set-up: a rank of twice the
-// bands (4 banks x 8 vs 16 rows) allocates exactly as often. The bank
-// count stays fixed because the scan and rebuild fan out to up to one
-// worker per bank, each with its own buffers, on hosts with the CPUs.
-func TestRepairChipAllocsIndependentOfRankSize(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; alloc pins run without -race")
-	}
-	// A collection empties the decoders' scratch pools, whose refills
-	// would be counted against whichever rank size it hit.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var allocs [2]float64
-	for i, rows := range []int{8, 16} {
-		cfg := testConfig()
-		cfg.Banks, cfg.RowsPerBank = 4, rows
-		f := repairFleet(t, cfg)
-		allocs[i] = testing.AllocsPerRun(5, func() {
-			f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(2) })
-			if err := f.RepairChip(0, 2); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("RepairChip allocates %.0f times at 8 rows, %.0f at 16: allocations grow with the rank", allocs[0], allocs[1])
 	}
 }
 
@@ -168,10 +138,10 @@ func TestRepairChipWithAnotherChipFailed(t *testing.T) {
 	if f.Rank(0).Chip(2).Healthy() {
 		t.Fatal("unrecoverable repair left chip 2 healthy")
 	}
-	want := make([]byte, f.BlockBytes())
+	want, got := make([]byte, f.BlockBytes()), make([]byte, f.BlockBytes())
 	for b := int64(0); b < f.Blocks(); b++ {
 		pattern(b, want)
-		if got, err := f.ReadBlock(b); err == nil && !bytes.Equal(got, want) {
+		if err := f.ReadBlockInto(b, got); err == nil && !bytes.Equal(got, want) {
 			t.Fatalf("block %d read back wrong bytes without an error", b)
 		}
 	}

@@ -61,12 +61,6 @@ type Campaign struct {
 	// which is exactly what the engine-mode tests assert.
 	EngineShards int `json:"engine_shards,omitempty"`
 
-	// EngineNoSeqlock forces the engine's lock-free clean-read path off
-	// (engine.Config.DisableSeqlock), so equivalence campaigns can pin
-	// that the seqlock path and the always-locked path report the exact
-	// same counters. Meaningless without EngineShards.
-	EngineNoSeqlock bool `json:"engine_no_seqlock,omitempty"`
-
 	// EngineBatchWrites > 0 buffers up to that many demand writes and
 	// issues each batch through Engine.WriteBlocks (the row-coalescing
 	// batched write path) instead of per-op WriteBlock calls. The harness
@@ -108,7 +102,7 @@ type Campaign struct {
 // rank-wide transitions scripted events use. *core.Controller and
 // *engine.Engine satisfy it as they are.
 type backend interface {
-	ReadBlock(block int64) ([]byte, error)
+	ReadBlockInto(block int64, dst []byte) error
 	WriteBlock(block int64, data []byte) error
 	WriteBlockInitial(block int64, data []byte) error
 	Stats() core.Stats
@@ -148,6 +142,7 @@ type Harness struct {
 
 	blocks     []int64 // working set, ascending
 	blockBytes int
+	rbuf       []byte // the campaign goroutine's read buffer (readBlock)
 	degraded   bool
 	armDelta   bool
 	armOMV     bool
@@ -214,6 +209,7 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 		}
 		h.fleet, h.be = fl, fleetBackend{fl}
 		h.blockBytes = fl.BlockBytes()
+		h.rbuf = make([]byte, h.blockBytes)
 		h.rep.Geometry = fmt.Sprintf("%dr x %dx%dx%dB", spec.Ranks, c.Banks, c.RowsPerBank, c.RowBytes)
 		h.rep.Blocks = fl.Blocks()
 		return h, nil
@@ -225,6 +221,7 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 	h.rank = r
 	h.rep.Blocks = r.Blocks()
 	h.blockBytes = r.Config().BlockBytes()
+	h.rbuf = make([]byte, h.blockBytes)
 	h.omv = &omvSource{oracle: h.oracle, rng: rand.New(rand.NewSource(seed + 2)), hitRate: c.OMVHitRate}
 	if c.EngineShards > 0 {
 		h.rep.EngineShards = c.EngineShards
@@ -261,7 +258,7 @@ func (h *Harness) ctrlCfg() core.Config {
 }
 
 func (h *Harness) engCfg() engine.Config {
-	cfg := engine.Config{Shards: h.c.EngineShards, Core: h.ctrlCfg(), OMV: h.omv, DisableSeqlock: h.c.EngineNoSeqlock}
+	cfg := engine.Config{Shards: h.c.EngineShards, Core: h.ctrlCfg(), OMV: h.omv}
 	if h.c.EngineBatchWrites > 0 {
 		// The campaign omvSource is single-threaded; keep batch flushes on
 		// the campaign goroutine.
@@ -274,7 +271,12 @@ func (h *Harness) engCfg() engine.Config {
 // these, so serial-controller and sharded-engine campaigns share one code
 // path and must produce identical reports.
 
-func (h *Harness) readBlock(b int64) ([]byte, error) { return h.be.ReadBlock(b) }
+// readBlock reads into h.rbuf and returns it: the result is valid until
+// the next read.
+func (h *Harness) readBlock(b int64) ([]byte, error) {
+	err := h.be.ReadBlockInto(b, h.rbuf)
+	return h.rbuf, err
+}
 
 func (h *Harness) writeBlock(b int64, data []byte) error { return h.be.WriteBlock(b, data) }
 

@@ -165,7 +165,7 @@ func (h *Harness) fleetSweep() {
 			continue
 		}
 		h.rep.Reads++
-		_, err := f.ReadBlock(b)
+		err := f.ReadBlockInto(b, h.rbuf)
 		switch {
 		case err == nil:
 			h.rep.SDC++

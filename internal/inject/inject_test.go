@@ -34,22 +34,6 @@ func TestSmokeSuite(t *testing.T) {
 	}
 }
 
-// TestStandardSuite is the full acceptance gate, including the paper's
-// fallback-rate band. Heavy: skipped in -short mode and under -race (the
-// race build runs TestConcurrentCampaign instead).
-func TestStandardSuite(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("standard suite is heavy; run without -short/-race")
-	}
-	rep := requireSuitePass(t, "standard", 1)
-	if rep.TotalSDC != 0 {
-		t.Fatalf("standard suite saw %d SDCs", rep.TotalSDC)
-	}
-	if rep.TotalDUE != 0 {
-		t.Fatalf("standard suite saw %d DUEs", rep.TotalDUE)
-	}
-}
-
 // TestEscapeSuite checks the oracle's reason for existing: an OMV
 // corrupted below the LLC's ECC yields a consistent codeword for wrong
 // data, which only the shadow map can flag — the campaign must report
@@ -126,10 +110,9 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 // TestEngineCampaignMatchesSerial pins the engine backend's semantics:
-// a campaign driven serially through the sharded engine — with its
-// lock-free seqlock read path both enabled and disabled — must produce
-// the exact report, counter for counter, that the bare controller
-// produces. Same name and seed give identical rng streams; the only
+// a campaign driven serially through the sharded engine — per-op and with
+// batched writes — must produce the exact report, counter for counter,
+// that the bare controller produces. Same name and seed give identical rng streams; the only
 // report fields allowed to differ are the timing and the engine_shards
 // tag itself. Seqlock reads folding their stats differently from locked
 // reads would show up here as a counter diff.
@@ -148,9 +131,6 @@ func TestEngineCampaignMatchesSerial(t *testing.T) {
 	serial := RunCampaign("unit", c)
 	c.EngineShards = 4
 	engined := RunCampaign("unit", c)
-	c.EngineNoSeqlock = true
-	locked := RunCampaign("unit", c)
-	c.EngineNoSeqlock = false
 	c.EngineBatchWrites = 16
 	batched := RunCampaign("unit", c)
 
@@ -159,9 +139,6 @@ func TestEngineCampaignMatchesSerial(t *testing.T) {
 	}
 	if !engined.Pass {
 		t.Fatalf("engine campaign failed: %s", engined.Reason)
-	}
-	if !locked.Pass {
-		t.Fatalf("engine (seqlock off) campaign failed: %s", locked.Reason)
 	}
 	if !batched.Pass {
 		t.Fatalf("engine (batched writes) campaign failed: %s", batched.Reason)
@@ -178,18 +155,14 @@ func TestEngineCampaignMatchesSerial(t *testing.T) {
 	if batched.EngineBatchWrites != 16 {
 		t.Fatalf("batched report tagged with %d batch writes, want 16", batched.EngineBatchWrites)
 	}
-	serial.ElapsedMS, engined.ElapsedMS, locked.ElapsedMS, batched.ElapsedMS = 0, 0, 0, 0
-	serial.EngineShards, engined.EngineShards, locked.EngineShards, batched.EngineShards = 0, 0, 0, 0
+	serial.ElapsedMS, engined.ElapsedMS, batched.ElapsedMS = 0, 0, 0
+	serial.EngineShards, engined.EngineShards, batched.EngineShards = 0, 0, 0
 	batched.EngineBatchWrites = 0
 	js, _ := json.Marshal(serial)
 	je, _ := json.Marshal(engined)
-	jl, _ := json.Marshal(locked)
 	jb, _ := json.Marshal(batched)
 	if string(js) != string(je) {
 		t.Fatalf("engine and serial backends diverged:\nserial: %s\nengine: %s", js, je)
-	}
-	if string(js) != string(jl) {
-		t.Fatalf("seqlock-off engine and serial backends diverged:\nserial: %s\nengine: %s", js, jl)
 	}
 	if string(js) != string(jb) {
 		t.Fatalf("batched-write engine and serial backends diverged:\nserial: %s\nbatched: %s", js, jb)

@@ -45,7 +45,7 @@ func BenchmarkWriteXORRowMiss(b *testing.B) {
 		chip.CloseAllRows()
 		for row := 0; row < 2; row++ {
 			for v := 0; v < geom.VLEWsPerRow(); v++ {
-				data, vcode := chip.ReadVLEW(0, row, v)
+				data, vcode := readVLEW(chip, 0, row, v)
 				if !code.CheckClean(data, vcode[:code.ParityBytes()]) {
 					b.Fatalf("row %d VLEW %d is not a codeword after the drains", row, v)
 				}

@@ -85,11 +85,11 @@ func (s Stats) CFactor() float64 {
 // Concurrency contract (mirrors real hardware, where each bank operates
 // independently behind its own row buffer):
 //
-//   - ReadVLEW and WriteVLEW take the chip's internal mutex and may be
+//   - ReadVLEWInto and WriteVLEW take the chip's internal mutex and may be
 //     called concurrently from anywhere — the parallel boot scrub fans
 //     workers out across (chip, bank) pairs.
-//   - The bank-addressed demand methods (ReadData, ReadDataInto, WriteData,
-//     WriteXOR, WriteDataRaw, OpenRow, CloseRow, XORCode, ReadCode) may run
+//   - The bank-addressed demand methods (ReadDataInto, WriteData, WriteXOR,
+//     WriteDataRaw, OpenRow, CloseRow, XORCode, ReadCode) may run
 //     concurrently so long as no two goroutines touch the same bank at the
 //     same time: all mutable per-bank state (cells rows, the open-row
 //     register, EUR slots, row wear) is disjoint across banks, and shared
@@ -274,18 +274,10 @@ func (c *Chip) checkAddr(bank, row int) {
 	}
 }
 
-// ReadData returns n data bytes starting at byte offset off within the
-// row. A failed chip returns garbage.
-func (c *Chip) ReadData(bank, row, off, n int) []byte {
-	out := make([]byte, n)
-	c.ReadDataInto(out, bank, row, off)
-	return out
-}
-
 // ReadDataInto fills dst with len(dst) data bytes starting at byte offset
-// off within the row — ReadData without the allocation, for the demand
-// read path. A failed chip fills dst with garbage (the rng draw is taken
-// under the chip mutex so concurrent shards keep the stream well-defined).
+// off within the row. A failed chip fills dst with garbage (the rng draw
+// is taken under the chip mutex so concurrent shards keep the stream
+// well-defined).
 //
 //chipkill:noalloc
 func (c *Chip) ReadDataInto(dst []byte, bank, row, off int) {
@@ -490,21 +482,12 @@ func (c *Chip) CloseAllRows() {
 	}
 }
 
-// ReadVLEW returns copies of a VLEW's data and code bytes. Pending EUR
-// updates for that VLEW are drained first so the returned pair is
-// internally consistent. A failed chip returns garbage. Safe for
-// concurrent use (see the Chip concurrency contract).
-func (c *Chip) ReadVLEW(bank, row, v int) (data, code []byte) {
-	data = make([]byte, c.geom.VLEWDataBytes)
-	code = make([]byte, c.geom.VLEWCodeBytes)
-	c.ReadVLEWInto(data, code, bank, row, v)
-	return data, code
-}
-
-// ReadVLEWInto is ReadVLEW without the two per-call allocations: it fills
-// caller-owned data (VLEWDataBytes) and code (VLEWCodeBytes) buffers. The
-// scrub loops and the controller's VLEW-fallback correction path reuse one
-// pair of buffers across an entire pass.
+// ReadVLEWInto fills caller-owned data (VLEWDataBytes) and code
+// (VLEWCodeBytes) buffers with a VLEW's stored bytes. Pending EUR updates
+// for that VLEW are drained first so the pair is internally consistent. A
+// failed chip fills both with garbage. Safe for concurrent use (see the
+// Chip concurrency contract). The scrub loops and the controller's
+// VLEW-fallback correction path reuse one pair of buffers across a pass.
 //
 //chipkill:noalloc
 func (c *Chip) ReadVLEWInto(data, code []byte, bank, row, v int) {

@@ -86,13 +86,13 @@ func TestWriteVLEWPreservesOpenRowEUR(t *testing.T) {
 
 	// Patrol-style write-back to the SAME (bank, vlew) of a DIFFERENT,
 	// closed row: read the word, write it straight back.
-	data, vcode := c.ReadVLEW(0, 5, 2)
+	data, vcode := readVLEW(c, 0, 5, 2)
 	c.WriteVLEW(0, 5, 2, data, vcode)
 
 	// Closing the open row must still drain the pending update, leaving
 	// row 1's VLEW 2 internally consistent.
 	c.CloseRow(0)
-	data, vcode = c.ReadVLEW(0, 1, 2)
+	data, vcode = readVLEW(c, 0, 1, 2)
 	if fixed, err := code.Decode(data, vcode[:code.ParityBytes()]); err != nil || fixed != 0 {
 		t.Fatalf("open row's VLEW inconsistent after closed-row write-back: fixed=%d err=%v", fixed, err)
 	}
@@ -108,7 +108,7 @@ func TestWriteVLEWPreservesOpenRowEUR(t *testing.T) {
 	copy(fcode, code.Encode(fresh))
 	c.WriteVLEW(0, 3, 2, fresh, fcode)
 	c.CloseRow(0)
-	data, vcode = c.ReadVLEW(0, 3, 2)
+	data, vcode = readVLEW(c, 0, 3, 2)
 	if fixed, err := code.Decode(data, vcode[:code.ParityBytes()]); err != nil || fixed != 0 {
 		t.Fatalf("stale EUR drained over wholesale overwrite: fixed=%d err=%v", fixed, err)
 	}

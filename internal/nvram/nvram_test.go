@@ -19,6 +19,21 @@ func testEncoder(t testing.TB) *bch.Code {
 	return bch.Must(12, 2048, 22)
 }
 
+// readData and readVLEW return fresh copies through the Into reads, for
+// tests that keep several results alive at once.
+func readData(c *Chip, bank, row, off, n int) []byte {
+	out := make([]byte, n)
+	c.ReadDataInto(out, bank, row, off)
+	return out
+}
+
+func readVLEW(c *Chip, bank, row, v int) (data, code []byte) {
+	data = make([]byte, c.geom.VLEWDataBytes)
+	code = make([]byte, c.geom.VLEWCodeBytes)
+	c.ReadVLEWInto(data, code, bank, row, v)
+	return data, code
+}
+
 func newTestChip(t testing.TB) *Chip {
 	t.Helper()
 	c, err := NewChip(testGeom, testEncoder(t), 42)
@@ -72,12 +87,12 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	data := make([]byte, 64)
 	rand.New(rand.NewSource(1)).Read(data)
 	c.WriteData(1, 3, 128, data)
-	got := c.ReadData(1, 3, 128, 64)
+	got := readData(c, 1, 3, 128, 64)
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
 	// Other locations untouched.
-	if !bytes.Equal(c.ReadData(1, 3, 0, 64), make([]byte, 64)) {
+	if !bytes.Equal(readData(c, 1, 3, 0, 64), make([]byte, 64)) {
 		t.Fatal("neighbouring bytes modified")
 	}
 }
@@ -96,7 +111,7 @@ func TestWriteXORRecoversNewData(t *testing.T) {
 		delta[i] = old[i] ^ newV[i]
 	}
 	c.WriteXOR(0, 0, 0, delta)
-	if !bytes.Equal(c.ReadData(0, 0, 0, 8), newV) {
+	if !bytes.Equal(readData(c, 0, 0, 0, 8), newV) {
 		t.Fatal("XOR write did not recover new data")
 	}
 }
@@ -105,7 +120,7 @@ func TestWriteXORRecoversNewData(t *testing.T) {
 // against its stored data.
 func vlewConsistent(t *testing.T, c *Chip, enc *bch.Code, bank, row, v int) bool {
 	t.Helper()
-	data, code := c.ReadVLEW(bank, row, v)
+	data, code := readVLEW(c, bank, row, v)
 	return enc.CheckClean(data, code[:enc.ParityBytes()])
 }
 
@@ -166,7 +181,7 @@ func TestReadVLEWFlushesPendingEUR(t *testing.T) {
 	// Row still open with a pending EUR register; the read must still
 	// return a consistent (data, code) pair.
 	if !vlewConsistent(t, c, enc, 1, 0, 0) {
-		t.Error("ReadVLEW returned stale code bits")
+		t.Error("ReadVLEWInto returned stale code bits")
 	}
 }
 
@@ -191,7 +206,7 @@ func TestWriteSpanningVLEWs(t *testing.T) {
 	if !vlewConsistent(t, c, enc, 0, 0, 0) || !vlewConsistent(t, c, enc, 0, 0, 1) {
 		t.Error("spanning write left inconsistent code bits")
 	}
-	if !bytes.Equal(c.ReadData(0, 0, 224, 64), data) {
+	if !bytes.Equal(readData(c, 0, 0, 224, 64), data) {
 		t.Error("spanning write data mismatch")
 	}
 }
@@ -218,7 +233,7 @@ func TestInjectRetentionErrorsAndScrubability(t *testing.T) {
 	// (expected errors per 2312-bit word at 1e-3 is ~2.3).
 	for row := 0; row < testGeom.RowsPerBank; row++ {
 		for v := 0; v < testGeom.VLEWsPerRow(); v++ {
-			data, code := c.ReadVLEW(0, row, v)
+			data, code := readVLEW(c, 0, row, v)
 			if _, err := enc.Decode(data, code[:enc.ParityBytes()]); err != nil {
 				t.Fatalf("row %d vlew %d: scrub decode failed: %v", row, v, err)
 			}
@@ -239,8 +254,8 @@ func TestFailedChipBehaviour(t *testing.T) {
 	}
 	// Reads return garbage (cannot equal the stored pattern for 8 bytes
 	// except with probability 2^-64; check twice to be safe).
-	g1 := c.ReadData(0, 0, 0, 8)
-	g2 := c.ReadData(0, 0, 0, 8)
+	g1 := readData(c, 0, 0, 0, 8)
+	g2 := readData(c, 0, 0, 0, 8)
 	if bytes.Equal(g1, data) && bytes.Equal(g2, data) {
 		t.Error("failed chip returned stored data")
 	}
@@ -250,7 +265,7 @@ func TestFailedChipBehaviour(t *testing.T) {
 	if !c.Healthy() {
 		t.Error("repair did not restore health")
 	}
-	if !bytes.Equal(c.ReadData(0, 0, 0, 8), make([]byte, 8)) {
+	if !bytes.Equal(readData(c, 0, 0, 0, 8), make([]byte, 8)) {
 		t.Error("repair did not zero contents")
 	}
 }
@@ -271,10 +286,10 @@ func TestRowWearAccounting(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	c := newTestChip(t)
 	for name, fn := range map[string]func(){
-		"bank":    func() { c.ReadData(9, 0, 0, 1) },
-		"row":     func() { c.ReadData(0, 99, 0, 1) },
-		"overrun": func() { c.ReadData(0, 0, 1020, 8) },
-		"vlew":    func() { c.ReadVLEW(0, 0, 9) },
+		"bank":    func() { readData(c, 9, 0, 0, 1) },
+		"row":     func() { readData(c, 0, 99, 0, 1) },
+		"overrun": func() { readData(c, 0, 0, 1020, 8) },
+		"vlew":    func() { readVLEW(c, 0, 0, 9) },
 	} {
 		func() {
 			defer func() {
@@ -382,7 +397,7 @@ func TestFlipDataBitBypassesECC(t *testing.T) {
 	data := make([]byte, 16)
 	c.WriteData(0, 0, 0, data)
 	c.FlipDataBit(0, 0, 3, 2)
-	got := c.ReadData(0, 0, 3, 1)
+	got := readData(c, 0, 0, 3, 1)
 	if got[0] != 1<<2 {
 		t.Fatalf("bit not flipped: %#x", got[0])
 	}
@@ -397,7 +412,7 @@ func TestWriteDataRawSkipsCodeMaintenance(t *testing.T) {
 	enc := testEncoder(t)
 	payload := []byte{1, 2, 3, 4}
 	c.WriteDataRaw(0, 0, 0, payload)
-	if !bytes.Equal(c.ReadData(0, 0, 0, 4), payload) {
+	if !bytes.Equal(readData(c, 0, 0, 0, 4), payload) {
 		t.Fatal("raw write did not store data")
 	}
 	if vlewConsistent(t, c, enc, 0, 0, 0) {
@@ -429,17 +444,17 @@ func TestWearOutBitSurvivesAllWritePaths(t *testing.T) {
 	c.WearOutBit(0, 0, 0, 0)
 	// Conventional write of 0.
 	c.WriteData(0, 0, 0, []byte{0x00})
-	if c.ReadData(0, 0, 0, 1)[0]&1 != 1 {
+	if readData(c, 0, 0, 0, 1)[0]&1 != 1 {
 		t.Error("WriteData overcame the stuck bit")
 	}
 	// XOR write attempting to clear it.
 	c.WriteXOR(0, 0, 0, []byte{0x01})
-	if c.ReadData(0, 0, 0, 1)[0]&1 != 1 {
+	if readData(c, 0, 0, 0, 1)[0]&1 != 1 {
 		t.Error("WriteXOR overcame the stuck bit")
 	}
 	// Raw write too.
 	c.WriteDataRaw(0, 0, 0, []byte{0x00})
-	if c.ReadData(0, 0, 0, 1)[0]&1 != 1 {
+	if readData(c, 0, 0, 0, 1)[0]&1 != 1 {
 		t.Error("WriteDataRaw overcame the stuck bit")
 	}
 }

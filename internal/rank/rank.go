@@ -91,7 +91,7 @@ func (l BlockLoc) VLEWIndex(vlewDataBytes int) int { return l.Col / vlewDataByte
 //
 // Concurrency contract: the accessors Config, NumChips, ParityChipIndex,
 // Chip, Blocks, Locate and BlocksInVLEW are read-only after New and safe
-// for concurrent use. nvram.Chip.ReadVLEW and WriteVLEW may run
+// for concurrent use. nvram.Chip.ReadVLEWInto and WriteVLEW may run
 // concurrently from anywhere (the parallel boot scrub relies on this).
 // Block-level reads and writes may run concurrently so long as no two
 // goroutines touch the same *bank* at the same time — Locate maps each
@@ -180,18 +180,10 @@ func (r *Rank) Locate(block int64) BlockLoc {
 	}
 }
 
-// ReadBlockRaw gathers a block's 64 data bytes and 8 check bytes from the
-// chips with no error correction. Failed chips contribute garbage.
-func (r *Rank) ReadBlockRaw(block int64) (data, check []byte) {
-	data = make([]byte, r.cfg.BlockBytes())
-	check = make([]byte, r.cfg.ChipAccessBytes)
-	r.ReadBlockRawInto(block, data, check)
-	return data, check
-}
-
-// ReadBlockRawInto is ReadBlockRaw into caller-owned buffers — the
+// ReadBlockRawInto gathers a block's 64 data bytes and 8 check bytes from
+// the chips into caller-owned buffers, with no error correction — the
 // allocation-free demand read primitive. data must hold BlockBytes() and
-// check ChipAccessBytes.
+// check ChipAccessBytes. Failed chips contribute garbage.
 //
 //chipkill:noalloc
 func (r *Rank) ReadBlockRawInto(block int64, data, check []byte) {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"chipkillpm/internal/nvram"
 )
 
 func testRank(t testing.TB) *Rank {
@@ -14,6 +16,23 @@ func testRank(t testing.TB) *Rank {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// readRaw and readVLEW return fresh copies through the Into reads, for
+// tests that keep several results alive at once.
+func readRaw(r *Rank, block int64) (data, check []byte) {
+	data = make([]byte, r.Config().BlockBytes())
+	check = make([]byte, r.Config().ChipAccessBytes)
+	r.ReadBlockRawInto(block, data, check)
+	return data, check
+}
+
+func readVLEW(c *nvram.Chip, bank, row, v int) (data, code []byte) {
+	g := c.Geometry()
+	data = make([]byte, g.VLEWDataBytes)
+	code = make([]byte, g.VLEWCodeBytes)
+	c.ReadVLEWInto(data, code, bank, row, v)
+	return data, code
 }
 
 func TestConfigShape(t *testing.T) {
@@ -97,7 +116,7 @@ func TestBlockRoundTrip(t *testing.T) {
 		rng.Read(data)
 		rng.Read(check)
 		r.WriteBlockRaw(b, data, check)
-		gd, gc := r.ReadBlockRaw(b)
+		gd, gc := readRaw(r, b)
 		if !bytes.Equal(gd, data) || !bytes.Equal(gc, check) {
 			t.Fatalf("block %d round trip failed", b)
 		}
@@ -114,7 +133,7 @@ func TestBlockStriping(t *testing.T) {
 	}
 	r.WriteBlockRaw(5, data, make([]byte, 8))
 	r.FailChip(3)
-	got, _ := r.ReadBlockRaw(5)
+	got, _ := readRaw(r, 5)
 	for i := 0; i < 64; i++ {
 		inFailed := i >= 24 && i < 32
 		if !inFailed && got[i] != data[i] {
@@ -123,7 +142,7 @@ func TestBlockStriping(t *testing.T) {
 	}
 	// The failed chip's 8 bytes are garbage with overwhelming probability.
 	if bytes.Equal(got[24:32], data[24:32]) {
-		if g2, _ := r.ReadBlockRaw(5); bytes.Equal(g2[24:32], data[24:32]) {
+		if g2, _ := readRaw(r, 5); bytes.Equal(g2[24:32], data[24:32]) {
 			t.Error("failed chip returned stored data twice")
 		}
 	}
@@ -150,7 +169,7 @@ func TestWriteBlockXORRecoversNewData(t *testing.T) {
 		dc[i] = oldC[i] ^ newC[i]
 	}
 	r.WriteBlockXOR(9, dd, dc)
-	gd, gc := r.ReadBlockRaw(9)
+	gd, gc := readRaw(r, 9)
 	if !bytes.Equal(gd, newD) || !bytes.Equal(gc, newC) {
 		t.Fatal("XOR write did not produce new values")
 	}
@@ -199,7 +218,7 @@ func TestVLEWConsistencyAfterXORWritesAndClose(t *testing.T) {
 		for bank := 0; bank < g.Banks; bank++ {
 			for row := 0; row < g.RowsPerBank; row++ {
 				for v := 0; v < g.VLEWsPerRow(); v++ {
-					data, cd := chip.ReadVLEW(bank, row, v)
+					data, cd := readVLEW(chip, bank, row, v)
 					if !code.CheckClean(data, cd[:code.ParityBytes()]) {
 						t.Fatalf("chip %d bank %d row %d vlew %d inconsistent", ci, bank, row, v)
 					}
@@ -250,7 +269,7 @@ func TestStatsAggregation(t *testing.T) {
 func TestStatsCountsFailedAccesses(t *testing.T) {
 	r := testRank(t)
 	r.FailChip(3)
-	r.ReadBlockRaw(0)
+	readRaw(r, 0)
 	if got := r.Stats().FailedAccesses; got != 1 {
 		t.Errorf("FailedAccesses=%d after one block read with a failed chip, want 1", got)
 	}

@@ -23,6 +23,9 @@ quick=false
 
 echo "== go vet"
 go vet ./...
+# soak_test.go builds only under the soak tag, which the nightly job
+# alone runs; vet it here so a harness change cannot break it unseen.
+go vet -tags soak ./internal/inject/
 
 echo "== chipkillvet (contract analyzers: noalloc shardlock sentinel bankaccess seqlock lockorder guardedby)"
 go run ./cmd/chipkillvet ./...
