@@ -40,7 +40,8 @@ bench-smoke:
 
 # CPU + allocation profiles of the engine write benchmark (the zero-alloc
 # write pipeline); inspect with `go tool pprof profiles/write_{cpu,mem}.pprof`.
-# PROFILE_BENCH=FleetRepairChip profiles the fleet's chip repair instead.
+# PROFILE_BENCH=FleetRepairChip profiles the fleet's chip repair instead,
+# PROFILE_BENCH=ChipkillRebuild the boot scrub's chip rebuild.
 PROFILE_BENCH ?= EngineWrite
 profile:
 	mkdir -p profiles

@@ -393,7 +393,7 @@ func (c *Controller) chipSolver(ci int) *rs.ErasureSolver {
 	return c.solver
 }
 
-// NewChipSolver builds the RS erasure solver RebuildChip takes for chip ci
+// NewChipSolver builds the RS erasure solver ScrubRebuild takes for chip ci
 // (data or parity) of ranks shaped like r. It panics if ci is not one of
 // r's chips.
 func NewChipSolver(r *rank.Rank, ci int) *rs.ErasureSolver {

@@ -492,3 +492,38 @@ func TestPatrolScrubSkipsFailedChip(t *testing.T) {
 		t.Errorf("scrubbed %d units, want %d", got, healthyUnits)
 	}
 }
+
+// TestRawWriteOverDriftReadsNewData pins the contract around a raw-write
+// hazard. WriteBlockInitial stores a block raw, and Chip.WriteData
+// derives the VLEW code delta from the cells it overwrites. When one of
+// those cells has drifted, the stored code ends up describing the new
+// data with the drifted bit flipped, so the next boot scrub "corrects"
+// the fresh data back to the flip. The per-block RS code, encoded from
+// the new data, still serves the read correctly. Routing raw writes
+// through the XOR path would remove the hazard; the two checks that
+// assert it is there then go, and the read check stays.
+func TestRawWriteOverDriftReadsNewData(t *testing.T) {
+	c := newTestController(t, 71, nil)
+	fillRandom(t, c, 72)
+	const block, chip = 37, 5
+	loc := c.Rank().Locate(block)
+	c.Rank().Chip(chip).FlipDataBit(loc.Bank, loc.Row, loc.Col+2, 6)
+
+	fresh := make([]byte, c.Rank().Config().BlockBytes())
+	rand.New(rand.NewSource(73)).Read(fresh)
+	if err := c.WriteBlockInitial(block, fresh); err != nil {
+		t.Fatal(err)
+	}
+	rep := c.BootScrub()
+	if rep.Unrecoverable || len(rep.ChipsFailed) != 0 || rep.BitsCorrected != 1 {
+		t.Fatalf("scrub after a raw write over a drifted cell: %v, want exactly the one hazard bit corrected", rep)
+	}
+	before := c.Stats().ReadsRSCorrected
+	got, err := readBlock(c, block)
+	if err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("read after scrub: err=%v, data %x, want %x", err, got, fresh)
+	}
+	if c.Stats().ReadsRSCorrected != before+1 {
+		t.Fatal("the read did not pay the RS correction the scrub's miscorrection leaves")
+	}
+}

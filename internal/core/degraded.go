@@ -127,13 +127,12 @@ func (c *Controller) EnterDegradedMode(failedChip int) error {
 
 	// Step 2: re-encode all VLEWs in the striped layout, overwriting the
 	// per-chip code slots.
+	fresh, old := make([]byte, rcfg.Geometry.VLEWCodeBytes), make([]byte, rcfg.Geometry.VLEWCodeBytes)
 	for first := int64(0); first < r.Blocks(); first += stripedBlocksPerVLEW {
 		bank, row, chip, slot, _ := c.stripedLoc(first)
-		parityBytes := code.Encode(c.stripedData(first))
-		fresh := make([]byte, rcfg.Geometry.VLEWCodeBytes)
-		copy(fresh, parityBytes)
+		copy(fresh, code.Encode(c.stripedData(first)))
 		holder := r.Chip(chip)
-		old := holder.ReadCode(bank, row, slot)
+		holder.ReadCodeInto(old, bank, row, slot)
 		for i := range old {
 			old[i] ^= fresh[i] // XOR to the fresh value regardless of old content
 		}
@@ -175,8 +174,8 @@ func (c *Controller) readDegraded(block int64) ([]byte, error) {
 	c.stats.BlockFetches += stripedBlocksPerVLEW +
 		int64((rcfg.Geometry.VLEWCodeBytes+rcfg.BlockBytes()-1)/rcfg.BlockBytes())
 
-	data := c.stripedData(first)
-	vcode := c.rank.Chip(chip).ReadCode(bank, row, slot)
+	data, vcode := c.stripedData(first), c.vlewCodeBuf
+	c.rank.Chip(chip).ReadCodeInto(vcode, bank, row, slot)
 	fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
 	if err != nil {
 		c.stats.Uncorrectable++
@@ -221,7 +220,8 @@ func (c *Controller) writeBackStripedRaw(first int64, data, vcode []byte, bank, 
 		}
 	}
 	holder := c.rank.Chip(chip)
-	old := holder.ReadCode(bank, row, slot)
+	old := make([]byte, len(vcode))
+	holder.ReadCodeInto(old, bank, row, slot)
 	for i := range old {
 		old[i] ^= vcode[i]
 	}

@@ -195,12 +195,12 @@ func (c *Controller) redoBand(first int64, slices []byte, m *MigrationState) err
 		loc := r.Locate(first + i)
 		parity.WriteDataRaw(loc.Bank, loc.Row, loc.Col, slices[int(i)*n:(int(i)+1)*n])
 	}
+	fresh, old := make([]byte, rcfg.Geometry.VLEWCodeBytes), make([]byte, rcfg.Geometry.VLEWCodeBytes)
 	for g := first; g < first+bb; g += stripedBlocksPerVLEW {
 		bank, row, chip, slot, _ := c.stripedLoc(g)
-		fresh := make([]byte, rcfg.Geometry.VLEWCodeBytes)
 		copy(fresh, code.Encode(c.stripedData(g)))
 		holder := r.Chip(chip)
-		old := holder.ReadCode(bank, row, slot)
+		holder.ReadCodeInto(old, bank, row, slot)
 		for i := range old {
 			old[i] ^= fresh[i] // XOR to the fresh value regardless of old content
 		}

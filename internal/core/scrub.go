@@ -22,13 +22,7 @@ type ScrubReport struct {
 	BusBlockFetches int64 // block transfers the scrub cost
 }
 
-// scrubUnit is one shard of the VLEW scan: all VLEWs of one bank on one
-// chip. Shards are disjoint, so workers never contend on a VLEW.
-type scrubUnit struct {
-	chip, bank int
-}
-
-// scrubPartial is one shard's contribution to the scan's totals, merged
+// scrubPartial is one bank's contribution to a pass's totals, merged
 // serially after the pool drains so the result is deterministic regardless
 // of worker count or scheduling.
 type scrubPartial struct {
@@ -57,14 +51,19 @@ func SpanLoc(g nvram.Geometry, chip int, s int64) VLEWLoc {
 }
 
 // BootScrub fetches and decodes every VLEW on every chip, writing
-// corrected contents back (ScrubVLEWs). A data chip with uncorrectable
-// VLEWs is treated as failed and rebuilt through Reed-Solomon erasure
-// correction using the parity chip; an uncorrectable parity chip is
-// rebuilt by re-encoding the (corrected) data chips — both by RebuildChip.
-// Two or more failed chips exceed the scheme's capability.
+// corrected contents back. A data chip with uncorrectable VLEWs is
+// treated as failed and rebuilt through Reed-Solomon erasure correction
+// using the parity chip; an uncorrectable parity chip is rebuilt by
+// re-encoding the (corrected) data chips. Two or more failed chips exceed
+// the scheme's capability.
 //
-// Config.ScrubWorkers sets the worker-pool size (0 = GOMAXPROCS) for the
-// scan and for the rebuild phase, which fans the same pool out over banks.
+// Both the scan and the rebuild are ScrubRebuild passes. A chip already
+// known dead is cleared and rebuilt in the same pass that scans the
+// survivors; should that pass convict a second chip, the dead chip is
+// failed again and the scrub is unrecoverable. A chip the scan convicts
+// is rebuilt by a second pass.
+//
+// Config.ScrubWorkers sets the pass's worker-pool size (0 = GOMAXPROCS).
 //
 //chipkill:rankwide
 func (c *Controller) BootScrub() ScrubReport {
@@ -75,20 +74,34 @@ func (c *Controller) BootScrub() ScrubReport {
 	rcfg := r.Config()
 	r.CloseAllRows()
 
+	failed := make([]bool, r.NumChips())
+	var dead []int
+	for ci := range failed {
+		if !r.Chip(ci).Healthy() { // a known-dead chip is not scanned
+			failed[ci] = true
+			dead = append(dead, ci)
+		}
+	}
 	workers := c.cfg.ScrubWorkers
-	vlews, bits, beyond := ScrubVLEWs(r, workers)
+	rebuilt := -1
+	var solver *rs.ErasureSolver
+	if len(dead) == 1 {
+		rebuilt = dead[0]
+		solver = c.chipSolver(rebuilt)
+		r.RepairChip(rebuilt)
+	}
+	vlews, bits, beyond := ScrubRebuild(r, solver, rebuilt, nil, workers)
 	rep.VLEWsScrubbed, rep.BitsCorrected = vlews, bits
 	fetchesPerVLEW := int64(rcfg.Geometry.VLEWDataBytes/rcfg.ChipAccessBytes) / int64(rcfg.DataChips)
 	rep.BusBlockFetches = rep.VLEWsScrubbed * fetchesPerVLEW
 	d.ScrubCorrections += rep.BitsCorrected
 	d.ScrubbedVLEWs += rep.VLEWsScrubbed
 
-	beyondChip := make([]bool, r.NumChips())
 	for _, loc := range beyond {
-		beyondChip[loc.Chip] = true
+		failed[loc.Chip] = true
 	}
-	for ci, bad := range beyondChip {
-		if bad || !r.Chip(ci).Healthy() { // a known-dead chip is not scanned
+	for ci, bad := range failed {
+		if bad {
 			rep.ChipsFailed = append(rep.ChipsFailed, ci)
 		}
 	}
@@ -98,85 +111,121 @@ func (c *Controller) BootScrub() ScrubReport {
 		return rep
 	case 1:
 		ci := rep.ChipsFailed[0]
-		r.RepairChip(ci)
-		RebuildChip(r, c.chipSolver(ci), ci, nil, workers)
+		if ci != rebuilt { // convicted by the scan: rebuild it in a second pass
+			r.RepairChip(ci)
+			ScrubRebuild(r, c.chipSolver(ci), ci, nil, workers)
+		}
 		rep.BlocksRebuilt += r.Blocks()
 		rep.BusBlockFetches += r.Blocks()
 		d.ChipFailuresCorrected++
 		rep.ChipsRebuilt = append(rep.ChipsRebuilt, ci)
 		return rep
 	default:
+		if rebuilt >= 0 {
+			r.FailChip(rebuilt) // its rebuild read a survivor beyond the code
+		}
 		rep.Unrecoverable = true
 		d.Uncorrectable++
 		return rep
 	}
 }
 
-// ScrubVLEWs BCH-decodes every VLEW of every healthy chip of r in place,
+// ScrubRebuild is the rank's recovery pass, one row at a time. It
+// BCH-decodes every VLEW of every healthy chip of r except ci in place,
 // writing corrected contents back, and returns the VLEWs scanned, the bits
-// corrected and where each VLEW beyond the code is, in (chip, bank, row,
-// v) order (those are left as found). It is the scan half of BootScrub,
-// shared with the fleet's chip repair; the caller has closed all rows and
-// holds the rank quiesced.
+// corrected and where each VLEW beyond the code is, in (bank, row, chip,
+// v) order (those are left as found). With ci >= 0 the same pass then
+// rebuilds chip ci's VLEWs of the spans want selects (want[s] for span s,
+// see VLEWLoc.Span; nil selects every span) from the survivors' just
+// corrected row: the caller has cleared ci with Rank.RepairChip, and
+// solver is ci's erasure solver (NewChipSolver). A block's slice on the
+// chip is the RS erasure solution for the chip's eight symbols — for the
+// parity chip simply the re-encoded check bytes (Sec V-B) — solved
+// straight from the survivors' row buffers (ErasureSolver.SolveWords),
+// BCH-encoded once per VLEW and landed with one WriteVLEWRow per row.
+// Spans not selected are left as they are. The caller has closed all rows
+// and holds the rank quiesced.
 //
-// The scan is sharded across a pool of `workers` goroutines (0 =
-// GOMAXPROCS) keyed by (chip, bank), modelling a controller that
-// scrubs banks in parallel under the bank-level parallelism of the rank.
-// Decoding VLEWs dominates the cost and runs without locks; only the
-// per-chip ReadVLEWInto/WriteVLEWRow accesses synchronise.
+// RS(72,64) with a whole chip erased has no check symbol left, so a
+// rebuild is only as good as the survivors under it: a rebuilt span
+// whose survivors hold a VLEW beyond the code (reported) or whose other
+// chip has failed (its cells are not read; the solve sees zeros) is
+// garbage, and the caller must fail ci again or take the span elsewhere.
+//
+// Workers (0 = GOMAXPROCS) take whole banks, modelling a controller that
+// scrubs banks in parallel under the rank's bank-level parallelism; banks
+// are disjoint under the nvram.Chip contract. Decoding VLEWs dominates
+// the cost and runs without locks; only the per-chip ReadVLEWInto and
+// WriteVLEWRow accesses synchronise.
 //
 //chipkill:rankwide
-func ScrubVLEWs(r *rank.Rank, workers int) (vlews, bitsCorrected int64, uncorrectable []VLEWLoc) {
+func ScrubRebuild(r *rank.Rank, solver *rs.ErasureSolver, ci int, want []bool, workers int) (vlews, bitsCorrected int64, uncorrectable []VLEWLoc) {
 	rcfg := r.Config()
 	g, code := rcfg.Geometry, rcfg.VLEWCode
-	units := make([]scrubUnit, 0, r.NumChips()*g.Banks)
-	for ci := 0; ci < r.NumChips(); ci++ {
-		if !r.Chip(ci).Healthy() {
-			continue
-		}
-		for bank := 0; bank < g.Banks; bank++ {
-			units = append(units, scrubUnit{chip: ci, bank: bank})
+	nchips := r.NumChips()
+	scan := make([]int, 0, nchips)
+	for chip := 0; chip < nchips; chip++ {
+		if chip != ci && r.Chip(chip).Healthy() {
+			scan = append(scan, chip)
 		}
 	}
 
-	partials := make([]scrubPartial, len(units))
-	fanOut(workers, len(units), func() func(int) {
+	partials := make([]scrubPartial, g.Banks)
+	fanOut(workers, g.Banks, func() func(int) {
 		// Per-worker working set: one data/code buffer pair per VLEW of
-		// a row, reused for every row the worker scans (ReadVLEWInto
-		// fills them in place), plus the row's write-back batch. A
-		// worker allocates once, not twice per VLEW.
+		// a row on every chip, reused for every row the worker visits
+		// (ReadVLEWInto fills them in place), plus the row's write-back
+		// batch and the word solve's view of one VLEW across the chips.
+		// A worker allocates once, not per VLEW or per block.
 		vpr := g.VLEWsPerRow()
-		_, rowData, rowCode := rowBuffers(g)
-		dirtyVs := make([]int, 0, vpr)
-		dirtyData := make([][]byte, 0, vpr)
-		dirtyCode := make([][]byte, 0, vpr)
-		return func(i int) {
-			u, p := units[i], &partials[i]
-			chip := r.Chip(u.chip)
+		rowData, rowCode := rowBuffers(g, nchips)
+		vs := make([]int, 0, vpr)
+		datas := make([][]byte, 0, vpr)
+		codes := make([][]byte, 0, vpr)
+		src := make([][]byte, nchips)
+		return func(bank int) {
+			p := &partials[bank]
 			for row := 0; row < g.RowsPerBank; row++ {
-				dirtyVs = dirtyVs[:0]
-				dirtyData = dirtyData[:0]
-				dirtyCode = dirtyCode[:0]
-				for v := 0; v < vpr; v++ {
-					p.vlews++
-					data, vcode := rowData[v], rowCode[v]
-					chip.ReadVLEWInto(data, vcode, u.bank, row, v)
-					fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
-					if err != nil {
-						p.uncorrectable = append(p.uncorrectable, VLEWLoc{Chip: u.chip, Bank: u.bank, Row: row, V: v})
-						continue
+				for _, chip := range scan {
+					vs, datas, codes = vs[:0], datas[:0], codes[:0]
+					for v := 0; v < vpr; v++ {
+						p.vlews++
+						data, vcode := rowData[chip*vpr+v], rowCode[chip*vpr+v]
+						r.Chip(chip).ReadVLEWInto(data, vcode, bank, row, v)
+						fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
+						if err != nil {
+							p.uncorrectable = append(p.uncorrectable, VLEWLoc{Chip: chip, Bank: bank, Row: row, V: v})
+							continue
+						}
+						if fixed > 0 {
+							p.bits += int64(fixed)
+							vs, datas, codes = append(vs, v), append(datas, data), append(codes, vcode)
+						}
 					}
-					if fixed > 0 {
-						p.bits += int64(fixed)
-						dirtyVs = append(dirtyVs, v)
-						dirtyData = append(dirtyData, data)
-						dirtyCode = append(dirtyCode, vcode)
+					// One locked write-back per row covers every corrected
+					// VLEW in it, instead of one lock round-trip per VLEW.
+					if len(vs) > 0 {
+						r.Chip(chip).WriteVLEWRow(bank, row, vs, datas, codes)
 					}
 				}
-				// One locked write-back per row covers every corrected
-				// VLEW in it, instead of one lock round-trip per VLEW.
-				if len(dirtyVs) > 0 {
-					chip.WriteVLEWRow(u.bank, row, dirtyVs, dirtyData, dirtyCode)
+				if ci < 0 {
+					continue
+				}
+				vs, datas, codes = vs[:0], datas[:0], codes[:0]
+				for v := 0; v < vpr; v++ {
+					if want != nil && !want[VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)] {
+						continue
+					}
+					for chip := range src {
+						src[chip] = rowData[chip*vpr+v]
+					}
+					data, vcode := rowData[ci*vpr+v], rowCode[ci*vpr+v]
+					solver.SolveWords(data, src)
+					code.EncodeDeltaInto(vcode[:code.ParityBytes()], data, 0)
+					vs, datas, codes = append(vs, v), append(datas, data), append(codes, vcode)
+				}
+				if len(vs) > 0 {
+					r.Chip(ci).WriteVLEWRow(bank, row, vs, datas, codes)
 				}
 			}
 		}
@@ -216,78 +265,18 @@ func fanOut(workers, n int, newWorker func() func(i int)) {
 	wg.Wait()
 }
 
-// rowBuffers carves one chip row's per-VLEW data and code buffers out of
-// two slabs; row is the data slab, the VLEWs back to back as stored.
-func rowBuffers(g nvram.Geometry) (row []byte, data, code [][]byte) {
-	vpr := g.VLEWsPerRow()
-	row = make([]byte, vpr*g.VLEWDataBytes)
-	codeSlab := make([]byte, vpr*g.VLEWCodeBytes)
-	data, code = make([][]byte, vpr), make([][]byte, vpr)
-	for v := range data {
-		data[v] = row[v*g.VLEWDataBytes : (v+1)*g.VLEWDataBytes]
-		code[v] = codeSlab[v*g.VLEWCodeBytes : (v+1)*g.VLEWCodeBytes]
+// rowBuffers carves the per-VLEW data and code buffers of one row of
+// every chip out of two slabs: buffer chip*VLEWsPerRow+v holds VLEW v of
+// the chip's row.
+func rowBuffers(g nvram.Geometry, chips int) (data, code [][]byte) {
+	n := chips * g.VLEWsPerRow()
+	dataSlab, codeSlab := make([]byte, n*g.VLEWDataBytes), make([]byte, n*g.VLEWCodeBytes)
+	data, code = make([][]byte, n), make([][]byte, n)
+	for i := range data {
+		data[i] = dataSlab[i*g.VLEWDataBytes : (i+1)*g.VLEWDataBytes]
+		code[i] = codeSlab[i*g.VLEWCodeBytes : (i+1)*g.VLEWCodeBytes]
 	}
-	return row, data, code
-}
-
-// gatherSpan fills dst, one VLEW of chip ci, with the chip's slice of the
-// blocks starting at first: raw gather into block (data then check
-// bytes), erasure solve, copy out.
-//
-//chipkill:noalloc
-func gatherSpan(dst, block []byte, r *rank.Rank, solver *rs.ErasureSolver, ci int, first int64) {
-	n := r.Config().ChipAccessBytes
-	data, check := block[:len(block)-n], block[len(block)-n:]
-	for off := 0; off < len(dst); off += n {
-		r.ReadBlockRawInto(first+int64(off/n), data, check)
-		solver.Solve(data, check)
-		copy(dst[off:off+n], block[ci*n:])
-	}
-}
-
-// RebuildChip reconstructs chip ci's VLEWs of the spans want selects
-// (want[s] for span s, see VLEWLoc.Span; nil selects every span) from the
-// rank's other chips, which the caller has drift-corrected (ScrubVLEWs)
-// before clearing the chip with Rank.RepairChip. A block's slice on the
-// chip is the RS erasure solution for the chip's eight symbols — for the
-// parity chip simply the re-encoded check bytes (Sec V-B) — so solver is
-// ci's erasure solver (NewChipSolver). Spans not selected are left as they
-// are. Workers (0 = GOMAXPROCS) take whole banks, disjoint under the
-// nvram.Chip contract; each assembles a selected VLEW, encodes it once,
-// and lands each row's selected VLEWs with one WriteVLEWRow.
-//
-//chipkill:rankwide
-func RebuildChip(r *rank.Rank, solver *rs.ErasureSolver, ci int, want []bool, workers int) {
-	rcfg := r.Config()
-	g := rcfg.Geometry
-	code := rcfg.VLEWCode
-	chip := r.Chip(ci)
-	spanBlocks := int64(g.VLEWDataBytes / rcfg.ChipAccessBytes)
-
-	fanOut(workers, g.Banks, func() func(int) {
-		block := make([]byte, rcfg.BlockBytes()+rcfg.ChipAccessBytes)
-		_, rowData, rowCode := rowBuffers(g)
-		vs := make([]int, 0, len(rowData))
-		datas := make([][]byte, 0, len(rowData))
-		codes := make([][]byte, 0, len(rowData))
-		return func(bank int) {
-			for row := 0; row < g.RowsPerBank; row++ {
-				vs, datas, codes = vs[:0], datas[:0], codes[:0]
-				for v, vd := range rowData {
-					s := VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)
-					if want != nil && !want[s] {
-						continue
-					}
-					gatherSpan(vd, block, r, solver, ci, s*spanBlocks)
-					code.EncodeDeltaInto(rowCode[v][:code.ParityBytes()], vd, 0)
-					vs, datas, codes = append(vs, v), append(datas, vd), append(codes, rowCode[v])
-				}
-				if len(vs) > 0 {
-					chip.WriteVLEWRow(bank, row, vs, datas, codes)
-				}
-			}
-		}
-	})
+	return data, code
 }
 
 // String renders the report.
@@ -369,8 +358,8 @@ func (c *Controller) patrolDegraded(pos int64, count int) (next int64, corrected
 	for i := 0; i < count; i++ {
 		first := ((pos + int64(i)) % total) * stripedBlocksPerVLEW
 		bank, row, chip, slot, _ := c.stripedLoc(first)
-		data := c.stripedData(first)
-		vcode := c.rank.Chip(chip).ReadCode(bank, row, slot)
+		data, vcode := c.stripedData(first), c.vlewCodeBuf
+		c.rank.Chip(chip).ReadCodeInto(vcode, bank, row, slot)
 		fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
 		if err != nil {
 			d.ScrubUncorrectable++

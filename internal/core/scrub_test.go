@@ -201,35 +201,3 @@ func TestRebuildMatchesNeverFailedTwin(t *testing.T) {
 		}
 	}
 }
-
-// TestRebuildAllocatesPerWorkerNotPerBlock pins the kernel's memory
-// behaviour: buffers belong to workers, so rebuilding a rank four times the
-// size allocates the same number of times (the block-at-a-time rebuild it
-// replaced allocated several times per block). It drives RebuildChip
-// directly: the scan phase's BCH decoder draws on a sync.Pool, which race
-// builds empty at random.
-func TestRebuildAllocatesPerWorkerNotPerBlock(t *testing.T) {
-	for _, ci := range []int{2, 8} {
-		var allocs [2]float64
-		for i, rows := range []int{4, 16} {
-			c, twin := rebuildPair(t, ci, 4, rows)
-			c.BootScrub() // builds the cached solver; leaves the rank clean
-			r := c.Rank()
-			allocs[i] = testing.AllocsPerRun(3, func() {
-				r.FailChip(ci)
-				r.RepairChip(ci)
-				RebuildChip(r, c.chipSolver(ci), ci, nil, 4)
-			})
-			twin.BootScrub()
-			r.CloseAllRows()
-			twin.Rank().CloseAllRows()
-			if !bytes.Equal(r.Chip(ci).CellArray(), twin.Rank().Chip(ci).CellArray()) {
-				t.Fatalf("chip %d at %d rows: rebuilt cells differ from the never-failed twin", ci, rows)
-			}
-		}
-		if allocs[1] > allocs[0]+8 {
-			t.Errorf("chip %d: %.0f allocations at 2048 blocks, %.0f at 8192: rebuild allocates per block",
-				ci, allocs[0], allocs[1])
-		}
-	}
-}

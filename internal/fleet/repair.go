@@ -6,10 +6,13 @@
 // and code land on the repaired chip unchanged. Nothing is re-encoded:
 // the VLEW code is a function of the data alone, and both ranks hold the
 // same bytes. Every other band, the rank's replica pool and the whole
-// parity chip go through core.RebuildChip, the bank-parallel RS erasure
-// rebuild BootScrub runs. Both paths are timed so the campaign reports
-// can prove the replica copy beats the erasure rebuild, which is the
-// fleet's core argument. With no replica at all the repair declines
+// parity chip are rebuilt by one core.ScrubRebuild pass, the
+// bank-parallel kernel BootScrub runs: row by row it drift-corrects the
+// survivors and solves the chip's VLEWs of the row from the same
+// buffers. Both paths are timed — the erasure path's time includes the
+// survivors' scan it cannot do without — so the campaign reports can
+// prove the replica copy beats the erasure rebuild, which is the fleet's
+// core argument. With no replica at all the repair declines
 // (ErrNoReplica) and the guard falls back to its journaled degraded-mode
 // migration exactly as a single-rank deployment would.
 package fleet
@@ -33,7 +36,7 @@ type RepairReport struct {
 	ReplicaBlocks int64 // blocks restored via the replica path
 	ErasureBlocks int64 // blocks restored via the erasure path
 	ReplicaNS     int64 // wall time in the replica path
-	ErasureNS     int64 // wall time in the erasure path
+	ErasureNS     int64 // wall time in the erasure pass, the survivors' scan included
 	Unrecoverable bool  // some band survived neither path
 }
 
@@ -110,23 +113,23 @@ func (f *Fleet) rankHasLiveReplica(rk int) bool {
 	return false
 }
 
-// repairChip rebuilds chip rep.Chip of n: the pre-repair scan, the
-// replica copies (data chips only), then one erasure pass over every band
-// left. The scan drift-corrects the survivors first because RS(72,64)
-// with a whole chip erased has no check symbol left: a residual error
-// would corrupt the rebuild silently. For the same reason a band whose
-// survivors hold a VLEW beyond the BCH code, or any band while another
-// chip of the rank is failed too, can only come back from a replica. If
-// such a band was not copied the repair is unrecoverable, and the chip
-// is failed again so that reads of the band keep reporting the damage
-// instead of serving a rebuild made from it.
+// repairChip rebuilds chip rep.Chip of n: the replica copies (data chips
+// only), then one core.ScrubRebuild pass that drift-corrects the
+// survivors and rebuilds every band left from the same row buffers. The
+// scan must precede each band's solve because RS(72,64) with a whole chip
+// erased has no check symbol left: a residual error would corrupt the
+// rebuild silently. For the same reason a band whose survivors hold a
+// VLEW beyond the BCH code, or any band while another chip of the rank is
+// failed too, can only come back from a replica. If such a band was not
+// copied the repair is unrecoverable, and the chip is failed again so
+// that reads of the band keep reporting the damage instead of serving a
+// rebuild made from it.
 //
 //chipkill:rankwide
 //chipkill:holds engine.rank
 func (f *Fleet) repairChip(n *node, solver *rs.ErasureSolver, rep *RepairReport) {
 	r := n.rank
-	r.CloseAllRows() // drain EURs so raw reads see settled cells
-	_, _, beyond := core.ScrubVLEWs(r, 0)
+	r.CloseAllRows() // drain EURs so the pass reads settled cells
 	// RepairChip zeroes the chip's cells and clears its failed latch;
 	// from here on writes to it land (they are no-ops on a failed chip).
 	r.RepairChip(rep.Chip)
@@ -147,22 +150,21 @@ func (f *Fleet) repairChip(n *node, solver *rs.ErasureSolver, rep *RepairReport)
 		}
 	}
 	rep.ErasureBlocks = int64(rep.ErasureBands) * f.bandBlocks
-	// ScrubVLEWs skips failed chips, so a second failed chip of the rank
-	// shows up only in the count: the solver would take its garbage for a
-	// survivor, and no erasure band can come back.
+	// The pass skips failed chips, so a second failed chip of the rank
+	// shows up only in the count: no erasure band can come back.
 	if r.FailedChips() > 0 && rep.ErasureBands > 0 {
 		rep.Unrecoverable = true
 	}
+
+	start := time.Now()
+	_, _, beyond := core.ScrubRebuild(r, solver, rep.Chip, erasure, 0)
+	rep.ErasureNS = time.Since(start).Nanoseconds()
 	g := r.Config().Geometry
 	for _, loc := range beyond {
-		if loc.Chip != rep.Chip && erasure[loc.Span(g)] {
+		if erasure[loc.Span(g)] {
 			rep.Unrecoverable = true
 		}
 	}
-
-	start := time.Now()
-	core.RebuildChip(r, solver, rep.Chip, erasure, 0)
-	rep.ErasureNS = time.Since(start).Nanoseconds()
 	if rep.Unrecoverable {
 		r.FailChip(rep.Chip)
 	}

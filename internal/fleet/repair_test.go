@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"chipkillpm/internal/core"
+	"chipkillpm/internal/guard"
 )
 
 // repairFleet builds a filled test fleet with explicit replicas only:
@@ -119,8 +120,78 @@ func TestRepairChipSurvivorBeyondCode(t *testing.T) {
 	}
 }
 
+// TestUnrecoverableRepairThenFallbackMigration follows an unrecoverable
+// repair into the guard's fallback. A survivor VLEW of unreplicated band
+// 6 is beyond the code when chip 2 dies; the guard convicts chip 2, the
+// fleet repair fails and re-fails the chip, and the guard starts its
+// journaled degraded-mode migration. The band's blocks can then only be
+// DUEs: every read of the band must return the shadow's data or an
+// error, never other bytes, and every other block of the fleet must read
+// back intact. A band the migration cannot read stops the walk there
+// with a DUE, and the test drives the guard until that happens (or the
+// migration completes).
+func TestUnrecoverableRepairThenFallbackMigration(t *testing.T) {
+	f := repairFleet(t, testConfig())
+	const dead, rotten, band = 2, 5, 6 // band 6 is rank 0's local band 2
+	g := f.Rank(0).Config().Geometry
+	loc := core.SpanLoc(g, rotten, band/int64(f.NumRanks()))
+	f.Engine(0).Quiesce(func() {
+		f.Rank(0).CloseAllRows()
+		for i := 0; i < 40; i++ {
+			f.Rank(0).Chip(rotten).FlipDataBit(loc.Bank, loc.Row, loc.V*g.VLEWDataBytes+6*i, uint(i))
+		}
+		f.Rank(0).FailChip(dead)
+	})
+
+	first := int64(band) * f.BandBlocks()
+	buf, want := make([]byte, f.BlockBytes()), make([]byte, f.BlockBytes())
+	sup := f.Supervisor(0)
+	stuck := false
+	for i := 0; i < 400 && !stuck && sup.State() != guard.StateDegraded; i++ {
+		for j := int64(0); j < 8; j++ {
+			// Demand reads on rank 0 (bands 0, 3, 6, ...) feed the guard.
+			if err := f.ReadBlockInto(j*3*f.BandBlocks()+j, buf); err != nil && !errors.Is(err, core.ErrUncorrectable) {
+				t.Fatalf("demand read: %v", err)
+			}
+		}
+		if err := f.Tick(); err != nil {
+			if !errors.Is(err, core.ErrUncorrectable) {
+				t.Fatalf("tick %d: %v", i, err)
+			}
+			stuck = true
+		}
+	}
+	reps := f.Repairs()
+	if len(reps) != 1 || !reps[0].Unrecoverable || reps[0].Chip != dead {
+		t.Fatalf("repairs %+v, want one unrecoverable repair of chip %d", reps, dead)
+	}
+	if rep := sup.Report(); rep.Verdicts != 1 || rep.ExternalRepairs != 0 || f.Engine(0).Migrating() == nil && rep.State != guard.StateDegraded {
+		t.Fatalf("guard did not fall back to migration: %+v", rep)
+	}
+	if local := int64(band/f.NumRanks()) * f.BandBlocks(); stuck && f.Engine(0).Migrating().Cursor() != local {
+		t.Fatalf("migration stopped at rank block %d, not at the band's first block %d", f.Engine(0).Migrating().Cursor(), local)
+	}
+	dues := 0
+	for b := int64(0); b < f.Blocks(); b++ {
+		pattern(b, want)
+		err := f.ReadBlockInto(b, buf)
+		switch {
+		case err == nil && !bytes.Equal(buf, want):
+			t.Fatalf("block %d read back wrong bytes without an error", b)
+		case err != nil && (b < first || b >= first+f.BandBlocks()):
+			t.Fatalf("block %d outside the lost band: %v", b, err)
+		case err != nil:
+			if !errors.Is(err, core.ErrUncorrectable) {
+				t.Fatalf("block %d: %v, want a DUE", b, err)
+			}
+			dues++
+		}
+	}
+	t.Logf("%d of the band's %d blocks are DUEs (migration stuck: %v)", dues, f.BandBlocks(), stuck)
+}
+
 // TestRepairChipWithAnotherChipFailed repairs a chip of a rank on which
-// a second chip has failed too. ScrubVLEWs does not scan failed chips,
+// a second chip has failed too. The repair pass does not scan failed chips,
 // and RS(72,64) has no symbol left to notice the second chip's garbage,
 // so every erasure band is lost: the repair must report that and fail
 // the chip again, and no block of the rank may read back wrong bytes

@@ -664,21 +664,25 @@ func (c *Chip) XORCode(bank, row, v int, delta []byte) {
 	atomic.AddInt64(&c.stats.BitsWritten, int64(8*len(delta)))
 }
 
-// ReadCode returns a copy of a VLEW code slot.
-func (c *Chip) ReadCode(bank, row, v int) []byte {
+// ReadCodeInto fills dst (VLEWCodeBytes) with a VLEW code slot. A failed
+// chip fills it with garbage.
+//
+//chipkill:noalloc
+func (c *Chip) ReadCodeInto(dst []byte, bank, row, v int) {
 	if v < 0 || v >= c.geom.VLEWsPerRow() {
 		panic(fmt.Sprintf("nvram: VLEW index %d out of range", v))
 	}
-	out := make([]byte, c.geom.VLEWCodeBytes)
+	if len(dst) != c.geom.VLEWCodeBytes {
+		panic("nvram: ReadCodeInto size mismatch")
+	}
 	if c.failed {
 		atomic.AddInt64(&c.stats.FailedAccesses, 1)
 		c.mu.Lock()
-		c.rng.Read(out)
+		c.rng.Read(dst)
 		c.mu.Unlock()
-		return out
+		return
 	}
-	copy(out, c.vlewCode(bank, row, v))
-	return out
+	copy(dst, c.vlewCode(bank, row, v))
 }
 
 // FlipDataBit flips one stored data bit directly in the array, without

@@ -48,11 +48,12 @@ func TestEURDeferredDrainMatchesImmediate(t *testing.T) {
 	if !bytes.Equal(deferred.CellArray(), immediate.CellArray()) {
 		t.Fatal("deferred and immediate EUR drains left different data cells")
 	}
+	dc, ic := make([]byte, testGeom.VLEWCodeBytes), make([]byte, testGeom.VLEWCodeBytes)
 	for bank := 0; bank < testGeom.Banks; bank++ {
 		for row := 0; row < 4; row++ {
 			for v := 0; v < testGeom.VLEWsPerRow(); v++ {
-				dc := deferred.ReadCode(bank, row, v)
-				ic := immediate.ReadCode(bank, row, v)
+				deferred.ReadCodeInto(dc, bank, row, v)
+				immediate.ReadCodeInto(ic, bank, row, v)
 				if !bytes.Equal(dc, ic) {
 					t.Fatalf("bank %d row %d vlew %d: deferred code differs from immediate", bank, row, v)
 				}

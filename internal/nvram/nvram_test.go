@@ -422,11 +422,13 @@ func TestWriteDataRawSkipsCodeMaintenance(t *testing.T) {
 
 func TestXORCodeAndReadCode(t *testing.T) {
 	c := newTestChip(t)
-	before := c.ReadCode(1, 2, 3)
+	before := make([]byte, testGeom.VLEWCodeBytes)
+	c.ReadCodeInto(before, 1, 2, 3)
 	delta := make([]byte, len(before))
 	delta[0] = 0xAB
 	c.XORCode(1, 2, 3, delta)
-	after := c.ReadCode(1, 2, 3)
+	after := make([]byte, len(before))
+	c.ReadCodeInto(after, 1, 2, 3)
 	if after[0] != before[0]^0xAB {
 		t.Error("XORCode did not apply")
 	}

@@ -149,6 +149,29 @@ func BenchmarkKernelErasureSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelErasureSolveWords is BenchmarkKernelErasureSolve's
+// problem over one VLEW's 32 blocks through the gather-free word solve,
+// reported per block.
+func BenchmarkKernelErasureSolveWords(b *testing.B) {
+	c := benchCode()
+	s, err := c.NewErasureSolver([]int{8, 9, 10, 11, 12, 13, 14, 15})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const blocks = 32
+	src := make([][]byte, c.N()/8)
+	for g := range src {
+		src[g] = make([]byte, 8*blocks)
+		rand.New(rand.NewSource(int64(g))).Read(src[g])
+	}
+	dst := make([]byte, 8*blocks)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SolveWords(dst, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+}
+
 // BenchmarkKernelNewErasureSolver is the one-off table build per failed chip.
 func BenchmarkKernelNewErasureSolver(b *testing.B) {
 	c := benchCode()

@@ -158,5 +158,86 @@ func FuzzErasureSolver(f *testing.F) {
 		d, c := append([]byte(nil), buf...), append([]byte(nil), check...)
 		scribble(rng, code, erasures, d, c)
 		solveBoth(t, code, s, erasures, d, c, buf, check)
+		if ci := int(sel % 10); ci < 9 {
+			// The word solve sees the fuzzed codeword through the chips'
+			// groups, the scribbled chip included, then a second,
+			// seed-drawn codeword at the next 8-byte stride.
+			d2 := make([]byte, code.K())
+			rng.Read(d2)
+			c2 := code.Encode(d2)
+			src := chipGroups(append(d, c...), append(d2, c2...))
+			rng.Read(src[ci][8:])
+			want := chipGroups(append(buf, check...), append(d2, c2...))[ci]
+			got := make([]byte, 16)
+			s.SolveWords(got, src)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("chip %d: SolveWords %x, Solve %x", ci, got, want)
+			}
+		}
 	})
+}
+
+// chipGroups splits codewords (data||check, 72 bytes each) into the nine
+// chips' 8-byte groups, concatenated per chip in codeword order.
+func chipGroups(words ...[]byte) [][]byte {
+	src := make([][]byte, 9)
+	for _, w := range words {
+		for g := range src {
+			src[g] = append(src[g], w[8*g:8*g+8]...)
+		}
+	}
+	return src
+}
+
+// TestSolveWordsMatchesSolve holds the gather-free word solve to Solve
+// for every chip of RS(72,64) over a VLEW's worth of blocks, with the
+// erased chip's group absent (nil), and pins that it is refused for an
+// erasure set that is not one whole group.
+func TestSolveWordsMatchesSolve(t *testing.T) {
+	code := Must(64, 8)
+	rng := rand.New(rand.NewSource(17))
+	const blocks = 32
+	for ci := 0; ci <= 8; ci++ {
+		s, err := code.NewErasureSolver(chipErasures(ci))
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := make([][]byte, blocks)
+		for b := range words {
+			data := make([]byte, code.K())
+			if b != blocks-1 { // the last block stays the all-zero codeword
+				rng.Read(data)
+			}
+			words[b] = append(data, code.Encode(data)...)
+		}
+		src := chipGroups(words...)
+		want := src[ci]
+		src[ci] = nil
+		got := make([]byte, 8*blocks)
+		s.SolveWords(got, src)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("chip %d: SolveWords disagrees with the encoded codewords", ci)
+		}
+		if n := testing.AllocsPerRun(20, func() { s.SolveWords(got, src) }); n != 0 {
+			t.Errorf("chip %d: SolveWords allocates %.0f times per call", ci, n)
+		}
+	}
+	for name, pos := range map[string][]int{
+		"scattered": {0, 9, 18, 27, 36, 45, 54, 63},
+		"unaligned": {4, 5, 6, 7, 8, 9, 10, 11},
+		"permuted":  {9, 8, 10, 11, 12, 13, 14, 15},
+	} {
+		s, err := code.NewErasureSolver(pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s erasure set: SolveWords did not panic", name)
+				}
+			}()
+			s.SolveWords(make([]byte, 8), make([][]byte, 9))
+		}()
+	}
 }

@@ -121,12 +121,20 @@ func (e *encTables) remainderSliced(data []byte) uint64 {
 			state = 0
 			continue
 		}
-		state = e.slice[7][byte(t>>56)] ^ e.slice[6][byte(t>>48)] ^
-			e.slice[5][byte(t>>40)] ^ e.slice[4][byte(t>>32)] ^
-			e.slice[3][byte(t>>24)] ^ e.slice[2][byte(t>>16)] ^
-			e.slice[1][byte(t>>8)] ^ e.slice[0][byte(t)]
+		state = e.fold(t)
 	}
 	return state
+}
+
+// fold is eight zero-input steps of the register holding t: L^8(t), one
+// slicing-by-8 iteration.
+//
+//chipkill:seqread
+func (e *encTables) fold(t uint64) uint64 {
+	return e.slice[7][byte(t>>56)] ^ e.slice[6][byte(t>>48)] ^
+		e.slice[5][byte(t>>40)] ^ e.slice[4][byte(t>>32)] ^
+		e.slice[3][byte(t>>24)] ^ e.slice[2][byte(t>>16)] ^
+		e.slice[1][byte(t>>8)] ^ e.slice[0][byte(t)]
 }
 
 // decTables hold per-root multiplication tables: root[j] multiplies by
