@@ -26,9 +26,11 @@ race:
 # Kernel microbenchmarks: each table-driven kernel next to its retained
 # bit-serial / poly-div reference, so one run shows the fast-vs-reference
 # ratios on this host, plus the nine-chip row-miss write whose EUR drains
-# run the BCH delta encode with the chip cells competing for cache.
+# run the BCH delta encode with the chip cells competing for cache, and the
+# nine-chip row-streaming write run in parallel on disjoint banks (run it
+# with -cpu 1,2 to see cross-bank cache-line contention).
 # End-to-end and per-layer numbers are `go run ./bench` (bench/README.md).
-KERNEL_BENCH = 'Kernel|WriteXORRowMiss'
+KERNEL_BENCH = 'Kernel|WriteXORRowMiss|WriteXORParallel'
 KERNEL_PKGS = ./internal/gf/ ./internal/bch/ ./internal/rs/ ./internal/nvram/
 bench:
 	go test -run xxx -bench $(KERNEL_BENCH) -benchmem $(KERNEL_PKGS)

@@ -90,14 +90,15 @@ func (ct ChipTelemetry) Total() int64 {
 
 // Telemetry returns a snapshot of the controller's per-chip error
 // attribution, with FailedAccesses filled from the chips' own atomic
-// counters. Same concurrency contract as Stats: safe against scrubs, not
-// against demand traffic.
+// counters (nvram.Chip.FailedAccesses, the one chip counter that is safe
+// to read during traffic). Same concurrency contract as Stats: safe
+// against scrubs, not against demand traffic.
 func (c *Controller) Telemetry() Telemetry {
 	c.statsMu.Lock()
 	t := Telemetry{Chips: append([]ChipTelemetry(nil), c.tel.Chips...), DUEs: c.tel.DUEs}
 	c.statsMu.Unlock()
 	for i := range t.Chips {
-		t.Chips[i].FailedAccesses = c.rank.Chip(i).Stats().FailedAccesses
+		t.Chips[i].FailedAccesses = c.rank.Chip(i).FailedAccesses()
 	}
 	return t
 }

@@ -82,19 +82,26 @@ func (s Stats) CFactor() float64 {
 // embeds a linear BCH encoder for VLEW code bits and an EUR that coalesces
 // code-bit updates per open-row VLEW until the row closes (Fig 11).
 //
+// Each bank keeps its own state record (see bank): the open row, the EUR
+// registers and slot bounds of that row's VLEWs, the write chain's scratch
+// and the bank's activity counters, padded so that no two banks share a
+// cache line. Stats folds the records.
+//
 // Concurrency contract (mirrors real hardware, where each bank operates
 // independently behind its own row buffer):
 //
-//   - ReadVLEWInto and WriteVLEW take the chip's internal mutex and may be
-//     called concurrently from anywhere — the parallel boot scrub fans
-//     workers out across (chip, bank) pairs.
-//   - The bank-addressed demand methods (ReadDataInto, WriteData, WriteXOR,
-//     WriteDataRaw, OpenRow, CloseRow, XORCode, ReadCode) may run
-//     concurrently so long as no two goroutines touch the same bank at the
-//     same time: all mutable per-bank state (cells rows, the open-row
-//     register, EUR slots, row wear) is disjoint across banks, and shared
-//     counters are updated atomically. The sharded engine relies on this by
-//     assigning each bank to exactly one shard lock.
+//   - The bank-addressed methods (ReadDataInto, ReadVLEWInto, ReadCodeInto,
+//     WriteData, WriteXOR, WriteDataRaw, WriteVLEW, WriteVLEWRow, XORCode,
+//     OpenRow, CloseRow) may run concurrently so long as no two goroutines
+//     touch the same bank at the same time: all mutable per-bank state
+//     (cells rows, row wear and the bank record with its counters) is
+//     disjoint across banks, so the write path needs no atomics. The
+//     sharded engine relies on this by assigning each bank to exactly one
+//     shard lock. ReadVLEWInto, WriteVLEW and WriteVLEWRow also take the
+//     chip's mutex, so scrub workers may share a bank among themselves —
+//     the parallel boot scrub fans workers out across (chip, bank) pairs.
+//   - FailedAccesses is safe at any time, against any traffic.
+//   - Stats is a snapshot taken while no bank operation is in flight.
 //   - Fault-injection and maintenance methods (Fail, Repair, CloseAllRows,
 //     InjectRetentionErrors, WearOutBit, FlipDataBit, FlipCodeBit) require
 //     full quiescence: no concurrent access of any kind.
@@ -110,42 +117,48 @@ type Chip struct {
 	cells   []byte    // banks x rows x RowTotalBytes
 	rng     *rand.Rand
 	failed  bool
-	openRow []int // per bank; -1 when closed
-	// EUR slots indexed bank*VLEWsPerRow+v. A slot accumulates the *raw
-	// data delta* of its open-row VLEW — not an encoded code update — and
-	// the chip runs the BCH encoder once when the slot drains at row close.
-	// BCH is linear, so encoding the accumulated delta equals XORing the
-	// per-write encodes, and the deferred scheme pays one EncodeDelta per
-	// drain instead of one per write. eurLo/eurHi bound the touched byte
-	// range so the drain encodes only what changed. A slot's register is
-	// allocated lazily and kept zeroed whenever its eurSet flag is false,
-	// so draining is flag-test + encode with no map churn and no
-	// cross-bank sharing. Registers are carved out of one eagerly
-	// allocated slab so the write path never allocates.
-	eurDelta [][]byte
-	eurSet   []bool
-	eurLo    []int32
-	eurHi    []int32
-	// bank[b] is per-bank scratch for the write chain (delta staging and
-	// EncodeDeltaInto output). Banks operate independently — the demand
-	// concurrency contract guarantees no two goroutines touch the same
-	// bank — so per-bank ownership makes every write-path encode
-	// allocation-free without any caller-threaded buffers.
-	bank    []bankScratch
+	banks   []bank
 	rowWear []int64           // writes per row, for wear accounting
 	stuck   map[int]stuckCell // worn-out cells: writes cannot change them
-	// stats fields are only touched through sync/atomic: banks race on
-	// them, and Stats() snapshots them without stopping traffic.
+	// bitErrorsInjected is only written by the quiescent injection hooks.
+	bitErrorsInjected int64
+	// failedAccesses is read by health supervisors while traffic runs.
 	//chipkill:atomic
-	stats Stats
+	failedAccesses atomic.Int64
 }
 
-// bankScratch is the reusable working memory of one bank's write chain.
-// Only populated when the chip embeds an encoder.
-type bankScratch struct {
-	parity []byte // EncodeDeltaInto output, enc.ParityBytes()
-	delta  []byte // WriteData delta staging, RowDataBytes
+// cacheLine is the coherence granule bank records are padded against.
+const cacheLine = 64
+
+// bank is one bank's state record. Only the goroutine that owns the bank
+// under the concurrency contract touches it, so its counters are plain
+// integers; the trailing pad, and the slack after each bank's slots and
+// byte scratch, keep every other bank's state off its cache lines.
+type bank struct {
+	openRow int // -1 when closed
+	// The EUR: one register of eur and one slot per VLEW of the open row.
+	// A register accumulates the *raw data delta* of its VLEW — not an
+	// encoded code update — and the chip runs the BCH encoder once when
+	// the slot drains at row close. BCH is linear, so encoding the
+	// accumulated delta equals XORing the per-write encodes, and the
+	// deferred scheme pays one EncodeDelta per drain instead of one per
+	// write. The slot bounds the touched byte range so the drain encodes
+	// only what changed; a register is kept zeroed while its slot is
+	// empty, so draining is test + encode with no map churn.
+	eur    []byte    // VLEWsPerRow x VLEWDataBytes
+	slots  []eurSlot // VLEWsPerRow
+	parity []byte    // EncodeDeltaInto output, enc.ParityBytes()
+	delta  []byte    // WriteData delta staging, RowDataBytes
+
+	dataWrites, rawWrites, codeWrites int64
+	activations, closes, bitsWritten  int64
+
+	_ [cacheLine]byte
 }
+
+// eurSlot is the touched byte range [lo, hi) of one EUR register. hi is 0
+// while the slot is empty: an armed slot covers at least one byte.
+type eurSlot struct{ lo, hi int32 }
 
 // stuckCell describes permanently faulty bits of one cell byte: the bits
 // in mask always read back as the corresponding bits of value.
@@ -171,35 +184,29 @@ func NewChip(geom Geometry, enc *bch.Code, seed int64) (*Chip, error) {
 		}
 	}
 	c := &Chip{
-		geom:     geom,
-		enc:      enc,
-		cells:    make([]byte, int64(geom.Banks)*int64(geom.RowsPerBank)*int64(geom.RowTotalBytes())),
-		rng:      rand.New(rand.NewSource(seed)),
-		openRow:  make([]int, geom.Banks),
-		eurDelta: make([][]byte, geom.EURRegisters()),
-		eurSet:   make([]bool, geom.EURRegisters()),
-		eurLo:    make([]int32, geom.EURRegisters()),
-		eurHi:    make([]int32, geom.EURRegisters()),
-		rowWear:  make([]int64, geom.Banks*geom.RowsPerBank),
-		stuck:    make(map[int]stuckCell),
+		geom:    geom,
+		enc:     enc,
+		cells:   make([]byte, int64(geom.Banks)*int64(geom.RowsPerBank)*int64(geom.RowTotalBytes())),
+		rng:     rand.New(rand.NewSource(seed)),
+		banks:   make([]bank, geom.Banks),
+		rowWear: make([]int64, geom.Banks*geom.RowsPerBank),
+		stuck:   make(map[int]stuckCell),
 	}
-	for i := range c.openRow {
-		c.openRow[i] = -1
-	}
-	// Carve the EUR registers out of one slab up front (Banks*RowDataBytes,
-	// negligible next to cells) so coalescing never allocates mid-write.
-	slab := make([]byte, geom.EURRegisters()*geom.VLEWDataBytes)
-	for i := range c.eurDelta {
-		c.eurDelta[i] = slab[i*geom.VLEWDataBytes : (i+1)*geom.VLEWDataBytes]
-	}
+	parity := 0
 	if enc != nil {
-		c.bank = make([]bankScratch, geom.Banks)
-		for b := range c.bank {
-			c.bank[b] = bankScratch{
-				parity: make([]byte, enc.ParityBytes()),
-				delta:  make([]byte, geom.RowDataBytes),
-			}
-		}
+		parity = enc.ParityBytes()
+	}
+	// Every bank's scratch is allocated up front, so the write path never
+	// allocates. Each allocation carries a cache line of unused capacity,
+	// which keeps whatever the allocator places next, another bank's
+	// scratch included, off the lines this bank writes.
+	rdb, vpr := geom.RowDataBytes, geom.VLEWsPerRow()
+	for i := range c.banks {
+		b := &c.banks[i]
+		b.openRow = -1
+		b.slots = make([]eurSlot, vpr, vpr+cacheLine/8)
+		s := make([]byte, 2*rdb+parity, 2*rdb+parity+cacheLine)
+		b.eur, b.delta, b.parity = s[:rdb:rdb], s[rdb:2*rdb:2*rdb], s[2*rdb:]
 	}
 	return c, nil
 }
@@ -207,22 +214,27 @@ func NewChip(geom Geometry, enc *bch.Code, seed int64) (*Chip, error) {
 // Geometry returns the chip's geometry.
 func (c *Chip) Geometry() Geometry { return c.geom }
 
-// Stats returns a snapshot of the chip's counters. Counters are maintained
-// atomically, so a snapshot taken during concurrent demand traffic is a
-// consistent set of per-field loads (not a point-in-time total across
-// fields, which only quiescence can give).
+// Stats folds the banks' counters into one snapshot. The bank counters are
+// plain integers owned by whoever owns the bank, so the snapshot must be
+// taken while no bank operation is in flight; FailedAccesses is the one
+// counter that may be read during traffic.
 func (c *Chip) Stats() Stats {
-	return Stats{
-		DataWrites:        atomic.LoadInt64(&c.stats.DataWrites),
-		RawWrites:         atomic.LoadInt64(&c.stats.RawWrites),
-		VLEWCodeWrites:    atomic.LoadInt64(&c.stats.VLEWCodeWrites),
-		RowActivations:    atomic.LoadInt64(&c.stats.RowActivations),
-		RowCloses:         atomic.LoadInt64(&c.stats.RowCloses),
-		BitErrorsInjected: atomic.LoadInt64(&c.stats.BitErrorsInjected),
-		BitsWritten:       atomic.LoadInt64(&c.stats.BitsWritten),
-		FailedAccesses:    atomic.LoadInt64(&c.stats.FailedAccesses),
+	s := Stats{BitErrorsInjected: c.bitErrorsInjected, FailedAccesses: c.FailedAccesses()}
+	for i := range c.banks {
+		b := &c.banks[i]
+		s.DataWrites += b.dataWrites
+		s.RawWrites += b.rawWrites
+		s.VLEWCodeWrites += b.codeWrites
+		s.RowActivations += b.activations
+		s.RowCloses += b.closes
+		s.BitsWritten += b.bitsWritten
 	}
+	return s
 }
+
+// FailedAccesses returns the number of reads served while the chip was
+// failed. Unlike Stats it is safe to call while traffic runs.
+func (c *Chip) FailedAccesses() int64 { return c.failedAccesses.Load() }
 
 // Healthy reports whether the chip has not suffered a chip-level failure.
 func (c *Chip) Healthy() bool { return !c.failed }
@@ -247,14 +259,12 @@ func (c *Chip) Repair() {
 	for i := range c.cells {
 		c.cells[i] = 0
 	}
-	for i, reg := range c.eurDelta {
-		zeroBytes(reg)
-		c.eurSet[i] = false
+	for i := range c.banks {
+		b := &c.banks[i]
+		zeroBytes(b.eur)
+		clear(b.slots)
 	}
 }
-
-// eurIndex addresses a bank's EUR slot for one open-row VLEW.
-func (c *Chip) eurIndex(bank, v int) int { return bank*c.geom.VLEWsPerRow() + v }
 
 func zeroBytes(b []byte) {
 	for i := range b {
@@ -286,7 +296,7 @@ func (c *Chip) ReadDataInto(dst []byte, bank, row, off int) {
 		panic(fmt.Sprintf("nvram: data read [%d,%d) outside row data %d", off, off+len(dst), c.geom.RowDataBytes))
 	}
 	if c.failed {
-		atomic.AddInt64(&c.stats.FailedAccesses, 1)
+		c.failedAccesses.Add(1)
 		c.mu.Lock()
 		c.rng.Read(dst)
 		c.mu.Unlock()
@@ -304,7 +314,8 @@ func (c *Chip) WriteData(bank, row, off int, data []byte) {
 	if off < 0 || off+len(data) > c.geom.RowDataBytes {
 		panic(fmt.Sprintf("nvram: data write [%d,%d) outside row data %d", off, off+len(data), c.geom.RowDataBytes))
 	}
-	atomic.AddInt64(&c.stats.RawWrites, 1)
+	b := &c.banks[bank]
+	b.rawWrites++
 	if c.failed {
 		return
 	}
@@ -313,7 +324,7 @@ func (c *Chip) WriteData(bank, row, off int, data []byte) {
 		// Update code bits from the delta before overwriting; the delta is
 		// staged in the bank's scratch (callers own the bank, per the
 		// concurrency contract) so scrub write-backs do not allocate.
-		delta := c.bank[bank].delta[:len(data)]
+		delta := b.delta[:len(data)]
 		for i := range data {
 			delta[i] = old[i] ^ data[i]
 		}
@@ -321,7 +332,7 @@ func (c *Chip) WriteData(bank, row, off int, data []byte) {
 	}
 	copy(old, data)
 	c.applyStuck(base+off, len(data))
-	atomic.AddInt64(&c.stats.BitsWritten, int64(8*len(data)))
+	b.bitsWritten += int64(8 * len(data))
 	c.rowWear[bank*c.geom.RowsPerBank+row]++
 }
 
@@ -338,13 +349,14 @@ func (c *Chip) WriteXOR(bank, row, off int, delta []byte) {
 		panic(fmt.Sprintf("nvram: XOR write [%d,%d) outside row data %d", off, off+len(delta), c.geom.RowDataBytes))
 	}
 	c.OpenRow(bank, row)
-	atomic.AddInt64(&c.stats.DataWrites, 1)
+	b := &c.banks[bank]
+	b.dataWrites++
 	if c.failed {
 		return
 	}
 	gf.XORBytes(c.cells[base+off:base+off+len(delta)], delta)
 	c.applyStuck(base+off, len(delta))
-	atomic.AddInt64(&c.stats.BitsWritten, int64(8*len(delta)))
+	b.bitsWritten += int64(8 * len(delta))
 	c.rowWear[bank*c.geom.RowsPerBank+row]++
 	if c.enc != nil {
 		c.applyCodeDelta(bank, row, off, delta, true)
@@ -356,6 +368,7 @@ func (c *Chip) WriteXOR(bank, row, off int, delta []byte) {
 //
 //chipkill:noalloc
 func (c *Chip) applyCodeDelta(bank, row, off int, delta []byte, coalesce bool) {
+	b := &c.banks[bank]
 	// The delta may span multiple VLEWs; split on VLEW boundaries.
 	for len(delta) > 0 {
 		v := off / c.geom.VLEWDataBytes
@@ -369,61 +382,54 @@ func (c *Chip) applyCodeDelta(bank, row, off int, delta []byte, coalesce bool) {
 			// the touched range. One EncodeDelta over the accumulated
 			// delta at drain time equals the XOR of the per-write
 			// encodes (BCH linearity), at a fraction of the cost.
-			idx := c.eurIndex(bank, v)
-			reg := c.eurDelta[idx]
+			reg := b.eur[v*c.geom.VLEWDataBytes:]
 			gf.XORBytes(reg[inOff:inOff+n], delta[:n])
-			if !c.eurSet[idx] {
-				c.eurSet[idx] = true
-				c.eurLo[idx], c.eurHi[idx] = int32(inOff), int32(inOff+n)
+			s := &b.slots[v]
+			if s.hi == 0 {
+				s.lo, s.hi = int32(inOff), int32(inOff+n)
 			} else {
-				if int32(inOff) < c.eurLo[idx] {
-					c.eurLo[idx] = int32(inOff)
-				}
-				if int32(inOff+n) > c.eurHi[idx] {
-					c.eurHi[idx] = int32(inOff + n)
-				}
+				s.lo = min(s.lo, int32(inOff))
+				s.hi = max(s.hi, int32(inOff+n))
 			}
 		} else {
-			update := c.bank[bank].parity
-			c.enc.EncodeDeltaInto(update, delta[:n], inOff*8)
-			gf.XORBytes(c.vlewCode(bank, row, v), update)
-			atomic.AddInt64(&c.stats.VLEWCodeWrites, 1)
+			c.enc.EncodeDeltaInto(b.parity, delta[:n], inOff*8)
+			gf.XORBytes(c.vlewCode(bank, row, v), b.parity)
+			b.codeWrites++
 		}
 		delta = delta[n:]
 		off += n
 	}
 }
 
-// drainSlot folds one armed EUR slot into its VLEW's stored code bits:
-// a single EncodeDelta over the slot's accumulated raw delta, XORed into
-// the array. Counts one VLEWCodeWrites event per drain regardless of chip
-// health (a failed chip still "performs" the array write; it just has no
-// effect), exactly as the per-slot drain always has. The caller must hold
-// whatever exclusion the access path requires and must have checked
-// eurSet[idx].
+// drainSlot folds bank's armed EUR slot v into its VLEW's stored code
+// bits: a single EncodeDelta over the slot's accumulated raw delta, XORed
+// into the array. Counts one VLEWCodeWrites event per drain regardless of
+// chip health (a failed chip still "performs" the array write; it just has
+// no effect), exactly as the per-slot drain always has. The caller must
+// hold whatever exclusion the access path requires and must have checked
+// that the slot is armed.
 //
 //chipkill:noalloc
-func (c *Chip) drainSlot(idx, bank, row, v int) {
-	reg := c.eurDelta[idx]
-	lo, hi := int(c.eurLo[idx]), int(c.eurHi[idx])
+func (c *Chip) drainSlot(bank, row, v int) {
+	b := &c.banks[bank]
+	s := &b.slots[v]
+	reg := b.eur[v*c.geom.VLEWDataBytes:]
 	if !c.failed {
-		update := c.bank[bank].parity
-		c.enc.EncodeDeltaInto(update, reg[lo:hi], lo*8)
-		gf.XORBytes(c.vlewCode(bank, row, v), update)
+		c.enc.EncodeDeltaInto(b.parity, reg[s.lo:s.hi], int(s.lo)*8)
+		gf.XORBytes(c.vlewCode(bank, row, v), b.parity)
 	}
-	atomic.AddInt64(&c.stats.VLEWCodeWrites, 1)
-	zeroBytes(reg[lo:hi])
-	c.eurSet[idx] = false
+	b.codeWrites++
+	zeroBytes(reg[s.lo:s.hi])
+	*s = eurSlot{}
 }
 
-// clearSlot discards one EUR slot's pending delta without draining it
-// (the slot's VLEW is about to be overwritten wholesale).
-func (c *Chip) clearSlot(idx int) {
-	if !c.eurSet[idx] {
-		return
-	}
-	zeroBytes(c.eurDelta[idx][c.eurLo[idx]:c.eurHi[idx]])
-	c.eurSet[idx] = false
+// clearSlot discards bank's EUR slot v without draining it (the slot's
+// VLEW is about to be overwritten wholesale).
+func (c *Chip) clearSlot(bank, v int) {
+	b := &c.banks[bank]
+	s := &b.slots[v]
+	zeroBytes(b.eur[v*c.geom.VLEWDataBytes:][s.lo:s.hi])
+	*s = eurSlot{}
 }
 
 // vlewCode returns the stored code-bit slice for a VLEW (aliases cells).
@@ -439,14 +445,15 @@ func (c *Chip) vlewCode(bank, row, v int) []byte {
 //chipkill:noalloc
 func (c *Chip) OpenRow(bank, row int) {
 	c.checkAddr(bank, row)
-	if c.openRow[bank] == row {
+	b := &c.banks[bank]
+	if b.openRow == row {
 		return
 	}
-	if c.openRow[bank] >= 0 {
+	if b.openRow >= 0 {
 		c.CloseRow(bank)
 	}
-	c.openRow[bank] = row
-	atomic.AddInt64(&c.stats.RowActivations, 1)
+	b.openRow = row
+	b.activations++
 }
 
 // CloseRow closes the bank's open row, draining every nonempty EUR
@@ -459,19 +466,18 @@ func (c *Chip) CloseRow(bank int) {
 	if bank < 0 || bank >= c.geom.Banks {
 		panic(fmt.Sprintf("nvram: bank %d out of range", bank))
 	}
-	row := c.openRow[bank]
+	b := &c.banks[bank]
+	row := b.openRow
 	if row < 0 {
 		return
 	}
-	for v := 0; v < c.geom.VLEWsPerRow(); v++ {
-		idx := c.eurIndex(bank, v)
-		if !c.eurSet[idx] {
-			continue
+	for v := range b.slots {
+		if b.slots[v].hi != 0 {
+			c.drainSlot(bank, row, v)
 		}
-		c.drainSlot(idx, bank, row, v)
 	}
-	c.openRow[bank] = -1
-	atomic.AddInt64(&c.stats.RowCloses, 1)
+	b.openRow = -1
+	b.closes++
 }
 
 // CloseAllRows closes every bank's open row; used before scrubbing so that
@@ -501,16 +507,13 @@ func (c *Chip) ReadVLEWInto(data, code []byte, bank, row, v int) {
 		panic(fmt.Sprintf("nvram: VLEW index %d out of range", v))
 	}
 	if c.failed {
-		atomic.AddInt64(&c.stats.FailedAccesses, 1)
+		c.failedAccesses.Add(1)
 		c.rng.Read(data)
 		c.rng.Read(code)
 		return
 	}
-	if c.openRow[bank] == row {
-		idx := c.eurIndex(bank, v)
-		if c.eurSet[idx] {
-			c.drainSlot(idx, bank, row, v)
-		}
+	if b := &c.banks[bank]; b.openRow == row && b.slots[v].hi != 0 {
+		c.drainSlot(bank, row, v)
 	}
 	copy(data, c.cells[base+v*c.geom.VLEWDataBytes:])
 	copy(code, c.vlewCode(bank, row, v))
@@ -526,7 +529,8 @@ func (c *Chip) WriteVLEW(bank, row, v int, data, code []byte) {
 	if len(data) != c.geom.VLEWDataBytes || len(code) != c.geom.VLEWCodeBytes {
 		panic("nvram: WriteVLEW size mismatch")
 	}
-	atomic.AddInt64(&c.stats.RawWrites, 1)
+	b := &c.banks[bank]
+	b.rawWrites++
 	if c.failed {
 		return
 	}
@@ -535,13 +539,13 @@ func (c *Chip) WriteVLEW(bank, row, v int, data, code []byte) {
 	// a closed row (patrol fixing a cold VLEW while demand traffic holds a
 	// different row open) must leave the open row's pending code update
 	// armed, or its VLEW is left with stale code bits.
-	if c.openRow[bank] == row {
-		c.clearSlot(c.eurIndex(bank, v))
+	if b.openRow == row {
+		c.clearSlot(bank, v)
 	}
 	copy(c.cells[base+v*c.geom.VLEWDataBytes:], data)
 	c.applyStuck(base+v*c.geom.VLEWDataBytes, len(data))
 	copy(c.vlewCode(bank, row, v), code)
-	atomic.AddInt64(&c.stats.BitsWritten, int64(8*(len(data)+len(code))))
+	b.bitsWritten += int64(8 * (len(data) + len(code)))
 	c.rowWear[bank*c.geom.RowsPerBank+row]++
 }
 
@@ -558,6 +562,7 @@ func (c *Chip) WriteVLEWRow(bank, row int, vs []int, datas, codes [][]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	base := c.rowBase(bank, row)
+	b := &c.banks[bank]
 	for i, v := range vs {
 		data, code := datas[i], codes[i]
 		if v < 0 || v >= c.geom.VLEWsPerRow() {
@@ -566,17 +571,17 @@ func (c *Chip) WriteVLEWRow(bank, row int, vs []int, datas, codes [][]byte) {
 		if len(data) != c.geom.VLEWDataBytes || len(code) != c.geom.VLEWCodeBytes {
 			panic("nvram: WriteVLEWRow size mismatch")
 		}
-		atomic.AddInt64(&c.stats.RawWrites, 1)
+		b.rawWrites++
 		if c.failed {
 			continue
 		}
-		if c.openRow[bank] == row { // see WriteVLEW: the slot is the open row's
-			c.clearSlot(c.eurIndex(bank, v))
+		if b.openRow == row { // see WriteVLEW: the slot is the open row's
+			c.clearSlot(bank, v)
 		}
 		copy(c.cells[base+v*c.geom.VLEWDataBytes:], data)
 		c.applyStuck(base+v*c.geom.VLEWDataBytes, len(data))
 		copy(c.vlewCode(bank, row, v), code)
-		atomic.AddInt64(&c.stats.BitsWritten, int64(8*(len(data)+len(code))))
+		b.bitsWritten += int64(8 * (len(data) + len(code)))
 		c.rowWear[bank*c.geom.RowsPerBank+row]++
 	}
 }
@@ -596,7 +601,7 @@ func (c *Chip) InjectRetentionErrors(rber float64) int {
 		p := c.rng.Int63n(totalBits)
 		c.cells[p/8] ^= 1 << uint(p%8)
 	}
-	atomic.AddInt64(&c.stats.BitErrorsInjected, flips)
+	c.bitErrorsInjected += flips
 	return int(flips)
 }
 
@@ -638,13 +643,14 @@ func (c *Chip) WriteDataRaw(bank, row, off int, data []byte) {
 	if off < 0 || off+len(data) > c.geom.RowDataBytes {
 		panic(fmt.Sprintf("nvram: raw write [%d,%d) outside row data %d", off, off+len(data), c.geom.RowDataBytes))
 	}
-	atomic.AddInt64(&c.stats.RawWrites, 1)
+	b := &c.banks[bank]
+	b.rawWrites++
 	if c.failed {
 		return
 	}
 	copy(c.cells[base+off:], data)
 	c.applyStuck(base+off, len(data))
-	atomic.AddInt64(&c.stats.BitsWritten, int64(8*len(data)))
+	b.bitsWritten += int64(8 * len(data))
 	c.rowWear[bank*c.geom.RowsPerBank+row]++
 }
 
@@ -661,7 +667,7 @@ func (c *Chip) XORCode(bank, row, v int, delta []byte) {
 		return
 	}
 	gf.XORBytes(c.vlewCode(bank, row, v), delta)
-	atomic.AddInt64(&c.stats.BitsWritten, int64(8*len(delta)))
+	c.banks[bank].bitsWritten += int64(8 * len(delta))
 }
 
 // ReadCodeInto fills dst (VLEWCodeBytes) with a VLEW code slot. A failed
@@ -676,7 +682,7 @@ func (c *Chip) ReadCodeInto(dst []byte, bank, row, v int) {
 		panic("nvram: ReadCodeInto size mismatch")
 	}
 	if c.failed {
-		atomic.AddInt64(&c.stats.FailedAccesses, 1)
+		c.failedAccesses.Add(1)
 		c.mu.Lock()
 		c.rng.Read(dst)
 		c.mu.Unlock()
@@ -698,7 +704,7 @@ func (c *Chip) FlipDataBit(bank, row, byteOff int, bit uint) {
 		return
 	}
 	c.cells[base+byteOff] ^= 1 << (bit % 8)
-	atomic.AddInt64(&c.stats.BitErrorsInjected, 1)
+	c.bitErrorsInjected++
 }
 
 // FlipCodeBit flips one stored bit of a VLEW code slot directly in the
@@ -717,7 +723,7 @@ func (c *Chip) FlipCodeBit(bank, row, v, byteOff int, bit uint) {
 		return
 	}
 	c.vlewCode(bank, row, v)[byteOff] ^= 1 << (bit % 8)
-	atomic.AddInt64(&c.stats.BitErrorsInjected, 1)
+	c.bitErrorsInjected++
 }
 
 // RowWear returns the write count of one row.

@@ -90,16 +90,17 @@ func (l BlockLoc) VLEWIndex(vlewDataBytes int) int { return l.Col / vlewDataByte
 // Rank is a set of lockstep NVRAM chips plus a parity chip.
 //
 // Concurrency contract: the accessors Config, NumChips, ParityChipIndex,
-// Chip, Blocks, Locate and BlocksInVLEW are read-only after New and safe
-// for concurrent use. nvram.Chip.ReadVLEWInto and WriteVLEW may run
-// concurrently from anywhere (the parallel boot scrub relies on this).
-// Block-level reads and writes may run concurrently so long as no two
+// Chip, Blocks and Locate are read-only after New and safe for concurrent
+// use. Block-level reads and writes may run concurrently so long as no two
 // goroutines touch the same *bank* at the same time — Locate maps each
-// block to exactly one bank across all chips, and every chip's per-bank
-// state is disjoint (see the nvram.Chip contract). The sharded engine
-// partitions banks across shard locks to exploit this; a plain controller
-// that serialises all rank access trivially satisfies it. Fault-injection
-// and maintenance methods still require full quiescence.
+// block to exactly one bank across all chips, and every chip keeps its
+// per-bank state, counters included, in one record per bank (see the
+// nvram.Chip contract). nvram.Chip.ReadVLEWInto and WriteVLEW also take
+// the chip's mutex, so scrub workers may share a bank among themselves.
+// The sharded engine partitions banks across shard locks to exploit
+// this; a plain controller that serialises all rank access trivially
+// satisfies it. Stats folds the chips' bank records and so wants the same
+// quiescence as fault-injection and maintenance methods.
 type Rank struct {
 	cfg    Config
 	chips  []*nvram.Chip // data chips; index 0..DataChips-1
@@ -234,18 +235,6 @@ func (r *Rank) WriteBlockXOR(block int64, deltaData, deltaCheck []byte) {
 	r.parity.WriteXOR(loc.Bank, loc.Row, loc.Col, deltaCheck)
 }
 
-// BlocksInVLEW returns the block indices whose data shares the VLEW
-// covering the given block (32 blocks in the paper's geometry).
-func (r *Rank) BlocksInVLEW(block int64) []int64 {
-	span := int64(r.cfg.Geometry.VLEWDataBytes / r.cfg.ChipAccessBytes)
-	first := block - block%span
-	out := make([]int64, span)
-	for i := range out {
-		out[i] = first + int64(i)
-	}
-	return out
-}
-
 // CloseAllRows closes every open row on every chip, draining EURs.
 func (r *Rank) CloseAllRows() {
 	for _, c := range r.chips {
@@ -305,18 +294,8 @@ func (r *Rank) RepairChip(i int) {
 //chipkill:seqread
 func (r *Rank) FailedChips() int { return int(r.failedChips.Load()) }
 
-// HealthyChips returns the indices of healthy chips (including parity).
-func (r *Rank) HealthyChips() []int {
-	var out []int
-	for i := 0; i < r.NumChips(); i++ {
-		if r.Chip(i).Healthy() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Stats sums all chips' counters.
+// Stats sums all chips' counters; like nvram.Chip.Stats it is a snapshot
+// taken while no bank operation is in flight.
 func (r *Rank) Stats() nvram.Stats {
 	var s nvram.Stats
 	for i := 0; i < r.NumChips(); i++ {

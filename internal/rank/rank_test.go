@@ -175,28 +175,6 @@ func TestWriteBlockXORRecoversNewData(t *testing.T) {
 	}
 }
 
-func TestBlocksInVLEW(t *testing.T) {
-	r := testRank(t)
-	got := r.BlocksInVLEW(37)
-	if len(got) != 32 {
-		t.Fatalf("VLEW spans %d blocks, want 32", len(got))
-	}
-	if got[0] != 32 || got[31] != 63 {
-		t.Errorf("span [%d,%d], want [32,63]", got[0], got[31])
-	}
-	// All blocks in a VLEW must share bank, row, and VLEW index.
-	base := r.Locate(got[0])
-	for _, b := range got {
-		loc := r.Locate(b)
-		if loc.Bank != base.Bank || loc.Row != base.Row {
-			t.Errorf("block %d in different row", b)
-		}
-		if loc.VLEWIndex(256) != base.VLEWIndex(256) {
-			t.Errorf("block %d in different VLEW", b)
-		}
-	}
-}
-
 func TestVLEWConsistencyAfterXORWritesAndClose(t *testing.T) {
 	// End-to-end: XOR writes through the rank leave every chip's VLEW
 	// code bits consistent after rows close.
@@ -224,23 +202,6 @@ func TestVLEWConsistencyAfterXORWritesAndClose(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestHealthyChips(t *testing.T) {
-	r := testRank(t)
-	if n := len(r.HealthyChips()); n != 9 {
-		t.Fatalf("healthy=%d, want 9", n)
-	}
-	r.FailChip(r.ParityChipIndex())
-	h := r.HealthyChips()
-	if len(h) != 8 {
-		t.Fatalf("healthy=%d, want 8", len(h))
-	}
-	for _, i := range h {
-		if i == r.ParityChipIndex() {
-			t.Error("failed parity chip listed healthy")
 		}
 	}
 }
