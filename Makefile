@@ -9,7 +9,7 @@ build:
 	go build ./...
 
 # Contract analyzers (internal/analysis) on top of stock go vet: the
-# noalloc/shardlock/sentinel/bankaccess/seqlock/lockorder/guardedby
+# noalloc/rankwide/sentinel/seqlock/lockorder/guardedby
 # rules over the whole repo.
 vet:
 	go vet ./...

@@ -3,14 +3,13 @@
 //
 //	noalloc    — //chipkill:noalloc functions must not allocate,
 //	             transitively through statically resolvable callees
-//	shardlock  — rank-wide maintenance only from //chipkill:rankwide
-//	             functions or (*engine.Engine).Quiesce sections
+//	rankwide   — rank-wide maintenance and quiescence-class chip
+//	             mutations only with engine.rank held or from
+//	             //chipkill:rankwide functions; seqlock-covered engine
+//	             writes only with engine.rank held or after a lockWrite
 //	sentinel   — errors.Is over ==/string matching; no dropped
 //	             persistence-critical errors
-//	bankaccess — quiescence-class nvram.Chip mutations only from
-//	             quiescent contexts
-//	seqlock    — seqlock-covered controller mutations only inside shard
-//	             writer sections; //chipkill:seqread functions stay pure
+//	seqlock    — //chipkill:seqread functions stay pure
 //	lockorder  — //chipkill:lock levels must strictly increase along
 //	             every acquisition path; no nested quiesce (directly,
 //	             transitively, or through registered hooks); ranked

@@ -78,7 +78,7 @@ func main() {
 			fmt.Printf("CRASH: %v\n", err)
 		}
 		fmt.Printf("reboot: %d bands on rank, journal recovering...\n", eng.Stats().BandsMigrated)
-		//chipkill:allow bankaccess simulated power loss; old engine is discarded before reboot
+		//chipkill:allow rankwide simulated power loss; old engine is discarded before reboot
 		r.CloseAllRows()
 		region.Reboot()
 		eng, err = engine.New(r, engine.Config{Core: core.DefaultConfig()})

@@ -15,10 +15,11 @@
 //	    noalloc analyzer transitively rejects allocating constructs in
 //	    its body.
 //	//chipkill:rankwide
-//	    The function executes in a rank-wide context (full quiescence, or
-//	    the migration cursor's single-writer protocol): it may invoke the
-//	    rank-wide maintenance operations that the shardlock and
-//	    bankaccess analyzers police.
+//	    The function executes in a rank-wide context (full quiescence, the
+//	    single supervision goroutine, or the migration cursor's
+//	    single-writer protocol): it may invoke the rank-wide maintenance
+//	    operations and quiescence-class chip mutations that the rankwide
+//	    analyzer polices, without holding engine.rank.
 //	//chipkill:seqread
 //	    The function runs on the engine's lock-free clean-read path,
 //	    between seqlock validation checks: the seqlock analyzer rejects
@@ -162,9 +163,9 @@ func NewSuite(analyzers ...*Analyzer) *Suite {
 	}
 }
 
-// DefaultAnalyzers returns chipkillvet's seven contract analyzers.
+// DefaultAnalyzers returns chipkillvet's six contract analyzers.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{NoAlloc, ShardLock, Sentinel, BankAccess, Seqlock, LockOrder, GuardedBy}
+	return []*Analyzer{NoAlloc, RankWide, Sentinel, Seqlock, LockOrder, GuardedBy}
 }
 
 // AnalyzerNames returns the known analyzer names (for directive

@@ -48,6 +48,15 @@ type expectation struct {
 // It returns the raw diagnostics for any extra assertions.
 func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
+	return RunPackages(t, dir, []string{"./..."}, analyzers...)
+}
+
+// RunPackages is Run restricted to the packages matched by patterns,
+// each "./path" or "./path/..." relative to the module root: only those
+// packages are analysed (their imports load as dependencies), and only
+// the expectations in their files must be met.
+func RunPackages(t *testing.T, dir string, patterns []string, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
+	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
@@ -57,14 +66,19 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) []analysis.D
 	}
 
 	suite := analysis.NewSuite(analyzers...)
-	diags, err := suite.Run(abs, "./...")
+	diags, err := suite.Run(abs, patterns...)
 	if err != nil {
 		t.Fatalf("analysistest: loading %s: %v", abs, err)
 	}
 
-	wants, err := parseWants(abs)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
+	var wants []expectation
+	for _, pat := range patterns {
+		root, recursive := strings.CutSuffix(filepath.Join(abs, pat), string(filepath.Separator)+"...")
+		w, err := parseWants(root, recursive)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		wants = append(wants, w...)
 	}
 
 	// Index expectations by position for set-wise per-line matching.
@@ -98,14 +112,21 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) []analysis.D
 	return diags
 }
 
-// parseWants scans every .go file under root for want expectations.
-func parseWants(root string) ([]expectation, error) {
+// parseWants scans every .go file in root, and in its subdirectories
+// when recursive, for want expectations.
+func parseWants(root string, recursive bool) ([]expectation, error) {
 	var wants []expectation
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+		if d.IsDir() {
+			if path != root && !recursive {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)

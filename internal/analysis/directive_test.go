@@ -24,6 +24,7 @@ func TestDirectiveValidation(t *testing.T) {
 		`//chipkill:noalloc must be part of a function declaration's doc comment`,
 		`//chipkill:allow needs an analyzer name and a reason`,
 		`//chipkill:allow names unknown analyzer "frobcheck"`,
+		`//chipkill:allow names unknown analyzer "bankaccess"`,
 		`//chipkill:allow noalloc needs a reason`,
 		`lock "d.box" redeclared`,
 		`//chipkill:lock needs a name and a level`,

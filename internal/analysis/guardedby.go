@@ -4,11 +4,12 @@ package analysis
 // (DESIGN.md §15): a //chipkill:guardedby field may only be read or
 // written while one of its named locks is held — lexically, inside a
 // scoped-lock extent, or in a //chipkill:holds-annotated helper — and a
-// //chipkill:atomic field only through sync/atomic. The engine seqlock's
-// odd-window rules stay with the seqlock analyzer; guardedby covers the
-// mutex- and atomic-published state around it. As the annotation-removal
-// backstop, every atomic.*-typed struct field in the contract packages
-// must carry a //chipkill:atomic (or guardedby) mark.
+// //chipkill:atomic field only through sync/atomic. The engine
+// seqlock's odd-window rules stay with the rankwide and seqlock
+// analyzers; guardedby covers the mutex- and atomic-published state
+// around it. As the annotation-removal backstop, every atomic.*-typed
+// struct field in the contract packages must carry a //chipkill:atomic
+// (or guardedby) mark.
 
 import (
 	"go/ast"

@@ -1,14 +1,14 @@
 package analysis
 
-// The lock graph is the shared machinery behind the lockorder and
-// guardedby analyzers: it resolves every //chipkill:lock declaration,
-// scans every function body (and escaping function literal) for lock
-// acquisition/release events, builds the lexical held-lock intervals,
-// computes a transitive may-acquire summary per function with the same
-// union-until-stable fixpoint noalloc uses, and records where function
-// values are installed into func-typed struct fields (the guard Repair /
-// fleet RepairBandHook pattern) so lock effects flow through those
-// dynamic edges too.
+// The lock graph is the shared machinery behind the lockorder,
+// guardedby and rankwide analyzers: it resolves every //chipkill:lock
+// declaration, scans every function body (and escaping function literal
+// or go statement) for lock acquisition/release events, builds the
+// lexical held-lock intervals, computes a transitive may-acquire summary
+// per function with the same union-until-stable fixpoint noalloc uses,
+// and records where function values are installed into func-typed
+// struct fields (the guard Repair / fleet RepairBandHook pattern) so
+// lock effects flow through those dynamic edges too.
 //
 // The model is deliberately lexical and instance-blind: a lock name
 // stands for every instance of its field, and a lock counts as held from
@@ -75,9 +75,9 @@ type lockRelease struct {
 
 // A callSite is one statically-resolved call, for transitive checks.
 type callSite struct {
-	pos  token.Pos
-	key  string // callee symbol key (or literal key)
-	name string // display name
+	pos token.Pos
+	key string // callee symbol key
+	fn  *types.Func
 	// skip names the lock already modelled as a direct event at this
 	// site (scoped and locks-annotated callees), so the transitive
 	// check does not report it twice.
@@ -105,11 +105,9 @@ type atomicSite struct {
 }
 
 // A lockScan is the lock-relevant summary of one body: a function
-// declaration or an escaping function literal.
+// declaration, an escaping function literal, or a go statement's call.
 type lockScan struct {
 	pkg   *Package
-	key   string // symbol key; literal key for escaping literals
-	name  string
 	entry []string // locks held at entry (//chipkill:holds + own scoped lock)
 
 	acquires  []*acquireSite
@@ -292,18 +290,20 @@ func (g *lockGraph) scanPackage(pkg *Package) {
 			if n := g.scopedFn[key]; n != "" {
 				entry = append(entry, n)
 			}
-			g.scanBody(pkg, key, fd.Name.Name, fd.Body, entry, parents, isTest)
+			g.scanBody(pkg, key, fd.Body, entry, parents, isTest)
 		}
 	}
 }
 
 // scanBody walks one body, collecting lock events, calls, hook calls,
-// and guarded/atomic field accesses. Escaping function literals are
-// scanned recursively as bodies of their own (empty entry set); literals
-// lexically inside a scoped-lock extent stay part of this scan.
-func (g *lockGraph) scanBody(pkg *Package, key, name string, body *ast.BlockStmt, entry []string, parents map[ast.Node]ast.Node, isTest bool) {
-	sc := &lockScan{pkg: pkg, key: key, name: name, entry: entry}
+// and guarded/atomic field accesses. Escaping function literals and the
+// calls of go statements run on other goroutines, so each is scanned as
+// a body of its own with an empty entry set; literals lexically inside a
+// scoped-lock extent stay part of this scan.
+func (g *lockGraph) scanBody(pkg *Package, key string, body ast.Node, entry []string, parents map[ast.Node]ast.Node, isTest bool) {
+	sc := &lockScan{pkg: pkg, entry: entry}
 	var escaping []*ast.FuncLit
+	var spawned []*ast.CallExpr
 	var loops []*loopFrame
 	deferred := map[*ast.CallExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -313,6 +313,9 @@ func (g *lockGraph) scanBody(pkg *Package, key, name string, body *ast.BlockStmt
 				return true
 			}
 			escaping = append(escaping, n)
+			return false
+		case *ast.GoStmt:
+			spawned = append(spawned, n.Call)
 			return false
 		case *ast.ForStmt:
 			desc := false
@@ -349,7 +352,10 @@ func (g *lockGraph) scanBody(pkg *Package, key, name string, body *ast.BlockStmt
 		}
 	}
 	for _, lit := range escaping {
-		g.scanBody(pkg, g.litKey(pkg, lit), "function literal", lit.Body, nil, parents, isTest)
+		g.scanBody(pkg, g.litKey(pkg, lit), lit.Body, nil, parents, isTest)
+	}
+	for _, call := range spawned {
+		g.scanBody(pkg, "", call, nil, parents, isTest)
 	}
 }
 
@@ -413,18 +419,18 @@ func (g *lockGraph) scanCall(sc *lockScan, pkg *Package, call *ast.CallExpr, isD
 		if !isDeferred {
 			sc.addAcquire(lk, call.Pos(), call.End(), true, innermostLoop(loops, call.Pos()))
 		}
-		sc.calls = append(sc.calls, callSite{pos: call.Pos(), key: key, name: fn.Name(), skip: lk})
+		sc.calls = append(sc.calls, callSite{pos: call.Pos(), key: key, fn: fn, skip: lk})
 	case g.locksFn[key] != "":
 		if !isDeferred {
 			sc.addAcquire(g.locksFn[key], call.Pos(), token.NoPos, false, innermostLoop(loops, call.Pos()))
 		}
-		sc.calls = append(sc.calls, callSite{pos: call.Pos(), key: key, name: fn.Name(), skip: g.locksFn[key]})
+		sc.calls = append(sc.calls, callSite{pos: call.Pos(), key: key, fn: fn, skip: g.locksFn[key]})
 	case g.unlocksFn[key] != "":
 		if !isDeferred {
 			sc.releases = append(sc.releases, lockRelease{lock: g.unlocksFn[key], pos: call.Pos()})
 		}
 	default:
-		sc.calls = append(sc.calls, callSite{pos: call.Pos(), key: key, name: fn.Name()})
+		sc.calls = append(sc.calls, callSite{pos: call.Pos(), key: key, fn: fn})
 	}
 	if !isTest {
 		// Function values passed as arguments are remembered in case the

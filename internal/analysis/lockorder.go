@@ -114,7 +114,7 @@ func checkScanOrder(pass *Pass, g *lockGraph, sc *lockScan) {
 		held := sc.heldAt(c.pos)
 		for _, need := range g.holdsFn[c.key] {
 			if !containsStr(held, need) {
-				pass.Reportf(c.pos, "call to %s requires lock %q held (//chipkill:holds), but it is not held here", c.name, need)
+				pass.Reportf(c.pos, "call to %s requires lock %q held (//chipkill:holds), but it is not held here", c.fn.Name(), need)
 			}
 		}
 		for lk := range g.acq[c.key] {
@@ -123,7 +123,7 @@ func checkScanOrder(pass *Pass, g *lockGraph, sc *lockScan) {
 			}
 			for _, h := range held {
 				if v := orderViolation(g, lk, h); v != "" {
-					pass.Reportf(c.pos, "call to %s may acquire %s", c.name, v)
+					pass.Reportf(c.pos, "call to %s may acquire %s", c.fn.Name(), v)
 				}
 			}
 		}

@@ -57,19 +57,19 @@ var safeAllocPkgs = map[string]bool{
 // safeAllocFuncs are individually vetted non-allocating stdlib
 // functions, keyed by symbolKey.
 var safeAllocFuncs = map[string]bool{
-	"sync.Mutex.Lock":      true,
-	"sync.Mutex.Unlock":    true,
-	"sync.Mutex.TryLock":   true,
-	"sync.RWMutex.Lock":    true,
-	"sync.RWMutex.Unlock":  true,
-	"sync.RWMutex.RLock":   true,
-	"sync.RWMutex.RUnlock": true,
-	"math/rand.Rand.Read":  true,
-	"math/rand.Rand.Int63": true,
-	"math/rand.Rand.Int63n": true,
-	"math/rand.Rand.Intn":   true,
-	"math/rand.Rand.Uint64": true,
-	"math/rand.Rand.Float64": true,
+	"sync.Mutex.Lock":            true,
+	"sync.Mutex.Unlock":          true,
+	"sync.Mutex.TryLock":         true,
+	"sync.RWMutex.Lock":          true,
+	"sync.RWMutex.Unlock":        true,
+	"sync.RWMutex.RLock":         true,
+	"sync.RWMutex.RUnlock":       true,
+	"math/rand.Rand.Read":        true,
+	"math/rand.Rand.Int63":       true,
+	"math/rand.Rand.Int63n":      true,
+	"math/rand.Rand.Intn":        true,
+	"math/rand.Rand.Uint64":      true,
+	"math/rand.Rand.Float64":     true,
 	"math/rand.Rand.NormFloat64": true,
 	"errors.Is":                  true,
 	// encoding/binary's byte-order accessors are pure loads/stores; the

@@ -2,151 +2,28 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Seqlock enforces the engine's lock-free clean-read contract
-// (DESIGN.md §12) from both sides of the sequence counter:
-//
-// Writer side (odd-window store discipline): inside internal/engine,
-// every call to a controller operation that mutates seqlock-covered
-// state — chip data cells or the layout they are interpreted under —
-// must run inside a shard writer section. The analyzer accepts a call
-// that is lexically preceded by (*shard).lockWrite in the same function,
-// sits inside a function literal passed to (*engine.Engine).Quiesce
-// (which opens a writer section on every shard), or carries a
-// //chipkill:allow seqlock escape with a reason. This catches the exact
-// regression the seqlock made possible: a new engine method that takes
-// s.mu directly, mutates cells, and silently lets concurrent lock-free
-// readers consume half-applied state with an even sequence.
-//
-// Reader side (seqread purity): a function whose doc comment carries
-// //chipkill:seqread runs between sequence checks with no exclusion, so
-// it must not store anywhere except its own locals and parameters, and
-// may only call sync/atomic and encoding/binary, builtins and
-// conversions, or other //chipkill:seqread functions. Anything else —
-// a selector store, a locking call, fmt — would make the "reader" a
-// writer (or block it) where tearing is legal and retries are invisible.
+// Seqlock enforces the reader side of the engine's lock-free clean-read
+// contract (DESIGN.md §12); the rankwide analyzer polices the writer
+// side. A function whose doc comment carries //chipkill:seqread runs
+// between sequence checks with no exclusion, so it must not store
+// anywhere except its own locals and parameters, and may only call
+// sync/atomic and encoding/binary, builtins and conversions, or other
+// //chipkill:seqread functions. Anything else — a selector store, a
+// locking call, fmt — would make the "reader" a writer (or block it)
+// where tearing is legal and retries are invisible.
 var Seqlock = &Analyzer{
 	Name:          "seqlock",
-	Doc:           "seqlock-covered mutations inside writer sections; //chipkill:seqread functions stay pure",
+	Doc:           "//chipkill:seqread functions stay pure",
 	SkipTestFiles: true,
 	Run:           runSeqlock,
 }
 
-// seqlockMutators lists the controller operations that mutate state the
-// lock-free reader gathers (data cells, or the layout routing that
-// decides what those cells mean), matched by package-path suffix like
-// rankWideMethods. BeginMigration/JoinMigration are deliberately absent:
-// they only set controller routing state, which lock-free readers never
-// consult — readers learn about migrations through the engine's atomic
-// publication, before any band moves.
-var seqlockMutators = []struct {
-	pkgSuffix, typeName string
-	methods             map[string]bool
-}{
-	{"internal/core", "Controller", map[string]bool{
-		"WriteBlock": true, "WriteBlockInitial": true, "DisableBlock": true,
-		"BootScrub": true, "EnterDegradedMode": true, "AdoptDegradedMode": true,
-		"MigrateBand": true, "RedoBand": true, "FinishMigration": true,
-		"PatrolScrub": true,
-	}},
-}
-
-func isSeqlockMutator(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	for _, set := range seqlockMutators {
-		if set.methods[fn.Name()] && methodOn(fn, set.pkgSuffix, set.typeName, fn.Name()) {
-			return true
-		}
-	}
-	return false
-}
-
-func runSeqlock(pass *Pass) {
-	runSeqlockWriters(pass)
-	runSeqlockReaders(pass)
-}
-
-// ---- writer side ----
-
-// runSeqlockWriters checks the odd-window store discipline. It only
-// applies inside internal/engine: the shard seqlock is an engine
-// construct, and a standalone core.Controller (the serial harnesses) has
-// no lock-free readers to protect.
-func runSeqlockWriters(pass *Pass) {
-	if !pathHasSuffix(pass.Pkg.PkgPath, "internal/engine") {
-		return
-	}
-	for _, file := range pass.Pkg.Files {
-		spans := quiesceSpans(pass.Pkg, file)
-		locks := lockWriteCalls(pass.Pkg, file)
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeOf(pass.Pkg.Info, call)
-			if !isSeqlockMutator(fn) {
-				return true
-			}
-			if inSpans(spans, call.Pos()) {
-				return true
-			}
-			if precededByLockWrite(pass.Pkg.dirs, locks, call.Pos()) {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"seqlock-covered mutation %s called outside a shard writer section (no preceding lockWrite, not in a Quiesce section)",
-				symbolKey(fn))
-			return true
-		})
-	}
-}
-
-// lockWriteCalls returns the positions of (*shard).lockWrite calls in
-// file, in source order.
-func lockWriteCalls(pkg *Package, file *ast.File) []token.Pos {
-	var locks []token.Pos
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if methodOn(calleeOf(pkg.Info, call), "internal/engine", "shard", "lockWrite") {
-			locks = append(locks, call.Pos())
-		}
-		return true
-	})
-	return locks
-}
-
-// precededByLockWrite reports whether some lockWrite call sits between
-// the start of pos's enclosing function and pos itself. Lexical order is
-// the right approximation here: every writer section in the engine is a
-// straight lockWrite ... unlockWrite bracket within one function, and a
-// mutator above its lockWrite is exactly the bug being policed.
-func precededByLockWrite(dirs *directives, locks []token.Pos, pos token.Pos) bool {
-	fd := dirs.enclosingFunc(pos)
-	if fd == nil {
-		return false
-	}
-	for _, l := range locks {
-		if fd.Pos() <= l && l < pos {
-			return true
-		}
-	}
-	return false
-}
-
-// ---- reader side ----
-
-// runSeqlockReaders checks //chipkill:seqread purity in every target
+// runSeqlock checks //chipkill:seqread purity in every target
 // package.
-func runSeqlockReaders(pass *Pass) {
+func runSeqlock(pass *Pass) {
 	marks := seqreadMarks(pass.Suite)
 	for fd, verbs := range pass.Pkg.dirs.funcMarks {
 		if !verbs["seqread"] || fd.Body == nil {

@@ -120,9 +120,9 @@ type bankScratch struct {
 }
 
 type fakeChip struct {
-	bank    []bankScratch
-	open    []int
-	code    []byte
+	bank []bankScratch
+	open []int
+	code []byte
 }
 
 //chipkill:noalloc

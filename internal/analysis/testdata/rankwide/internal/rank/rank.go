@@ -3,7 +3,7 @@
 // the mechanism itself and must not be flagged.
 package rank
 
-import "bankstub/internal/nvram"
+import "rankstub/internal/nvram"
 
 type Rank struct {
 	chips []*nvram.Chip

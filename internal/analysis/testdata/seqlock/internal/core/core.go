@@ -1,20 +1,5 @@
-// Package core is a stub of the real internal/core: the seqlock
-// analyzer matches the policed mutators by package-path suffix, so this
-// module exercises it without importing the repo.
+// Package core is a stub of the real internal/core: a shard's controller
+// is shared state a seqread function must not store to.
 package core
 
 type Controller struct{}
-
-func (c *Controller) WriteBlock(block int64, data []byte) error { return nil }
-func (c *Controller) DisableBlock(block int64)                  {}
-func (c *Controller) BootScrub() int                            { return 0 }
-func (c *Controller) PatrolScrub(pos int64, n int) (int64, int64) {
-	return pos, 0
-}
-
-// BeginMigration only sets controller routing state, which lock-free
-// readers never consult: deliberately not policed.
-func (c *Controller) BeginMigration(chip int, cursor int64) error { return nil }
-
-// ReadBlockInto is demand-path: not policed.
-func (c *Controller) ReadBlockInto(block int64, dst []byte) error { return nil }

@@ -1,89 +1,16 @@
-// Package engine is a stub of the real internal/engine, exercising the
-// seqlock analyzer's writer-side rule: controller mutations must follow
-// a (*shard).lockWrite in the same function, sit inside a Quiesce
-// literal, or carry an allow.
+// Package engine is a stub of the real internal/engine for the seqlock
+// analyzer's reader rule.
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"seqstub/internal/core"
 )
 
 type shard struct {
-	mu   sync.Mutex
 	seq  atomic.Uint64
 	ctrl *core.Controller
 }
 
-func (s *shard) lockWrite()   { s.mu.Lock(); s.seq.Add(1) }
-func (s *shard) unlockWrite() { s.seq.Add(1); s.mu.Unlock() }
-
-type Engine struct{ shards []*shard }
-
-// Quiesce runs f with every shard writer section open (stubbed).
-func (e *Engine) Quiesce(f func()) { f() }
-
-// write is the canonical writer section: mutator after lockWrite.
-func (e *Engine) write(block int64, data []byte) error {
-	s := e.shards[0]
-	s.lockWrite()
-	err := s.ctrl.WriteBlock(block, data)
-	s.unlockWrite()
-	return err
-}
-
-// bad takes the plain mutex and mutates anyway — exactly the regression
-// the rule exists for.
-func (e *Engine) bad(block int64, data []byte) error {
-	s := e.shards[0]
-	s.mu.Lock()
-	err := s.ctrl.WriteBlock(block, data) // want `seqlock-covered mutation seqstub/internal/core.Controller.WriteBlock called outside a shard writer section`
-	s.mu.Unlock()
-	return err
-}
-
-// badOrder has a lockWrite, but below the mutation: lexical order is the
-// discipline.
-func (e *Engine) badOrder(block int64) {
-	s := e.shards[0]
-	s.ctrl.DisableBlock(block) // want `seqlock-covered mutation seqstub/internal/core.Controller.DisableBlock called outside a shard writer section`
-	s.lockWrite()
-	s.ctrl.DisableBlock(block)
-	s.unlockWrite()
-}
-
-// scrub shows the Quiesce-literal exemption; the same call outside the
-// literal is flagged.
-func (e *Engine) scrub() {
-	e.Quiesce(func() {
-		e.shards[0].ctrl.BootScrub()
-	})
-	e.shards[0].ctrl.BootScrub() // want `seqlock-covered mutation seqstub/internal/core.Controller.BootScrub called outside a shard writer section`
-}
-
-// reads and migration-state setup are not policed.
-func (e *Engine) read(block int64, dst []byte) error {
-	s := e.shards[0]
-	s.mu.Lock()
-	err := s.ctrl.ReadBlockInto(block, dst)
-	s.mu.Unlock()
-	return err
-}
-
-func (e *Engine) begin(chip int) error {
-	s := e.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctrl.BeginMigration(chip, 0)
-}
-
-// adopt uses the line-level escape hatch.
-func (e *Engine) adopt() {
-	s := e.shards[0]
-	s.mu.Lock()
-	//chipkill:allow seqlock boot-time call, no lock-free readers running yet
-	s.ctrl.DisableBlock(0)
-	s.mu.Unlock()
-}
+type Engine struct{}

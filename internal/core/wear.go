@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 )
 
@@ -138,22 +139,10 @@ func (c *Controller) WriteBlockVerified(block int64, data []byte) error {
 	stored, check, wantCheck := c.internalBuf, c.readCheckBuf, c.checkDelta
 	c.rank.ReadBlockRawInto(block, stored, check)
 	c.rsCode.EncodeInto(wantCheck, data)
-	worn := !bytesEqual(stored, data) || !bytesEqual(check, wantCheck)
+	worn := !bytes.Equal(stored, data) || !bytes.Equal(check, wantCheck)
 	if !worn {
 		return nil
 	}
 	c.DisableBlock(block)
 	return fmt.Errorf("block %d: %w", block, ErrBlockWorn)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

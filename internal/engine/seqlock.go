@@ -47,7 +47,7 @@ const seqReadRetries = 2
 // readers stand down (or discard and retry, if they already gathered).
 // Every store to seqlock-covered state — chip data cells, controller
 // layout state — must happen between lockWrite and unlockWrite; the
-// seqlock analyzer in chipkillvet enforces this for the policed
+// rankwide analyzer in chipkillvet enforces this for the policed
 // controller mutators.
 //
 //chipkill:locks engine.shard

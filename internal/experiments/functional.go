@@ -34,6 +34,7 @@ func newSmallSystem(seed int64) (*core.Controller, error) {
 
 // MonteCarloRuntime injects random retention errors at the given RBER and
 // reads every block through the runtime path, verifying data integrity.
+//
 //chipkill:rankwide
 func MonteCarloRuntime(rber float64, rounds int, seed int64) (MonteCarloResult, error) {
 	res := MonteCarloResult{Scenario: "runtime bit errors"}
@@ -76,6 +77,7 @@ func MonteCarloRuntime(rber float64, rounds int, seed int64) (MonteCarloResult, 
 // MonteCarloOutage simulates repeated power outages: each trial injects
 // boot-time-level errors (optionally with a chip failure), scrubs, and
 // verifies every block.
+//
 //chipkill:rankwide
 func MonteCarloOutage(rber float64, rounds int, withChipFailure bool, seed int64) (MonteCarloResult, error) {
 	res := MonteCarloResult{Scenario: "boot-time outage"}

@@ -125,7 +125,6 @@ func (f *Fleet) rankHasLiveReplica(rk int) bool {
 // that reads of the band keep reporting the damage instead of serving a
 // rebuild made from it.
 //
-//chipkill:rankwide
 //chipkill:holds engine.rank
 func (f *Fleet) repairChip(n *node, solver *rs.ErasureSolver, rep *RepairReport) {
 	r := n.rank
@@ -177,7 +176,6 @@ func (f *Fleet) repairChip(n *node, solver *rs.ErasureSolver, rep *RepairReport)
 // their primaries. RepairBandHook fires once per primary band, after the
 // band is copied or marked; the marked bands are rebuilt after the walk.
 //
-//chipkill:rankwide
 //chipkill:holds engine.rank
 func (f *Fleet) repairDataChip(n *node, rep *RepairReport, erasure []bool) {
 	g := n.rank.Config().Geometry
@@ -221,7 +219,6 @@ func (f *Fleet) repairDataChip(n *node, rep *RepairReport, erasure []bool) {
 // VLEW's bank; the shard lock ReadVLEWInto takes keeps their row opens
 // and EUR drains out of the read.
 //
-//chipkill:rankwide
 //chipkill:holds engine.rank
 func (f *Fleet) repairBandFromReplica(n *node, band int64, data, code []byte, rep *RepairReport) bool {
 	bs := &f.bands[f.fleetBand(n.idx, band)]

@@ -7,6 +7,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -242,7 +243,7 @@ func (f *Fleet) verifyTick() {
 				continue // primary DUE: demand-path read-repair handles it
 			}
 			rblock := f.replicaBlock(bs, fleetBase+i)
-			if rn.eng.ReadBlockInto(rblock, rbuf) != nil || !bytesEqual(buf, rbuf) {
+			if rn.eng.ReadBlockInto(rblock, rbuf) != nil || !bytes.Equal(buf, rbuf) {
 				if rn.eng.WriteBlockInitial(rblock, buf) == nil {
 					f.divergenceFix.Add(1)
 				} else {
@@ -254,16 +255,4 @@ func (f *Fleet) verifyTick() {
 			bs.mu.Unlock()
 		}
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

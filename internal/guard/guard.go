@@ -153,7 +153,7 @@ type Supervisor struct {
 	mig       *core.MigrationState
 	patrolPos int64
 
-	resumed                            bool
+	resumed                           bool
 	raised, cleared, verdicts, extRep int64
 }
 

@@ -14,12 +14,12 @@ import (
 
 // Fleet scenario names.
 const (
-	ScenarioFleetRankKill       = "fleet-rank-kill"
-	ScenarioFleetRankKillLoad   = "fleet-rank-kill-load"
-	ScenarioFleetChipRepair     = "fleet-chip-repair"
-	ScenarioFleetDivergence     = "fleet-replica-divergence"
-	ScenarioFleetKillMidRepair  = "fleet-kill-during-repair"
-	ScenarioFleetDoubleFault    = "fleet-double-fault"
+	ScenarioFleetRankKill      = "fleet-rank-kill"
+	ScenarioFleetRankKillLoad  = "fleet-rank-kill-load"
+	ScenarioFleetChipRepair    = "fleet-chip-repair"
+	ScenarioFleetDivergence    = "fleet-replica-divergence"
+	ScenarioFleetKillMidRepair = "fleet-kill-during-repair"
+	ScenarioFleetDoubleFault   = "fleet-double-fault"
 )
 
 // FleetSpec switches a campaign onto a multi-rank fleet: the demand

@@ -12,9 +12,9 @@ import (
 
 // Guard scenario names.
 const (
-	ScenarioChipKillUnderLoad   = "chip-kill-under-load"
+	ScenarioChipKillUnderLoad    = "chip-kill-under-load"
 	ScenarioCrashDuringMigration = "crash-during-migration"
-	ScenarioTransientStorm      = "transient-storm"
+	ScenarioTransientStorm       = "transient-storm"
 )
 
 // GuardSpec declares a health-supervisor scenario. Unlike scripted
@@ -126,11 +126,11 @@ func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) 
 	defer h.omv.disabled.Store(false)
 
 	type workerState struct {
-		shadow map[int64][]byte
-		reads  int64
-		writes int64
+		shadow     map[int64][]byte
+		reads      int64
+		writes     int64
 		overlapped int64
-		err    error
+		err        error
 	}
 	var migrating atomic.Bool
 	stop := make(chan struct{})

@@ -37,8 +37,8 @@ func FuzzDecode(f *testing.F) {
 		copy(buf, data)
 		check := code.Encode(buf)
 
-		e := int(nerr) % 6    // 0..5 forced symbol errors
-		s := int(nerase) % 9  // 0..8 declared erasures
+		e := int(nerr) % 6   // 0..5 forced symbol errors
+		s := int(nerase) % 9 // 0..8 declared erasures
 		rng := rand.New(rand.NewSource(seed))
 		positions := rng.Perm(code.N())
 		errPos := positions[:e]

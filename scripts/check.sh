@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the gate a change must pass before it lands:
-#   vet (stock go vet plus the chipkillvet contract analyzers, plus
-#   pinned staticcheck/govulncheck when the network allows fetching
-#   them) + build + full tests (including the smoke fault campaigns, the
+#   vet (stock go vet, a gofmt check and the chipkillvet contract
+#   analyzers, plus pinned staticcheck/govulncheck when the network
+#   allows fetching them) + build + full tests (including the smoke fault campaigns, the
 #   checked-in fuzz seed corpora and the quick pass of ./bench over every
 #   workload and the ladder), then `make race` (race detector on the
 #   concurrent packages), `make fuzz` (a short coverage-guided pass per
@@ -27,7 +27,10 @@ go vet ./...
 # alone runs; vet it here so a harness change cannot break it unseen.
 go vet -tags soak ./internal/inject/
 
-echo "== chipkillvet (contract analyzers: noalloc shardlock sentinel bankaccess seqlock lockorder guardedby)"
+echo "== gofmt"
+test -z "$(gofmt -l .)"
+
+echo "== chipkillvet (contract analyzers: noalloc rankwide sentinel seqlock lockorder guardedby)"
 go run ./cmd/chipkillvet ./...
 
 # Third-party static analysis, pinned and fetched on demand. Offline
