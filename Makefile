@@ -68,12 +68,14 @@ soak:
 	go test -tags soak -count=1 -run TestSoakSuite -v ./internal/inject/
 	go run ./cmd/faultcampaign -suite soak
 
-# Short coverage-guided fuzz pass over the decoders, the RS erasure
+# Short coverage-guided fuzz pass over the decoders (the BCH decoder
+# also differentially, against its textbook reference), the RS erasure
 # solver and the packed-word corrector; the checked-in seed corpora under
 # internal/{bch,rs}/testdata/fuzz also run in plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
-	go test ./internal/bch/ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
+	go test ./internal/bch/ -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/bch/ -fuzz='^FuzzDecodeMatchesReference$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/rs/ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	go test ./internal/rs/ -fuzz=FuzzErasureSolver -fuzztime=$(FUZZTIME)
 	go test ./internal/rs/ -fuzz=FuzzCorrectWord -fuzztime=$(FUZZTIME)

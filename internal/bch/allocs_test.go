@@ -8,8 +8,9 @@ import (
 )
 
 // TestDecodeAllocsZero pins steady-state Decode at zero heap allocations
-// for every root-finding route: clean, each closed form, the blocked scan
-// and the uncorrectable exit. Not built under -race: the race detector
+// for every route: clean, the four-error tier with each closed form, the
+// affine-multiple roots (5..8 errors), the blocked scan and the
+// uncorrectable exits just past t and far beyond it. Not built under -race: the race detector
 // makes sync.Pool drop items at random, so the scratch is reallocated.
 func TestDecodeAllocsZero(t *testing.T) {
 	code := Must(12, 2048, 22)
@@ -17,7 +18,7 @@ func TestDecodeAllocsZero(t *testing.T) {
 	data := make([]byte, code.DataBytes())
 	rng.Read(data)
 	parity := code.Encode(data)
-	for _, e := range []int{0, 1, 2, 3, 4, 5, 9, code.t, code.t + 8} {
+	for _, e := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, code.t, code.t + 1, code.t + 8} {
 		positions := rng.Perm(code.n)[:e]
 		run := func() {
 			code.flip(data, parity, positions)

@@ -381,6 +381,18 @@ func (c *Code) chien(sigma gf.Poly) ([]int, bool) {
 // codeword. Callers that need a lower silent-data-corruption probability
 // apply an acceptance threshold on the number of corrections (see
 // internal/core).
+//
+// The work it does follows the error count. Codes with table paths and
+// t >= 4 first try a tier for at most four errors (decodeFew, in
+// tables.go): S_1..S_8 only, the locator of those eight syndromes, its
+// closed-form roots, and an exact codeword check on the remainder after
+// the flips. An answer that tier accepts is the full decoder's answer on
+// every input, miscorrections included: it is a codeword within distance
+// 4 <= t of the received word, and the code's minimum distance is at
+// least 2t+1, so no other codeword lies within distance t and the
+// t-error decoder — whose locator is unique for any pattern of weight
+// <= t — returns that same codeword with that same count. On any other
+// outcome the full t-error path runs, reusing the remainder.
 func (c *Code) Decode(data, parity []byte) (int, error) {
 	if len(data) != c.DataBytes() || len(parity) != c.ParityBytes() {
 		return 0, fmt.Errorf("bch: Decode: got %d data bytes and %d parity bytes, want %d and %d",
@@ -389,8 +401,18 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 	sc := c.getScratch()
 	defer c.putScratch(sc)
 	syn := sc.syn
-	if c.syndromesInto(syn, data, parity, sc) {
+	switch d := c.decTables(); {
+	case d == nil || c.t < fewErrors:
+		if c.syndromesInto(syn, data, parity, sc) {
+			return 0, nil
+		}
+	case c.remainderInto(d, data, parity, sc):
 		return 0, nil
+	default:
+		if fixed, ok := c.decodeFew(d, data, parity, sc); ok {
+			return fixed, nil
+		}
+		c.oddSyndromes(d, syn, sc, 1)
 	}
 	sigma := c.berlekampMassey(syn, sc)
 	if gf.PolyDeg(sigma) > c.t {

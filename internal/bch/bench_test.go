@@ -2,6 +2,7 @@ package bch
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -162,8 +163,39 @@ func BenchmarkKernelDecodeE2(b *testing.B)  { benchmarkDecode(b, 2) }
 func BenchmarkKernelDecodeE3(b *testing.B)  { benchmarkDecode(b, 3) }
 func BenchmarkKernelDecodeE4(b *testing.B)  { benchmarkDecode(b, 4) }
 func BenchmarkKernelDecodeE5(b *testing.B)  { benchmarkDecode(b, 5) }
+func BenchmarkKernelDecodeE6(b *testing.B)  { benchmarkDecode(b, 6) }
+func BenchmarkKernelDecodeE7(b *testing.B)  { benchmarkDecode(b, 7) }
 func BenchmarkKernelDecodeE8(b *testing.B)  { benchmarkDecode(b, 8) }
 func BenchmarkKernelDecodeE22(b *testing.B) { benchmarkDecode(b, 22) }
+
+// BenchmarkKernelDecodeBeyondT is the cost of rejecting a word with t+1
+// errors, as a dying chip's VLEWs are rejected: every pre-drawn set must
+// come back uncorrectable with the word untouched, and is then undone.
+func BenchmarkKernelDecodeBeyondT(b *testing.B) {
+	c := paperCode()
+	data := benchData(c)
+	parity := c.Encode(data)
+	wantData := append([]byte(nil), data...)
+	wantParity := append([]byte(nil), parity...)
+	rng := rand.New(rand.NewSource(23))
+	sets := make([][]int, 64)
+	for i := range sets {
+		sets[i] = rng.Perm(c.N())[:c.T()+1]
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set := sets[i%len(sets)]
+		c.flip(data, parity, set)
+		if fixed, err := c.Decode(data, parity); !errors.Is(err, ErrUncorrectable) {
+			b.Fatalf("set %d: %d flips decoded as (%d, %v)", i%len(sets), len(set), fixed, err)
+		}
+		c.flip(data, parity, set)
+	}
+	b.StopTimer()
+	if !bytes.Equal(data, wantData) || !bytes.Equal(parity, wantParity) {
+		b.Fatal("a rejected decode modified the word")
+	}
+}
 
 // BenchmarkKernelDecodeBootMix decodes the error mix a boot scrub sees:
 // 512 words with every codeword bit flipped independently at RBER 1e-3

@@ -2,6 +2,7 @@ package bch
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -73,6 +74,40 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !code.CheckClean(d2, p2) {
 			t.Fatalf("%d flips: decode returned success on a non-codeword", flips)
+		}
+	})
+}
+
+// FuzzDecodeMatchesReference is the differential form of FuzzDecode: on
+// the paper's code with 0..2t+2 flips, Decode must agree with the
+// textbook decoder (decodeReference) on the correction count, the error
+// and every byte — through the four-error tier, the affine-multiple
+// roots, the scan, and beyond t, where both may miscorrect.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	f.Add([]byte("one flip"), byte(1), int64(1))
+	f.Add(bytes.Repeat([]byte{0x5a}, 256), byte(4), int64(2))
+	f.Add([]byte{}, byte(5), int64(3))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), byte(8), int64(4))
+	f.Add([]byte("past t"), byte(23), int64(5))
+
+	f.Fuzz(func(t *testing.T, data []byte, nflips byte, seed int64) {
+		code := fuzzCode
+		buf := make([]byte, code.DataBytes())
+		copy(buf, data)
+		parity := code.Encode(buf)
+		flips := int(nflips) % (2*code.T() + 3)
+		rng := rand.New(rand.NewSource(seed))
+		code.flip(buf, parity, rng.Perm(code.N())[:flips])
+
+		wantData := append([]byte(nil), buf...)
+		wantParity := append([]byte(nil), parity...)
+		wantFixed, wantErr := decodeReference(code, wantData, wantParity)
+		gotFixed, gotErr := code.Decode(buf, parity)
+		if gotFixed != wantFixed || !errors.Is(gotErr, wantErr) {
+			t.Fatalf("%d flips: Decode = (%d, %v), reference = (%d, %v)", flips, gotFixed, gotErr, wantFixed, wantErr)
+		}
+		if !bytes.Equal(buf, wantData) || !bytes.Equal(parity, wantParity) {
+			t.Fatalf("%d flips: Decode and reference left different bytes", flips)
 		}
 	})
 }

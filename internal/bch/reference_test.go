@@ -95,7 +95,14 @@ func TestDecodeMatchesReference(t *testing.T) {
 		}
 		miscorrected := 0
 		for e := 0; e <= code.t+4; e++ {
-			for trial := 0; trial < trials; trial++ {
+			n := trials
+			if p.m == 12 && (e == 3 || e == 4 || e == 5 || e == 6 || e == 8 || e == 9) {
+				// The paper shape at the tier boundaries: the four-error
+				// tier's last weights, the first it must hand on, and
+				// the affine-multiple solver's range.
+				n = 60
+			}
+			for trial := 0; trial < n; trial++ {
 				randomData(rng, data, code.k)
 				parity := code.Encode(data)
 				code.flip(data, parity, rng.Perm(code.n)[:e])
@@ -274,6 +281,199 @@ func TestQuarticRootsMatchChien(t *testing.T) {
 			check("random quartic", sigma)
 		}
 		check("zero constant term", gf.Poly{0, 1, 1, 1, 1})
+	}
+}
+
+// TestFewErrorTierRejects builds words with e >= 5 errors whose
+// eight-syndrome locator has degree <= 4 and splits inside the code, so
+// that only the four-error tier's codeword check stands between them and
+// a wrong answer: the tier must reject each one, touching nothing, and
+// Decode must still agree with the reference. Two constructions: the
+// error pattern is a codeword C of the t=4 code (S_1..S_8 vanish) with up
+// to four of its bits left out, or a random weight-5..9 pattern kept when
+// its locator happens to split.
+func TestFewErrorTierRejects(t *testing.T) {
+	code := Must(12, 2048, 22)
+	g4 := Must(12, 2048, 4).Generator()
+	rng := rand.New(rand.NewSource(4))
+	d := code.decTables()
+	sc := code.getScratch()
+	data := make([]byte, code.DataBytes())
+
+	// check runs one error pattern through the tier and through Decode
+	// and reports whether its tier locator split in range.
+	check := func(name string, errs []int) bool {
+		t.Helper()
+		randomData(rng, data, code.k)
+		parity := code.Encode(data)
+		code.flip(data, parity, errs)
+		syn, clean := code.Syndromes(data, parity)
+		if clean {
+			t.Fatalf("%s: %d errors made a codeword", name, len(errs))
+		}
+		sigma := berlekampMasseyReference(code.field, syn[:2*fewErrors])
+		deg := gf.PolyDeg(sigma)
+		if deg < 1 || deg > fewErrors {
+			return false
+		}
+		if _, ok := code.directRoots(d, sigma, nil); !ok {
+			return false
+		}
+		inData := append([]byte(nil), data...)
+		inParity := append([]byte(nil), parity...)
+		if code.remainderInto(d, data, parity, sc) {
+			t.Fatalf("%s: remainder of a non-codeword is zero", name)
+		}
+		if fixed, ok := code.decodeFew(d, data, parity, sc); ok {
+			t.Fatalf("%s: tier accepted %d flips for %d errors", name, fixed, len(errs))
+		}
+		if !bytes.Equal(data, inData) || !bytes.Equal(parity, inParity) {
+			t.Fatalf("%s: rejecting tier modified the word", name)
+		}
+		wantData := append([]byte(nil), data...)
+		wantParity := append([]byte(nil), parity...)
+		wantFixed, wantErr := decodeReference(code, wantData, wantParity)
+		gotFixed, gotErr := code.Decode(data, parity)
+		if gotFixed != wantFixed || !errors.Is(gotErr, wantErr) ||
+			!bytes.Equal(data, wantData) || !bytes.Equal(parity, wantParity) {
+			t.Fatalf("%s, %d errors: Decode = (%d, %v), reference = (%d, %v)",
+				name, len(errs), gotFixed, gotErr, wantFixed, wantErr)
+		}
+		return true
+	}
+
+	// C = g4(x) * (x^a + x^b): S_1..S_8 of C vanish, so leaving out up to
+	// four of its bits F gives an error pattern with the syndromes of F.
+	weights := map[int]bool{}
+	for trial := 0; trial < 40; trial++ {
+		span := code.n - g4.Degree()
+		c := g4.Shl(rng.Intn(span))
+		if trial%2 == 1 {
+			c = c.Add(g4.Shl(rng.Intn(span)))
+		}
+		var support []int
+		for p := 0; p <= c.Degree(); p++ {
+			if c.Coeff(p) != 0 {
+				support = append(support, p)
+			}
+		}
+		rng.Shuffle(len(support), func(i, j int) { support[i], support[j] = support[j], support[i] })
+		errs := support[1+rng.Intn(fewErrors):]
+		if len(errs) < fewErrors+1 {
+			continue
+		}
+		if !check("t=4 codeword minus its locator's roots", errs) {
+			t.Fatalf("construction did not leave a splitting locator of degree <= 4")
+		}
+		weights[len(errs)] = true
+	}
+	if len(weights) < 5 {
+		t.Fatalf("only %d distinct error counts from the t=4 codewords", len(weights))
+	}
+
+	// Random light patterns whose locator happens to split: the tier's
+	// most likely false positives at the boot scrub's error rates.
+	found := 0
+	for trial := 0; trial < 40000 && found < 12; trial++ {
+		errs := rng.Perm(code.n)[:fewErrors+1+trial%5]
+		if check("random splitting pattern", errs) {
+			found++
+		}
+	}
+	if found < 12 {
+		t.Fatalf("only %d random patterns with a splitting eight-syndrome locator", found)
+	}
+}
+
+func TestMidDegreeRootsMatchChien(t *testing.T) {
+	for _, p := range []struct {
+		m    uint
+		k, t int
+	}{{10, 512, 14}, {12, 2048, 22}, {13, 4096, 9}} {
+		code := Must(p.m, p.k, p.t)
+		f := code.field
+		rng := rand.New(rand.NewSource(int64(p.m) * 5))
+		inRange := func() gf.Elem { return f.Exp(-rng.Intn(code.n)) }
+		nonzero := func() gf.Elem { return gf.Elem(1 + rng.Intn(f.N())) }
+		fromRoots := func(roots ...gf.Elem) gf.Poly {
+			sigma := gf.Poly{nonzero()}
+			for _, r := range roots {
+				sigma = f.PolyMul(sigma, gf.Poly{r, 1})
+			}
+			return sigma
+		}
+		distinctInRange := func(d int) []gf.Elem {
+			roots := make([]gf.Elem, 0, d)
+			for len(roots) < d {
+				if r := inRange(); !slices.Contains(roots, r) {
+					roots = append(roots, r)
+				}
+			}
+			return roots
+		}
+		// An irreducible quadratic x^2 + x + b: b is not of the form
+		// y^2 + y, so the quadratic table has no entry for it.
+		irreducible := func() gf.Poly {
+			d := code.decTables()
+			for {
+				if b := nonzero(); d.quad[b] == quadNone {
+					return gf.Poly{b, 1, 1}
+				}
+			}
+		}
+
+		// check compares the affine-multiple solver with the exhaustive
+		// search on one locator and reports whether it split.
+		check := func(name string, sigma gf.Poly) bool {
+			t.Helper()
+			want, wantOK := code.chien(sigma)
+			got, gotOK := code.affineMultipleRoots(sigma, nil)
+			if gotOK != wantOK {
+				t.Fatalf("%v %s: affineMultipleRoots ok=%v, chien ok=%v for %v", code, name, gotOK, wantOK, sigma)
+			}
+			if !gotOK {
+				if len(got) != 0 {
+					t.Fatalf("%v %s: failed solve left positions %v", code, name, got)
+				}
+				return false
+			}
+			sort.Ints(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v %s: roots %v, chien %v", code, name, got, want)
+			}
+			return true
+		}
+
+		for d := 5; d <= maxDirect; d++ {
+			for trial := 0; trial < 100; trial++ {
+				if !check("distinct in-range roots", fromRoots(distinctInRange(d)...)) {
+					t.Fatalf("%v: degree %d with %d distinct in-range roots did not split", code, d, d)
+				}
+			}
+			for trial := 0; trial < 50; trial++ {
+				roots := distinctInRange(d - 1)
+				out := f.Exp(-(code.n + rng.Intn(f.N()-code.n)))
+				if check("out-of-range root", fromRoots(append(roots, out)...)) {
+					t.Fatalf("%v: accepted a root outside the code", code)
+				}
+				roots[0] = roots[1]
+				if check("repeated root", fromRoots(roots...)) {
+					t.Fatalf("%v: accepted a repeated root", code)
+				}
+				sigma := f.PolyMul(fromRoots(distinctInRange(d-2)...), irreducible())
+				if check("irreducible quadratic factor", sigma) {
+					t.Fatalf("%v: accepted a locator with an irreducible factor", code)
+				}
+			}
+			for trial := 0; trial < 100; trial++ {
+				sigma := make(gf.Poly, d+1)
+				for j := range sigma {
+					sigma[j] = gf.Elem(rng.Intn(f.Size()))
+				}
+				sigma[0], sigma[d] = nonzero(), nonzero()
+				check("random locator", sigma)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // oracles and as fallbacks for degenerate codes with fewer than 8 parity
 // bits, where byte-at-a-time processing does not apply.
 //
-// Decode runs five stages, each on its own precomputed structure:
+// Decode runs in two tiers over five stages, each on its own precomputed
+// structure:
 //
 //  1. Remainder. D(x) = data(x)*x^r + parity(x) mod g(x) through an LFSR
 //     table of u(x)*x^r mod g(x) per input byte value. The paper's r = 264
@@ -24,14 +25,24 @@ import (
 //     S_e(received) = D(alpha^e), so syndromes are evaluated over the
 //     ParityBytes() remainder bytes instead of the whole codeword. Only
 //     odd-index syndromes are tabulated, four 16-bit lanes per uint64 so a
-//     row is XORed in word-wise; even ones follow from S_2e = S_e^2.
+//     row is XORed in word-wise; even ones follow from S_2e = S_e^2. The
+//     table is laid out word-major: slab j holds word j of every row, so
+//     S_1, S_3, S_5, S_7 come from one slab.
 //  3. Locator. Berlekamp-Massey with Berlekamp's binary simplification:
 //     given S_2e = S_e^2 every second discrepancy is zero and is skipped.
-//  4. Roots. Closed forms up to degree 4; above that a blocked Chien scan
-//     in the log domain over the field's exp table, deflating the locator
-//     by each root found until the closed forms take over.
+//  4. Roots. Closed forms up to degree 4; degrees 5..8 through an affine
+//     multiple of the locator, whose GF(2)-linear part is solved exactly;
+//     above that a blocked Chien scan in the log domain over the field's
+//     exp table, deflating the locator by each root found until the
+//     direct solvers take over.
 //  5. Verification. Each flipped bit's contribution is folded back into
 //     the odd syndromes, which must all cancel (Decode, in bch.go).
+//
+// The first tier (decodeFew) runs stages 2..4 on S_1..S_8 alone — one
+// syndrome slab, four Berlekamp-Massey steps, closed-form roots — and
+// verifies by folding the flipped bits into the stage-1 remainder instead
+// of the syndromes. Any failure falls through to the full t-error path,
+// which reuses the remainder and the first slab.
 
 // encTables drive the LFSR for Encode/EncodeDelta and the decoder's
 // remainder computation: one byte-indexed feed row per input byte value,
@@ -52,11 +63,24 @@ const quadNone gf.Elem = 0xFFFF
 // scanBlock is the most positions one block of the root scan evaluates.
 const scanBlock = 64
 
+// fewErrors is the most errors Decode's first tier corrects: as many as
+// the syndromes S_1..S_8 of the first syndrome slab determine.
+const fewErrors = 4
+
+// maxDirect is the highest locator degree solved without scanning, and
+// maxKernel the widest kernel of the affine multiple's linear part that
+// affineSolve enumerates: an affine multiple of a degree-8 locator has
+// degree at most 2^7, so its linear part never has a wider one.
+const (
+	maxDirect = 8
+	maxKernel = 7
+)
+
 // decTables hold everything the fast decode path needs.
 type decTables struct {
-	lastMask byte      // valid-bit mask for the top parity byte
-	synWords int       // uint64 words per synTab row: ceil(t/4)
-	synTab   []uint64  // [pb][256][synWords]: odd-syndrome contributions, S_(2j+1) in 16-bit lane j
+	topMask  uint64    // valid-bit mask for the top word of the remainder
+	synWords int       // uint64 words per odd-syndrome row: ceil(t/4)
+	synTab   []uint64  // [synWords][pb][256]: slab j holds word j of each row, S_(8j+2l+1) in 16-bit lane l
 	scanBlk  int       // root-scan block: largest b <= scanBlock with t*(b-1) < 2^m-1
 	quad     []gf.Elem // quad[c] = y solving y^2+y=c, or quadNone
 	cbrt     []gf.Elem // cbrt[c] = one y with y^3=c, or quadNone
@@ -66,7 +90,8 @@ type decTables struct {
 // concurrent decoders (the parallel boot scrub) share no state yet steady-
 // state decoding allocates nothing.
 type decodeScratch struct {
-	state     []uint64  // LFSR state, enc.w words
+	state     []uint64  // LFSR state, then the received word's remainder; enc.w words
+	check     []uint64  // the first tier's remainder after its flips, enc.w words
 	rem       []byte    // remainder bytes, pb
 	synAcc    []uint64  // packed odd syndromes, ceil(t/4) words
 	syn       []gf.Elem // 2t syndromes
@@ -392,18 +417,18 @@ func (c *Code) decTables() *decTables {
 		f := c.field
 		pb := c.ParityBytes()
 		t := c.t
-		d := &decTables{synWords: (t + 3) / 4}
-		if rem := uint(c.r % 8); rem == 0 {
-			d.lastMask = 0xFF
-		} else {
-			d.lastMask = byte(1<<rem - 1)
+		d := &decTables{synWords: (t + 3) / 4, topMask: ^uint64(0)}
+		if rem := uint(c.r % 64); rem != 0 {
+			d.topMask = 1<<rem - 1
 		}
 
-		// Odd-syndrome tables over remainder bytes: entry (i, u) holds the
+		// Odd-syndrome tables over remainder bytes: row (i, u) holds the
 		// contributions of byte value u at byte position i to S_1, S_3,
-		// ..., S_(2t-1), lane j of the row carrying S_(2j+1).
+		// ..., S_(2t-1), lane l of word j carrying S_(8j+2l+1). Word j of
+		// every row lives in slab j, so the first tier reads one slab.
 		sw := d.synWords
-		d.synTab = make([]uint64, pb*256*sw)
+		slab := pb * 256
+		d.synTab = make([]uint64, sw*slab)
 		bitRow := make([]uint64, 8*sw)
 		for i := 0; i < pb; i++ {
 			for bit := 0; bit < 8; bit++ {
@@ -419,13 +444,12 @@ func (c *Code) decTables() *decTables {
 					row[j/4] |= uint64(f.Exp(deg*(2*j+1))) << (16 * uint(j%4))
 				}
 			}
-			base := i * 256 * sw
 			for u := 1; u < 256; u++ {
 				b := bits.TrailingZeros8(uint8(u))
 				rest := u & (u - 1)
-				dst := d.synTab[base+u*sw : base+u*sw+sw]
-				for j := range dst {
-					dst[j] = d.synTab[base+rest*sw+j] ^ bitRow[b*sw+j]
+				for j := 0; j < sw; j++ {
+					base := j*slab + i*256
+					d.synTab[base+u] = d.synTab[base+rest] ^ bitRow[b*sw+j]
 				}
 			}
 		}
@@ -470,6 +494,7 @@ func (c *Code) getScratch() *decodeScratch {
 	}
 	return &decodeScratch{
 		state:     make([]uint64, w),
+		check:     make([]uint64, w),
 		rem:       make([]byte, c.ParityBytes()),
 		synAcc:    make([]uint64, (c.t+3)/4),
 		syn:       make([]gf.Elem, 2*c.t),
@@ -494,50 +519,126 @@ func (c *Code) syndromesInto(syn []gf.Elem, data, parity []byte, sc *decodeScrat
 		copy(syn, ref)
 		return clean
 	}
-	// Remainder of the received word: data(x)*x^r mod g, plus parity
-	// (degree < r, so congruent to itself), with undefined high bits of
-	// the last parity byte masked off exactly as the bit-serial path
-	// ignores degrees >= r.
-	c.enc.remainder(sc.state, data)
-	stateBytes(sc.state, sc.rem)
-	clean := true
-	for i, p := range parity {
-		if i == len(parity)-1 {
-			p &= d.lastMask
-		}
-		sc.rem[i] ^= p
-		if sc.rem[i] != 0 {
-			clean = false
-		}
-	}
-	if clean {
+	if c.remainderInto(d, data, parity, sc) {
 		return true
 	}
-	// Odd syndromes from the remainder, four lanes per word.
-	acc := sc.synAcc
-	for j := range acc {
-		acc[j] = 0
+	c.oddSyndromes(d, syn, sc, 0)
+	return false
+}
+
+// remainderInto leaves the received word's remainder mod g in sc.state —
+// data(x)*x^r mod g plus parity (degree < r, so congruent to itself), with
+// the undefined high bits of the last parity byte masked off exactly as
+// the bit-serial path ignores degrees >= r — and reports whether it is
+// zero, i.e. whether the word is a codeword. When it is not, sc.rem holds
+// its bytes.
+func (c *Code) remainderInto(d *decTables, data, parity []byte, sc *decodeScratch) bool {
+	st := sc.state
+	c.enc.remainder(st, data)
+	n := len(parity) &^ 7
+	for i := 0; i < n; i += 8 {
+		st[i>>3] ^= binary.LittleEndian.Uint64(parity[i:])
 	}
-	sw := d.synWords
-	for i, b := range sc.rem {
-		if b == 0 {
-			continue
-		}
-		base := (i*256 + int(b)) * sw
-		for j, v := range d.synTab[base : base+sw : base+sw] {
-			acc[j] ^= v
+	for i := n; i < len(parity); i++ {
+		st[i>>3] ^= uint64(parity[i]) << (8 * uint(i&7))
+	}
+	st[len(st)-1] &= d.topMask
+	var nz uint64
+	for _, w := range st {
+		nz |= w
+	}
+	if nz == 0 {
+		return true
+	}
+	stateBytes(st, sc.rem)
+	return false
+}
+
+// synWord returns word j of the packed odd syndromes of the remainder
+// bytes rem: the XOR of slab j's rows for its nonzero bytes.
+func (d *decTables) synWord(rem []byte, j int) uint64 {
+	slab := d.synTab[j*len(rem)*256 : (j+1)*len(rem)*256]
+	var a uint64
+	for i, b := range rem {
+		if b != 0 {
+			a ^= slab[i<<8|int(b)]
 		}
 	}
-	// Unpack S_(2j+1), then even syndromes by squaring: S_2e = S_e^2.
-	t := c.t
-	for j := 0; j < t; j++ {
+	return a
+}
+
+// oddSyndromes fills the packed odd syndromes of sc.rem from word `from`
+// on (the words before it are already in sc.synAcc) and unpacks all 2t
+// syndromes into syn.
+func (c *Code) oddSyndromes(d *decTables, syn []gf.Elem, sc *decodeScratch, from int) {
+	for j := from; j < len(sc.synAcc); j++ {
+		sc.synAcc[j] = d.synWord(sc.rem, j)
+	}
+	c.unpackSyndromes(syn, sc.synAcc, c.t)
+}
+
+// unpackSyndromes unpacks the first n odd syndromes S_(2j+1), lane j%4
+// of word j/4 of acc, into syn[:2n], with the even ones by squaring:
+// S_2e = S_e^2.
+func (c *Code) unpackSyndromes(syn []gf.Elem, acc []uint64, n int) {
+	for j := 0; j < n; j++ {
 		syn[2*j] = gf.Elem(acc[j/4] >> (16 * uint(j%4)))
 	}
-	f := c.field
-	for e := 2; e <= 2*t; e += 2 {
-		syn[e-1] = f.Sqr(syn[e/2-1])
+	for e := 2; e <= 2*n; e += 2 {
+		syn[e-1] = c.field.Sqr(syn[e/2-1])
 	}
-	return false
+}
+
+// decodeFew is Decode's first tier, for words with at most fewErrors
+// errors: S_1..S_8 from the first syndrome slab, Berlekamp-Massey over
+// those eight, and closed-form roots. It accepts — flipping the bits and
+// returning their count — only when the flips leave a codeword: each
+// flipped bit's remainder is folded into a copy of the received word's
+// (a parity bit is its own remainder; data bit q contributes
+// x^(r+q) mod g, one nibble row of the delta table), and the sum must
+// vanish. It reports false, touching nothing, on any other outcome. The
+// full path then reuses sc.state, sc.rem and the first slab's word.
+func (c *Code) decodeFew(d *decTables, data, parity []byte, sc *decodeScratch) (int, bool) {
+	sc.synAcc[0] = d.synWord(sc.rem, 0)
+	syn := sc.syn[:2*fewErrors]
+	c.unpackSyndromes(syn, sc.synAcc, fewErrors)
+	sigma := c.berlekampMassey(syn, sc)
+	if len(sigma) < 2 || len(sigma) > fewErrors+1 {
+		return 0, false
+	}
+	positions, ok := c.directRoots(d, sigma, sc.positions[:0])
+	if !ok {
+		return 0, false
+	}
+	chk := sc.check
+	copy(chk, sc.state)
+	dt := c.deltaTables()
+	for _, p := range positions {
+		if p < c.r {
+			chk[p>>6] ^= 1 << uint(p&63)
+			continue
+		}
+		q := p - c.r
+		for j, v := range dt.row(q>>3, bitRow(q&7), len(chk)) {
+			chk[j] ^= v
+		}
+	}
+	for _, v := range chk {
+		if v != 0 {
+			return 0, false
+		}
+	}
+	c.flip(data, parity, positions)
+	return len(positions), true
+}
+
+// bitRow is the nibble row of the delta table that holds bit b (0..7) of
+// a byte alone: low-nibble row 1<<b, or high-nibble row 16 + 1<<(b-4).
+func bitRow(b int) int {
+	if b < 4 {
+		return 1 << b
+	}
+	return 16 + 1<<(b-4)
 }
 
 // isCodeword is the cheap membership test behind CheckClean: the received
@@ -550,18 +651,7 @@ func (c *Code) isCodeword(data, parity []byte) bool {
 	}
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	c.enc.remainder(sc.state, data)
-	stateBytes(sc.state, sc.rem)
-	for i, b := range sc.rem {
-		p := parity[i]
-		if i == len(sc.rem)-1 {
-			p &= d.lastMask
-		}
-		if b != p {
-			return false
-		}
-	}
-	return true
+	return c.remainderInto(d, data, parity, sc)
 }
 
 // berlekampMassey is the allocation-free Berlekamp-Massey, writing into the
@@ -746,7 +836,7 @@ func (c *Code) cubicRoots(d *decTables, s0, s1, s2, s3 gf.Elem, positions []int)
 // removes the linear term, leaving z^4 + a*z^3 + B*z^2 + D, and y = 1/z
 // turns that into y^4 + (B/D)*y^2 + (a/D)*y = 1/D; when a == 0 the monic
 // quartic already has that shape in x. Either way the left side is linear
-// over GF(2) and affineRoots solves it exactly. Returns ok=false — with
+// over GF(2) and affineSolve solves it exactly. Returns ok=false — with
 // positions untouched — unless there are four distinct roots, all inside
 // the shortened code, which mirrors a Chien scan coming up short.
 func (c *Code) quarticRoots(s0, s1, s2, s3, s4 gf.Elem, positions []int) ([]int, bool) {
@@ -782,10 +872,12 @@ func (c *Code) quarticRoots(s0, s1, s2, s3, s4 gf.Elem, positions []int) ([]int,
 		}
 		a2, b2, c2 = b, cc, dd
 	}
-	ys, ok := c.affineRoots(a2, b2, c2)
-	if !ok {
-		return positions, false
+	l := [3]gf.Elem{b2, a2, 1}
+	y, ker, nk, ok := c.affineSolve(l[:], c2)
+	if !ok || nk != 2 {
+		return positions, false // four distinct roots need a 2-dimensional kernel
 	}
+	ys := [4]gf.Elem{y, y ^ ker[0], y ^ ker[1], y ^ ker[0] ^ ker[1]}
 	base := len(positions)
 	for _, y := range ys {
 		x := y // c2 != 0, so y != 0
@@ -801,22 +893,43 @@ func (c *Code) quarticRoots(s0, s1, s2, s3, s4 gf.Elem, positions []int) ([]int,
 	return positions, true
 }
 
-// affineRoots solves y^4 + a*y^2 + b*y = k. The left side L is linear over
-// GF(2), so the images L(alpha^i) of the polynomial basis (alpha^i is the
-// element 1<<i for i < m) are eliminated into an echelon basis that
-// remembers each vector's preimage; basis elements whose image reduces to
-// zero span the kernel. The equation has four distinct solutions — one
-// preimage of k plus the kernel — exactly when the kernel is
-// 2-dimensional and k lies in the image.
-func (c *Code) affineRoots(a, b, k gf.Elem) (ys [4]gf.Elem, ok bool) {
+// affineSolve solves L(y) = k for the GF(2)-linear map
+// L(y) = l[0]*y + l[1]*y^2 + l[2]*y^4 + ... + l[i]*y^(2^i). The images
+// L(alpha^i) of the polynomial basis (alpha^i is the element 1<<i for
+// i < m) are eliminated into an echelon basis that remembers each
+// vector's preimage; basis elements whose image reduces to zero span the
+// kernel. The solutions are exactly y + span(ker[:nk]). It returns
+// ok=false when k lies outside the image or the kernel is wider than
+// maxKernel.
+//
+// Term j of L(alpha^i) is alpha^(log l[j] + i*2^j): one load from the
+// doubled exp table, with i*2^j mod n advanced by 2^j mod n per basis
+// element.
+func (c *Code) affineSolve(l []gf.Elem, k gf.Elem) (y gf.Elem, ker [maxKernel]gf.Elem, nk int, ok bool) {
 	f := c.field
+	n := f.N()
+	var lg, e, step [maxDirect]int // log l[j] (-1 for zero), i*2^j mod n, 2^j mod n
+	for j, v, st := 0, gf.Elem(0), 1; j < len(l); j++ {
+		if v = l[j]; v != 0 {
+			lg[j] = f.Log(v)
+		} else {
+			lg[j] = -1
+		}
+		step[j] = st
+		if st *= 2; st >= n {
+			st -= n
+		}
+	}
 	var img, pre [16]gf.Elem // indexed by the image's leading bit; img 0 = empty
-	var ker [2]gf.Elem
-	nk := 0
 	for i := uint(0); i < c.m; i++ {
 		u := gf.Elem(1) << i
-		u2 := f.Sqr(u)
-		v := f.Sqr(u2) ^ f.Mul(a, u2) ^ f.Mul(b, u)
+		var v gf.Elem
+		for j := range l {
+			if lg[j] >= 0 {
+				v ^= c.exp[lg[j]+e[j]]
+			}
+			e[j] = addMod(e[j], step[j], n)
+		}
 		for v != 0 {
 			h := bits.Len16(v) - 1
 			if img[h] == 0 {
@@ -827,33 +940,194 @@ func (c *Code) affineRoots(a, b, k gf.Elem) (ys [4]gf.Elem, ok bool) {
 			u ^= pre[h]
 		}
 		if v == 0 {
-			if nk == len(ker) {
-				return ys, false
+			if nk == maxKernel {
+				return 0, ker, nk, false
 			}
 			ker[nk] = u
 			nk++
 		}
 	}
-	if nk != len(ker) {
-		return ys, false
-	}
-	var y gf.Elem
 	for k != 0 {
 		h := bits.Len16(k) - 1
 		if img[h] == 0 {
-			return ys, false
+			return 0, ker, nk, false
 		}
 		k ^= img[h]
 		y ^= pre[h]
 	}
-	return [4]gf.Elem{y, y ^ ker[0], y ^ ker[1], y ^ ker[0] ^ ker[1]}, true
+	return y, ker, nk, true
 }
 
-// closedFormRoots appends the root positions of a locator of degree 1..4
-// (its coefficients, constant term first) without scanning. It returns
+// addMod returns a+b mod n for a, b in [0, n) without a branch: the
+// exponent walks of the root tests wrap at random, so a branch on the
+// wrap would be mispredicted half the time.
+func addMod(a, b, n int) int {
+	s := a + b - n
+	return s + n&(s>>63)
+}
+
+// affineMultipleRoots appends all root positions of a locator of degree
+// 5..maxDirect (its coefficients s, constant term first) without
+// scanning. Made monic, the locator sigma of degree d reduces the powers
+// 1, x, x^2, x^4, x^8, ... modulo itself; 1, x, x^2 and x^4 are unit
+// vectors of the d-dimensional residue space, so the first power x^(2^i)
+// whose residue depends on the earlier ones is found by eliminating only
+// over the other d-4 coordinates, and it comes within d-4 squarings of
+// x^8. The dependency is an affine multiple of sigma:
+//
+//	A(x) = L(x) + a,   L(x) = sum_j l_j x^(2^j),   sigma | A,
+//
+// so every root of sigma solves the GF(2)-linear equation L(y) = a.
+// affineSolve yields those solutions (typically 2^(d-1) of them, at most
+// 2^maxKernel), and each is tested in sigma. It returns ok=false — with
+// positions untouched — unless exactly d distinct roots are found, all
+// inside the shortened code, which mirrors a Chien scan coming up short.
+func (c *Code) affineMultipleRoots(s []gf.Elem, positions []int) ([]int, bool) {
+	f := c.field
+	d := len(s) - 1
+	if s[0] == 0 || s[d] == 0 {
+		return positions, false // x=0 root or a smaller degree: invalid locator
+	}
+	// sigma monic, x^d = sig[0] + sig[1]*x + ... + sig[d-1]*x^(d-1), with
+	// the logarithms of its coefficients (-1 for zero) for the reductions.
+	var sig [maxDirect]gf.Elem
+	var lsig [maxDirect]int
+	ls := f.Log(s[d])
+	for j, v := range s[:d] {
+		lsig[j] = -1
+		if v != 0 {
+			if lsig[j] = f.Log(v) - ls; lsig[j] < 0 {
+				lsig[j] += f.N()
+			}
+			sig[j] = c.exp[lsig[j]]
+		}
+	}
+	// w is x^(2^i) mod sigma, starting from x^4. Each candidate row holds
+	// a residue in entries 0..maxDirect-1 and, from entry maxDirect on,
+	// its coefficients over x^8, x^16, ...; rows[:np] are earlier ones in
+	// echelon form, row r normalised to 1 at coordinate piv[r].
+	const width = maxDirect + maxDirect - 3
+	var w [maxDirect]gf.Elem
+	w[4] = 1
+	var rows [maxDirect - 4][width]gf.Elem
+	var piv [maxDirect - 4]int
+	np := 0
+	for i := 3; ; i++ {
+		var sq [2*maxDirect - 1]gf.Elem
+		for j, v := range w[:d] {
+			sq[2*j] = f.Sqr(v)
+		}
+		for top := 2*d - 2; top >= d; top-- {
+			if v := sq[top]; v != 0 {
+				lv := f.Log(v)
+				for j, lg := range lsig[:d] {
+					if lg >= 0 {
+						sq[top-d+j] ^= c.exp[lv+lg]
+					}
+				}
+			}
+		}
+		copy(w[:d], sq[:d])
+
+		var row [width]gf.Elem
+		copy(row[:d], w[:d])
+		row[maxDirect+i-3] = 1
+		for r := range rows[:np] {
+			if v := row[piv[r]]; v != 0 {
+				for j, x := range rows[r] {
+					row[j] ^= f.Mul(v, x)
+				}
+			}
+		}
+		p := 3
+		for p < d && (row[p] == 0 || p == 4) {
+			p++
+		}
+		if p < d {
+			norm := f.Inv(row[p])
+			for j := range row {
+				row[j] = f.Mul(row[j], norm)
+			}
+			rows[np], piv[np] = row, p
+			np++
+			continue
+		}
+		// row is a dependency: its residue lives on 1, x, x^2, x^4 alone.
+		var l [maxDirect]gf.Elem
+		l[0], l[1], l[2] = row[1], row[2], row[4]
+		copy(l[3:i+1], row[maxDirect:maxDirect+i-2])
+		return c.affineRootsOf(sig, d, l[:i+1], row[0], positions)
+	}
+}
+
+// affineRootsOf enumerates the solutions of L(y) = a (L given by its
+// linearized coefficients l) and appends the positions of those that are
+// roots of the monic degree-d locator x^d + sig[d-1]*x^(d-1) + ... +
+// sig[0]; see affineMultipleRoots. A root test sums the locator's terms
+// alpha^(log sig[j] + j*log y) as independent loads from the doubled exp
+// table. Each root found deflates the locator, so later tests sum fewer
+// terms, and the walk stops at the d-th root.
+func (c *Code) affineRootsOf(sig [maxDirect]gf.Elem, d int, l []gf.Elem, a gf.Elem, positions []int) ([]int, bool) {
+	f := c.field
+	n := f.N()
+	y, ker, nk, ok := c.affineSolve(l, a)
+	if !ok || 1<<nk < d {
+		return positions, false
+	}
+	base := len(positions)
+	var lsig [maxDirect]int // log sig[j], -1 for zero
+	logs := func() {
+		for j, v := range sig[:d] {
+			lsig[j] = -1
+			if v != 0 {
+				lsig[j] = f.Log(v)
+			}
+		}
+	}
+	logs()
+	for g := 0; ; {
+		if y != 0 {
+			ly, e := f.Log(y), 0
+			var v gf.Elem
+			for _, lg := range lsig[:d] {
+				if lg >= 0 {
+					v ^= c.exp[lg+e]
+				}
+				e = addMod(e, ly, n)
+			}
+			if v^c.exp[e] == 0 { // plus the monic top term, y^d
+				p, ok := c.elemPosition(y)
+				if !ok {
+					return positions[:base], false
+				}
+				positions = append(positions, p)
+				// Deflate: sig /= (x + y), synthetic division from the top.
+				for j, q := d-1, gf.Elem(1); j > 0; j-- {
+					q = sig[j] ^ f.Mul(y, q)
+					sig[j] = q
+				}
+				copy(sig[:d-1], sig[1:d])
+				if d--; d == 0 {
+					return positions, true
+				}
+				logs()
+			}
+		}
+		// Next candidate in Gray-code order: one kernel vector per step.
+		g++
+		if g == 1<<nk {
+			return positions[:base], false
+		}
+		y ^= ker[bits.TrailingZeros(uint(g))]
+	}
+}
+
+// directRoots appends the root positions of a locator of degree
+// 1..maxDirect (its coefficients, constant term first) without scanning:
+// closed forms up to degree four, an affine multiple above. It returns
 // ok=false — with positions untouched — when the locator does not have
 // that many distinct roots inside the shortened code.
-func (c *Code) closedFormRoots(d *decTables, s []gf.Elem, positions []int) ([]int, bool) {
+func (c *Code) directRoots(d *decTables, s []gf.Elem, positions []int) ([]int, bool) {
 	switch len(s) {
 	case 2:
 		return c.linearRoot(s[0], s[1], positions)
@@ -864,14 +1138,17 @@ func (c *Code) closedFormRoots(d *decTables, s []gf.Elem, positions []int) ([]in
 	case 5:
 		return c.quarticRoots(s[0], s[1], s[2], s[3], s[4], positions)
 	}
+	if len(s) <= maxDirect+1 {
+		return c.affineMultipleRoots(s, positions)
+	}
 	return positions, false
 }
 
-// findRoots locates all roots of sigma inside the shortened code: closed
-// forms up to degree four, and above that a blocked Chien scan that
-// deflates the locator by every root it meets until the closed forms
-// apply. Semantics match the reference chien(): it returns ok=false unless
-// exactly deg(sigma) positions are found.
+// findRoots locates all roots of sigma inside the shortened code: solved
+// directly up to degree maxDirect, and above that by a blocked Chien scan
+// that deflates the locator by every root it meets until the direct
+// solvers apply. Semantics match the reference chien(): it returns
+// ok=false unless exactly deg(sigma) positions are found.
 func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 	deg := gf.PolyDeg(sigma)
 	if deg <= 0 {
@@ -890,9 +1167,9 @@ func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 
 	var acc [scanBlock]gf.Elem
 	for p := 0; ; {
-		if deg <= 4 {
+		if deg <= maxDirect {
 			var ok bool
-			if positions, ok = c.closedFormRoots(d, work, positions); ok {
+			if positions, ok = c.directRoots(d, work, positions); ok {
 				sort.Ints(positions)
 				sc.positions = positions[:0]
 				return positions, true
@@ -900,9 +1177,9 @@ func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 			if deg <= 2 {
 				return nil, false
 			}
-			// A failed cubic or quartic falls through to the scan, which
-			// either finds a root the closed form missed or proves there
-			// are too few.
+			// A failed direct solve falls through to the scan, which
+			// either finds a root the solver missed or proves there are
+			// too few.
 		}
 		if p >= c.n {
 			return nil, false // fewer in-range roots than deg(sigma)
@@ -936,7 +1213,7 @@ func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 			// division from the top; the remainder work[0] is zero by
 			// construction. The block's later zeros are roots of the
 			// quotient too, so the walk over it continues until the
-			// closed forms can take the rest.
+			// direct solvers can take the rest.
 			positions = append(positions, p+q)
 			root := f.Exp(-(p + q))
 			for j := deg - 1; j >= 0; j-- {
@@ -945,7 +1222,7 @@ func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 			copy(work, work[1:deg+1])
 			deg--
 			work = work[:deg+1]
-			if deg <= 4 {
+			if deg <= maxDirect {
 				next = p + q + 1
 				break
 			}

@@ -62,6 +62,26 @@ func TestDemandAllocsZero(t *testing.T) {
 	}
 }
 
+// TestPatrolScrubAllocsZero pins a patrol run that corrects bits at zero
+// allocations per call: it decodes in the controller's VLEW scratch and
+// publishes its counters without building a telemetry delta.
+func TestPatrolScrubAllocsZero(t *testing.T) {
+	c := newTestController(t, 93, nil)
+	fillRandom(t, c, 94)
+	const units = 8 // chip 0, bank 0, row 0: its first eight VLEWs
+	var corrected int64
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Rank().Chip(0).FlipDataBit(0, 0, 5, 3) // inside VLEW 0
+		_, fixed := c.PatrolScrub(0, units)
+		corrected += fixed
+	}); allocs != 0 {
+		t.Fatalf("PatrolScrub allocates %.1f objects per run, want 0", allocs)
+	}
+	if corrected < 100 {
+		t.Fatalf("patrol corrected %d bits over 101 runs with one flip each", corrected)
+	}
+}
+
 // TestRebuildAllocatesPerWorkerNotPerBlock pins the kernel's memory
 // behaviour: buffers belong to workers, so rebuilding a rank four times the
 // size allocates the same number of times (the block-at-a-time rebuild it

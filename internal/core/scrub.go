@@ -311,11 +311,10 @@ func (c *Controller) PatrolScrub(pos int64, count int) (next int64, corrected in
 	code := r.Config().VLEWCode
 	total := c.TotalPatrolUnits()
 	var d Stats // published under the stats lock after the walk
-	td := Telemetry{Chips: make([]ChipTelemetry, r.NumChips())}
-	// One buffer pair serves the whole walk; ReadVLEWInto overwrites it
-	// per unit, so the patrol no longer allocates two slices per VLEW.
-	data := make([]byte, g.VLEWDataBytes)
-	vcode := make([]byte, g.VLEWCodeBytes)
+	// The walk decodes in the controller's VLEW scratch, as ProbeVLEW
+	// does (the caller holds the shard's writer lock), so a patrol run
+	// allocates nothing.
+	data, vcode := c.vlewDataBuf, c.vlewCodeBuf
 	for i := 0; i < count; i++ {
 		p := (pos + int64(i)) % total
 		vpr := int64(g.VLEWsPerRow())
@@ -333,7 +332,7 @@ func (c *Controller) PatrolScrub(pos int64, count int) (next int64, corrected in
 		fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
 		if err != nil {
 			d.ScrubUncorrectable++
-			td.Chips[ci].VLEWFailures++
+			c.addVLEWFailure(ci)
 			continue
 		}
 		if fixed > 0 {
@@ -344,7 +343,6 @@ func (c *Controller) PatrolScrub(pos int64, count int) (next int64, corrected in
 	}
 	d.ScrubCorrections = corrected
 	c.addStats(d)
-	c.addTelemetry(td)
 	return (pos + int64(count)) % total, corrected
 }
 

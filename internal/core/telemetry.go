@@ -103,12 +103,13 @@ func (c *Controller) Telemetry() Telemetry {
 	return t
 }
 
-// addTelemetry publishes a batched telemetry delta under the stats lock;
-// patrol scrub uses it so supervisors can snapshot concurrently.
-func (c *Controller) addTelemetry(d Telemetry) {
+// addVLEWFailure publishes one VLEW decode failure of chip ci under the
+// stats lock, so supervisors can snapshot concurrently with the patrol
+// scrub that found it.
+func (c *Controller) addVLEWFailure(ci int) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
-	c.tel.Add(d)
+	c.tel.Chips[ci].VLEWFailures++
 }
 
 // chipOfSymbol maps an RS symbol position within a block codeword to the
