@@ -82,6 +82,7 @@ var referenceCodes = []struct {
 	{13, 4096, 9},  // r = 117, not byte-aligned: generic remainder, masked top byte
 	{8, 128, 12},   // small field: the scan block is cut to 22 positions to stay inside the exp table
 	{8, 64, 2},     // weak enough that words beyond t often miscorrect
+	{8, 200, 4},    // the same for the four-error tier, which alone accepts these
 }
 
 func TestDecodeMatchesReference(t *testing.T) {
@@ -90,8 +91,8 @@ func TestDecodeMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(p.k)*31 + int64(p.t)))
 		data := make([]byte, code.DataBytes())
 		trials := 6
-		if code.n < 128 {
-			trials = 200 // cheap, and the only shape where miscorrection is observable
+		if code.t <= 4 {
+			trials = 600 // cheap, and the only shapes where miscorrection is observable
 		}
 		miscorrected := 0
 		for e := 0; e <= code.t+4; e++ {
@@ -127,7 +128,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if code.t == 2 && miscorrected == 0 {
+		if code.t <= 4 && miscorrected == 0 {
 			t.Errorf("%v: no word beyond t miscorrected; that agreement went untested", code)
 		}
 	}
