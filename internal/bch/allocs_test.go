@@ -10,8 +10,9 @@ import (
 // TestDecodeAllocsZero pins steady-state Decode at zero heap allocations
 // for every route: clean, the four-error tier with each closed form, the
 // affine-multiple roots (5..8 errors), the blocked scan and the
-// uncorrectable exits just past t and far beyond it. Not built under -race: the race detector
-// makes sync.Pool drop items at random, so the scratch is reallocated.
+// uncorrectable exits just past t and far beyond it. Not built under
+// -race: the race detector makes sync.Pool drop items at random, so the
+// scratch is reallocated.
 func TestDecodeAllocsZero(t *testing.T) {
 	code := Must(12, 2048, 22)
 	rng := rand.New(rand.NewSource(7))
