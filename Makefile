@@ -21,7 +21,7 @@ test:
 race:
 	go test -race -count=1 ./internal/bch/... ./internal/rs/... ./internal/nvram/... ./internal/core/... ./internal/rank/... \
 		./internal/memctrl/... ./internal/sim/... ./internal/inject/... \
-		./internal/engine/... ./internal/guard/... ./internal/fleet/...
+		./internal/engine/... ./internal/guard/... ./internal/fleet/... ./internal/obs/...
 
 # Kernel microbenchmarks: each table-driven kernel next to its retained
 # bit-serial / poly-div reference, so one run shows the fast-vs-reference

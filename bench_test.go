@@ -11,6 +11,7 @@ package chipkillpm_test
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"chipkillpm/internal/core"
@@ -265,6 +266,61 @@ func BenchmarkEngineDriftRead(b *testing.B) {
 	if ss := eng.SeqStats(); ss.FastReads != 0 {
 		b.ReportMetric(float64(ss.FastCorrected)/float64(ss.FastReads), "fast-corrected/fast-read")
 	}
+}
+
+// BenchmarkEngineCleanReadParallel runs BenchmarkEngineCleanRead's random
+// clean reads from every GOMAXPROCS goroutine at once (`-cpu 1,2` shows
+// read-path client scaling): each read is lock-free, so any slowdown per
+// op at -2 is cache-line traffic the clients share.
+func BenchmarkEngineCleanReadParallel(b *testing.B) {
+	eng := newBenchEngine(b)
+	blocks := eng.Blocks()
+	var seeds atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]byte, eng.BlockBytes())
+		rng := rand.New(rand.NewSource(3 + seeds.Add(1)))
+		for pb.Next() {
+			if err := eng.ReadBlockInto(rng.Int63n(blocks), buf); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkFleetReadParallel is the fleet's version: random reads of a
+// populated, unreplicated 3-rank fleet from every GOMAXPROCS goroutine,
+// each paying the band lookup and band heat on top of the engine's
+// lock-free read.
+func BenchmarkFleetReadParallel(b *testing.B) {
+	f, err := fleet.New(fleet.Config{Ranks: 3, Banks: 4, RowsPerBank: 16, RowBytes: 1024, Seed: 1, ReplicatePerTick: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, f.BlockBytes())
+	rng := rand.New(rand.NewSource(2))
+	for blk := int64(0); blk < f.Blocks(); blk++ {
+		rng.Read(buf)
+		if err := f.WriteBlockInitial(blk, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	blocks := f.Blocks()
+	var seeds atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]byte, f.BlockBytes())
+		rng := rand.New(rand.NewSource(3 + seeds.Add(1)))
+		for pb.Next() {
+			if err := f.ReadBlockInto(rng.Int63n(blocks), buf); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 func BenchmarkEngineCleanReadBatch(b *testing.B) {

@@ -132,7 +132,7 @@ func (e *Engine) runGroup(op batchOp, s *shard, idx []int32, blocks []int64, buf
 			}
 		}
 		if fastN != 0 {
-			s.fastClean.Add(fastN)
+			e.ctr.Add(ctrFastClean, fastN)
 		}
 		return fails
 	}

@@ -32,6 +32,7 @@ import (
 
 	"chipkillpm/internal/core"
 	"chipkillpm/internal/cpu"
+	"chipkillpm/internal/obs"
 	"chipkillpm/internal/rank"
 	"chipkillpm/internal/rs"
 )
@@ -76,24 +77,25 @@ type shard struct {
 	// to the locked read, which consults the map.
 	//chipkill:atomic
 	hasDisabled atomic.Bool
-	_           cpu.CacheLinePad
-	// Lock-free read outcome counters, on their own cache line so reader
-	// cores bumping them don't invalidate the writers' mutex/seq line.
-	// fastClean and fastCorrected partition the reads served without the
-	// mutex; chipCorrected (one per chip, parity chip included) attributes
-	// each corrected symbol the way the controller's telemetry would. Its
-	// slice header is set once in New, before the engine is shared.
-	//chipkill:atomic
-	fastClean atomic.Int64
-	//chipkill:atomic
-	fastCorrected atomic.Int64
-	//chipkill:atomic
-	seqRetries atomic.Int64
-	//chipkill:atomic
-	seqFallbacks  atomic.Int64
-	chipCorrected []atomic.Int64
-	_             cpu.CacheLinePad
+	// The pad keeps every shard's mutex/seq line to itself: shards are
+	// allocated one by one, and without it two would share a size-class
+	// slot's line, so a writer on one would invalidate the other's
+	// lock-free readers.
+	_ cpu.CacheLinePad
 }
+
+// Slots of the engine's lock-free read counters (Engine.ctr).
+// ctrFastClean and ctrFastCorrected partition the reads served without a
+// shard mutex; the chip slots, one per chip with the parity chip
+// included, attribute each corrected symbol the way the controller's
+// telemetry would.
+const (
+	ctrFastClean = iota
+	ctrFastCorrected
+	ctrSeqRetries
+	ctrSeqFallbacks
+	ctrChipCorrected // + chip index
+)
 
 // Engine dispatches demand reads and writes across bank-sharded
 // controllers.
@@ -111,15 +113,23 @@ type Engine struct {
 	fanout   int   // batch fan-out cap from Config; 0 = auto
 	planPool sync.Pool
 
+	// shardMask is Shards()-1 when blocks-per-row, banks and shards are
+	// all powers of two, so shardOf is a shift and a mask; -1 otherwise.
+	shardMask int64
+
 	// Lock-free read support (seqlock.go). seqOK is decided once in New;
 	// when false every read takes the shard mutex as before.
 	seqOK       bool
 	fixOne      bool     // controllers accept RS corrections (threshold >= 1)
 	rsCode      *rs.Code // engine-owned checker for the lock-free path
-	geo         fastGeom // precomputed block→cell-offset addressing
+	geo         fastGeom // precomputed block→cell-offset and block→shard addressing
 	cells       [][]byte // per data chip backing arrays, in symbol order
 	parityCells []byte   // parity (check) chip backing array
 	parityChip  int      // rank index of the parity chip
+	// ctr holds the lock-free read path's outcome counters (the ctr*
+	// slots), striped per goroutine so concurrent readers bump disjoint
+	// cache lines; Stats, SeqStats and Telemetry fold it. Set in New.
+	ctr *obs.Counters
 
 	// degraded latches "the rank is (or may be) in the striped degraded
 	// layout": set before any shard flips, never cleared. In that layout a
@@ -155,6 +165,8 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 		banks:  int64(banks),
 		bpr:    int64(r.Config().BlocksPerRow()),
 		fanout: cfg.BatchFanOut,
+		geo:    newFastGeom(r.Config(), r.Blocks()),
+		ctr:    obs.NewCounters(ctrChipCorrected+r.NumChips(), obs.Stripes),
 	}
 	for s := 0; s < n; s++ {
 		ctrl, err := core.NewController(r, cfg.Core, cfg.OMV)
@@ -162,6 +174,10 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: shard %d: %w", s, err)
 		}
 		e.shards = append(e.shards, &shard{ctrl: ctrl})
+	}
+	e.shardMask = -1
+	if e.geo.pow2 && isPow2(int64(n)) {
+		e.shardMask = int64(n) - 1
 	}
 	cr := r.Config()
 	e.seqOK = seqlockCapable && !cfg.Core.WriteBackVLEWCorrections && cr.ChipAccessBytes == 8
@@ -172,15 +188,11 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 		}
 		e.rsCode = code
 		e.fixOne = cfg.Core.Threshold >= 1
-		e.geo = newFastGeom(cr, r.Blocks())
 		for i := 0; i < cr.DataChips; i++ {
 			e.cells = append(e.cells, r.Chip(i).CellArray())
 		}
 		e.parityChip = r.ParityChipIndex()
 		e.parityCells = r.Chip(e.parityChip).CellArray()
-		for _, s := range e.shards {
-			s.chipCorrected = make([]atomic.Int64, r.NumChips())
-		}
 	}
 	return e, nil
 }
@@ -198,7 +210,13 @@ func (e *Engine) Blocks() int64 { return e.rank.Blocks() }
 func (e *Engine) BlockBytes() int { return e.rank.Config().BlockBytes() }
 
 // shardOf maps a block to the shard owning its bank; mirrors rank.Locate.
+// In a power-of-two geometry the shard count divides the bank count, so
+// the bank's low bits are the shard and the row index's low bits are the
+// bank's.
 func (e *Engine) shardOf(block int64) int {
+	if e.shardMask >= 0 {
+		return int(block >> e.geo.bprShift & e.shardMask)
+	}
 	return int((block / e.bpr) % e.banks % int64(len(e.shards)))
 }
 
@@ -216,7 +234,7 @@ func (e *Engine) ReadBlockInto(block int64, dst []byte) error {
 	if e.seqOK {
 		if served, corrected := e.readFast(s, block, dst); served {
 			if !corrected {
-				s.fastClean.Add(1)
+				e.ctr.Add(ctrFastClean, 1)
 			}
 			return nil
 		}
@@ -280,18 +298,18 @@ func (e *Engine) Stats() core.Stats {
 		snap := s.ctrl.Stats()
 		s.mu.Unlock()
 		total.Add(snap)
-		// Fold in the reads the seqlock path served without a controller.
-		// Each was exactly one block fetch; the serial controller would
-		// have counted a clean one as a clean read (so the ReadsClean ==
-		// Reads + OMVMisses bus identity is preserved) and a corrected
-		// one as an RS-corrected read with one corrected symbol.
-		clean, fixed := s.fastClean.Load(), s.fastCorrected.Load()
-		total.Reads += clean + fixed
-		total.ReadsClean += clean
-		total.ReadsRSCorrected += fixed
-		total.BitsCorrectedRS += fixed
-		total.BlockFetches += clean + fixed
 	}
+	// Fold in the reads the seqlock path served without a controller.
+	// Each was exactly one block fetch; the serial controller would have
+	// counted a clean one as a clean read (so the ReadsClean == Reads +
+	// OMVMisses bus identity is preserved) and a corrected one as an
+	// RS-corrected read with one corrected symbol.
+	clean, fixed := e.ctr.Load(ctrFastClean), e.ctr.Load(ctrFastCorrected)
+	total.Reads += clean + fixed
+	total.ReadsClean += clean
+	total.ReadsRSCorrected += fixed
+	total.BitsCorrectedRS += fixed
+	total.BlockFetches += clean + fixed
 	return total
 }
 
@@ -302,11 +320,10 @@ func (e *Engine) ResetStats() {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		s.ctrl.ResetStats()
-		s.fastClean.Store(0)
-		s.fastCorrected.Store(0)
-		s.seqRetries.Store(0)
-		s.seqFallbacks.Store(0)
 		s.mu.Unlock()
+	}
+	for slot := ctrFastClean; slot < ctrChipCorrected; slot++ {
+		e.ctr.Reset(slot)
 	}
 }
 

@@ -361,3 +361,141 @@ func TestEnterDegradedModeAllShards(t *testing.T) {
 		t.Fatal("degraded write round trip mismatch")
 	}
 }
+
+// TestShardOfMatchesLocate pins shardOf's shift-and-mask form against
+// the division it replaces: every block's shard is its rank.Locate bank
+// modulo the shard count, on the power-of-two paper geometry, with fewer
+// shards than banks, with a shard count that does not divide the banks,
+// and on non-power-of-two bank and blocks-per-row counts (the division
+// path).
+func TestShardOfMatchesLocate(t *testing.T) {
+	for _, tc := range []struct {
+		banks, rowBytes, shards int
+		pow2                    bool
+	}{
+		{4, 1024, 0, true},
+		{4, 1024, 2, true},
+		{4, 1024, 1, true},
+		{4, 1024, 3, false},
+		{3, 1024, 0, false},
+		{3, 1024, 2, false},
+		{4, 768, 2, false},
+	} {
+		r, err := rank.New(rank.PaperConfig(tc.banks, 4, tc.rowBytes, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(r, Config{Shards: tc.shards, Core: core.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%d banks, %d B rows, %d shards", tc.banks, tc.rowBytes, e.Shards())
+		if got := e.shardMask >= 0; got != tc.pow2 {
+			t.Fatalf("%s: shift-and-mask form %v, want %v", name, got, tc.pow2)
+		}
+		for b := int64(0); b < e.Blocks(); b++ {
+			if got, want := e.shardOf(b), r.Locate(b).Bank%e.Shards(); got != want {
+				t.Fatalf("%s: block %d: shardOf %d, Locate bank %% shards = %d", name, b, got, want)
+			}
+		}
+	}
+}
+
+// TestConcurrentReadCountsExact pins that striping the lock-free read
+// counters loses nothing: G goroutines each read the same M blocks, on a
+// clean engine and on one aged to RBER 2e-4, and every read outcome,
+// bus count and per-chip correction comes out exactly G times what one
+// serial pass over those blocks records. Reads never write back under
+// the default config, so each pass sees the same media.
+func TestConcurrentReadCountsExact(t *testing.T) {
+	const g = 8
+	for _, rber := range []float64{0, 2e-4} {
+		e := testEngine(t, 0, 0)
+		populate(t, e)
+		if rber > 0 {
+			e.Quiesce(func() { e.rank.InjectRetentionErrors(rber) })
+		}
+		m := e.Blocks()
+		ctrlCorrections := func() (n int64) {
+			for _, s := range e.shards {
+				s.mu.Lock()
+				for _, ct := range s.ctrl.Telemetry().Chips {
+					n += ct.RSCorrections
+				}
+				s.mu.Unlock()
+			}
+			return n
+		}
+		pass := func() error {
+			buf := make([]byte, e.BlockBytes())
+			for b := int64(0); b < m; b++ {
+				if err := e.ReadBlockInto(b, buf); err != nil {
+					return fmt.Errorf("block %d: %w", b, err)
+				}
+			}
+			return nil
+		}
+
+		e.ResetStats()
+		tel0 := e.Telemetry()
+		if err := pass(); err != nil {
+			t.Fatal(err)
+		}
+		one, tel1, ctrl1 := e.Stats(), e.Telemetry(), ctrlCorrections()
+		e.ResetStats()
+		var wg sync.WaitGroup
+		errs := make(chan error, g)
+		for i := 0; i < g; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- pass()
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, tel2 := e.Stats(), e.Telemetry()
+
+		if st.Reads != g*m {
+			t.Fatalf("RBER %g: %d reads counted, want %d", rber, st.Reads, g*m)
+		}
+		want := core.Stats{
+			Reads: g * one.Reads, ReadsClean: g * one.ReadsClean,
+			ReadsRSCorrected: g * one.ReadsRSCorrected, ReadsVLEWFallback: g * one.ReadsVLEWFallback,
+			BitsCorrectedRS: g * one.BitsCorrectedRS, BitsCorrectedVLEW: g * one.BitsCorrectedVLEW,
+			Uncorrectable: g * one.Uncorrectable, BlockFetches: g * one.BlockFetches,
+		}
+		if st != want {
+			t.Fatalf("RBER %g: %d concurrent passes\ngot  %+v\nwant %+v", rber, g, st, want)
+		}
+		if rber == 0 && (st.ReadsClean != st.Reads || st.BlockFetches != st.Reads) {
+			t.Fatalf("clean engine: reads %d, clean %d, fetches %d", st.Reads, st.ReadsClean, st.BlockFetches)
+		}
+		if rber > 0 && (st.ReadsRSCorrected == 0 || st.ReadsVLEWFallback == 0) {
+			t.Fatalf("RBER %g too light to exercise both correction paths: %+v", rber, st)
+		}
+
+		// Per chip, the concurrent passes corrected G times what the
+		// serial one did, and their rank-wide sum splits exactly into the
+		// lock-free path's corrections (SeqStats restarts at ResetStats)
+		// and the controllers' own.
+		d1, d2 := tel1.Delta(tel0), tel2.Delta(tel1)
+		var total int64
+		for ci := range d2.Chips {
+			if d2.Chips[ci].RSCorrections != g*d1.Chips[ci].RSCorrections {
+				t.Fatalf("RBER %g: chip %d corrected %d, want %d x %d", rber, ci,
+					d2.Chips[ci].RSCorrections, g, d1.Chips[ci].RSCorrections)
+			}
+			total += d2.Chips[ci].RSCorrections
+		}
+		ctrl := ctrlCorrections() - ctrl1
+		if fast := e.SeqStats().FastCorrected; total != fast+ctrl {
+			t.Fatalf("RBER %g: chips corrected %d, lock-free path %d + controllers %d", rber, total, fast, ctrl)
+		}
+	}
+}

@@ -23,9 +23,9 @@ func (e *Engine) Telemetry() core.Telemetry {
 		snap := s.ctrl.Telemetry()
 		s.mu.Unlock()
 		total.Add(snap)
-		for ci := range s.chipCorrected {
-			total.Chips[ci].RSCorrections += s.chipCorrected[ci].Load()
-		}
+	}
+	for ci := range total.Chips {
+		total.Chips[ci].RSCorrections += e.ctr.Load(ctrChipCorrected + ci)
 	}
 	return total
 }

@@ -141,7 +141,7 @@ func (g *fastGeom) offsetOf(block int64) int64 {
 // into one counter update.
 //
 // The function runs between sequence checks with no exclusion at all, so
-// it must stay pure: no stores outside dst and the shard's atomic
+// it must stay pure: no stores outside dst and the engine's striped
 // outcome counters, no calls that could allocate, lock, or mutate.
 // chipkillvet's seqlock analyzer enforces this transitively through the
 // //chipkill:seqread marks.
@@ -157,7 +157,7 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected 
 		if s1&1 != 0 || tries == seqReadRetries {
 			// A writer is inside, or one keeps beating us: park on the
 			// mutex, which blocks instead of spinning.
-			s.seqFallbacks.Add(1)
+			e.ctr.Add(ctrSeqFallbacks, 1)
 			return false, false
 		}
 		// Standing-down gates, re-evaluated each attempt. degraded and
@@ -182,7 +182,7 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected 
 		syn := e.rsCode.SyndromeWord(dst, w)
 		if s.seq.Load() != s1 {
 			// Torn or stale: discard everything and retry.
-			s.seqRetries.Add(1)
+			e.ctr.Add(ctrSeqRetries, 1)
 			continue
 		}
 		if syn == 0 {
@@ -203,14 +203,14 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected 
 		if pos < len(dst) {
 			ci = pos / 8 // data chip i holds symbols 8i..8i+7
 		}
-		s.fastCorrected.Add(1)
-		s.chipCorrected[ci].Add(1)
+		e.ctr.Add(ctrFastCorrected, 1)
+		e.ctr.Add(ctrChipCorrected+ci, 1)
 		return true, true
 	}
 }
 
 // SeqStats reports the lock-free read path's outcome counters, summed
-// across shards. Monotonic between ResetStats calls; all zeros when the
+// over every stripe. Monotonic between ResetStats calls; all zeros when the
 // seqlock path is disabled (race builds, incompatible geometry or
 // write-back configs).
 type SeqStats struct {
@@ -220,17 +220,15 @@ type SeqStats struct {
 	LockFallbacks int64 // reads parked on the mutex: writer inside or retries exhausted
 }
 
-// SeqStats sums the per-shard seqlock outcome counters.
+// SeqStats folds the seqlock outcome counters.
 func (e *Engine) SeqStats() SeqStats {
-	var t SeqStats
-	for _, s := range e.shards {
-		fixed := s.fastCorrected.Load()
-		t.FastReads += s.fastClean.Load() + fixed
-		t.FastCorrected += fixed
-		t.Retries += s.seqRetries.Load()
-		t.LockFallbacks += s.seqFallbacks.Load()
+	fixed := e.ctr.Load(ctrFastCorrected)
+	return SeqStats{
+		FastReads:     e.ctr.Load(ctrFastClean) + fixed,
+		FastCorrected: fixed,
+		Retries:       e.ctr.Load(ctrSeqRetries),
+		LockFallbacks: e.ctr.Load(ctrSeqFallbacks),
 	}
-	return t
 }
 
 // SeqlockEnabled reports whether the engine compiled and configured the

@@ -26,6 +26,7 @@ import (
 	"chipkillpm/internal/core"
 	"chipkillpm/internal/engine"
 	"chipkillpm/internal/guard"
+	"chipkillpm/internal/obs"
 	"chipkillpm/internal/rank"
 )
 
@@ -131,11 +132,13 @@ type bandState struct {
 	replicaRank atomic.Int32
 	//chipkill:atomic
 	replicaSlot atomic.Int32
-	// heat counts demand ops against the band — the replication policy's
-	// hotness signal.
-	//chipkill:atomic
-	heat atomic.Int64
 }
+
+// heatStripes is how many stripes the fleet's band heat keeps. Each
+// stripe holds a counter for every band (8 B each), so 16 stripes of the
+// benchmark fleet's 576 bands take 72 KiB where the full obs.Stripes
+// would take 288 KiB; two clients still share a stripe only 1 time in 16.
+const heatStripes = 16
 
 // node is one rank's full stack plus its fleet-side bookkeeping.
 type node struct {
@@ -173,6 +176,12 @@ type Fleet struct {
 	poolBase   int64       // first replica-pool block within a rank
 	blocks     int64       // fleet capacity in blocks
 	blockBytes int
+
+	// heat counts demand ops against each band (slot = fleet band), the
+	// replication policy's hotness signal. It is striped per goroutine so
+	// concurrent clients bumping the same hot band write different cache
+	// lines; replicateTick folds it.
+	heat *obs.Counters
 
 	// poolMu guards every node's pool free-list.
 	//chipkill:lock fleet.pool level=40
@@ -271,6 +280,7 @@ func newFromParts(cfg Config, ranks []*rank.Rank, regions []*guard.Region) (*Fle
 	f.poolBase = f.primary * f.bandBlocks
 	f.blocks = f.primary * f.bandBlocks * int64(cfg.Ranks)
 	f.bands = make([]bandState, f.primary*int64(cfg.Ranks))
+	f.heat = obs.NewCounters(len(f.bands), heatStripes)
 
 	for i, r := range ranks {
 		eng, err := engine.New(r, engine.Config{
@@ -421,8 +431,9 @@ func (f *Fleet) ReadBlockInto(block int64, dst []byte) error {
 		return fmt.Errorf("fleet: ReadBlockInto: got %d byte buffer, want %d", len(dst), f.blockBytes)
 	}
 	rk, local := f.locate(block)
-	bs := &f.bands[block/f.bandBlocks]
-	bs.heat.Add(1)
+	band := block / f.bandBlocks
+	bs := &f.bands[band]
+	f.heat.Add(int(band), 1)
 	n := f.ranks[rk]
 	if !n.killed.Load() {
 		err := n.eng.ReadBlockInto(local, dst)
@@ -512,7 +523,7 @@ func (f *Fleet) write(block int64, data []byte, initial bool) error {
 	rk, local := f.locate(block)
 	band := block / f.bandBlocks
 	bs := &f.bands[band]
-	bs.heat.Add(1)
+	f.heat.Add(int(band), 1)
 	n := f.ranks[rk]
 	// Every write serialises on the band mutex — including writes to
 	// unreplicated bands, so the replication copier observes either all

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"chipkillpm/internal/guard"
@@ -235,6 +236,60 @@ func TestRankKillContainment(t *testing.T) {
 	}
 }
 
+// TestConcurrentBandHeatExact pins that striping band heat loses no
+// demand op: G goroutines each run M reads and writes against one band
+// at once, and the band's heat grows by exactly G·M while every other
+// band's stays put.
+func TestConcurrentBandHeatExact(t *testing.T) {
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, f)
+	const g, m, band = 8, 500, 1
+	before := make([]int64, f.Bands())
+	for b := range before {
+		before[b] = f.heat.Load(b)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, g)
+	for i := 0; i < g; i++ {
+		wg.Add(1)
+		go func(block int64) {
+			defer wg.Done()
+			buf := make([]byte, f.BlockBytes())
+			pattern(block, buf)
+			for j := 0; j < m; j++ {
+				op := f.ReadBlockInto
+				if j%4 == 0 {
+					op = f.WriteBlock
+				}
+				if err := op(block, buf); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(band*f.BandBlocks() + int64(i))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for b := range before {
+		want := before[b]
+		if b == band {
+			want += g * m
+		}
+		if got := f.heat.Load(b); got != want {
+			t.Fatalf("band %d heat %d, want %d", b, got, want)
+		}
+	}
+	for i := int64(0); i < g; i++ {
+		checkBlock(t, f, band*f.BandBlocks()+i)
+	}
+}
+
 // TestReadBlockIntoWrongSizeBuffer pins that a dst of the wrong length is
 // reported as the caller bug it is, on a live primary and after the
 // primary's death alike: never as a rank failure, and without touching
@@ -251,7 +306,7 @@ func TestReadBlockIntoWrongSizeBuffer(t *testing.T) {
 	const b = 7 // band 0, primary on rank 0
 	check := func(phase string) {
 		t.Helper()
-		before, heat := f.Stats(), f.bands[0].heat.Load()
+		before, heat := f.Stats(), f.heat.Load(0)
 		for _, n := range []int{0, f.BlockBytes() - 1, f.BlockBytes() + 1} {
 			err := f.ReadBlockInto(b, make([]byte, n))
 			if err == nil || errors.Is(err, ErrRankFailed) {
@@ -260,10 +315,10 @@ func TestReadBlockIntoWrongSizeBuffer(t *testing.T) {
 		}
 		after := f.Stats()
 		if after.ContainedDUEs != before.ContainedDUEs || after.ReadRepairs != before.ReadRepairs ||
-			after.FailoverReads != before.FailoverReads || f.bands[0].heat.Load() != heat {
+			after.FailoverReads != before.FailoverReads || f.heat.Load(0) != heat {
 			t.Fatalf("%s: wrong-size reads moved the books: contained DUEs %d -> %d, read repairs %d -> %d, failover reads %d -> %d, heat %d -> %d",
 				phase, before.ContainedDUEs, after.ContainedDUEs, before.ReadRepairs, after.ReadRepairs,
-				before.FailoverReads, after.FailoverReads, heat, f.bands[0].heat.Load())
+				before.FailoverReads, after.FailoverReads, heat, f.heat.Load(0))
 		}
 	}
 	check("live primary")

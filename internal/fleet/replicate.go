@@ -162,7 +162,7 @@ func (f *Fleet) replicateTick() {
 		if bs.state.Load() != bandNone {
 			continue
 		}
-		heat := bs.heat.Load()
+		heat := f.heat.Load(b)
 		if heat < f.cfg.MinReplicaHeat {
 			continue
 		}
