@@ -44,12 +44,12 @@ type rankWideRow struct {
 
 var rankWideRows = []rankWideRow{
 	{"internal/core", "Controller", map[string]bool{
-		"BootScrub": true, "EnterDegradedMode": true, "AdoptDegradedMode": true,
+		"BootScrub": true, "EnterDegradedMode": true,
 		"BeginMigration": true, "JoinMigration": true, "MigrateBand": true,
 		"RedoBand": true, "FinishMigration": true, "PatrolScrub": true,
 	}, "rank-wide operation", false},
 	{"internal/engine", "Engine", map[string]bool{
-		"BootScrub": true, "EnterDegradedMode": true, "AdoptDegradedMode": true,
+		"BootScrub": true, "EnterDegradedMode": true,
 		"BeginMigration": true, "MigrateBand": true,
 		"RedoBand": true, "FinishMigration": true, "PatrolScrub": true,
 	}, "rank-wide operation", false},
@@ -70,7 +70,7 @@ var rankWideRows = []rankWideRow{
 	// learn through the engine's atomic publication instead.
 	{"internal/core", "Controller", map[string]bool{
 		"WriteBlock": true, "WriteBlockInitial": true, "DisableBlock": true,
-		"BootScrub": true, "EnterDegradedMode": true, "AdoptDegradedMode": true,
+		"BootScrub": true, "EnterDegradedMode": true,
 		"MigrateBand": true, "RedoBand": true, "FinishMigration": true,
 		"PatrolScrub": true,
 	}, "seqlock-covered mutation", true},

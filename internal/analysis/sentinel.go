@@ -45,11 +45,11 @@ var persistenceCritical = []struct {
 	}},
 	{"internal/core", "Controller", map[string]bool{
 		"MigrateBand": true, "RedoBand": true, "FinishMigration": true,
-		"EnterDegradedMode": true, "AdoptDegradedMode": true,
+		"EnterDegradedMode": true,
 	}},
 	{"internal/engine", "Engine", map[string]bool{
 		"MigrateBand": true, "RedoBand": true, "FinishMigration": true,
-		"EnterDegradedMode": true, "AdoptDegradedMode": true, "BeginMigration": true,
+		"EnterDegradedMode": true, "BeginMigration": true,
 	}},
 	// Fleet calls: a dropped Tick error loses a rank's journal-append
 	// failure, a dropped RepairChip error loses the no-replica fallback

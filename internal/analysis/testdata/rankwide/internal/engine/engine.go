@@ -109,8 +109,8 @@ func (e *Engine) begin(chip int) error {
 	return s.ctrl.BeginMigration(chip, 0)
 }
 
-// adopt uses the line-level escape hatch.
-func (e *Engine) adopt() {
+// retire uses the line-level escape hatch.
+func (e *Engine) retire() {
 	s := e.shards[0]
 	s.mu.Lock()
 	//chipkill:allow rankwide boot-time call, no lock-free readers running yet

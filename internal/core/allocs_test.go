@@ -11,8 +11,10 @@ import (
 // paths run under the shard mutex at zero allocations per operation: a
 // clean ReadBlockInto, WriteBlock with its old value fetched from memory
 // (OMV miss), and a ReadBlockInto that pays a single-symbol RS
-// correction. Not built under -race: race instrumentation allocates and
-// makes sync.Pool drop the decoder's scratch.
+// correction, then the clean read and the OMV-miss write again in the
+// striped layout of degraded mode. Not built under -race: race
+// instrumentation allocates and makes sync.Pool drop the decoder's
+// scratch.
 func TestDemandAllocsZero(t *testing.T) {
 	c := newTestController(t, 91, nil)
 	fillRandom(t, c, 92)
@@ -59,6 +61,32 @@ func TestDemandAllocsZero(t *testing.T) {
 	}
 	if c.Stats().ReadsRSCorrected == before {
 		t.Fatal("corrected-read pin never took the RS correction path")
+	}
+
+	c.Rank().FailChip(3)
+	if err := c.EnterDegradedMode(3); err != nil {
+		t.Fatal(err)
+	}
+	c.ResetStats()
+	if allocs := testing.AllocsPerRun(500, func() {
+		if err := c.ReadBlockInto(b, dst); err != nil {
+			t.Fatal(err)
+		}
+		b = (b + 7) % blocks
+	}); allocs != 0 {
+		t.Fatalf("degraded ReadBlockInto allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		buf[0]++
+		if err := c.WriteBlock(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		b = (b + 7) % blocks
+	}); allocs != 0 {
+		t.Fatalf("degraded WriteBlock (OMV miss) allocates %.1f objects/op, want 0", allocs)
+	}
+	if st := c.Stats(); st.ReadsClean != st.Reads+st.OMVMisses || st.OMVMisses == 0 {
+		t.Fatalf("degraded pins took the wrong path: %+v", st)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sync"
 
+	"chipkillpm/internal/gf"
 	"chipkillpm/internal/rank"
 	"chipkillpm/internal/rs"
 )
@@ -42,8 +43,8 @@ var ErrBlockDisabled = errors.New("core: block is disabled")
 var ErrChipFailed = errors.New("core: chip failed")
 
 // ErrMigrationInProgress reports an operation that conflicts with an
-// active online degraded-mode migration (e.g. starting a second one or
-// entering stop-the-world degraded mode mid-migration).
+// active online degraded-mode migration (e.g. starting a second one, or
+// entering degraded mode mid-migration).
 var ErrMigrationInProgress = errors.New("core: migration in progress")
 
 // OMVProvider supplies old memory values (OMVs) of dirty persistent-memory
@@ -133,10 +134,6 @@ type Config struct {
 	// Threshold is the maximum number of RS corrections accepted at
 	// runtime before falling back to VLEWs (2 in the paper, Sec V-C).
 	Threshold int
-	// WriteBackVLEWCorrections re-writes blocks repaired via the VLEW
-	// fallback path, scrubbing their errors (off in the paper's model,
-	// which assumes no free scrubbing; exposed for ablation).
-	WriteBackVLEWCorrections bool
 	// ScrubWorkers sets the boot-scrub worker-pool size. Workers scan
 	// disjoint (chip, bank) shards, so results are independent of the
 	// worker count. Zero means GOMAXPROCS; negative is rejected.
@@ -281,15 +278,10 @@ func (c *Controller) DisableBlock(block int64) {
 		return
 	}
 	// Zero the block's contribution so VLEW code bits stay consistent:
-	// writing zeros via the normal XOR path updates data and code bits
-	// together. Blocks already in the striped layout instead take the
-	// degraded write path, which maintains the striped code word.
+	// writing zeros via the XOR path of the block's layout updates data
+	// and code bits together.
 	if data, err := c.readForInternalUse(block); err == nil {
-		if c.blockStriped(block) {
-			c.writeDegraded(block, make([]byte, len(data)))
-		} else {
-			c.writeDelta(block, data) // delta = current XOR zero = current
-		}
+		c.writeDelta(block, data) // delta = current XOR zero = current
 	}
 	c.disabled[block] = true
 }
@@ -318,13 +310,7 @@ func (c *Controller) ReadBlockInto(block int64, dst []byte) error {
 	}
 	c.stats.Reads++
 	if c.blockStriped(block) {
-		//chipkill:allow noalloc striped reads gather via the migration scratch; only the original layout is on the zero-alloc contract
-		data, err := c.readDegraded(block)
-		if err != nil {
-			return err
-		}
-		copy(dst, data)
-		return nil
+		return c.readDegraded(dst, block)
 	}
 	return c.readCorrectedInto(dst, block)
 }
@@ -345,11 +331,16 @@ func (c *Controller) blockStriped(block int64) bool {
 // readForInternalUse reads and corrects a block without counting it as a
 // demand read. The returned slice aliases the controller's internal buffer
 // and is valid until the next internal read.
+//
+//chipkill:noalloc
 func (c *Controller) readForInternalUse(block int64) ([]byte, error) {
+	var err error
 	if c.blockStriped(block) {
-		return c.readDegraded(block)
+		err = c.readDegraded(c.internalBuf, block)
+	} else {
+		err = c.readCorrectedInto(c.internalBuf, block)
 	}
-	if err := c.readCorrectedInto(c.internalBuf, block); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return c.internalBuf, nil
@@ -418,6 +409,14 @@ func chipErasureSolver(code *rs.Code, ci int) *rs.ErasureSolver {
 	return solver
 }
 
+// vlewFetchBlocks is the bus cost of fetching one VLEW of every chip in
+// lockstep: its data blocks plus code transfer blocks. The paper counts
+// 36 extra block transfers.
+func (c *Controller) vlewFetchBlocks() int64 {
+	g, n := c.rank.Config().Geometry, c.rank.Config().ChipAccessBytes
+	return int64(g.VLEWDataBytes/n) + int64((g.VLEWCodeBytes+n-1)/n)
+}
+
 // vlewCorrectBlockInto corrects one block through the VLEWs of every chip,
 // then lets the per-block RS handle any chip whose VLEW was uncorrectable
 // (a chip-level fault) via erasure correction.
@@ -429,10 +428,7 @@ func (c *Controller) vlewCorrectBlockInto(dst []byte, block int64) error {
 	n := rcfg.ChipAccessBytes
 	code := rcfg.VLEWCode
 
-	// Fetching a VLEW costs its data blocks plus code transfer blocks for
-	// each chip in lockstep; the paper counts 36 extra block transfers.
-	c.stats.BlockFetches += int64(rcfg.Geometry.VLEWDataBytes/n) +
-		int64((rcfg.Geometry.VLEWCodeBytes+n-1)/n)
+	c.stats.BlockFetches += c.vlewFetchBlocks()
 
 	check := c.vlewCheckBuf
 	checkOK := false
@@ -488,11 +484,6 @@ func (c *Controller) vlewCorrectBlockInto(dst []byte, block int64) error {
 		c.tel.DUEs++
 		return fmt.Errorf("block %d: %d chips uncorrectable: %w", block, len(failedChips), ErrUncorrectable)
 	}
-
-	if c.cfg.WriteBackVLEWCorrections {
-		c.rank.WriteBlockRaw(block, dst, c.rsCode.Encode(dst))
-		c.stats.BlockWrites++
-	}
 	return nil
 }
 
@@ -501,9 +492,9 @@ func (c *Controller) vlewCorrectBlockInto(dst []byte, block int64) error {
 // memory with full correction), then send the bitwise sum of old and new
 // data — and of old and new RS check bytes — to the rank.
 //
-// Both steady-state legs are allocation-free: an OMV hit goes straight to
-// writeDelta, and a miss reads the old value into the controller's
-// internal buffer through the zero-alloc corrected-read path.
+// Both steady-state legs are allocation-free, in either layout: an OMV hit
+// goes straight to writeDelta, and a miss reads the old value into the
+// controller's internal buffer through the zero-alloc corrected read.
 //
 //chipkill:noalloc
 func (c *Controller) WriteBlock(block int64, newData []byte) error {
@@ -516,10 +507,6 @@ func (c *Controller) WriteBlock(block int64, newData []byte) error {
 		return fmt.Errorf("block %d: %w", block, ErrBlockDisabled)
 	}
 	c.stats.Writes++
-	if c.blockStriped(block) {
-		//chipkill:allow noalloc striped writes use the migration scratch; only the original layout is on the zero-alloc contract
-		return c.writeDegraded(block, newData)
-	}
 	//chipkill:allow noalloc OMV provider is an interface; the shipped providers (LLC model, NoOMV) do not allocate on lookup
 	old, hit := c.omv.OMV(block)
 	if hit {
@@ -527,7 +514,6 @@ func (c *Controller) WriteBlock(block int64, newData []byte) error {
 	} else {
 		c.stats.OMVMisses++
 		var err error
-		//chipkill:allow noalloc internal read lands in the pooled internalBuf; its clean path is the annotated readCorrectedInto
 		old, err = c.readForInternalUse(block)
 		if err != nil {
 			//chipkill:allow noalloc OMV fetch failure is a DUE path, already off the steady state
@@ -542,14 +528,19 @@ func (c *Controller) WriteBlock(block int64, newData []byte) error {
 	return nil
 }
 
-// writeDelta sends a data delta and the matching RS check delta (linear:
-// check(old) XOR check(new) = check(old XOR new)) to the rank as one
-// bitwise-sum write.
+// writeDelta sends a data delta to the rank in the block's layout. In the
+// original one the matching RS check delta (linear: check(old) XOR
+// check(new) = check(old XOR new)) goes with it as one bitwise-sum write;
+// a striped block takes writeDegraded.
 //
 //chipkill:noalloc
 func (c *Controller) writeDelta(block int64, delta []byte) {
-	c.rsCode.EncodeInto(c.checkDelta, delta)
-	c.rank.WriteBlockXOR(block, delta, c.checkDelta)
+	if c.blockStriped(block) {
+		c.writeDegraded(block, delta)
+	} else {
+		c.rsCode.EncodeInto(c.checkDelta, delta)
+		c.rank.WriteBlockXOR(block, delta, c.checkDelta)
+	}
 	c.stats.BlockWrites++
 }
 
@@ -565,10 +556,15 @@ func (c *Controller) WriteBlockInitial(block int64, data []byte) error {
 	}
 	if c.blockStriped(block) {
 		// A raw lockstep write would clobber the remapped parity-chip data
-		// and leave the striped code word stale; route through the
-		// degraded write path instead.
-		//chipkill:allow noalloc striped writes use the migration scratch; only the original layout is on the zero-alloc contract
-		return c.writeDegraded(block, data)
+		// and leave the striped code word stale; XOR the change in instead.
+		old, err := c.readForInternalUse(block)
+		if err != nil {
+			//chipkill:allow noalloc DUE path, off the steady state
+			return fmt.Errorf("core: WriteBlockInitial: reading block %d: %w", block, err)
+		}
+		gf.XORBytes(old, data) // old aliases internalBuf: the delta in place
+		c.writeDelta(block, old)
+		return nil
 	}
 	c.rsCode.EncodeInto(c.checkDelta, data)
 	c.rank.WriteBlockRaw(block, data, c.checkDelta)

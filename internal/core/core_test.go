@@ -397,38 +397,6 @@ func TestWriteBlockSizeValidation(t *testing.T) {
 	}
 }
 
-func TestWriteBackVLEWCorrectionsScrubs(t *testing.T) {
-	r := smallRank(t, 33)
-	c, err := NewController(r, Config{Threshold: 2, WriteBackVLEWCorrections: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := fillRandom(t, c, 34)
-	c.Rank().InjectRetentionErrors(3e-3)
-	// Read everything once: fallback corrections are written back.
-	for b := int64(0); b < c.Rank().Blocks(); b++ {
-		if _, err := readBlock(c, b); err != nil {
-			t.Fatalf("block %d: %v", b, err)
-		}
-	}
-	first := c.Stats().ReadsVLEWFallback
-	if first == 0 {
-		t.Skip("no fallbacks triggered; raise RBER")
-	}
-	// Second pass: previously written-back blocks should not fall back
-	// again (their dense errors were scrubbed).
-	c.ResetStats()
-	for b := int64(0); b < c.Rank().Blocks(); b++ {
-		got, err := readBlock(c, b)
-		if err != nil || !bytes.Equal(got, ref[b]) {
-			t.Fatalf("block %d: err=%v", b, err)
-		}
-	}
-	if again := c.Stats().ReadsVLEWFallback; again != 0 {
-		t.Errorf("%d fallbacks after write-back scrubbing, want 0", again)
-	}
-}
-
 func TestControllerStorageOverheadMatchesPaper(t *testing.T) {
 	c := newTestController(t, 35, nil)
 	got := c.Rank().StorageOverhead()

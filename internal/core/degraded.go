@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+
+	"chipkillpm/internal/gf"
+	"chipkillpm/internal/nvram"
 )
 
 // Degraded-mode operation (Sec V-E).
@@ -37,6 +40,29 @@ const stripedBlocksPerVLEW = StripedBlocksPerVLEW
 // and, if so, which data chip was retired.
 func (c *Controller) Degraded() (bool, int) { return c.degraded, c.failedChip }
 
+// EnterDegradedMode remaps the failed data chip into the parity chip and
+// re-encodes every VLEW across the surviving chips. It is the online
+// migration run to completion in one call — BeginMigration, MigrateBand
+// over every band, FinishMigration — so a dead chip's data is solved from
+// the survivors band by band, and drift on the survivors is corrected
+// before the striped code is encoded over them. Only a single data-chip
+// failure is supported — a second failure in a degraded rank is beyond
+// the scheme, as in the paper.
+//
+//chipkill:rankwide
+func (c *Controller) EnterDegradedMode(failedChip int) error {
+	m, err := c.BeginMigration(failedChip, 0)
+	if err != nil {
+		return err
+	}
+	for m.Cursor() < c.rank.Blocks() {
+		if err := c.MigrateBand(m.Cursor(), nil); err != nil {
+			return err
+		}
+	}
+	return c.FinishMigration()
+}
+
 // stripedLoc maps a block to its striped VLEW's code slot. The 32 striped
 // VLEWs of a row spread over the 8 surviving chips' 4 per-row code slots
 // (8 x 4 = 32: an exact fit, so reconfiguration adds no capacity).
@@ -54,224 +80,126 @@ func (c *Controller) stripedLoc(block int64) (bank, row, chip, slot int, first i
 	return loc.Bank, loc.Row, h, s / survivors, first
 }
 
-// stripedData gathers the 256B of data one striped VLEW covers, reading
-// each block raw (failed-chip slices come from the parity chip's data
-// region, where the remap placed them).
-func (c *Controller) stripedData(first int64) []byte {
-	bb := c.rank.Config().BlockBytes()
-	out := make([]byte, stripedBlocksPerVLEW*bb)
+// stripedChip returns the chip holding data chip ci's slices in the
+// remapped layout: the parity chip stands in for the failed one.
+func (c *Controller) stripedChip(ci int) *nvram.Chip {
+	if ci == c.failedChip {
+		ci = c.rank.ParityChipIndex()
+	}
+	return c.rank.Chip(ci)
+}
+
+// gatherStriped reads the four blocks of the striped group starting at
+// block first into vlewDataBuf, raw.
+func (c *Controller) gatherStriped(first int64) {
+	rcfg := c.rank.Config()
+	bb, n := rcfg.BlockBytes(), rcfg.ChipAccessBytes
 	for i := 0; i < stripedBlocksPerVLEW; i++ {
-		c.readRawDegraded(out[i*bb:(i+1)*bb], first+int64(i))
+		loc := c.rank.Locate(first + int64(i))
+		for ci := 0; ci < rcfg.DataChips; ci++ {
+			off := i*bb + ci*n
+			c.stripedChip(ci).ReadDataInto(c.vlewDataBuf[off:off+n], loc.Bank, loc.Row, loc.Col)
+		}
 	}
-	return out
 }
 
-// readRawDegraded gathers one block's bytes in the remapped layout into
-// dst (BlockBytes long).
-func (c *Controller) readRawDegraded(dst []byte, block int64) {
+// decodeStriped is the striped-group read kernel shared by demand reads
+// and the degraded patrol: the group's four blocks into vlewDataBuf, its
+// holder's code slot into vlewCodeBuf, and one BCH decode of the pair in
+// place, returning the bits corrected.
+func (c *Controller) decodeStriped(first int64) (int, error) {
+	c.gatherStriped(first)
+	bank, row, chip, slot, _ := c.stripedLoc(first)
+	c.rank.Chip(chip).ReadCodeInto(c.vlewCodeBuf, bank, row, slot)
+	code := c.rank.Config().VLEWCode
+	return code.Decode(c.vlewDataBuf, c.vlewCodeBuf[:code.ParityBytes()])
+}
+
+// storeStriped writes a corrected group from vlewDataBuf and vlewCodeBuf
+// back: each block's slices raw to their chips, then the holder's code
+// slot. It counts nothing; callers do.
+func (c *Controller) storeStriped(first int64) {
 	rcfg := c.rank.Config()
-	loc := c.rank.Locate(block)
-	n := rcfg.ChipAccessBytes
-	for ci := 0; ci < rcfg.DataChips; ci++ {
-		src := ci
-		if ci == c.failedChip {
-			src = c.rank.ParityChipIndex()
+	bb, n := rcfg.BlockBytes(), rcfg.ChipAccessBytes
+	for i := 0; i < stripedBlocksPerVLEW; i++ {
+		loc := c.rank.Locate(first + int64(i))
+		for ci := 0; ci < rcfg.DataChips; ci++ {
+			off := i*bb + ci*n
+			c.stripedChip(ci).WriteDataRaw(loc.Bank, loc.Row, loc.Col, c.vlewDataBuf[off:off+n])
 		}
-		c.rank.Chip(src).ReadDataInto(dst[ci*n:(ci+1)*n], loc.Bank, loc.Row, loc.Col)
 	}
+	c.setStripedCode(first)
 }
 
-// EnterDegradedMode remaps the failed data chip into the parity chip and
-// re-encodes every VLEW across the surviving chips. The rank must already
-// be scrubbed (BootScrub reconstructs the failed chip's data); the method
-// performs the reconstruction itself when the chip is still marked
-// failed. Only a single data-chip failure is supported — a second failure
-// in a degraded rank is beyond the scheme, as in the paper.
-//
-//chipkill:rankwide
-func (c *Controller) EnterDegradedMode(failedChip int) error {
-	if c.degraded {
-		return fmt.Errorf("core: already degraded (chip %d): %w", c.failedChip, ErrChipFailed)
-	}
-	if c.mig != nil {
-		return fmt.Errorf("core: cannot enter degraded mode stop-the-world: %w", ErrMigrationInProgress)
-	}
-	if failedChip < 0 || failedChip >= c.rank.Config().DataChips {
-		return fmt.Errorf("core: chip %d is not a data chip", failedChip)
-	}
-	r := c.rank
-	rcfg := r.Config()
-	n := rcfg.ChipAccessBytes
-	code := rcfg.VLEWCode
-	r.CloseAllRows()
-
-	parity := r.Chip(r.ParityChipIndex())
-	if !parity.Healthy() {
-		return fmt.Errorf("core: parity chip unavailable for remapping: %w", ErrChipFailed)
-	}
-
-	// Step 1: place the failed chip's data into the parity chip. If the
-	// chip is dead, reconstruct each slice via RS erasure first.
-	dead := !r.Chip(failedChip).Healthy()
-	data, check := make([]byte, rcfg.BlockBytes()), make([]byte, n)
-	for b := int64(0); b < r.Blocks(); b++ {
-		r.ReadBlockRawInto(b, data, check)
-		if dead {
-			c.chipSolver(failedChip).Solve(data, check)
-		}
-		loc := r.Locate(b)
-		parity.WriteDataRaw(loc.Bank, loc.Row, loc.Col, data[failedChip*n:(failedChip+1)*n])
-	}
-	c.degraded = true
-	c.failedChip = failedChip
-
-	// Step 2: re-encode all VLEWs in the striped layout, overwriting the
-	// per-chip code slots.
-	fresh, old := make([]byte, rcfg.Geometry.VLEWCodeBytes), make([]byte, rcfg.Geometry.VLEWCodeBytes)
-	for first := int64(0); first < r.Blocks(); first += stripedBlocksPerVLEW {
-		bank, row, chip, slot, _ := c.stripedLoc(first)
-		copy(fresh, code.Encode(c.stripedData(first)))
-		holder := r.Chip(chip)
-		holder.ReadCodeInto(old, bank, row, slot)
-		for i := range old {
-			old[i] ^= fresh[i] // XOR to the fresh value regardless of old content
-		}
-		holder.XORCode(bank, row, slot, old)
-	}
-	return nil
+// setStripedCode sets the group's holder slot to vlewCodeBuf, whatever it
+// held. A chip only XORs code deltas in, so the delta — the slot XOR the
+// new code — is staged in vlewDataBuf, whose group the caller has already
+// stored or no longer needs.
+func (c *Controller) setStripedCode(first int64) {
+	bank, row, chip, slot, _ := c.stripedLoc(first)
+	holder := c.rank.Chip(chip)
+	delta := c.vlewDataBuf[:len(c.vlewCodeBuf)]
+	holder.ReadCodeInto(delta, bank, row, slot)
+	gf.XORBytes(delta, c.vlewCodeBuf)
+	holder.XORCode(bank, row, slot, delta)
 }
 
-// AdoptDegradedMode switches the controller's addressing to the degraded
-// (remapped) layout without performing the physical remap itself. The
-// sharded engine uses it: one shard's controller runs EnterDegradedMode
-// (which rewrites the whole rank under quiescence) and every other shard
-// adopts the resulting layout, since the striped format on the chips is a
-// rank-wide property, not per-controller state.
-func (c *Controller) AdoptDegradedMode(failedChip int) error {
-	if c.degraded {
-		return fmt.Errorf("core: already degraded (chip %d): %w", c.failedChip, ErrChipFailed)
-	}
-	if c.mig != nil {
-		return fmt.Errorf("core: cannot adopt degraded mode: %w", ErrMigrationInProgress)
-	}
-	if failedChip < 0 || failedChip >= c.rank.Config().DataChips {
-		return fmt.Errorf("core: chip %d is not a data chip", failedChip)
-	}
-	c.degraded = true
-	c.failedChip = failedChip
-	return nil
-}
-
-// readDegraded services a read in degraded mode: fetch the block's
-// striped VLEW (four blocks + code), decode, and return the block.
-// Without per-block RS bits this is also the only error detection, so
-// every read pays the four-block fetch — the availability-over-
+// readDegraded services a read in degraded mode into dst: fetch the
+// block's striped VLEW (four blocks + code), decode, and copy the block
+// out. Without per-block RS bits this is also the only error detection,
+// so every read pays the four-block fetch — the availability-over-
 // performance trade Sec V-E describes.
-func (c *Controller) readDegraded(block int64) ([]byte, error) {
+//
+//chipkill:noalloc
+func (c *Controller) readDegraded(dst []byte, block int64) error {
 	rcfg := c.rank.Config()
-	code := rcfg.VLEWCode
-	bank, row, chip, slot, first := c.stripedLoc(block)
-	c.stats.BlockFetches += stripedBlocksPerVLEW +
-		int64((rcfg.Geometry.VLEWCodeBytes+rcfg.BlockBytes()-1)/rcfg.BlockBytes())
-
-	data, vcode := c.stripedData(first), c.vlewCodeBuf
-	c.rank.Chip(chip).ReadCodeInto(vcode, bank, row, slot)
-	fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
+	bb := rcfg.BlockBytes()
+	c.stats.BlockFetches += stripedBlocksPerVLEW + int64((rcfg.Geometry.VLEWCodeBytes+bb-1)/bb)
+	first := block - block%stripedBlocksPerVLEW
+	//chipkill:allow noalloc decode draws from its scratch pool; a clean or corrected group decodes allocation-free
+	fixed, err := c.decodeStriped(first)
 	if err != nil {
 		c.stats.Uncorrectable++
 		c.tel.DUEs++
-		return nil, fmt.Errorf("block %d (degraded): %w", block, ErrUncorrectable)
+		//chipkill:allow noalloc DUE path, off the steady state
+		return fmt.Errorf("block %d (degraded): %w", block, ErrUncorrectable)
 	}
-	if fixed > 0 {
-		c.stats.BitsCorrectedVLEW += int64(fixed)
-		c.stats.ReadsVLEWFallback++
-		// Write the corrected VLEW back: without RS bits, leaving errors
-		// in place would let them accumulate past 22 per word.
-		c.writeBackStriped(first, data, vcode, bank, row, chip, slot)
-	} else {
+	off := int(block-first) * bb
+	copy(dst, c.vlewDataBuf[off:off+bb])
+	if fixed == 0 {
 		c.stats.ReadsClean++
+		return nil
 	}
-	off := int((block - first)) * rcfg.BlockBytes()
-	return data[off : off+rcfg.BlockBytes()], nil
-}
-
-// writeBackStriped stores corrected striped data and code on the demand
-// path, counting the writes against the unlocked demand stats.
-func (c *Controller) writeBackStriped(first int64, data, vcode []byte, bank, row, chip, slot int) {
-	c.writeBackStripedRaw(first, data, vcode, bank, row, chip, slot)
+	c.stats.BitsCorrectedVLEW += int64(fixed)
+	c.stats.ReadsVLEWFallback++
+	// Write the corrected VLEW back: without RS bits, leaving errors in
+	// place would let them accumulate past 22 per word.
+	c.storeStriped(first)
 	c.stats.BlockWrites += stripedBlocksPerVLEW
+	return nil
 }
 
-// writeBackStripedRaw performs the physical striped write-back without
-// touching stats, so patrol scrub (which publishes batched counters under
-// the stats lock) can share it.
-func (c *Controller) writeBackStripedRaw(first int64, data, vcode []byte, bank, row, chip, slot int) {
+// writeDegraded applies a write's data delta (old XOR new) to a block in
+// the striped layout: each chip's slice is read, XORed and stored raw,
+// and the controller folds the delta's code update — EncodeDelta at the
+// block's offset within the striped word — into the group's holder slot,
+// since the in-chip EUR cannot maintain a cross-chip code word.
+//
+//chipkill:noalloc
+func (c *Controller) writeDegraded(block int64, delta []byte) {
 	rcfg := c.rank.Config()
 	n := rcfg.ChipAccessBytes
-	for i := int64(0); i < stripedBlocksPerVLEW; i++ {
-		loc := c.rank.Locate(first + i)
-		blockData := data[int(i)*rcfg.BlockBytes() : (int(i)+1)*rcfg.BlockBytes()]
-		for ci := 0; ci < rcfg.DataChips; ci++ {
-			dst := ci
-			if ci == c.failedChip {
-				dst = c.rank.ParityChipIndex()
-			}
-			c.rank.Chip(dst).WriteDataRaw(loc.Bank, loc.Row, loc.Col, blockData[ci*n:(ci+1)*n])
-		}
-	}
-	holder := c.rank.Chip(chip)
-	old := make([]byte, len(vcode))
-	holder.ReadCodeInto(old, bank, row, slot)
-	for i := range old {
-		old[i] ^= vcode[i]
-	}
-	holder.XORCode(bank, row, slot, old)
-}
-
-// writeDegraded services a write in degraded mode: the controller reads
-// the old block (through the verifying degraded read), stores the new
-// data raw, and updates the striped VLEW code with the linear delta.
-func (c *Controller) writeDegraded(block int64, newData []byte) error {
-	rcfg := c.rank.Config()
-	code := rcfg.VLEWCode
-	n := rcfg.ChipAccessBytes
-
-	old, hit := c.omv.OMV(block)
-	if hit {
-		c.stats.OMVHits++
-	} else {
-		c.stats.OMVMisses++
-		var err error
-		old, err = c.readDegraded(block)
-		if err != nil {
-			return fmt.Errorf("core: degraded OMV fetch for block %d: %w", block, err)
-		}
-	}
-	delta := make([]byte, len(newData))
-	for i := range delta {
-		delta[i] = old[i] ^ newData[i]
-	}
-
 	loc := c.rank.Locate(block)
-	cur := make([]byte, n)
+	cur := c.readCheckBuf
 	for ci := 0; ci < rcfg.DataChips; ci++ {
-		dst := ci
-		if ci == c.failedChip {
-			dst = c.rank.ParityChipIndex()
-		}
-		chip := c.rank.Chip(dst)
+		chip := c.stripedChip(ci)
 		chip.ReadDataInto(cur, loc.Bank, loc.Row, loc.Col)
-		for i := 0; i < n; i++ {
-			cur[i] ^= delta[ci*n+i]
-		}
+		gf.XORBytes(cur, delta[ci*n:(ci+1)*n])
 		chip.WriteDataRaw(loc.Bank, loc.Row, loc.Col, cur)
 	}
-
-	// Controller-side code update: EncodeDelta at the block's offset
-	// within the striped word.
-	bank, row, chip, slot, first := c.stripedLoc(block)
-	update := code.EncodeDelta(delta, int(block-first)*rcfg.BlockBytes()*8)
-	c.rank.Chip(chip).XORCode(bank, row, slot, update)
-	c.stats.BlockWrites++
-	return nil
+	bank, row, holder, slot, first := c.stripedLoc(block)
+	code := rcfg.VLEWCode
+	update := c.vlewCodeBuf[:code.ParityBytes()]
+	code.EncodeDeltaInto(update, delta, int(block-first)*rcfg.BlockBytes()*8)
+	c.rank.Chip(holder).XORCode(bank, row, slot, update)
 }

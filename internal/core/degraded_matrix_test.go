@@ -26,15 +26,25 @@ func degradedRank(t *testing.T, seed int64) *rank.Rank {
 // byte-for-byte, and writes must round-trip, at every cell. The threshold
 // axis pins that degraded-mode correctness is independent of the runtime
 // RS acceptance knob (degraded reads verify through striped VLEWs, not the
-// per-block RS).
+// per-block RS). The pre- bands drift the rank, plus one flipped survivor
+// bit, before the remap instead of after it, with the chip dead at entry
+// or still alive and dying after: the remap must correct the survivors
+// before it encodes the striped code over them, or it stores the drift as
+// data.
 func TestDegradedModeMatrix(t *testing.T) {
 	bands := []struct {
-		name string
-		rber float64
+		name   string
+		rber   float64
+		before bool // drift lands before the remap, not after it
+		live   bool // the chip is alive at entry and dies after it
 	}{
-		{"clean", 0},
-		{"rber7e-5", 7e-5},
-		{"rber2e-4", 2e-4},
+		{"clean", 0, false, false},
+		{"rber7e-5", 7e-5, false, false},
+		{"rber2e-4", 2e-4, false, false},
+		{"pre-rber7e-5-live", 7e-5, true, true},
+		{"pre-rber7e-5-dead", 7e-5, true, false},
+		{"pre-rber2e-4-live", 2e-4, true, true},
+		{"pre-rber2e-4-dead", 2e-4, true, false},
 	}
 	thresholds := []int{0, 2, 4}
 
@@ -62,15 +72,27 @@ func TestDegradedModeMatrix(t *testing.T) {
 						ref[b] = data
 					}
 
-					r.FailChip(failedChip)
+					if band.before {
+						r.InjectRetentionErrors(band.rber)
+						loc := r.Locate(rng.Int63n(r.Blocks()))
+						r.Chip((failedChip+1)%8).FlipDataBit(loc.Bank, loc.Row, loc.Col, 5)
+					}
+					if !band.live {
+						r.FailChip(failedChip)
+					}
 					if err := c.EnterDegradedMode(failedChip); err != nil {
 						t.Fatalf("EnterDegradedMode(%d): %v", failedChip, err)
+					}
+					if band.live {
+						r.FailChip(failedChip)
 					}
 					if deg, ci := c.Degraded(); !deg || ci != failedChip {
 						t.Fatalf("Degraded() = %v, %d; want true, %d", deg, ci, failedChip)
 					}
-					if n := r.InjectRetentionErrors(band.rber); band.rber > 0 && n == 0 {
-						t.Logf("no bits flipped at rber=%g (rank is small)", band.rber)
+					if !band.before {
+						if n := r.InjectRetentionErrors(band.rber); band.rber > 0 && n == 0 {
+							t.Logf("no bits flipped at rber=%g (rank is small)", band.rber)
+						}
 					}
 
 					for b := int64(0); b < r.Blocks(); b++ {

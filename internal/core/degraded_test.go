@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"chipkillpm/internal/rank"
 )
 
 // enterDegraded builds a filled controller, kills a chip, scrubs, and
@@ -159,6 +161,31 @@ func TestDegradedModeFromHealthyChip(t *testing.T) {
 		got, err := readBlock(c, b)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("block %d: err=%v", b, err)
+		}
+	}
+}
+
+// BenchmarkEnterDegradedMode times the whole remap of an 8x16x1024B rank
+// (16384 blocks, 512 bands) around a dead data chip: every band's VLEWs
+// read and decoded once, the dead chip's words solved from the survivors,
+// and the striped code encoded. Building and filling the rank is outside
+// the timer.
+func BenchmarkEnterDegradedMode(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, err := rank.New(rank.PaperConfig(8, 16, 1024, int64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := NewController(r, DefaultConfig(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fillRandom(b, c, int64(i))
+		r.FailChip(3)
+		b.StartTimer()
+		if err := c.EnterDegradedMode(3); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -5,13 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// Online degraded-mode migration.
+// Online degraded-mode migration: the one way into the striped layout.
 //
-// EnterDegradedMode rewrites the whole rank under quiescence — acceptable
-// in a reliability model, fatal for a service. The online variant walks
-// the rank band by band under the engine's ordinary shard locks, so
-// demand traffic keeps flowing to every bank except the one band being
-// rewritten at that instant.
+// The migration walks the rank band by band under the engine's ordinary
+// shard locks, so demand traffic keeps flowing to every bank except the
+// one band being rewritten at that instant. EnterDegradedMode is the same
+// walk run to completion in one call, and crash recovery resumes it from
+// the journal (RedoBand) or, for a finished one, begins it with the
+// cursor at the end.
 //
 // A *band* is one old-layout VLEW span: VLEWDataBytes/ChipAccessBytes
 // consecutive, aligned blocks (32 in the paper's geometry), all in one
@@ -121,9 +122,9 @@ func (c *Controller) JoinMigration(m *MigrationState) error {
 
 // MigrateBand migrates the band starting at `first` (which must equal the
 // cursor) into the striped layout, then advances the cursor. The caller
-// must hold the band's bank/shard lock. Before any physical rewrite, the
-// failed chip's 8-byte slices for the band — the only bytes that move —
-// are passed to wal (may be nil), giving the recovery journal a
+// must hold the band's bank/shard lock. Before the band changes layout,
+// the failed chip's 8-byte slices for the band — the only bytes that move
+// — are passed to wal (may be nil), giving the recovery journal a
 // write-ahead image that makes a crashed rewrite redoable.
 func (c *Controller) MigrateBand(first int64, wal func(failedSlices []byte) error) error {
 	m := c.mig
@@ -136,17 +137,9 @@ func (c *Controller) MigrateBand(first int64, wal func(failedSlices []byte) erro
 	if first >= c.rank.Blocks() {
 		return fmt.Errorf("core: MigrateBand: migration already complete")
 	}
-	// Read the band in the old layout with full correction. A dead failed
-	// chip routes each block through VLEW fallback + RS erasure, so the
-	// slices below are the *reconstructed* data, not chip garbage.
-	n := c.rank.Config().ChipAccessBytes
-	bb := c.BandBlocks()
-	slices := make([]byte, int(bb)*n)
-	for i := int64(0); i < bb; i++ {
-		if err := c.readCorrectedInto(c.internalBuf, first+i); err != nil {
-			return fmt.Errorf("core: migrating band at block %d: %w", first+i, err)
-		}
-		copy(slices[int(i)*n:], c.internalBuf[m.failedChip*n:(m.failedChip+1)*n])
+	slices, err := c.cleanBand(first, m.failedChip)
+	if err != nil {
+		return fmt.Errorf("core: migrating band at block %d: %w", first, err)
 	}
 	if wal != nil {
 		if err := wal(slices); err != nil {
@@ -154,6 +147,62 @@ func (c *Controller) MigrateBand(first int64, wal func(failedSlices []byte) erro
 		}
 	}
 	return c.redoBand(first, slices, m)
+}
+
+// cleanBand is the migration's band kernel. A band is one VLEW on every
+// chip, so it reads each chip's word once, BCH-corrects it and writes the
+// corrected words back, leaving clean cells for redoBand to encode the
+// striped code over. It returns the failed chip's word — the band's
+// slices of that chip, the WAL image. When that chip is dead or its word
+// is beyond the code, the word is solved from the survivors instead
+// (ErasureSolver.SolveWords, the boot rebuild's kernel). A survivor
+// beyond the code is a DUE: the band cannot be rebuilt.
+func (c *Controller) cleanBand(first int64, failed int) ([]byte, error) {
+	r := c.rank
+	rcfg := r.Config()
+	g, code := rcfg.Geometry, rcfg.VLEWCode
+	loc := r.Locate(first)
+	v := loc.VLEWIndex(g.VLEWDataBytes)
+	c.stats.BlockFetches += c.vlewFetchBlocks()
+
+	words := make([][]byte, r.NumChips())
+	slab := make([]byte, len(words)*g.VLEWDataBytes)
+	for ci := range words {
+		words[ci] = slab[ci*g.VLEWDataBytes : (ci+1)*g.VLEWDataBytes]
+	}
+	// fetch reads and corrects chip ci's word, writing it back if the
+	// decode fixed anything.
+	fetch := func(ci int) error {
+		chip, vcode := r.Chip(ci), c.vlewCodeBuf
+		chip.ReadVLEWInto(words[ci], vcode, loc.Bank, loc.Row, v)
+		fixed, err := code.Decode(words[ci], vcode[:code.ParityBytes()])
+		if err == nil && fixed > 0 {
+			c.stats.BitsCorrectedVLEW += int64(fixed)
+			chip.WriteVLEW(loc.Bank, loc.Row, v, words[ci], vcode)
+		}
+		return err
+	}
+	for ci := 0; ci < rcfg.DataChips; ci++ {
+		if ci == failed {
+			continue
+		}
+		if err := fetch(ci); err != nil {
+			c.stats.Uncorrectable++
+			c.tel.DUEs++
+			return nil, fmt.Errorf("surviving chip %d beyond the VLEW code: %w", ci, ErrUncorrectable)
+		}
+	}
+	if r.Chip(failed).Healthy() && fetch(failed) == nil {
+		return words[failed], nil
+	}
+	if err := fetch(r.ParityChipIndex()); err != nil {
+		c.stats.Uncorrectable++
+		c.tel.DUEs++
+		return nil, fmt.Errorf("chip %d lost and parity beyond the VLEW code: %w", failed, ErrUncorrectable)
+	}
+	c.chipSolver(failed).SolveWords(words[failed], words)
+	c.tel.Chips[failed].ErasureRepairs += c.BandBlocks()
+	return words[failed], nil
 }
 
 // RedoBand replays the rewrite of the band at `first` from its journaled
@@ -195,16 +244,10 @@ func (c *Controller) redoBand(first int64, slices []byte, m *MigrationState) err
 		loc := r.Locate(first + i)
 		parity.WriteDataRaw(loc.Bank, loc.Row, loc.Col, slices[int(i)*n:(int(i)+1)*n])
 	}
-	fresh, old := make([]byte, rcfg.Geometry.VLEWCodeBytes), make([]byte, rcfg.Geometry.VLEWCodeBytes)
 	for g := first; g < first+bb; g += stripedBlocksPerVLEW {
-		bank, row, chip, slot, _ := c.stripedLoc(g)
-		copy(fresh, code.Encode(c.stripedData(g)))
-		holder := r.Chip(chip)
-		holder.ReadCodeInto(old, bank, row, slot)
-		for i := range old {
-			old[i] ^= fresh[i] // XOR to the fresh value regardless of old content
-		}
-		holder.XORCode(bank, row, slot, old)
+		c.gatherStriped(g)
+		code.EncodeDeltaInto(c.vlewCodeBuf[:code.ParityBytes()], c.vlewDataBuf, 0)
+		c.setStripedCode(g)
 	}
 	c.stats.BandsMigrated++
 	m.cursor.Store(first + bb)

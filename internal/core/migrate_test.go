@@ -253,9 +253,6 @@ func TestErrorSentinels(t *testing.T) {
 	if err := c3.EnterDegradedMode(2); !errors.Is(err, ErrMigrationInProgress) {
 		t.Errorf("EnterDegradedMode mid-migration: %v not ErrMigrationInProgress", err)
 	}
-	if err := c3.AdoptDegradedMode(2); !errors.Is(err, ErrMigrationInProgress) {
-		t.Errorf("AdoptDegradedMode mid-migration: %v not ErrMigrationInProgress", err)
-	}
 	if err := c3.JoinMigration(NewMigrationState(2, 0)); !errors.Is(err, ErrMigrationInProgress) {
 		t.Errorf("JoinMigration mid-migration: %v not ErrMigrationInProgress", err)
 	}
@@ -275,9 +272,6 @@ func TestErrorSentinels(t *testing.T) {
 	fillRandom(t, c5, 89)
 	if err := c5.EnterDegradedMode(3); err != nil {
 		t.Fatal(err)
-	}
-	if err := c5.AdoptDegradedMode(3); !errors.Is(err, ErrChipFailed) {
-		t.Errorf("AdoptDegradedMode when degraded: %v not ErrChipFailed", err)
 	}
 	if _, err := c5.BeginMigration(3, 0); !errors.Is(err, ErrChipFailed) {
 		t.Errorf("BeginMigration when degraded: %v not ErrChipFailed", err)

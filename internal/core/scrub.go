@@ -350,21 +350,17 @@ func (c *Controller) PatrolScrub(pos int64, count int) (next int64, corrected in
 // striped VLEW group (the only error detection left once the per-block RS
 // bits are sacrificed), decoded and written back on correction.
 func (c *Controller) patrolDegraded(pos int64, count int) (next int64, corrected int64) {
-	code := c.rank.Config().VLEWCode
 	total := c.TotalPatrolUnits()
 	var d Stats
 	for i := 0; i < count; i++ {
 		first := ((pos + int64(i)) % total) * stripedBlocksPerVLEW
-		bank, row, chip, slot, _ := c.stripedLoc(first)
-		data, vcode := c.stripedData(first), c.vlewCodeBuf
-		c.rank.Chip(chip).ReadCodeInto(vcode, bank, row, slot)
-		fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
+		fixed, err := c.decodeStriped(first)
 		if err != nil {
 			d.ScrubUncorrectable++
 			continue
 		}
 		if fixed > 0 {
-			c.writeBackStripedRaw(first, data, vcode, bank, row, chip, slot)
+			c.storeStriped(first)
 			corrected += int64(fixed)
 			d.BlockWrites += stripedBlocksPerVLEW
 		}

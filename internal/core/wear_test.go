@@ -62,39 +62,47 @@ func TestStartGapMappingBijective(t *testing.T) {
 	}
 }
 
+// TestStartGapPreservesDataAcrossMoves writes every logical block, then
+// keeps writing (forcing many gap moves) and verifies all contents; then
+// it does the same again after a chip failure has moved the rank to the
+// striped degraded layout, where gap moves must take the striped write.
 func TestStartGapPreservesDataAcrossMoves(t *testing.T) {
-	sg, _ := newStartGap(t, 72, 5)
+	sg, c := newStartGap(t, 72, 5)
 	rng := rand.New(rand.NewSource(73))
 	ref := map[int64][]byte{}
-	// Write every logical block, then keep writing (forcing many gap
-	// moves) and verify all contents continuously.
+	write := func(l int64) {
+		data := make([]byte, 64)
+		rng.Read(data)
+		if err := sg.Write(l, data); err != nil {
+			t.Fatal(err)
+		}
+		ref[l] = data
+	}
+	churn := func() {
+		moves := sg.GapMoves()
+		for i := 0; i < 500; i++ {
+			write(rng.Int63n(sg.Blocks()))
+		}
+		if sg.GapMoves() == moves {
+			t.Fatal("no gap movement happened")
+		}
+		for l, want := range ref {
+			got := make([]byte, len(want))
+			err := sg.ReadInto(l, got)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("logical %d: err=%v", l, err)
+			}
+		}
+	}
 	for l := int64(0); l < sg.Blocks(); l++ {
-		data := make([]byte, 64)
-		rng.Read(data)
-		if err := sg.Write(l, data); err != nil {
-			t.Fatal(err)
-		}
-		ref[l] = data
+		write(l)
 	}
-	for i := 0; i < 500; i++ {
-		l := rng.Int63n(sg.Blocks())
-		data := make([]byte, 64)
-		rng.Read(data)
-		if err := sg.Write(l, data); err != nil {
-			t.Fatal(err)
-		}
-		ref[l] = data
+	churn()
+	c.Rank().FailChip(2)
+	if err := c.EnterDegradedMode(2); err != nil {
+		t.Fatal(err)
 	}
-	if sg.GapMoves() == 0 {
-		t.Fatal("no gap movement happened")
-	}
-	for l, want := range ref {
-		got := make([]byte, len(want))
-		err := sg.ReadInto(l, got)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("logical %d: err=%v", l, err)
-		}
-	}
+	churn()
 }
 
 func TestStartGapSpreadsWear(t *testing.T) {

@@ -102,9 +102,12 @@ const (
 //
 // Concurrency contract: ReadBlock/ReadBlockInto/WriteBlock/
 // WriteBlockInitial/DisableBlock, the batch APIs, and Stats/ResetStats are
-// all safe for concurrent use. BootScrub, EnterDegradedMode and Quiesce
-// acquire every shard lock, so they serialise against all demand traffic
-// but must not be called from inside another quiescent section.
+// all safe for concurrent use. BootScrub and Quiesce acquire every shard
+// lock, so they serialise against all demand traffic but must not be
+// called from inside another quiescent section. EnterDegradedMode is an
+// online migration run to completion: it holds one shard's writer
+// section per band, as the guard's migration does, and demand traffic
+// keeps flowing around it.
 type Engine struct {
 	rank     *rank.Rank
 	shards   []*shard
@@ -180,7 +183,7 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 		e.shardMask = int64(n) - 1
 	}
 	cr := r.Config()
-	e.seqOK = seqlockCapable && !cfg.Core.WriteBackVLEWCorrections && cr.ChipAccessBytes == 8
+	e.seqOK = seqlockCapable && cr.ChipAccessBytes == 8
 	if e.seqOK {
 		code, err := rs.New(cr.BlockBytes(), cr.ChipAccessBytes)
 		if err != nil {
@@ -357,26 +360,24 @@ func (e *Engine) BootScrub() core.ScrubReport {
 	return rep
 }
 
-// EnterDegradedMode remaps the rank around a failed data chip under full
-// quiescence: shard 0's controller performs the physical remap and every
-// other shard adopts the new layout (the striped format lives on the
-// chips, not in controller state).
+// EnterDegradedMode remaps the rank around a failed data chip: it begins
+// an online migration, moves every band in its owning shard's writer
+// section, and finishes it (see BeginMigration, MigrateBand and
+// FinishMigration). Demand traffic to every other band proceeds
+// meanwhile; the engine does not quiesce.
+//
+//chipkill:rankwide
 func (e *Engine) EnterDegradedMode(failedChip int) error {
-	var err error
-	e.Quiesce(func() {
-		// Latch before the remap starts: even a failed or partial entry
-		// may have moved bytes, and the latch is deliberately one-way.
-		e.degraded.Store(true)
-		if err = e.shards[0].ctrl.EnterDegradedMode(failedChip); err != nil {
-			return
+	m, err := e.BeginMigration(failedChip, 0)
+	if err != nil {
+		return err
+	}
+	for m.Cursor() < e.Blocks() {
+		if err := e.MigrateBand(m, nil); err != nil {
+			return err
 		}
-		for _, s := range e.shards[1:] {
-			if aerr := s.ctrl.AdoptDegradedMode(failedChip); aerr != nil && err == nil {
-				err = aerr
-			}
-		}
-	})
-	return err
+	}
+	return e.FinishMigration()
 }
 
 // Degraded reports whether the engine is in degraded mode and for which

@@ -196,27 +196,6 @@ func (e *Engine) FinishMigration() error {
 	return nil
 }
 
-// AdoptDegradedMode switches every shard to the degraded layout without
-// touching the chips — crash recovery after a journal records the
-// migration as complete, where the striped format is already on the rank.
-//
-//chipkill:rankwide
-func (e *Engine) AdoptDegradedMode(failedChip int) error {
-	// Same one-way latch as FinishMigration: the striped format is
-	// already on the chips, so an original-layout gather that happened to
-	// satisfy the RS check would be silent corruption.
-	e.degraded.Store(true)
-	for _, s := range e.shards {
-		s.lockWrite()
-		err := s.ctrl.AdoptDegradedMode(failedChip)
-		s.unlockWrite()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Migrating returns the active migration state, or nil.
 func (e *Engine) Migrating() *core.MigrationState {
 	s := e.shards[0]

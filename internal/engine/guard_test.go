@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"chipkillpm/internal/core"
 )
 
 // TestOnlineMigrationUnderLoad is the engine-level acceptance test for
@@ -97,44 +99,49 @@ func TestOnlineMigrationUnderLoad(t *testing.T) {
 	}
 }
 
-// TestOnlineMigrationMatchesStopTheWorld runs the same workload-free
-// migration online and stop-the-world on identically seeded ranks and
-// compares every block byte for byte.
-func TestOnlineMigrationMatchesStopTheWorld(t *testing.T) {
+// TestDegradedEntryMatchesReference enters degraded mode around a dead
+// chip and checks the layout on the chips against reference data rather
+// than against the controllers' own reads: the parity chip's data region
+// holds the failed chip's reference slices, and every striped group's
+// holder slot holds the VLEW code of the group's reference bytes. The
+// holder map is Sec V-E's: group s of a row sits on survivor s%8,
+// counting past the failed chip, at code slot s/8.
+func TestDegradedEntryMatchesReference(t *testing.T) {
 	const failed = 4
-	online, stw := testEngine(t, 0, 0), testEngine(t, 0, 0)
-	populate(t, online)
-	populate(t, stw)
-	online.Quiesce(func() { online.rank.FailChip(failed) })
-	stw.Quiesce(func() { stw.rank.FailChip(failed) })
-
-	m, err := online.BeginMigration(failed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for m.Cursor() < online.Blocks() {
-		if err := online.MigrateBand(m, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := online.FinishMigration(); err != nil {
-		t.Fatal(err)
-	}
-	if err := stw.EnterDegradedMode(failed); err != nil {
+	e := testEngine(t, 0, 0)
+	populate(t, e)
+	e.Quiesce(func() { e.rank.FailChip(failed) })
+	if err := e.EnterDegradedMode(failed); err != nil {
 		t.Fatal(err)
 	}
 
-	a := make([]byte, online.BlockBytes())
-	b := make([]byte, online.BlockBytes())
-	for blk := int64(0); blk < online.Blocks(); blk++ {
-		if err := online.ReadBlockInto(blk, a); err != nil {
-			t.Fatalf("online read %d: %v", blk, err)
+	r := e.rank
+	rcfg := r.Config()
+	n, bb, code := rcfg.ChipAccessBytes, rcfg.BlockBytes(), rcfg.VLEWCode
+	parity := r.Chip(r.ParityChipIndex())
+	survivors := r.NumChips() - 1
+	group := make([]byte, core.StripedBlocksPerVLEW*bb)
+	slice := make([]byte, n)
+	slot := make([]byte, rcfg.Geometry.VLEWCodeBytes)
+	for first := int64(0); first < e.Blocks(); first += core.StripedBlocksPerVLEW {
+		for i := 0; i < core.StripedBlocksPerVLEW; i++ {
+			b, ref := first+int64(i), group[i*bb:(i+1)*bb]
+			fillBlock(ref, b, 0)
+			loc := r.Locate(b)
+			parity.ReadDataInto(slice, loc.Bank, loc.Row, loc.Col)
+			if !bytes.Equal(slice, ref[failed*n:(failed+1)*n]) {
+				t.Fatalf("block %d: parity chip does not hold the failed chip's reference slice", b)
+			}
 		}
-		if err := stw.ReadBlockInto(blk, b); err != nil {
-			t.Fatalf("stop-the-world read %d: %v", blk, err)
+		s := int(first%e.bpr) / core.StripedBlocksPerVLEW
+		holder := s % survivors
+		if holder >= failed {
+			holder++
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("block %d differs between online and stop-the-world migration", blk)
+		loc := r.Locate(first)
+		r.Chip(holder).ReadCodeInto(slot, loc.Bank, loc.Row, s/survivors)
+		if !bytes.Equal(slot[:code.ParityBytes()], code.Encode(group)) {
+			t.Fatalf("group at block %d: holder slot is not the code of its reference bytes", first)
 		}
 	}
 }

@@ -357,6 +357,40 @@ func TestSeqlockTortureDuringMigration(t *testing.T) {
 func TestSeqlockDegradedEntryUnderReads(t *testing.T) {
 	e := testEngine(t, 0, 0)
 	populate(t, e)
+	e.Quiesce(func() { e.rank.FailChip(2) })
+	enterDegradedUnderReads(t, e, 2)
+}
+
+// TestSeqlockDegradedEntryOverDrift enters degraded mode under readers on
+// a rank that drifted, plus one flipped survivor bit, before the entry.
+// The migration corrects the survivors before it encodes the striped code
+// over them, so reads during the entry and a sweep of every block after
+// it return the populated data.
+func TestSeqlockDegradedEntryOverDrift(t *testing.T) {
+	e := testEngine(t, 0, 0)
+	populate(t, e)
+	e.Quiesce(func() {
+		e.rank.InjectRetentionErrors(2e-4)
+		loc := e.rank.Locate(5)
+		e.rank.Chip(3).FlipDataBit(loc.Bank, loc.Row, loc.Col, 1)
+		e.rank.FailChip(2)
+	})
+	enterDegradedUnderReads(t, e, 2)
+	buf, want := make([]byte, e.BlockBytes()), make([]byte, e.BlockBytes())
+	for b := int64(0); b < e.Blocks(); b++ {
+		if err := e.ReadBlockInto(b, buf); err != nil {
+			t.Fatalf("block %d: %v", b, err)
+		}
+		if fillBlock(want, b, 0); !bytes.Equal(buf, want) {
+			t.Fatalf("block %d: wrong data after degraded entry", b)
+		}
+	}
+}
+
+// enterDegradedUnderReads runs EnterDegradedMode(chip) while four readers
+// check that every read returns some committed version whole.
+func enterDegradedUnderReads(t *testing.T, e *Engine, chip int) {
+	t.Helper()
 	const readers = 4
 	stop := make(chan struct{})
 	errCh := make(chan error, readers)
@@ -385,8 +419,7 @@ func TestSeqlockDegradedEntryUnderReads(t *testing.T) {
 			}
 		}(r)
 	}
-	e.Quiesce(func() { e.rank.FailChip(2) })
-	if err := e.EnterDegradedMode(2); err != nil {
+	if err := e.EnterDegradedMode(chip); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -397,8 +430,8 @@ func TestSeqlockDegradedEntryUnderReads(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if deg, chip := e.Degraded(); !deg || chip != 2 {
-		t.Fatalf("engine not degraded after EnterDegradedMode: %v %d", deg, chip)
+	if deg, got := e.Degraded(); !deg || got != chip {
+		t.Fatalf("engine not degraded after EnterDegradedMode: %v %d", deg, got)
 	}
 }
 

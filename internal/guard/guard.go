@@ -159,9 +159,10 @@ type Supervisor struct {
 
 // New builds a supervisor over the engine with its journal in region,
 // performing crash recovery first: a journal that records a completed
-// migration flips the engine to the striped layout; one that records an
-// in-flight migration resumes it (redoing the possibly-torn last band
-// from its write-ahead image) before any demand traffic should start.
+// migration finishes one begun with its cursor at the end, flipping the
+// engine to the striped layout; one that records an in-flight migration
+// resumes it (redoing the possibly-torn last band from its write-ahead
+// image) before any demand traffic should start.
 //
 //chipkill:rankwide
 func New(eng *engine.Engine, region *Region, cfg Config) (*Supervisor, error) {
@@ -182,7 +183,12 @@ func New(eng *engine.Engine, region *Region, cfg Config) (*Supervisor, error) {
 	}
 	switch {
 	case rec.Done:
-		if err := eng.AdoptDegradedMode(rec.Chip); err != nil {
+		// The striped layout is already on the chips: a migration begun
+		// with its cursor at the end has nothing left to move.
+		if _, err := eng.BeginMigration(rec.Chip, eng.Blocks()); err != nil {
+			return nil, fmt.Errorf("guard: adopting journaled degraded layout: %w", err)
+		}
+		if err := eng.FinishMigration(); err != nil {
 			return nil, fmt.Errorf("guard: adopting journaled degraded layout: %w", err)
 		}
 		s.state = StateDegraded
