@@ -45,13 +45,13 @@ type rankWideRow struct {
 var rankWideRows = []rankWideRow{
 	{"internal/core", "Controller", map[string]bool{
 		"BootScrub": true, "EnterDegradedMode": true,
-		"BeginMigration": true, "JoinMigration": true, "MigrateBand": true,
-		"RedoBand": true, "FinishMigration": true, "PatrolScrub": true,
+		"BeginMigration": true, "MigrateBand": true,
+		"RedoBand": true, "PatrolScrub": true,
 	}, "rank-wide operation", false},
 	{"internal/engine", "Engine", map[string]bool{
 		"BootScrub": true, "EnterDegradedMode": true,
 		"BeginMigration": true, "MigrateBand": true,
-		"RedoBand": true, "FinishMigration": true, "PatrolScrub": true,
+		"RedoBand": true, "PatrolScrub": true,
 	}, "rank-wide operation", false},
 	// Bank-scoped chip methods (CloseBankRows, the demand reads and
 	// writes) are not policed: per-bank disjointness makes them
@@ -66,13 +66,13 @@ var rankWideRows = []rankWideRow{
 	}, "quiescence-class chip mutation", false},
 	// The controller operations that mutate what the lock-free reader
 	// gathers: data cells, or the layout that says what they mean.
-	// BeginMigration/JoinMigration only set routing state, which readers
-	// learn through the engine's atomic publication instead.
+	// BeginMigration moves no cell: it stores the retired chip and a
+	// cursor whose blocks below are already striped on the chips, and
+	// readers load the cursor themselves.
 	{"internal/core", "Controller", map[string]bool{
 		"WriteBlock": true, "WriteBlockInitial": true, "DisableBlock": true,
 		"BootScrub": true, "EnterDegradedMode": true,
-		"MigrateBand": true, "RedoBand": true, "FinishMigration": true,
-		"PatrolScrub": true,
+		"MigrateBand": true, "RedoBand": true, "PatrolScrub": true,
 	}, "seqlock-covered mutation", true},
 }
 

@@ -44,12 +44,10 @@ var persistenceCritical = []struct {
 		"Tick": true, "Run": true,
 	}},
 	{"internal/core", "Controller", map[string]bool{
-		"MigrateBand": true, "RedoBand": true, "FinishMigration": true,
-		"EnterDegradedMode": true,
+		"MigrateBand": true, "RedoBand": true, "EnterDegradedMode": true,
 	}},
 	{"internal/engine", "Engine", map[string]bool{
-		"MigrateBand": true, "RedoBand": true, "FinishMigration": true,
-		"EnterDegradedMode": true, "BeginMigration": true,
+		"MigrateBand": true, "RedoBand": true, "EnterDegradedMode": true, "BeginMigration": true,
 	}},
 	// Fleet calls: a dropped Tick error loses a rank's journal-append
 	// failure, a dropped RepairChip error loses the no-replica fallback

@@ -10,9 +10,8 @@ func (c *Controller) MigrateBand(band int) error                { return nil }
 func (c *Controller) WriteBlock(block int64, data []byte) error { return nil }
 func (c *Controller) DisableBlock(block int64)                  {}
 
-// BeginMigration is a rank-wide operation, but it only sets routing
-// state that lock-free readers never consult: the seqlock-writer row
-// does not police it.
+// BeginMigration is a rank-wide operation, but it moves no cell: the
+// seqlock-writer row does not police it.
 func (c *Controller) BeginMigration(chip int, cursor int64) error { return nil }
 
 // ReadBlockInto is demand-path: not policed.

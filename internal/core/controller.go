@@ -163,17 +163,9 @@ type Controller struct {
 	stats   Stats
 	tel     Telemetry
 
-	// Degraded (remapped) mode, Sec V-E: the failed data chip's contents
-	// live in the parity chip and VLEWs are striped across the rank.
-	degraded   bool
-	failedChip int
-
-	// mig, when non-nil, is an online migration to degraded mode in
-	// flight: blocks below the shared cursor are already in the striped
-	// layout, blocks at or above it still use the original one. The
-	// pointer is shared by every controller over the rank (all engine
-	// shards) so the cursor is a rank-wide property.
-	mig *MigrationState
+	// layout is the rank's layout (Sec V-E degraded mode and the online
+	// migration into it), shared by every controller over the rank.
+	layout *MigrationState
 
 	// Persistent working buffers for the demand paths. The single-owner
 	// contract means at most one demand operation is in flight, so one set
@@ -202,8 +194,21 @@ type Controller struct {
 // NewController wires a controller to a rank. The rank must use the
 // paper's 8-byte chip access so that one block carries 64 data bytes and 8
 // RS check bytes. omv may be nil, meaning writes always fetch OMVs from
-// memory.
+// memory. It is NewControllers with n = 1.
 func NewController(r *rank.Rank, cfg Config, omv OMVProvider) (*Controller, error) {
+	cs, err := NewControllers(r, cfg, omv, 1)
+	if err != nil {
+		return nil, err
+	}
+	return cs[0], nil
+}
+
+// NewControllers wires n controllers to one rank, as an engine's shards
+// use it: each has its own scratch, counters and telemetry, and all of
+// them share the rank's layout (see MigrationState) and one per-block RS
+// code, so a migration begun or advanced through any of them is seen by
+// all.
+func NewControllers(r *rank.Rank, cfg Config, omv OMVProvider, n int) ([]*Controller, error) {
 	bb := r.Config().BlockBytes()
 	checkBytes := r.Config().ChipAccessBytes
 	code, err := rs.New(bb, checkBytes)
@@ -216,33 +221,44 @@ func NewController(r *rank.Rank, cfg Config, omv OMVProvider) (*Controller, erro
 	if cfg.ScrubWorkers < 0 {
 		return nil, fmt.Errorf("core: scrub workers %d must be >= 0", cfg.ScrubWorkers)
 	}
+	if n < 1 {
+		return nil, fmt.Errorf("core: %d controllers, want >= 1", n)
+	}
 	if omv == nil {
 		omv = NoOMV{}
 	}
-	return &Controller{
-		rank:         r,
-		rsCode:       code,
-		cfg:          cfg,
-		omv:          omv,
-		tel:          Telemetry{Chips: make([]ChipTelemetry, r.NumChips())},
-		disabled:     make(map[int64]bool),
-		readCheckBuf: make([]byte, checkBytes),
-		vlewCheckBuf: make([]byte, checkBytes),
-		deltaBuf:     make([]byte, bb),
-		checkDelta:   make([]byte, checkBytes),
-		internalBuf:  make([]byte, bb),
+	layout := &MigrationState{blocks: r.Blocks()}
+	layout.chip.Store(-1)
+	cs := make([]*Controller, n)
+	for i := range cs {
+		cs[i] = &Controller{
+			rank:         r,
+			rsCode:       code,
+			cfg:          cfg,
+			omv:          omv,
+			layout:       layout,
+			tel:          Telemetry{Chips: make([]ChipTelemetry, r.NumChips())},
+			disabled:     make(map[int64]bool),
+			readCheckBuf: make([]byte, checkBytes),
+			vlewCheckBuf: make([]byte, checkBytes),
+			deltaBuf:     make([]byte, bb),
+			checkDelta:   make([]byte, checkBytes),
+			internalBuf:  make([]byte, bb),
 
-		corrBuf:        make([]rs.Correction, 0, checkBytes),
-		vlewDataBuf:    make([]byte, r.Config().Geometry.VLEWDataBytes),
-		vlewCodeBuf:    make([]byte, r.Config().Geometry.VLEWCodeBytes),
-		failedChipsBuf: make([]int, 0, r.NumChips()),
-	}, nil
+			corrBuf:        make([]rs.Correction, 0, checkBytes),
+			vlewDataBuf:    make([]byte, r.Config().Geometry.VLEWDataBytes),
+			vlewCodeBuf:    make([]byte, r.Config().Geometry.VLEWCodeBytes),
+			failedChipsBuf: make([]int, 0, r.NumChips()),
+		}
+	}
+	return cs, nil
 }
 
 // Rank returns the underlying rank.
 func (c *Controller) Rank() *rank.Rank { return c.rank }
 
-// RS returns the per-block Reed-Solomon code.
+// RS returns the per-block Reed-Solomon code, shared by every controller
+// over the rank.
 func (c *Controller) RS() *rs.Code { return c.rsCode }
 
 // Stats returns a snapshot of the controller's counters. It is safe to
@@ -316,16 +332,12 @@ func (c *Controller) ReadBlockInto(block int64, dst []byte) error {
 }
 
 // blockStriped reports whether a block must be accessed through the
-// striped (degraded) layout: always once degraded mode is adopted, and
-// during an online migration for every block the cursor has passed. The
+// striped (degraded) layout: whether the rank's cursor has passed it. The
 // cursor is loaded after the caller has taken the block's bank lock (or
 // owns the controller outright), and bands only migrate under their own
 // bank's lock, so the answer cannot change while the operation runs.
 func (c *Controller) blockStriped(block int64) bool {
-	if c.degraded {
-		return true
-	}
-	return c.mig != nil && block < c.mig.Cursor()
+	return block < c.layout.Cursor()
 }
 
 // readForInternalUse reads and corrects a block without counting it as a

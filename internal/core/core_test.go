@@ -64,6 +64,9 @@ func TestNewControllerValidation(t *testing.T) {
 	if _, err := NewController(r, Config{Threshold: 5}, nil); err == nil {
 		t.Error("threshold beyond RS capability accepted")
 	}
+	if _, err := NewControllers(r, DefaultConfig(), nil, 0); err == nil {
+		t.Error("zero controllers accepted")
+	}
 }
 
 func TestCleanReadWrite(t *testing.T) {
@@ -384,6 +387,30 @@ func TestDisabledBlock(t *testing.T) {
 	rep := c.BootScrub()
 	if rep.BitsCorrected != 0 || len(rep.ChipsFailed) != 0 {
 		t.Errorf("scrub after disable: %v", rep)
+	}
+}
+
+// TestWearOutBitSticks pins the worn-cell model DisableBlock retires
+// blocks for: a stuck bit keeps its value under a raw write while the
+// cell's healthy bits update.
+func TestWearOutBitSticks(t *testing.T) {
+	c := newTestController(t, 82, nil)
+	fillRandom(t, c, 83)
+	loc := c.Rank().Locate(5)
+	chip := c.Rank().Chip(0)
+	cell := make([]byte, 1)
+	chip.ReadDataInto(cell, loc.Bank, loc.Row, loc.Col)
+	before := cell[0]
+	chip.WearOutBit(loc.Bank, loc.Row, loc.Col, 0)
+	// Try to flip bit 0 via a raw write; it must stay at its old value.
+	chip.WriteDataRaw(loc.Bank, loc.Row, loc.Col, []byte{before ^ 0x01})
+	chip.ReadDataInto(cell, loc.Bank, loc.Row, loc.Col)
+	after := cell[0]
+	if after&0x01 != before&0x01 {
+		t.Error("stuck bit changed value")
+	}
+	if after&0xFE != (before^0x01)&0xFE {
+		t.Error("healthy bits of the cell did not update")
 	}
 }
 

@@ -33,21 +33,23 @@ import (
 // striped-group indices to blocks.
 const StripedBlocksPerVLEW = 4
 
-// stripedBlocksPerVLEW is the package-internal alias.
-const stripedBlocksPerVLEW = StripedBlocksPerVLEW
-
-// Degraded reports whether the controller is in degraded (remapped) mode
-// and, if so, which data chip was retired.
-func (c *Controller) Degraded() (bool, int) { return c.degraded, c.failedChip }
+// Degraded reports whether the rank is in degraded (remapped) mode — every
+// block striped — and, if so, which data chip was retired.
+func (c *Controller) Degraded() (bool, int) {
+	if !c.layout.Degraded() {
+		return false, -1
+	}
+	return true, c.layout.FailedChip()
+}
 
 // EnterDegradedMode remaps the failed data chip into the parity chip and
 // re-encodes every VLEW across the surviving chips. It is the online
-// migration run to completion in one call — BeginMigration, MigrateBand
-// over every band, FinishMigration — so a dead chip's data is solved from
-// the survivors band by band, and drift on the survivors is corrected
-// before the striped code is encoded over them. Only a single data-chip
-// failure is supported — a second failure in a degraded rank is beyond
-// the scheme, as in the paper.
+// migration run to completion in one call — BeginMigration, then
+// MigrateBand until the cursor reaches the end — so a dead chip's data is
+// solved from the survivors band by band, and drift on the survivors is
+// corrected before the striped code is encoded over them. Only a single
+// data-chip failure is supported — a second failure in a degraded rank is
+// beyond the scheme, as in the paper.
 //
 //chipkill:rankwide
 func (c *Controller) EnterDegradedMode(failedChip int) error {
@@ -60,7 +62,7 @@ func (c *Controller) EnterDegradedMode(failedChip int) error {
 			return err
 		}
 	}
-	return c.FinishMigration()
+	return nil
 }
 
 // stripedLoc maps a block to its striped VLEW's code slot. The 32 striped
@@ -68,13 +70,13 @@ func (c *Controller) EnterDegradedMode(failedChip int) error {
 // (8 x 4 = 32: an exact fit, so reconfiguration adds no capacity).
 func (c *Controller) stripedLoc(block int64) (bank, row, chip, slot int, first int64) {
 	loc := c.rank.Locate(block)
-	first = block - block%stripedBlocksPerVLEW
+	first = block - block%StripedBlocksPerVLEW
 	bpr := int64(c.rank.Config().BlocksPerRow())
-	s := int((block % bpr) / stripedBlocksPerVLEW)
+	s := int((block % bpr) / StripedBlocksPerVLEW)
 	survivors := c.rank.NumChips() - 1
 	h := s % survivors
 	// Skip the failed chip when assigning holders.
-	if h >= c.failedChip {
+	if h >= c.layout.FailedChip() {
 		h++
 	}
 	return loc.Bank, loc.Row, h, s / survivors, first
@@ -83,7 +85,7 @@ func (c *Controller) stripedLoc(block int64) (bank, row, chip, slot int, first i
 // stripedChip returns the chip holding data chip ci's slices in the
 // remapped layout: the parity chip stands in for the failed one.
 func (c *Controller) stripedChip(ci int) *nvram.Chip {
-	if ci == c.failedChip {
+	if ci == c.layout.FailedChip() {
 		ci = c.rank.ParityChipIndex()
 	}
 	return c.rank.Chip(ci)
@@ -94,7 +96,7 @@ func (c *Controller) stripedChip(ci int) *nvram.Chip {
 func (c *Controller) gatherStriped(first int64) {
 	rcfg := c.rank.Config()
 	bb, n := rcfg.BlockBytes(), rcfg.ChipAccessBytes
-	for i := 0; i < stripedBlocksPerVLEW; i++ {
+	for i := 0; i < StripedBlocksPerVLEW; i++ {
 		loc := c.rank.Locate(first + int64(i))
 		for ci := 0; ci < rcfg.DataChips; ci++ {
 			off := i*bb + ci*n
@@ -104,7 +106,7 @@ func (c *Controller) gatherStriped(first int64) {
 }
 
 // decodeStriped is the striped-group read kernel shared by demand reads
-// and the degraded patrol: the group's four blocks into vlewDataBuf, its
+// and the striped scrub: the group's four blocks into vlewDataBuf, its
 // holder's code slot into vlewCodeBuf, and one BCH decode of the pair in
 // place, returning the bits corrected.
 func (c *Controller) decodeStriped(first int64) (int, error) {
@@ -121,7 +123,7 @@ func (c *Controller) decodeStriped(first int64) (int, error) {
 func (c *Controller) storeStriped(first int64) {
 	rcfg := c.rank.Config()
 	bb, n := rcfg.BlockBytes(), rcfg.ChipAccessBytes
-	for i := 0; i < stripedBlocksPerVLEW; i++ {
+	for i := 0; i < StripedBlocksPerVLEW; i++ {
 		loc := c.rank.Locate(first + int64(i))
 		for ci := 0; ci < rcfg.DataChips; ci++ {
 			off := i*bb + ci*n
@@ -144,6 +146,13 @@ func (c *Controller) setStripedCode(first int64) {
 	holder.XORCode(bank, row, slot, delta)
 }
 
+// stripedFetchBlocks is the bus cost of fetching one striped group: its
+// four blocks plus the holder's code slot.
+func (c *Controller) stripedFetchBlocks() int64 {
+	bb := c.rank.Config().BlockBytes()
+	return StripedBlocksPerVLEW + int64((c.rank.Config().Geometry.VLEWCodeBytes+bb-1)/bb)
+}
+
 // readDegraded services a read in degraded mode into dst: fetch the
 // block's striped VLEW (four blocks + code), decode, and copy the block
 // out. Without per-block RS bits this is also the only error detection,
@@ -152,10 +161,9 @@ func (c *Controller) setStripedCode(first int64) {
 //
 //chipkill:noalloc
 func (c *Controller) readDegraded(dst []byte, block int64) error {
-	rcfg := c.rank.Config()
-	bb := rcfg.BlockBytes()
-	c.stats.BlockFetches += stripedBlocksPerVLEW + int64((rcfg.Geometry.VLEWCodeBytes+bb-1)/bb)
-	first := block - block%stripedBlocksPerVLEW
+	bb := c.rank.Config().BlockBytes()
+	c.stats.BlockFetches += c.stripedFetchBlocks()
+	first := block - block%StripedBlocksPerVLEW
 	//chipkill:allow noalloc decode draws from its scratch pool; a clean or corrected group decodes allocation-free
 	fixed, err := c.decodeStriped(first)
 	if err != nil {
@@ -175,7 +183,7 @@ func (c *Controller) readDegraded(dst []byte, block int64) error {
 	// Write the corrected VLEW back: without RS bits, leaving errors in
 	// place would let them accumulate past 22 per word.
 	c.storeStriped(first)
-	c.stats.BlockWrites += stripedBlocksPerVLEW
+	c.stats.BlockWrites += StripedBlocksPerVLEW
 	return nil
 }
 

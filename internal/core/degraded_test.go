@@ -135,7 +135,7 @@ func TestDegradedSlotMappingBijective(t *testing.T) {
 	c, _ := enterDegraded(t, 62, 5)
 	type key struct{ bank, row, chip, slot int }
 	seen := map[key]int64{}
-	for first := int64(0); first < c.Rank().Blocks(); first += stripedBlocksPerVLEW {
+	for first := int64(0); first < c.Rank().Blocks(); first += StripedBlocksPerVLEW {
 		bank, row, chip, slot, _ := c.stripedLoc(first)
 		if chip == 5 {
 			t.Fatalf("striped VLEW %d assigned to the failed chip", first)
@@ -187,5 +187,44 @@ func BenchmarkEnterDegradedMode(b *testing.B) {
 		if err := c.EnterDegradedMode(3); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBootScrubDegraded scrubs a degraded rank after an outage. Its code
+// slots hold striped codes, so the scrub must walk the striped groups: it
+// corrects the drift, convicts no chip, and leaves every block reading
+// clean.
+func TestBootScrubDegraded(t *testing.T) {
+	c := newTestController(t, 140, nil)
+	ref := fillRandom(t, c, 141)
+	if err := c.EnterDegradedMode(2); err != nil {
+		t.Fatal(err)
+	}
+	c.Rank().CloseAllRows()
+	if n := c.Rank().InjectRetentionErrors(1e-4); n == 0 {
+		t.Fatal("no retention errors injected")
+	}
+	rep := c.BootScrub()
+	if rep.Unrecoverable || len(rep.ChipsFailed) != 0 || len(rep.ChipsRebuilt) != 0 {
+		t.Fatalf("degraded boot scrub: %v", rep)
+	}
+	if want := c.Rank().Blocks() / StripedBlocksPerVLEW; rep.VLEWsScrubbed != want {
+		t.Fatalf("scrubbed %d groups, want %d", rep.VLEWsScrubbed, want)
+	}
+	if rep.BitsCorrected == 0 {
+		t.Fatal("degraded boot scrub corrected no bit")
+	}
+	c.ResetStats()
+	for b, want := range ref {
+		got, err := readBlock(c, b)
+		if err != nil {
+			t.Fatalf("block %d after scrub: %v", b, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d: wrong data after scrub", b)
+		}
+	}
+	if st := c.Stats(); st.ReadsClean != st.Reads {
+		t.Fatalf("%d of %d reads after the scrub were not clean", st.Reads-st.ReadsClean, st.Reads)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+
+	"chipkillpm/internal/cpu"
 )
 
 // Online degraded-mode migration: the one way into the striped layout.
@@ -30,11 +32,15 @@ import (
 //     code. Rewriting the band consumes precisely the code space its
 //     old layout frees, so no slot is ever shared between layouts.
 //
-// Cursor protocol: MigrationState holds an atomic cursor (the first
-// unmigrated block), shared by every controller over the rank (all
-// engine shards). Readers and writers consult it via blockStriped after
-// taking the block's bank/shard lock; bands migrate only under their own
-// bank's lock, so a block's layout cannot change mid-operation.
+// Layout protocol: MigrationState is the rank's one layout value, shared
+// by every controller over the rank (all engine shards) from
+// construction (NewControllers). Blocks below its atomic cursor are in
+// the striped layout, blocks at or above it in the original one, so the
+// original layout is the cursor at 0 with no chip retired, a migration is
+// the cursor inside the rank, and degraded mode is the cursor at the end.
+// Readers and writers consult it via blockStriped after taking the
+// block's bank/shard lock; bands migrate only under their own bank's
+// lock, so a block's layout cannot change mid-operation.
 //
 // EUR protocol: before a band is rewritten, the bank's open rows are
 // closed, draining any ECC Update Registerfile entries targeting the
@@ -42,22 +48,20 @@ import (
 // degraded path (controller-maintained code, no EUR), so no drain can
 // ever land on a repurposed slot afterwards.
 
-// MigrationState is the rank-wide state of one online migration: the
-// retiring chip and the atomic progress cursor. One instance is shared by
-// every controller (engine shard) over the rank.
+// MigrationState is a rank's layout: the retired data chip (-1 while the
+// rank keeps its original layout) and the cursor, the first block not yet
+// in the striped layout. BeginMigration stores the chip before the
+// cursor, so whoever sees a block below the cursor also sees the chip.
 type MigrationState struct {
-	failedChip int
+	//chipkill:atomic
+	chip atomic.Int64
 	//chipkill:atomic
 	cursor atomic.Int64
-}
-
-// NewMigrationState builds migration state for the given failed data chip
-// with the cursor at `cursor` (0 for a fresh migration; a band boundary
-// when resuming from a recovery journal).
-func NewMigrationState(failedChip int, cursor int64) *MigrationState {
-	m := &MigrationState{failedChip: failedChip}
-	m.cursor.Store(cursor)
-	return m
+	blocks int64
+	// The lock-free engine read loads the cursor on every read; the pad
+	// makes the value a 64-B object, which the allocator's 64-B size
+	// class places on a line of its own.
+	_ [cpu.CacheLineBytes - 3*8]byte
 }
 
 // Cursor returns the first unmigrated block: blocks below it are in the
@@ -66,8 +70,12 @@ func NewMigrationState(failedChip int, cursor int64) *MigrationState {
 //chipkill:seqread
 func (m *MigrationState) Cursor() int64 { return m.cursor.Load() }
 
-// FailedChip returns the data chip being retired.
-func (m *MigrationState) FailedChip() int { return m.failedChip }
+// FailedChip returns the retired data chip, or -1 in the original layout.
+func (m *MigrationState) FailedChip() int { return int(m.chip.Load()) }
+
+// Degraded reports whether every block is striped: the cursor is at the
+// end of the rank.
+func (m *MigrationState) Degraded() bool { return m.Cursor() == m.blocks }
 
 // BandBlocks returns the migration band size in blocks: one old-layout
 // VLEW span (32 in the paper's geometry).
@@ -76,20 +84,28 @@ func (c *Controller) BandBlocks() int64 {
 	return int64(rcfg.Geometry.VLEWDataBytes / rcfg.ChipAccessBytes)
 }
 
-// Migrating returns the active migration state, or nil.
-func (c *Controller) Migrating() *MigrationState { return c.mig }
+// Layout returns the rank's layout, shared by every controller built with
+// this one.
+func (c *Controller) Layout() *MigrationState { return c.layout }
+
+// Migrating returns the rank's layout while a migration is in flight (a
+// chip retired, the cursor short of the end), or nil.
+func (c *Controller) Migrating() *MigrationState {
+	if m := c.layout; m.FailedChip() >= 0 && !m.Degraded() {
+		return m
+	}
+	return nil
+}
 
 // BeginMigration starts an online migration of failedChip into the
 // degraded layout, with the cursor at the given band-aligned block (0
-// for a fresh start; a later boundary when resuming from a journal).
-// The returned state must be shared with every other controller over the
-// same rank via JoinMigration before any band migrates.
+// for a fresh start; a later boundary when resuming from a journal, or
+// Blocks() for a rank already striped, which leaves it degraded). Every
+// controller over the rank sees it at once: they share the layout.
 func (c *Controller) BeginMigration(failedChip int, cursor int64) (*MigrationState, error) {
-	if c.degraded {
-		return nil, fmt.Errorf("core: already degraded (chip %d): %w", c.failedChip, ErrChipFailed)
-	}
-	if c.mig != nil {
-		return nil, fmt.Errorf("core: %w", ErrMigrationInProgress)
+	m := c.layout
+	if err := m.busy(); err != nil {
+		return nil, err
 	}
 	if failedChip < 0 || failedChip >= c.rank.Config().DataChips {
 		return nil, fmt.Errorf("core: chip %d is not a data chip", failedChip)
@@ -100,23 +116,22 @@ func (c *Controller) BeginMigration(failedChip int, cursor int64) (*MigrationSta
 	if cursor < 0 || cursor > c.rank.Blocks() || cursor%c.BandBlocks() != 0 {
 		return nil, fmt.Errorf("core: migration cursor %d not a band boundary in [0,%d]", cursor, c.rank.Blocks())
 	}
-	m := NewMigrationState(failedChip, cursor)
-	c.mig = m
-	c.failedChip = failedChip // striped addressing keys off this
+	if !m.chip.CompareAndSwap(-1, int64(failedChip)) {
+		return nil, m.busy()
+	}
+	m.cursor.Store(cursor)
 	return m, nil
 }
 
-// JoinMigration attaches this controller to a migration started on
-// another controller over the same rank (the engine's non-leader shards).
-func (c *Controller) JoinMigration(m *MigrationState) error {
-	if c.degraded {
-		return fmt.Errorf("core: already degraded (chip %d): %w", c.failedChip, ErrChipFailed)
+// busy reports why a new migration cannot start: the rank is degraded or
+// already migrating.
+func (m *MigrationState) busy() error {
+	if m.Degraded() {
+		return fmt.Errorf("core: already degraded (chip %d): %w", m.FailedChip(), ErrChipFailed)
 	}
-	if c.mig != nil {
+	if m.FailedChip() >= 0 {
 		return fmt.Errorf("core: %w", ErrMigrationInProgress)
 	}
-	c.mig = m
-	c.failedChip = m.failedChip
 	return nil
 }
 
@@ -127,8 +142,8 @@ func (c *Controller) JoinMigration(m *MigrationState) error {
 // — are passed to wal (may be nil), giving the recovery journal a
 // write-ahead image that makes a crashed rewrite redoable.
 func (c *Controller) MigrateBand(first int64, wal func(failedSlices []byte) error) error {
-	m := c.mig
-	if m == nil {
+	m := c.layout
+	if m.FailedChip() < 0 {
 		return fmt.Errorf("core: MigrateBand: no migration in progress")
 	}
 	if cur := m.Cursor(); first != cur {
@@ -137,7 +152,7 @@ func (c *Controller) MigrateBand(first int64, wal func(failedSlices []byte) erro
 	if first >= c.rank.Blocks() {
 		return fmt.Errorf("core: MigrateBand: migration already complete")
 	}
-	slices, err := c.cleanBand(first, m.failedChip)
+	slices, err := c.cleanBand(first, m.FailedChip())
 	if err != nil {
 		return fmt.Errorf("core: migrating band at block %d: %w", first, err)
 	}
@@ -146,7 +161,7 @@ func (c *Controller) MigrateBand(first int64, wal func(failedSlices []byte) erro
 			return fmt.Errorf("core: journaling band at block %d: %w", first, err)
 		}
 	}
-	return c.redoBand(first, slices, m)
+	return c.redoBand(first, slices)
 }
 
 // cleanBand is the migration's band kernel. A band is one VLEW on every
@@ -211,8 +226,8 @@ func (c *Controller) cleanBand(first int64, failed int) ([]byte, error) {
 // raw data stores plus XOR-to-fresh code updates converge to the striped
 // layout from any intermediate state.
 func (c *Controller) RedoBand(first int64, failedSlices []byte) error {
-	m := c.mig
-	if m == nil {
+	m := c.layout
+	if m.FailedChip() < 0 {
 		return fmt.Errorf("core: RedoBand: no migration in progress")
 	}
 	if cur := m.Cursor(); first != cur {
@@ -222,13 +237,14 @@ func (c *Controller) RedoBand(first int64, failedSlices []byte) error {
 	if want := int(c.BandBlocks()) * n; len(failedSlices) != want {
 		return fmt.Errorf("core: RedoBand: got %d slice bytes, want %d", len(failedSlices), want)
 	}
-	return c.redoBand(first, failedSlices, m)
+	return c.redoBand(first, failedSlices)
 }
 
 // redoBand performs the physical band rewrite: drain the bank's EURs,
 // remap the failed chip's slices into the parity chip's data region, and
-// re-encode the band's striped VLEW groups, then advance the cursor.
-func (c *Controller) redoBand(first int64, slices []byte, m *MigrationState) error {
+// re-encode the band's striped VLEW groups, then advance the cursor. The
+// last band leaves the cursor at the end: the rank is degraded.
+func (c *Controller) redoBand(first int64, slices []byte) error {
 	r := c.rank
 	rcfg := r.Config()
 	n := rcfg.ChipAccessBytes
@@ -244,28 +260,12 @@ func (c *Controller) redoBand(first int64, slices []byte, m *MigrationState) err
 		loc := r.Locate(first + i)
 		parity.WriteDataRaw(loc.Bank, loc.Row, loc.Col, slices[int(i)*n:(int(i)+1)*n])
 	}
-	for g := first; g < first+bb; g += stripedBlocksPerVLEW {
+	for g := first; g < first+bb; g += StripedBlocksPerVLEW {
 		c.gatherStriped(g)
 		code.EncodeDeltaInto(c.vlewCodeBuf[:code.ParityBytes()], c.vlewDataBuf, 0)
 		c.setStripedCode(g)
 	}
 	c.stats.BandsMigrated++
-	m.cursor.Store(first + bb)
-	return nil
-}
-
-// FinishMigration completes an online migration whose cursor has reached
-// the end of the rank: the controller drops the migration state and
-// becomes plainly degraded. Safe to call per-shard without quiescence —
-// with the cursor at the end, blockStriped answers true either way.
-func (c *Controller) FinishMigration() error {
-	if c.mig == nil {
-		return fmt.Errorf("core: FinishMigration: no migration in progress")
-	}
-	if cur := c.mig.Cursor(); cur != c.rank.Blocks() {
-		return fmt.Errorf("core: FinishMigration: cursor %d short of %d", cur, c.rank.Blocks())
-	}
-	c.mig = nil
-	c.degraded = true
+	c.layout.cursor.Store(first + bb)
 	return nil
 }

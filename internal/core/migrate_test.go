@@ -25,9 +25,6 @@ func migrateAll(t *testing.T, c *Controller, chip int) [][]byte {
 			t.Fatal(err)
 		}
 	}
-	if err := c.FinishMigration(); err != nil {
-		t.Fatal(err)
-	}
 	return wals
 }
 
@@ -73,9 +70,6 @@ func TestOnlineMigrationMatchesStopTheWorld(t *testing.T) {
 			}
 		}
 	}
-	if err := c.FinishMigration(); err != nil {
-		t.Fatal(err)
-	}
 	if deg, chip := c.Degraded(); !deg || chip != failed {
 		t.Fatalf("after migration: degraded=%v chip=%d", deg, chip)
 	}
@@ -93,6 +87,63 @@ func TestOnlineMigrationMatchesStopTheWorld(t *testing.T) {
 	}
 	if got := c.Stats().BandsMigrated; got != blocks/c.BandBlocks() {
 		t.Fatalf("BandsMigrated = %d, want %d", got, blocks/c.BandBlocks())
+	}
+}
+
+// TestSiblingControllersShareLayout builds two controllers over one rank,
+// as an engine's shards are: a migration begun or advanced through either
+// is the other's at once, with no join step, and the last band leaves
+// both degraded.
+func TestSiblingControllersShareLayout(t *testing.T) {
+	cs, err := NewControllers(smallRank(t, 44), DefaultConfig(), nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := cs[0], cs[1]
+	if a.RS() != b.RS() {
+		t.Fatal("sibling controllers built separate RS codes")
+	}
+	ref := fillRandom(t, a, 45)
+	const failed = 4
+	m, err := a.BeginMigration(failed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Migrating() != m {
+		t.Fatal("sibling does not see the migration")
+	}
+	if _, err := b.BeginMigration(failed, 0); !errors.Is(err, ErrMigrationInProgress) {
+		t.Fatalf("sibling BeginMigration mid-migration: %v not ErrMigrationInProgress", err)
+	}
+	if err := a.MigrateBand(m.Cursor(), nil); err != nil {
+		t.Fatal(err)
+	}
+	// The sibling reads the band a migrated through the striped layout,
+	// then migrates the next band itself.
+	for blk := int64(0); blk < m.Cursor(); blk++ {
+		got, err := readBlock(b, blk)
+		if err != nil || !bytes.Equal(got, ref[blk]) {
+			t.Fatalf("sibling read %d below the cursor: %v", blk, err)
+		}
+	}
+	if err := b.MigrateBand(m.Cursor(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for m.Cursor() < a.Rank().Blocks() {
+		if err := a.MigrateBand(m.Cursor(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range cs {
+		if deg, chip := c.Degraded(); !deg || chip != failed || c.Migrating() != nil {
+			t.Fatalf("controller %d after the last band: degraded=%v chip=%d migrating=%v", i, deg, chip, c.Migrating() != nil)
+		}
+	}
+	for blk, want := range ref {
+		got, err := readBlock(b, blk)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("sibling read %d after migration: %v", blk, err)
+		}
 	}
 }
 
@@ -141,9 +192,6 @@ func TestRedoBandFromTornState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.FinishMigration(); err != nil {
-		t.Fatal(err)
-	}
 	for b := int64(0); b < c.Rank().Blocks(); b++ {
 		got, err := readBlock(c, b)
 		if err != nil {
@@ -188,9 +236,6 @@ func TestPatrolScrubPausedDuringMigration(t *testing.T) {
 		if err := c.MigrateBand(m.Cursor(), nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.FinishMigration(); err != nil {
-		t.Fatal(err)
 	}
 	// Degraded patrol: walk every striped group; a healthy rank scrubs
 	// them all without an uncorrectable.
@@ -252,9 +297,6 @@ func TestErrorSentinels(t *testing.T) {
 	}
 	if err := c3.EnterDegradedMode(2); !errors.Is(err, ErrMigrationInProgress) {
 		t.Errorf("EnterDegradedMode mid-migration: %v not ErrMigrationInProgress", err)
-	}
-	if err := c3.JoinMigration(NewMigrationState(2, 0)); !errors.Is(err, ErrMigrationInProgress) {
-		t.Errorf("JoinMigration mid-migration: %v not ErrMigrationInProgress", err)
 	}
 
 	// Chip-level dead ends.

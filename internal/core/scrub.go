@@ -65,6 +65,11 @@ func SpanLoc(g nvram.Geometry, chip int, s int64) VLEWLoc {
 //
 // Config.ScrubWorkers sets the pass's worker-pool size (0 = GOMAXPROCS).
 //
+// A degraded rank's code slots hold striped codes, so its scrub walks the
+// striped groups instead (the degraded patrol's kernel, serially): a
+// group beyond the code makes the scrub unrecoverable, and no chip is
+// convicted or rebuilt.
+//
 //chipkill:rankwide
 func (c *Controller) BootScrub() ScrubReport {
 	var rep ScrubReport
@@ -73,6 +78,18 @@ func (c *Controller) BootScrub() ScrubReport {
 	r := c.rank
 	rcfg := r.Config()
 	r.CloseAllRows()
+
+	if c.layout.Degraded() {
+		groups := c.TotalPatrolUnits()
+		_, d = c.scrubStriped(0, int(groups))
+		rep.VLEWsScrubbed, rep.BitsCorrected = groups, d.ScrubCorrections
+		rep.BusBlockFetches = groups * c.stripedFetchBlocks()
+		if d.ScrubUncorrectable > 0 {
+			rep.Unrecoverable = true
+			d.Uncorrectable++
+		}
+		return rep
+	}
 
 	failed := make([]bool, r.NumChips())
 	var dead []int
@@ -300,11 +317,13 @@ func (r ScrubReport) String() string {
 // holds both layouts at once and only the supervisor knows where the
 // boundary is, so the guard pauses patrol until migration completes.
 func (c *Controller) PatrolScrub(pos int64, count int) (next int64, corrected int64) {
-	if c.mig != nil {
-		return pos, 0
+	if c.layout.Degraded() {
+		next, d := c.scrubStriped(pos, count)
+		c.addStats(d)
+		return next, d.ScrubCorrections
 	}
-	if c.degraded {
-		return c.patrolDegraded(pos, count)
+	if c.layout.FailedChip() >= 0 {
+		return pos, 0
 	}
 	r := c.rank
 	g := r.Config().Geometry
@@ -346,14 +365,15 @@ func (c *Controller) PatrolScrub(pos int64, count int) (next int64, corrected in
 	return (pos + int64(count)) % total, corrected
 }
 
-// patrolDegraded is the degraded-mode patrol walk: each unit is one
-// striped VLEW group (the only error detection left once the per-block RS
-// bits are sacrificed), decoded and written back on correction.
-func (c *Controller) patrolDegraded(pos int64, count int) (next int64, corrected int64) {
+// scrubStriped is the degraded-mode scrub walk, shared by the patrol and
+// the boot scrub: each unit is one striped VLEW group (the only error
+// detection left once the per-block RS bits are sacrificed), decoded and
+// written back on correction. It returns the next position and the
+// counter delta for the caller to publish.
+func (c *Controller) scrubStriped(pos int64, count int) (next int64, d Stats) {
 	total := c.TotalPatrolUnits()
-	var d Stats
 	for i := 0; i < count; i++ {
-		first := ((pos + int64(i)) % total) * stripedBlocksPerVLEW
+		first := ((pos + int64(i)) % total) * StripedBlocksPerVLEW
 		fixed, err := c.decodeStriped(first)
 		if err != nil {
 			d.ScrubUncorrectable++
@@ -361,21 +381,19 @@ func (c *Controller) patrolDegraded(pos int64, count int) (next int64, corrected
 		}
 		if fixed > 0 {
 			c.storeStriped(first)
-			corrected += int64(fixed)
-			d.BlockWrites += stripedBlocksPerVLEW
+			d.ScrubCorrections += int64(fixed)
+			d.BlockWrites += StripedBlocksPerVLEW
 		}
 		d.ScrubbedVLEWs++
 	}
-	d.ScrubCorrections = corrected
-	c.addStats(d)
-	return (pos + int64(count)) % total, corrected
+	return (pos + int64(count)) % total, d
 }
 
 // TotalPatrolUnits returns the number of patrol positions: VLEWs across
 // all chips in the original layout, striped groups in degraded mode.
 func (c *Controller) TotalPatrolUnits() int64 {
-	if c.degraded {
-		return c.rank.Blocks() / stripedBlocksPerVLEW
+	if c.layout.Degraded() {
+		return c.rank.Blocks() / StripedBlocksPerVLEW
 	}
 	g := c.rank.Config().Geometry
 	return int64(c.rank.NumChips()) * int64(g.Banks) * int64(g.RowsPerBank) * int64(g.VLEWsPerRow())
@@ -407,7 +425,7 @@ func (c *Controller) ProbeVLEW(chip, bank, row, v int) bool {
 // ProbeVLEW.
 func (c *Controller) ReadVLEWInto(chip, bank, row, v int, data, code []byte) bool {
 	ch := c.rank.Chip(chip)
-	if c.degraded || c.mig != nil || len(c.disabled) != 0 || !ch.Healthy() {
+	if c.layout.FailedChip() >= 0 || len(c.disabled) != 0 || !ch.Healthy() {
 		return false
 	}
 	ch.ReadVLEWInto(data, code, bank, row, v)

@@ -124,7 +124,7 @@ type Engine struct {
 	// when false every read takes the shard mutex as before.
 	seqOK       bool
 	fixOne      bool     // controllers accept RS corrections (threshold >= 1)
-	rsCode      *rs.Code // engine-owned checker for the lock-free path
+	rsCode      *rs.Code // the shards' shared per-block RS code
 	geo         fastGeom // precomputed block→cell-offset and block→shard addressing
 	cells       [][]byte // per data chip backing arrays, in symbol order
 	parityCells []byte   // parity (check) chip backing array
@@ -134,18 +134,10 @@ type Engine struct {
 	// cache lines; Stats, SeqStats and Telemetry fold it. Set in New.
 	ctr *obs.Counters
 
-	// degraded latches "the rank is (or may be) in the striped degraded
-	// layout": set before any shard flips, never cleared. In that layout a
-	// raw original-layout gather reads striped bytes that could — rarely —
-	// still satisfy the RS check, which would be silent data corruption,
-	// so lock-free readers stand down permanently.
-	//chipkill:atomic
-	degraded atomic.Bool
-	// mig publishes the online-migration state to lock-free readers, set
-	// before the first band moves. Blocks below the cursor are striped and
-	// must take the locked path.
-	//chipkill:atomic
-	mig atomic.Pointer[core.MigrationState]
+	// layout is the rank's layout, shared with every shard's controller:
+	// blocks below its cursor are striped, and lock-free readers stand
+	// down for them. Degraded mode is the cursor at the end.
+	layout *core.MigrationState
 }
 
 // New builds an engine over the rank. The rank must be quiescent (freshly
@@ -171,13 +163,14 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 		geo:    newFastGeom(r.Config(), r.Blocks()),
 		ctr:    obs.NewCounters(ctrChipCorrected+r.NumChips(), obs.Stripes),
 	}
-	for s := 0; s < n; s++ {
-		ctrl, err := core.NewController(r, cfg.Core, cfg.OMV)
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", s, err)
-		}
+	ctrls, err := core.NewControllers(r, cfg.Core, cfg.OMV, n)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	for _, ctrl := range ctrls {
 		e.shards = append(e.shards, &shard{ctrl: ctrl})
 	}
+	e.rsCode, e.layout = ctrls[0].RS(), ctrls[0].Layout()
 	e.shardMask = -1
 	if e.geo.pow2 && isPow2(int64(n)) {
 		e.shardMask = int64(n) - 1
@@ -185,11 +178,6 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 	cr := r.Config()
 	e.seqOK = seqlockCapable && cr.ChipAccessBytes == 8
 	if e.seqOK {
-		code, err := rs.New(cr.BlockBytes(), cr.ChipAccessBytes)
-		if err != nil {
-			return nil, fmt.Errorf("engine: sizing seqlock RS checker: %w", err)
-		}
-		e.rsCode = code
 		e.fixOne = cfg.Core.Threshold >= 1
 		for i := 0; i < cr.DataChips; i++ {
 			e.cells = append(e.cells, r.Chip(i).CellArray())
@@ -361,10 +349,10 @@ func (e *Engine) BootScrub() core.ScrubReport {
 }
 
 // EnterDegradedMode remaps the rank around a failed data chip: it begins
-// an online migration, moves every band in its owning shard's writer
-// section, and finishes it (see BeginMigration, MigrateBand and
-// FinishMigration). Demand traffic to every other band proceeds
-// meanwhile; the engine does not quiesce.
+// an online migration and moves every band in its owning shard's writer
+// section (see BeginMigration and MigrateBand); the last band leaves the
+// rank degraded. Demand traffic to every other band proceeds meanwhile;
+// the engine does not quiesce.
 //
 //chipkill:rankwide
 func (e *Engine) EnterDegradedMode(failedChip int) error {
@@ -377,15 +365,14 @@ func (e *Engine) EnterDegradedMode(failedChip int) error {
 			return err
 		}
 	}
-	return e.FinishMigration()
+	return nil
 }
 
-// Degraded reports whether the engine is in degraded mode and for which
-// chip.
+// Degraded reports whether the engine is in degraded mode — the layout's
+// cursor at the end — and for which chip.
 func (e *Engine) Degraded() (bool, int) {
-	s := e.shards[0]
-	s.mu.Lock()
-	d, chip := s.ctrl.Degraded()
-	s.mu.Unlock()
-	return d, chip
+	if !e.layout.Degraded() {
+		return false, -1
+	}
+	return true, e.layout.FailedChip()
 }

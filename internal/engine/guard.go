@@ -106,37 +106,20 @@ func (e *Engine) patrolRun(pos int64) (p, run int64, sh int) {
 	return pos, perBank - (pos%perChip)%perBank, int(bank % int64(len(e.shards)))
 }
 
-// BeginMigration starts an online degraded-mode migration: the leader
-// shard creates the shared cursor state and every other shard joins it,
-// each under its own lock — no global quiesce. With a nonzero cursor
-// (resuming from a recovery journal) the call must complete before
-// demand traffic starts, since a shard that has not yet joined would
-// read already-striped blocks under the original layout.
+// BeginMigration starts an online degraded-mode migration (see
+// core.Controller.BeginMigration). The shards share the rank's layout, so
+// one controller's call starts it for all of them, and lock-free readers
+// see it through the same value. With a nonzero cursor (resuming from a
+// recovery journal) the call must complete before demand traffic starts:
+// blocks below that cursor are already striped on the chips.
 //
 //chipkill:rankwide
 func (e *Engine) BeginMigration(failedChip int, cursor int64) (*core.MigrationState, error) {
-	s0 := e.shards[0]
-	s0.mu.Lock()
-	m, err := s0.ctrl.BeginMigration(failedChip, cursor)
-	s0.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	// Publish to lock-free readers before returning — no cells have moved
-	// yet (plain shard locks suffice above; Begin/Join only set controller
-	// state, which lock-free readers never consult), but once the caller
-	// holds m it may start migrating bands, and from then on every block
-	// below the cursor must stand down to the locked path.
-	e.mig.Store(m)
-	for _, s := range e.shards[1:] {
-		s.mu.Lock()
-		jerr := s.ctrl.JoinMigration(m)
-		s.mu.Unlock()
-		if jerr != nil {
-			return nil, jerr
-		}
-	}
-	return m, nil
+	s := e.shards[0]
+	s.mu.Lock()
+	m, err := s.ctrl.BeginMigration(failedChip, cursor)
+	s.mu.Unlock()
+	return m, err
 }
 
 // MigrateBand migrates the band at the cursor under its owning shard's
@@ -174,35 +157,13 @@ func (e *Engine) RedoBand(m *core.MigrationState, failedSlices []byte) error {
 	return err
 }
 
-// FinishMigration completes a migration whose cursor has reached the end
-// of the rank, flipping each shard to plain degraded mode under its own
-// lock — safe without quiescence, since with the cursor at the end both
-// states route every block through the striped layout.
-//
-//chipkill:rankwide
-func (e *Engine) FinishMigration() error {
-	// Latch degraded before any shard flips: lock-free readers must stop
-	// trusting original-layout gathers the moment the first controller
-	// starts routing every block through the striped layout.
-	e.degraded.Store(true)
-	for _, s := range e.shards {
-		s.lockWrite()
-		err := s.ctrl.FinishMigration()
-		s.unlockWrite()
-		if err != nil {
-			return err
-		}
+// Migrating returns the rank's layout while a migration is in flight (a
+// chip retired, the cursor short of the end), or nil.
+func (e *Engine) Migrating() *core.MigrationState {
+	if m := e.layout; m.FailedChip() >= 0 && !m.Degraded() {
+		return m
 	}
 	return nil
-}
-
-// Migrating returns the active migration state, or nil.
-func (e *Engine) Migrating() *core.MigrationState {
-	s := e.shards[0]
-	s.mu.Lock()
-	m := s.ctrl.Migrating()
-	s.mu.Unlock()
-	return m
 }
 
 // BandBlocks returns the online-migration band size in blocks.
@@ -211,10 +172,12 @@ func (e *Engine) BandBlocks() int64 {
 }
 
 // TotalPatrolUnits returns the patrol position space of the current
-// layout (shard 0's view).
+// layout: VLEWs across all chips in the original layout, striped groups
+// in degraded mode.
 func (e *Engine) TotalPatrolUnits() int64 {
-	s := e.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctrl.TotalPatrolUnits()
+	if d, _ := e.Degraded(); d {
+		return e.Blocks() / core.StripedBlocksPerVLEW
+	}
+	g := e.rank.Config().Geometry
+	return int64(e.rank.NumChips()) * int64(g.Banks) * int64(g.RowsPerBank) * int64(g.VLEWsPerRow())
 }

@@ -77,10 +77,6 @@ func TestOnlineMigrationUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.FinishMigration(); err != nil {
-		close(stop)
-		t.Fatal(err)
-	}
 	close(stop)
 	wg.Wait()
 	select {
@@ -260,9 +256,6 @@ func TestEnginePatrolDegraded(t *testing.T) {
 		if err := e.MigrateBand(m, nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := e.FinishMigration(); err != nil {
-		t.Fatal(err)
 	}
 	total := e.TotalPatrolUnits()
 	if want := e.Blocks() / 4; total != want {

@@ -19,7 +19,7 @@
 // guarantees the gathered bytes belong to generation s1. A reader that
 // observes an odd sequence, loses the revalidation race seqReadRetries
 // times, needs more than a one-symbol correction, or hits any
-// standing-down gate (degraded layout, migration cursor, failed chip,
+// standing-down gate (a block below the layout cursor, failed chip,
 // retired block on the shard) parks on the mutex like before. At the
 // paper's runtime RBER about 11% of reads need the one-symbol fix, which
 // stays lock-free; only the multi-symbol decodes and the ~0.02% VLEW
@@ -160,17 +160,15 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected 
 			e.ctr.Add(ctrSeqFallbacks, 1)
 			return false, false
 		}
-		// Standing-down gates, re-evaluated each attempt. degraded and
-		// hasDisabled are sticky (set before the state they guard ever
-		// changes, never cleared), the migration cursor only grows, and
-		// a chip failure under load happens inside Quiesce — whose
-		// sequence bumps force racing readers back here to observe it.
+		// Standing-down gates, re-evaluated each attempt. hasDisabled is
+		// sticky (set before the state it guards ever changes, never
+		// cleared), the layout cursor only grows (blocks below it are
+		// striped; degraded mode is the cursor at the end), and a chip
+		// failure under load happens inside Quiesce — whose sequence
+		// bumps force racing readers back here to observe it.
 		// FailedChips is also checked per attempt because a failed
 		// chip's stale cells can still look like a valid codeword.
-		if e.degraded.Load() || s.hasDisabled.Load() || e.rank.FailedChips() != 0 {
-			return false, false
-		}
-		if m := e.mig.Load(); m != nil && block < m.Cursor() {
+		if s.hasDisabled.Load() || e.rank.FailedChips() != 0 || block < e.layout.Cursor() {
 			return false, false
 		}
 		off := e.geo.offsetOf(block)

@@ -323,9 +323,6 @@ func TestSeqlockTortureDuringMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.FinishMigration(); err != nil {
-		t.Fatal(err)
-	}
 	close(stop)
 	wg.Wait()
 	select {
@@ -333,8 +330,8 @@ func TestSeqlockTortureDuringMigration(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	// The degraded latch is one-way: no read after FinishMigration may
-	// take the fast path, whose addressing assumes the pristine layout.
+	// The cursor only grows: no read after the last band may take the
+	// fast path, whose addressing assumes the pristine layout.
 	before := e.SeqStats().FastReads
 	buf := make([]byte, e.BlockBytes())
 	for b := int64(0); b < e.Blocks(); b += 7 {
@@ -351,8 +348,8 @@ func TestSeqlockTortureDuringMigration(t *testing.T) {
 }
 
 // TestSeqlockDegradedEntryUnderReads flips EnterDegradedMode while
-// readers run: the sticky degraded latch is published before any layout
-// change, so no reader may return pre-flip bytes under the post-flip
+// readers run: each band's cursor advance is published inside the band's
+// writer section, so no reader may return pre-flip bytes under the post-flip
 // layout (or vice versa — any committed version, whole, is the bar).
 func TestSeqlockDegradedEntryUnderReads(t *testing.T) {
 	e := testEngine(t, 0, 0)

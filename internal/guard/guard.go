@@ -159,8 +159,8 @@ type Supervisor struct {
 
 // New builds a supervisor over the engine with its journal in region,
 // performing crash recovery first: a journal that records a completed
-// migration finishes one begun with its cursor at the end, flipping the
-// engine to the striped layout; one that records an in-flight migration
+// migration begins one with its cursor at the end, which leaves the
+// engine in the striped layout; one that records an in-flight migration
 // resumes it (redoing the possibly-torn last band from its write-ahead
 // image) before any demand traffic should start.
 //
@@ -186,9 +186,6 @@ func New(eng *engine.Engine, region *Region, cfg Config) (*Supervisor, error) {
 		// The striped layout is already on the chips: a migration begun
 		// with its cursor at the end has nothing left to move.
 		if _, err := eng.BeginMigration(rec.Chip, eng.Blocks()); err != nil {
-			return nil, fmt.Errorf("guard: adopting journaled degraded layout: %w", err)
-		}
-		if err := eng.FinishMigration(); err != nil {
 			return nil, fmt.Errorf("guard: adopting journaled degraded layout: %w", err)
 		}
 		s.state = StateDegraded
@@ -411,8 +408,9 @@ func (s *Supervisor) convict() error {
 }
 
 // migrateTick rewrites up to BandsPerTick bands, journaling each band's
-// write-ahead image before touching the rank, and completes the
-// migration when the cursor reaches the end.
+// write-ahead image before touching the rank, and journals the migration
+// done once the cursor reaches the end (the rank is degraded from the
+// last band on).
 //
 //chipkill:rankwide
 func (s *Supervisor) migrateTick() error {
@@ -427,9 +425,6 @@ func (s *Supervisor) migrateTick() error {
 		}
 	}
 	if s.mig.Cursor() >= s.eng.Blocks() {
-		if err := s.eng.FinishMigration(); err != nil {
-			return fmt.Errorf("guard: finishing migration: %w", err)
-		}
 		if err := s.jrn.AppendDone(); err != nil {
 			return fmt.Errorf("guard: journaling migration done: %w", err)
 		}

@@ -405,3 +405,87 @@ func TestSupervisorRecoversCompletedMigration(t *testing.T) {
 	}
 	verifyAll(t, e2, shadow)
 }
+
+// TestSupervisorCrashBeforeDoneRecovers crashes after the last band's
+// journal record and rewrite, before the done record persists. The
+// resumed migration's redo of that band leaves the cursor at the end, so
+// the rebooted engine is degraded with no finish step; the next tick
+// journals done, and patrol walks striped groups.
+func TestSupervisorCrashBeforeDoneRecovers(t *testing.T) {
+	r, err := rank.New(rank.PaperConfig(4, 8, 1024, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(r, engine.Config{Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, e)
+	region := NewRegion(RegionSizeFor(e))
+	sup, err := New(e, region, Config{Seed: 8, BandsPerTick: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const failed = 3
+	e.Quiesce(func() { r.FailChip(failed) })
+	rng := rand.New(rand.NewSource(25))
+	shadow := map[int64]int{}
+	for i := 0; i < 1000 && sup.State() != StateDegraded; i++ {
+		demandLoad(t, e, rng, shadow, 2)
+		if err := sup.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sup.State() != StateDegraded {
+		t.Fatalf("migration never finished: %+v", sup.Report())
+	}
+	// Power loss before the done record persisted: it is the journal's
+	// last record, so erase it.
+	done := recHeaderSize + recTrailerSize
+	clear(region.Bytes()[sup.jrn.off-done : sup.jrn.off])
+
+	r.CloseAllRows()
+	e2, err := engine.New(r, engine.Config{Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup2, err := New(e2, region, Config{Seed: 9, PatrolUnits: 16})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if rep := sup2.Report(); !rep.MigrationResumed || rep.State != StateMigrating {
+		t.Fatalf("recovery did not resume the migration: %+v", rep)
+	}
+	if d, chip := e2.Degraded(); !d || chip != failed || e2.Migrating() != nil {
+		t.Fatalf("after recovery: Degraded() = %v, %d, migrating=%v", d, chip, e2.Migrating() != nil)
+	}
+	e2.ResetStats()
+	if err := sup2.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	if sup2.State() != StateDegraded {
+		t.Fatalf("supervisor in %v after recovery ticks, want degraded", sup2.State())
+	}
+	// One tick journals done; the other four patrol 16 striped groups each.
+	if st := e2.Stats(); st.ScrubbedVLEWs != 4*16 || st.ScrubUncorrectable != 0 {
+		t.Fatalf("post-recovery patrol: scrubbed %d, uncorrectable %d; want 64, 0", st.ScrubbedVLEWs, st.ScrubUncorrectable)
+	}
+	if total := e2.TotalPatrolUnits(); total != e2.Blocks()/core.StripedBlocksPerVLEW {
+		t.Fatalf("patrol space %d, want %d striped groups", total, e2.Blocks()/core.StripedBlocksPerVLEW)
+	}
+	verifyAll(t, e2, shadow)
+
+	// The done record is durable now: a second boot adopts the layout.
+	e3, err := engine.New(r, engine.Config{Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup3, err := New(e3, region, Config{Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := sup3.Report(); rep.State != StateDegraded {
+		t.Fatalf("second boot: %+v, want degraded", rep)
+	}
+	verifyAll(t, e3, shadow)
+}

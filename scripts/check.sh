@@ -10,7 +10,9 @@
 #   benchmark, for their correctness checks) and the standard and fleet
 #   fault-injection campaign suites. The race package list, the fuzz
 #   targets and the benchmark packages live in the Makefile only. Nothing here times anything or writes a tracked file:
-#   performance is compared same-host with scripts/benchpair.sh.
+#   performance is compared same-host with scripts/benchpair.sh, and a
+#   change that must keep every campaign answer is compared with its base
+#   by scripts/campaigndiff.sh <base-ref> [suite...].
 #
 # Usage: scripts/check.sh [-quick]
 #   -quick skips the race pass, the fuzz pass, the benchmark smoke and the
