@@ -533,9 +533,8 @@ func (c *Controller) WriteBlock(block int64, newData []byte) error {
 		}
 	}
 	delta := c.deltaBuf
-	for i := range delta {
-		delta[i] = old[i] ^ newData[i]
-	}
+	copy(delta, old)
+	gf.XORBytes(delta, newData) // word-wise: the delta is old XOR new
 	c.writeDelta(block, delta)
 	return nil
 }

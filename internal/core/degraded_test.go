@@ -228,3 +228,61 @@ func TestBootScrubDegraded(t *testing.T) {
 		t.Fatalf("%d of %d reads after the scrub were not clean", st.Reads-st.ReadsClean, st.Reads)
 	}
 }
+
+// TestBootScrubMidMigration boots a rank whose migration stopped at band
+// 8 of 64 (cursor 256) after an outage at RBER 1e-4, with the retired
+// chip alive and with it dead. The scrub must split at the cursor:
+// striped groups below it, original-layout VLEWs above it, the retired
+// chip neither convicted nor rebuilt. It must report no failed chip, stay
+// recoverable, correct bits on both sides of the cursor, and leave every
+// block reading back.
+func TestBootScrubMidMigration(t *testing.T) {
+	for _, dead := range []bool{false, true} {
+		c := newTestController(t, 150, nil)
+		ref := fillRandom(t, c, 151)
+		const retired, bands = 2, 8
+		if dead {
+			c.Rank().FailChip(retired)
+		}
+		m, err := c.BeginMigration(retired, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < bands; i++ {
+			if err := c.MigrateBand(m.Cursor(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cur := m.Cursor(); cur != bands*c.BandBlocks() || c.Rank().Blocks()/c.BandBlocks() != 64 {
+			t.Fatalf("cursor %d of %d blocks, want band 8 of 64", cur, c.Rank().Blocks())
+		}
+		c.Rank().CloseAllRows()
+		if n := c.Rank().InjectRetentionErrors(1e-4); n == 0 {
+			t.Fatal("no retention errors injected")
+		}
+		before := c.Stats()
+		rep := c.BootScrub()
+		if rep.Unrecoverable || len(rep.ChipsFailed) != 0 || len(rep.ChipsRebuilt) != 0 {
+			t.Fatalf("dead=%v: mid-migration boot scrub: %v", dead, rep)
+		}
+		if !c.Rank().Chip(retired).Healthy() != dead {
+			t.Fatalf("dead=%v: the scrub changed the retired chip's health", dead)
+		}
+		groups := m.Cursor() / StripedBlocksPerVLEW
+		if d := c.Stats().ScrubCorrections - before.ScrubCorrections; d != rep.BitsCorrected || d == 0 {
+			t.Fatalf("dead=%v: %d bits corrected, report says %d", dead, d, rep.BitsCorrected)
+		}
+		if rep.VLEWsScrubbed <= groups {
+			t.Fatalf("dead=%v: scrubbed %d units, no original-layout VLEW beyond the %d groups", dead, rep.VLEWsScrubbed, groups)
+		}
+		for b, want := range ref {
+			got, err := readBlock(c, b)
+			if err != nil {
+				t.Fatalf("dead=%v: block %d after scrub: %v", dead, b, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("dead=%v: block %d: wrong data after scrub", dead, b)
+			}
+		}
+	}
+}

@@ -65,10 +65,14 @@ func SpanLoc(g nvram.Geometry, chip int, s int64) VLEWLoc {
 //
 // Config.ScrubWorkers sets the pass's worker-pool size (0 = GOMAXPROCS).
 //
-// A degraded rank's code slots hold striped codes, so its scrub walks the
-// striped groups instead (the degraded patrol's kernel, serially): a
-// group beyond the code makes the scrub unrecoverable, and no chip is
-// convicted or rebuilt.
+// A rank with a retired chip is split at the layout cursor. Below it the
+// code slots hold striped codes, so the scrub walks those striped groups
+// (the degraded patrol's kernel, serially); a degraded rank is all
+// groups. The spans at or above it still hold the original layout and
+// get a ScrubRebuild scan restricted to them. With a chip already
+// retired nothing is left to rebuild from, so a group or survivor VLEW
+// beyond the code, or a second dead chip, makes the scrub unrecoverable;
+// the retired chip itself is never convicted or rebuilt.
 //
 //chipkill:rankwide
 func (c *Controller) BootScrub() ScrubReport {
@@ -78,13 +82,42 @@ func (c *Controller) BootScrub() ScrubReport {
 	r := c.rank
 	rcfg := r.Config()
 	r.CloseAllRows()
+	workers := c.cfg.ScrubWorkers
+	fetchesPerVLEW := int64(rcfg.Geometry.VLEWDataBytes/rcfg.ChipAccessBytes) / int64(rcfg.DataChips)
 
-	if c.layout.Degraded() {
-		groups := c.TotalPatrolUnits()
+	if retired := c.layout.FailedChip(); retired >= 0 {
+		cursor := c.layout.Cursor()
+		groups := cursor / StripedBlocksPerVLEW
 		_, d = c.scrubStriped(0, int(groups))
 		rep.VLEWsScrubbed, rep.BitsCorrected = groups, d.ScrubCorrections
 		rep.BusBlockFetches = groups * c.stripedFetchBlocks()
-		if d.ScrubUncorrectable > 0 {
+		unrecoverable := d.ScrubUncorrectable > 0
+		if bb := c.BandBlocks(); cursor < r.Blocks() {
+			want := make([]bool, r.Blocks()/bb)
+			for s := cursor / bb; s < int64(len(want)); s++ {
+				want[s] = true
+			}
+			vlews, bits, beyond := ScrubRebuild(r, nil, -1, want, workers)
+			rep.VLEWsScrubbed += vlews
+			rep.BitsCorrected += bits
+			rep.BusBlockFetches += vlews * fetchesPerVLEW
+			d.ScrubCorrections += bits
+			d.ScrubbedVLEWs += vlews
+			failed := make([]bool, r.NumChips())
+			for ci := range failed {
+				failed[ci] = ci != retired && !r.Chip(ci).Healthy()
+			}
+			for _, loc := range beyond {
+				failed[loc.Chip] = failed[loc.Chip] || loc.Chip != retired
+			}
+			for ci, bad := range failed {
+				if bad {
+					rep.ChipsFailed = append(rep.ChipsFailed, ci)
+					unrecoverable = true
+				}
+			}
+		}
+		if unrecoverable {
 			rep.Unrecoverable = true
 			d.Uncorrectable++
 		}
@@ -99,7 +132,6 @@ func (c *Controller) BootScrub() ScrubReport {
 			dead = append(dead, ci)
 		}
 	}
-	workers := c.cfg.ScrubWorkers
 	rebuilt := -1
 	var solver *rs.ErasureSolver
 	if len(dead) == 1 {
@@ -109,7 +141,6 @@ func (c *Controller) BootScrub() ScrubReport {
 	}
 	vlews, bits, beyond := ScrubRebuild(r, solver, rebuilt, nil, workers)
 	rep.VLEWsScrubbed, rep.BitsCorrected = vlews, bits
-	fetchesPerVLEW := int64(rcfg.Geometry.VLEWDataBytes/rcfg.ChipAccessBytes) / int64(rcfg.DataChips)
 	rep.BusBlockFetches = rep.VLEWsScrubbed * fetchesPerVLEW
 	d.ScrubCorrections += rep.BitsCorrected
 	d.ScrubbedVLEWs += rep.VLEWsScrubbed
@@ -151,10 +182,12 @@ func (c *Controller) BootScrub() ScrubReport {
 // BCH-decodes every VLEW of every healthy chip of r except ci in place,
 // writing corrected contents back, and returns the VLEWs scanned, the bits
 // corrected and where each VLEW beyond the code is, in (bank, row, chip,
-// v) order (those are left as found). With ci >= 0 the same pass then
-// rebuilds chip ci's VLEWs of the spans want selects (want[s] for span s,
-// see VLEWLoc.Span; nil selects every span) from the survivors' just
-// corrected row: the caller has cleared ci with Rank.RepairChip, and
+// v) order (those are left as found). want selects spans (want[s] for
+// span s, see VLEWLoc.Span; nil selects every span). With ci < 0 the scan
+// covers only the selected spans. With ci >= 0 it covers them all, and
+// the same pass then rebuilds chip ci's VLEWs of the selected spans from
+// the survivors' just corrected row: the caller has cleared ci with
+// Rank.RepairChip, and
 // solver is ci's erasure solver (NewChipSolver). A block's slice on the
 // chip is the RS erasure solution for the chip's eight symbols — for the
 // parity chip simply the re-encoded check bytes (Sec V-B) — solved
@@ -206,6 +239,9 @@ func ScrubRebuild(r *rank.Rank, solver *rs.ErasureSolver, ci int, want []bool, w
 				for _, chip := range scan {
 					vs, datas, codes = vs[:0], datas[:0], codes[:0]
 					for v := 0; v < vpr; v++ {
+						if ci < 0 && want != nil && !want[VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)] {
+							continue
+						}
 						p.vlews++
 						data, vcode := rowData[chip*vpr+v], rowCode[chip*vpr+v]
 						r.Chip(chip).ReadVLEWInto(data, vcode, bank, row, v)

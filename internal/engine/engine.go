@@ -123,9 +123,10 @@ type Engine struct {
 	// Lock-free read support (seqlock.go). seqOK is decided once in New;
 	// when false every read takes the shard mutex as before.
 	seqOK       bool
-	fixOne      bool     // controllers accept RS corrections (threshold >= 1)
-	rsCode      *rs.Code // the shards' shared per-block RS code
-	geo         fastGeom // precomputed block→cell-offset and block→shard addressing
+	fixOne      bool         // controllers accept RS corrections (threshold >= 1)
+	rsCode      *rs.Code     // the shards' shared per-block RS code
+	geo         rank.Decoder // the rank's decoder: block→cell offset and block→bank
+	blockBytes  int
 	cells       [][]byte // per data chip backing arrays, in symbol order
 	parityCells []byte   // parity (check) chip backing array
 	parityChip  int      // rank index of the parity chip
@@ -160,7 +161,7 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 		banks:  int64(banks),
 		bpr:    int64(r.Config().BlocksPerRow()),
 		fanout: cfg.BatchFanOut,
-		geo:    newFastGeom(r.Config(), r.Blocks()),
+		geo:    *r.Decoder(),
 		ctr:    obs.NewCounters(ctrChipCorrected+r.NumChips(), obs.Stripes),
 	}
 	ctrls, err := core.NewControllers(r, cfg.Core, cfg.OMV, n)
@@ -172,10 +173,11 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 	}
 	e.rsCode, e.layout = ctrls[0].RS(), ctrls[0].Layout()
 	e.shardMask = -1
-	if e.geo.pow2 && isPow2(int64(n)) {
+	if e.geo.Pow2() && n&(n-1) == 0 {
 		e.shardMask = int64(n) - 1
 	}
 	cr := r.Config()
+	e.blockBytes = cr.BlockBytes()
 	e.seqOK = seqlockCapable && cr.ChipAccessBytes == 8
 	if e.seqOK {
 		e.fixOne = cfg.Core.Threshold >= 1
@@ -198,17 +200,16 @@ func (e *Engine) Shards() int { return len(e.shards) }
 func (e *Engine) Blocks() int64 { return e.rank.Blocks() }
 
 // BlockBytes returns the block size the demand APIs move.
-func (e *Engine) BlockBytes() int { return e.rank.Config().BlockBytes() }
+func (e *Engine) BlockBytes() int { return e.blockBytes }
 
-// shardOf maps a block to the shard owning its bank; mirrors rank.Locate.
-// In a power-of-two geometry the shard count divides the bank count, so
-// the bank's low bits are the shard and the row index's low bits are the
-// bank's.
+// shardOf maps a block to the shard owning its bank. In a power-of-two
+// geometry the shard count divides the bank count, so the bank's low bits
+// are the shard.
 func (e *Engine) shardOf(block int64) int {
 	if e.shardMask >= 0 {
-		return int(block >> e.geo.bprShift & e.shardMask)
+		return e.geo.Bank(block) & int(e.shardMask)
 	}
-	return int((block / e.bpr) % e.banks % int64(len(e.shards)))
+	return e.geo.Bank(block) % len(e.shards)
 }
 
 // ReadBlockInto reads one block into a caller-owned buffer of

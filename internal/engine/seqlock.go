@@ -28,12 +28,7 @@
 // full argument.
 package engine
 
-import (
-	"encoding/binary"
-	"math/bits"
-
-	"chipkillpm/internal/rank"
-)
+import "encoding/binary"
 
 // seqReadRetries bounds how many sequence conflicts a lock-free reader
 // absorbs before parking on the shard mutex. Conflicts need a writer in
@@ -66,70 +61,6 @@ func (s *shard) unlockWrite() {
 	s.mu.Unlock()
 }
 
-// fastGeom is the precomputed block→cell-offset addressing the lock-free
-// reader uses instead of rank.Locate (which burns integer divisions and a
-// range panic on the hot path). It mirrors Locate exactly: consecutive
-// blocks share a row, consecutive rows interleave across banks, and every
-// chip stores its 8-byte slice of a block at the same in-chip offset.
-type fastGeom struct {
-	blocks      int64 // rank capacity, for bounds gating
-	blockBytes  int
-	bpr         int64 // blocks per row
-	banks       int64
-	rowsPerBank int64
-	rowTotal    int64 // physical row stride in bytes (data + code regions)
-
-	// pow2 addressing: when both blocks-per-row and the bank count are
-	// powers of two (they are in the paper's geometry), the divisions
-	// collapse to shifts and masks.
-	pow2                bool
-	bprShift, bankShift uint
-	bprMask, bankMask   int64
-}
-
-func newFastGeom(cr rank.Config, blocks int64) fastGeom {
-	g := cr.Geometry
-	fg := fastGeom{
-		blocks:      blocks,
-		blockBytes:  cr.BlockBytes(),
-		bpr:         int64(cr.BlocksPerRow()),
-		banks:       int64(g.Banks),
-		rowsPerBank: int64(g.RowsPerBank),
-		rowTotal:    int64(g.RowTotalBytes()),
-	}
-	if isPow2(fg.bpr) && isPow2(fg.banks) {
-		fg.pow2 = true
-		fg.bprShift = uint(bits.TrailingZeros64(uint64(fg.bpr)))
-		fg.bprMask = fg.bpr - 1
-		fg.bankShift = uint(bits.TrailingZeros64(uint64(fg.banks)))
-		fg.bankMask = fg.banks - 1
-	}
-	return fg
-}
-
-func isPow2(x int64) bool { return x > 0 && x&(x-1) == 0 }
-
-// offsetOf returns the byte offset of a block's 8-byte slice within every
-// chip's cell array. Valid only for 0 <= block < blocks (the reader gates
-// on that before calling) and ChipAccessBytes == 8 (the seqOK gate).
-//
-//chipkill:seqread
-func (g *fastGeom) offsetOf(block int64) int64 {
-	var rowIdx, col, bank, row int64
-	if g.pow2 {
-		rowIdx = block >> g.bprShift
-		col = (block & g.bprMask) << 3
-		bank = rowIdx & g.bankMask
-		row = rowIdx >> g.bankShift
-	} else {
-		rowIdx = block / g.bpr
-		col = (block % g.bpr) * 8
-		bank = rowIdx % g.banks
-		row = rowIdx / g.banks
-	}
-	return (bank*g.rowsPerBank+row)*g.rowTotal + col
-}
-
 // readFast attempts one lock-free read of block into dst and reports
 // whether it served the read, and whether serving it took a one-symbol
 // RS correction. On !served the caller must take the locked path, which
@@ -149,7 +80,7 @@ func (g *fastGeom) offsetOf(block int64) int64 {
 //chipkill:noalloc
 //chipkill:seqread
 func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected bool) {
-	if block < 0 || block >= e.geo.blocks || len(dst) != e.geo.blockBytes {
+	if block < 0 || block >= e.geo.Blocks() || len(dst) != e.blockBytes {
 		return false, false
 	}
 	for tries := 0; ; tries++ {
@@ -171,7 +102,7 @@ func (e *Engine) readFast(s *shard, block int64, dst []byte) (served, corrected 
 		if s.hasDisabled.Load() || e.rank.FailedChips() != 0 || block < e.layout.Cursor() {
 			return false, false
 		}
-		off := e.geo.offsetOf(block)
+		off := e.geo.Offset(block)
 		for i := 0; i < len(e.cells); i++ {
 			binary.LittleEndian.PutUint64(dst[8*i:],
 				binary.LittleEndian.Uint64(e.cells[i][off:]))

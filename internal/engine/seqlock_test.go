@@ -189,7 +189,7 @@ func TestSeqlockTortureUnderDrift(t *testing.T) {
 // overlaps readers with writers and that checkVersioned flags what an
 // unvalidated reader returns.
 func unvalidatedRead(e *Engine, block int64, dst []byte) {
-	off := e.geo.offsetOf(block)
+	off := e.geo.Offset(block)
 	for i := range e.cells {
 		binary.LittleEndian.PutUint64(dst[8*i:], binary.LittleEndian.Uint64(e.cells[i][off:]))
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"chipkillpm/internal/guard"
 )
@@ -102,11 +103,23 @@ func (h *Harness) runGuard() {
 	g.BandsMigrated = h.stats().BandsMigrated
 }
 
+// overlapWait bounds how long the chip-kill-under-load tick loop holds
+// its first migrating tick for a worker op to overlap the migration.
+// Workers run freely between ticks, so only a rank that stays quiesced
+// (the global stall the campaign exists to catch) outlasts it.
+const overlapWait = 5 * time.Second
+
 // guardChipKillUnderLoad kills a data chip while concurrent workers keep
 // hammering disjoint block stripes, each against its own shadow copy; the
 // supervisor must detect, convict, and migrate online — the workers never
 // stop, and at least some of their traffic must overlap the migration
 // (which is what "no global quiesce" means observably).
+//
+// A migration is a few milliseconds of ticks, so the harness makes the
+// overlap a matter of the engine, not of the scheduler: every worker
+// completes an op before the chip dies, and no migrating tick runs (so
+// neither does the one that migrates the last band) until some op has
+// completed with the migration in progress, or overlapWait has passed.
 func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) {
 	e := h.eng
 	seed := campaignSeed(h.c.Name, h.c.Seed)
@@ -115,9 +128,6 @@ func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) 
 	for i := 0; i < h.c.Ops; i++ {
 		h.randomOp()
 	}
-
-	e.Quiesce(func() { h.rank.FailChip(spec.KillChip) })
-	h.rep.ChipKills++
 
 	// Workers bypass the oracle until their shadows merge, so the
 	// oracle-backed OMV cache must sit out the concurrent phase (see
@@ -133,13 +143,19 @@ func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) 
 		err        error
 	}
 	var migrating atomic.Bool
+	var overlapped atomic.Int64 // ops, across workers, that began with migrating set
 	stop := make(chan struct{})
 	results := make([]workerState, spec.Workers)
-	var wg sync.WaitGroup
+	var wg, running sync.WaitGroup
+	running.Add(spec.Workers)
 	for w := 0; w < spec.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// The first completed op releases the chip kill; so does a
+			// worker that stops before completing one.
+			var ran sync.Once
+			defer ran.Do(running.Done)
 			res := &results[w]
 			res.shadow = make(map[int64][]byte)
 			rng := rand.New(rand.NewSource(seed + int64(w)*977 + 11))
@@ -182,13 +198,27 @@ func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) 
 				}
 				if over {
 					res.overlapped++
+					overlapped.Add(1)
 				}
+				ran.Do(running.Done)
 			}
 		}(w)
 	}
 
+	running.Wait()
+	e.Quiesce(func() { h.rank.FailChip(spec.KillChip) })
+	h.rep.ChipKills++
+
+	held := false
 	for i := 0; i < 4000 && sup.State() != guard.StateDegraded && sup.State() != guard.StateWounded; i++ {
-		migrating.Store(sup.State() == guard.StateMigrating)
+		m := sup.State() == guard.StateMigrating
+		migrating.Store(m)
+		if m && !held {
+			held = true
+			for deadline := time.Now().Add(overlapWait); overlapped.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
 		if err := sup.Tick(); err != nil {
 			h.fail("guard", -1, fmt.Sprintf("tick in state %v: %v", sup.State(), err))
 			break

@@ -1,8 +1,10 @@
 package nvram
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -92,8 +94,10 @@ func (s Stats) CFactor() float64 {
 //
 //   - The bank-addressed methods (ReadDataInto, ReadVLEWInto, ReadCodeInto,
 //     WriteData, WriteXOR, WriteDataRaw, WriteVLEW, WriteVLEWRow, XORCode,
-//     OpenRow, CloseRow) may run concurrently so long as no two goroutines
-//     touch the same bank at the same time: all mutable per-bank state
+//     OpenRow, CloseRow, and the kernels ReadDataAt, WriteDataAt and
+//     WriteXORAt, whose bank is the one their Addr names) may run
+//     concurrently so long as no two goroutines touch the same bank at
+//     the same time: all mutable per-bank state
 //     (cells rows, row wear and the bank record with its counters) is
 //     disjoint across banks, so the write path needs no atomics. The
 //     sharded engine relies on this by assigning each bank to exactly one
@@ -111,15 +115,21 @@ func (s Stats) CFactor() float64 {
 type Chip struct {
 	// mu guards the *VLEW methods and the failed-read rng.
 	//chipkill:lock nvram.chip level=60
-	mu      sync.Mutex
-	geom    Geometry
-	enc     *bch.Code // VLEW encoder; nil disables in-chip encoding
-	cells   []byte    // banks x rows x RowTotalBytes
-	rng     *rand.Rand
-	failed  bool
-	banks   []bank
-	rowWear []int64           // writes per row, for wear accounting
-	stuck   map[int]stuckCell // worn-out cells: writes cannot change them
+	mu   sync.Mutex
+	geom Geometry
+	// The address arithmetic is precomputed from geom, so no access
+	// divides: rowStride is the physical row size (RowTotalBytes), and
+	// vlewShift is log2(VLEWDataBytes), or -1 when that is not a power of
+	// two (the paper's 256 B is) and a VLEW index takes a division.
+	rowStride int
+	vlewShift int
+	enc       *bch.Code // VLEW encoder; nil disables in-chip encoding
+	cells     []byte    // banks x rows x RowTotalBytes
+	rng       *rand.Rand
+	failed    bool
+	banks     []bank
+	rowWear   []int64           // writes per row, for wear accounting
+	stuck     map[int]stuckCell // worn-out cells: writes cannot change them
 	// bitErrorsInjected is only written by the quiescent injection hooks.
 	bitErrorsInjected int64
 	// failedAccesses is read by health supervisors while traffic runs.
@@ -160,6 +170,31 @@ type bank struct {
 // while the slot is empty: an armed slot covers at least one byte.
 type eurSlot struct{ lo, hi int32 }
 
+// widen arms the slot or grows it to cover [lo, hi).
+func (s *eurSlot) widen(lo, hi int32) {
+	if s.hi == 0 {
+		s.lo, s.hi = lo, hi
+		return
+	}
+	s.lo = min(s.lo, lo)
+	s.hi = max(s.hi, hi)
+}
+
+// Addr is a resolved data access: a bank, row and byte range of the row's
+// data, with the offsets the chip's kernels derive from them. The chips
+// of a rank share one geometry, so the rank resolves a lockstep access
+// once (Resolve) and hands the same Addr to every chip's kernel
+// (ReadDataAt, WriteDataAt, WriteXORAt). Only Resolve fills one in, so a
+// kernel never sees an unchecked address.
+type Addr struct {
+	bank, row int
+	off, n    int // the access covers [off, off+n) of the row's data
+	cell      int // off's index in the cell array
+	wear      int // the row's index in rowWear
+	vlew      int // the VLEW holding off, which is also its EUR slot
+	vOff      int // off within that VLEW
+}
+
 // stuckCell describes permanently faulty bits of one cell byte: the bits
 // in mask always read back as the corresponding bits of value.
 type stuckCell struct {
@@ -184,13 +219,18 @@ func NewChip(geom Geometry, enc *bch.Code, seed int64) (*Chip, error) {
 		}
 	}
 	c := &Chip{
-		geom:    geom,
-		enc:     enc,
-		cells:   make([]byte, int64(geom.Banks)*int64(geom.RowsPerBank)*int64(geom.RowTotalBytes())),
-		rng:     rand.New(rand.NewSource(seed)),
-		banks:   make([]bank, geom.Banks),
-		rowWear: make([]int64, geom.Banks*geom.RowsPerBank),
-		stuck:   make(map[int]stuckCell),
+		geom:      geom,
+		rowStride: geom.RowTotalBytes(),
+		vlewShift: -1,
+		enc:       enc,
+		cells:     make([]byte, int64(geom.Banks)*int64(geom.RowsPerBank)*int64(geom.RowTotalBytes())),
+		rng:       rand.New(rand.NewSource(seed)),
+		banks:     make([]bank, geom.Banks),
+		rowWear:   make([]int64, geom.Banks*geom.RowsPerBank),
+		stuck:     make(map[int]stuckCell),
+	}
+	if v := geom.VLEWDataBytes; v&(v-1) == 0 {
+		c.vlewShift = bits.TrailingZeros(uint(v))
 	}
 	parity := 0
 	if enc != nil {
@@ -272,15 +312,64 @@ func zeroBytes(b []byte) {
 	}
 }
 
+// rowBase returns the cell-array offset of a row, panicking on an
+// out-of-range bank or row.
 func (c *Chip) rowBase(bank, row int) int {
 	c.checkAddr(bank, row)
-	return (bank*c.geom.RowsPerBank + row) * c.geom.RowTotalBytes()
+	return (bank*c.geom.RowsPerBank + row) * c.rowStride
 }
 
 func (c *Chip) checkAddr(bank, row int) {
 	if bank < 0 || bank >= c.geom.Banks || row < 0 || row >= c.geom.RowsPerBank {
 		panic(fmt.Sprintf("nvram: address out of range: bank=%d row=%d (geometry %dx%d)",
 			bank, row, c.geom.Banks, c.geom.RowsPerBank))
+	}
+}
+
+// Resolve checks an access to the n data bytes at byte offset off of a
+// row and stores its resolution in a, for the kernels ReadDataAt,
+// WriteDataAt and WriteXORAt. Chips of the same geometry resolve an
+// access alike, so one Addr serves every chip of a rank. An out-of-range
+// bank, row or byte range panics as the bank-addressed methods do.
+//
+//chipkill:noalloc
+func (c *Chip) Resolve(a *Addr, bank, row, off, n int) {
+	c.resolve(a, bank, row, off, n, "access")
+}
+
+// resolve is Resolve with the operation named in the range panic.
+//
+//chipkill:noalloc
+func (c *Chip) resolve(a *Addr, bank, row, off, n int, op string) {
+	base := c.rowBase(bank, row)
+	if off < 0 || off+n > c.geom.RowDataBytes {
+		panic(fmt.Sprintf("nvram: %s [%d,%d) outside row data %d", op, off, off+n, c.geom.RowDataBytes))
+	}
+	a.bank, a.row, a.off, a.n = bank, row, off, n
+	a.cell, a.wear = base+off, bank*c.geom.RowsPerBank+row
+	if c.vlewShift >= 0 {
+		a.vlew, a.vOff = off>>c.vlewShift, off&(c.geom.VLEWDataBytes-1)
+	} else {
+		a.vlew, a.vOff = off/c.geom.VLEWDataBytes, off%c.geom.VLEWDataBytes
+	}
+}
+
+// span returns the access's bytes of the cell array, panicking when buf
+// is not the length the access was resolved for.
+func (c *Chip) span(a *Addr, buf []byte) []byte {
+	if len(buf) != a.n {
+		panic("nvram: buffer length differs from the resolved access")
+	}
+	return c.cells[a.cell : a.cell+a.n]
+}
+
+// xorInto XORs src into dst, which is as long. An 8-byte slice, one
+// chip's share of a block, is a single word operation.
+func xorInto(dst, src []byte) {
+	if len(src) != 8 {
+		gf.XORBytes(dst, src)
+	} else {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^binary.LittleEndian.Uint64(src))
 	}
 }
 
@@ -291,10 +380,17 @@ func (c *Chip) checkAddr(bank, row int) {
 //
 //chipkill:noalloc
 func (c *Chip) ReadDataInto(dst []byte, bank, row, off int) {
-	base := c.rowBase(bank, row)
-	if off < 0 || off+len(dst) > c.geom.RowDataBytes {
-		panic(fmt.Sprintf("nvram: data read [%d,%d) outside row data %d", off, off+len(dst), c.geom.RowDataBytes))
-	}
+	var a Addr
+	c.resolve(&a, bank, row, off, len(dst), "data read")
+	c.ReadDataAt(dst, &a)
+}
+
+// ReadDataAt is ReadDataInto's kernel: it fills dst, which must be as
+// long as the access, from a resolved address.
+//
+//chipkill:noalloc
+func (c *Chip) ReadDataAt(dst []byte, a *Addr) {
+	src := c.span(a, dst)
 	if c.failed {
 		c.failedAccesses.Add(1)
 		c.mu.Lock()
@@ -302,7 +398,7 @@ func (c *Chip) ReadDataInto(dst []byte, bank, row, off int) {
 		c.mu.Unlock()
 		return
 	}
-	copy(dst, c.cells[base+off:base+off+len(dst)])
+	copy(dst, src)
 }
 
 // WriteData overwrites data bytes conventionally (raw values on the bus).
@@ -310,30 +406,35 @@ func (c *Chip) ReadDataInto(dst []byte, bank, row, off int) {
 // affected region are updated through the in-chip encoder when present,
 // bypassing the EUR (scrub-style writes are not row-locality optimised).
 func (c *Chip) WriteData(bank, row, off int, data []byte) {
-	base := c.rowBase(bank, row)
-	if off < 0 || off+len(data) > c.geom.RowDataBytes {
-		panic(fmt.Sprintf("nvram: data write [%d,%d) outside row data %d", off, off+len(data), c.geom.RowDataBytes))
-	}
-	b := &c.banks[bank]
+	var a Addr
+	c.resolve(&a, bank, row, off, len(data), "data write")
+	c.WriteDataAt(&a, data)
+}
+
+// WriteDataAt is WriteData's kernel: it overwrites the resolved access
+// with data, which must be as long.
+//
+//chipkill:noalloc
+func (c *Chip) WriteDataAt(a *Addr, data []byte) {
+	old := c.span(a, data)
+	b := &c.banks[a.bank]
 	b.rawWrites++
 	if c.failed {
 		return
 	}
-	old := c.cells[base+off : base+off+len(data)]
 	if c.enc != nil {
 		// Update code bits from the delta before overwriting; the delta is
 		// staged in the bank's scratch (callers own the bank, per the
 		// concurrency contract) so scrub write-backs do not allocate.
 		delta := b.delta[:len(data)]
-		for i := range data {
-			delta[i] = old[i] ^ data[i]
-		}
-		c.applyCodeDelta(bank, row, off, delta, false)
+		copy(delta, old)
+		xorInto(delta, data)
+		c.encodeCodeDelta(a, delta)
 	}
 	copy(old, data)
-	c.applyStuck(base+off, len(data))
+	c.applyStuck(a.cell, len(data))
 	b.bitsWritten += int64(8 * len(data))
-	c.rowWear[bank*c.geom.RowsPerBank+row]++
+	c.rowWear[a.wear]++
 }
 
 // WriteXOR receives the bitwise sum of old and new data (the paper's
@@ -344,60 +445,64 @@ func (c *Chip) WriteData(bank, row, off int, data []byte) {
 //
 //chipkill:noalloc
 func (c *Chip) WriteXOR(bank, row, off int, delta []byte) {
-	base := c.rowBase(bank, row)
-	if off < 0 || off+len(delta) > c.geom.RowDataBytes {
-		panic(fmt.Sprintf("nvram: XOR write [%d,%d) outside row data %d", off, off+len(delta), c.geom.RowDataBytes))
+	var a Addr
+	c.resolve(&a, bank, row, off, len(delta), "XOR write")
+	c.WriteXORAt(&a, delta)
+}
+
+// WriteXORAt is WriteXOR's kernel: it applies delta, which must be as
+// long as the access, at a resolved address. For one chip's 8-byte share
+// of a block that is one word XOR into the cells and one into the open
+// row's EUR register, a slot widen, and the bank's counters.
+//
+//chipkill:noalloc
+func (c *Chip) WriteXORAt(a *Addr, delta []byte) {
+	cells := c.span(a, delta)
+	b := &c.banks[a.bank]
+	if b.openRow != a.row {
+		c.activate(a.bank, a.row)
 	}
-	c.OpenRow(bank, row)
-	b := &c.banks[bank]
 	b.dataWrites++
 	if c.failed {
 		return
 	}
-	gf.XORBytes(c.cells[base+off:base+off+len(delta)], delta)
-	c.applyStuck(base+off, len(delta))
+	xorInto(cells, delta)
+	c.applyStuck(a.cell, len(delta))
 	b.bitsWritten += int64(8 * len(delta))
-	c.rowWear[bank*c.geom.RowsPerBank+row]++
-	if c.enc != nil {
-		c.applyCodeDelta(bank, row, off, delta, true)
+	c.rowWear[a.wear]++
+	if c.enc == nil {
+		return
+	}
+	// Defer the code update: accumulate the raw data delta in the EUR and
+	// widen the touched range. One EncodeDelta over the accumulated delta
+	// at drain time equals the XOR of the per-write encodes (BCH
+	// linearity), at a fraction of the cost. The delta may span several
+	// VLEWs; off is its offset in the row's data, which is also its
+	// offset in the bank's EUR registers.
+	off, v, inOff := a.off, a.vlew, a.vOff
+	for len(delta) > 0 {
+		n := min(c.geom.VLEWDataBytes-inOff, len(delta))
+		xorInto(b.eur[off:off+n], delta[:n])
+		b.slots[v].widen(int32(inOff), int32(inOff+n))
+		delta = delta[n:]
+		off, v, inOff = off+n, v+1, 0
 	}
 }
 
-// applyCodeDelta folds a data delta into VLEW code bits, either via the
-// EUR (coalesce=true) or immediately.
+// encodeCodeDelta folds the data delta of a resolved access into its
+// VLEWs' stored code bits at once, bypassing the EUR.
 //
 //chipkill:noalloc
-func (c *Chip) applyCodeDelta(bank, row, off int, delta []byte, coalesce bool) {
-	b := &c.banks[bank]
-	// The delta may span multiple VLEWs; split on VLEW boundaries.
+func (c *Chip) encodeCodeDelta(a *Addr, delta []byte) {
+	b := &c.banks[a.bank]
+	v, inOff := a.vlew, a.vOff
 	for len(delta) > 0 {
-		v := off / c.geom.VLEWDataBytes
-		inOff := off % c.geom.VLEWDataBytes
-		n := c.geom.VLEWDataBytes - inOff
-		if n > len(delta) {
-			n = len(delta)
-		}
-		if coalesce {
-			// Defer the encode: accumulate the raw data delta and widen
-			// the touched range. One EncodeDelta over the accumulated
-			// delta at drain time equals the XOR of the per-write
-			// encodes (BCH linearity), at a fraction of the cost.
-			reg := b.eur[v*c.geom.VLEWDataBytes:]
-			gf.XORBytes(reg[inOff:inOff+n], delta[:n])
-			s := &b.slots[v]
-			if s.hi == 0 {
-				s.lo, s.hi = int32(inOff), int32(inOff+n)
-			} else {
-				s.lo = min(s.lo, int32(inOff))
-				s.hi = max(s.hi, int32(inOff+n))
-			}
-		} else {
-			c.enc.EncodeDeltaInto(b.parity, delta[:n], inOff*8)
-			gf.XORBytes(c.vlewCode(bank, row, v), b.parity)
-			b.codeWrites++
-		}
+		n := min(c.geom.VLEWDataBytes-inOff, len(delta))
+		c.enc.EncodeDeltaInto(b.parity, delta[:n], inOff*8)
+		gf.XORBytes(c.vlewCode(a.cell-a.off, v), b.parity)
+		b.codeWrites++
 		delta = delta[n:]
-		off += n
+		v, inOff = v+1, 0
 	}
 }
 
@@ -416,7 +521,7 @@ func (c *Chip) drainSlot(bank, row, v int) {
 	reg := b.eur[v*c.geom.VLEWDataBytes:]
 	if !c.failed {
 		c.enc.EncodeDeltaInto(b.parity, reg[s.lo:s.hi], int(s.lo)*8)
-		gf.XORBytes(c.vlewCode(bank, row, v), b.parity)
+		gf.XORBytes(c.vlewCode((bank*c.geom.RowsPerBank+row)*c.rowStride, v), b.parity)
 	}
 	b.codeWrites++
 	zeroBytes(reg[s.lo:s.hi])
@@ -432,9 +537,9 @@ func (c *Chip) clearSlot(bank, v int) {
 	*s = eurSlot{}
 }
 
-// vlewCode returns the stored code-bit slice for a VLEW (aliases cells).
-func (c *Chip) vlewCode(bank, row, v int) []byte {
-	base := c.rowBase(bank, row)
+// vlewCode returns the stored code-bit slice of VLEW v of the row at
+// cell offset base (aliases cells).
+func (c *Chip) vlewCode(base, v int) []byte {
 	start := base + c.geom.RowDataBytes + v*c.geom.VLEWCodeBytes
 	return c.cells[start : start+c.geom.VLEWCodeBytes]
 }
@@ -445,10 +550,18 @@ func (c *Chip) vlewCode(bank, row, v int) []byte {
 //chipkill:noalloc
 func (c *Chip) OpenRow(bank, row int) {
 	c.checkAddr(bank, row)
-	b := &c.banks[bank]
-	if b.openRow == row {
-		return
+	if c.banks[bank].openRow != row {
+		c.activate(bank, row)
 	}
+}
+
+// activate opens a row other than the bank's open one: a row miss, which
+// closes (and EUR-drains) the open row first. The caller has checked the
+// address.
+//
+//chipkill:noalloc
+func (c *Chip) activate(bank, row int) {
+	b := &c.banks[bank]
 	if b.openRow >= 0 {
 		c.CloseRow(bank)
 	}
@@ -516,7 +629,7 @@ func (c *Chip) ReadVLEWInto(data, code []byte, bank, row, v int) {
 		c.drainSlot(bank, row, v)
 	}
 	copy(data, c.cells[base+v*c.geom.VLEWDataBytes:])
-	copy(code, c.vlewCode(bank, row, v))
+	copy(code, c.vlewCode(base, v))
 }
 
 // WriteVLEW overwrites a VLEW's data and code regions directly; used by
@@ -544,7 +657,7 @@ func (c *Chip) WriteVLEW(bank, row, v int, data, code []byte) {
 	}
 	copy(c.cells[base+v*c.geom.VLEWDataBytes:], data)
 	c.applyStuck(base+v*c.geom.VLEWDataBytes, len(data))
-	copy(c.vlewCode(bank, row, v), code)
+	copy(c.vlewCode(base, v), code)
 	b.bitsWritten += int64(8 * (len(data) + len(code)))
 	c.rowWear[bank*c.geom.RowsPerBank+row]++
 }
@@ -580,7 +693,7 @@ func (c *Chip) WriteVLEWRow(bank, row int, vs []int, datas, codes [][]byte) {
 		}
 		copy(c.cells[base+v*c.geom.VLEWDataBytes:], data)
 		c.applyStuck(base+v*c.geom.VLEWDataBytes, len(data))
-		copy(c.vlewCode(bank, row, v), code)
+		copy(c.vlewCode(base, v), code)
 		b.bitsWritten += int64(8 * (len(data) + len(code)))
 		c.rowWear[bank*c.geom.RowsPerBank+row]++
 	}
@@ -639,19 +752,18 @@ func (c *Chip) applyStuck(start, n int) {
 // repurposed for rank-striped VLEWs that an individual chip cannot
 // maintain.
 func (c *Chip) WriteDataRaw(bank, row, off int, data []byte) {
-	base := c.rowBase(bank, row)
-	if off < 0 || off+len(data) > c.geom.RowDataBytes {
-		panic(fmt.Sprintf("nvram: raw write [%d,%d) outside row data %d", off, off+len(data), c.geom.RowDataBytes))
-	}
+	var a Addr
+	c.resolve(&a, bank, row, off, len(data), "raw write")
+	cells := c.span(&a, data)
 	b := &c.banks[bank]
 	b.rawWrites++
 	if c.failed {
 		return
 	}
-	copy(c.cells[base+off:], data)
-	c.applyStuck(base+off, len(data))
+	copy(cells, data)
+	c.applyStuck(a.cell, len(data))
 	b.bitsWritten += int64(8 * len(data))
-	c.rowWear[bank*c.geom.RowsPerBank+row]++
+	c.rowWear[a.wear]++
 }
 
 // XORCode XORs delta into a VLEW code slot; the degraded-mode
@@ -666,7 +778,7 @@ func (c *Chip) XORCode(bank, row, v int, delta []byte) {
 	if c.failed {
 		return
 	}
-	gf.XORBytes(c.vlewCode(bank, row, v), delta)
+	gf.XORBytes(c.vlewCode(c.rowBase(bank, row), v), delta)
 	c.banks[bank].bitsWritten += int64(8 * len(delta))
 }
 
@@ -688,7 +800,7 @@ func (c *Chip) ReadCodeInto(dst []byte, bank, row, v int) {
 		c.mu.Unlock()
 		return
 	}
-	copy(dst, c.vlewCode(bank, row, v))
+	copy(dst, c.vlewCode(c.rowBase(bank, row), v))
 }
 
 // FlipDataBit flips one stored data bit directly in the array, without
@@ -722,7 +834,7 @@ func (c *Chip) FlipCodeBit(bank, row, v, byteOff int, bit uint) {
 	if c.failed {
 		return
 	}
-	c.vlewCode(bank, row, v)[byteOff] ^= 1 << (bit % 8)
+	c.vlewCode(c.rowBase(bank, row), v)[byteOff] ^= 1 << (bit % 8)
 	c.bitErrorsInjected++
 }
 

@@ -11,6 +11,7 @@ package rank
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -87,22 +88,116 @@ type BlockLoc struct {
 // VLEW data size.
 func (l BlockLoc) VLEWIndex(vlewDataBytes int) int { return l.Col / vlewDataBytes }
 
+// Decoder is a rank's block address arithmetic, precomputed once in New.
+// Consecutive blocks share a row (giving the row-buffer locality the EUR
+// exploits), and consecutive rows interleave across banks. When both
+// blocks-per-row and the bank count are powers of two (they are in the
+// paper's geometry) a decode is shifts and masks; otherwise it divides.
+// It serves Rank.Locate, the rank's block accesses and the engine's
+// lock-free reader, which addresses the chips' cell arrays with Offset.
+type Decoder struct {
+	blocks      int64 // capacity, for range checks
+	bpr         int64 // blocks per row
+	banks       int64
+	rowsPerBank int64
+	access      int64 // ChipAccessBytes: one chip's share of a block
+	rowStride   int64 // physical row size in bytes (data and code regions)
+
+	pow2                bool
+	bprShift, bankShift uint
+	bprMask, bankMask   int64
+}
+
+func newDecoder(cfg Config) Decoder {
+	g := cfg.Geometry
+	d := Decoder{
+		bpr:         int64(cfg.BlocksPerRow()),
+		banks:       int64(g.Banks),
+		rowsPerBank: int64(g.RowsPerBank),
+		access:      int64(cfg.ChipAccessBytes),
+		rowStride:   int64(g.RowTotalBytes()),
+	}
+	d.blocks = d.banks * d.rowsPerBank * d.bpr
+	if isPow2(d.bpr) && isPow2(d.banks) {
+		d.pow2 = true
+		d.bprShift = uint(bits.TrailingZeros64(uint64(d.bpr)))
+		d.bprMask = d.bpr - 1
+		d.bankShift = uint(bits.TrailingZeros64(uint64(d.banks)))
+		d.bankMask = d.banks - 1
+	}
+	return d
+}
+
+func isPow2(x int64) bool { return x > 0 && x&(x-1) == 0 }
+
+// Blocks returns the rank's capacity in blocks.
+//
+//chipkill:seqread
+func (d *Decoder) Blocks() int64 { return d.blocks }
+
+// Pow2 reports whether decodes are shifts and masks.
+func (d *Decoder) Pow2() bool { return d.pow2 }
+
+// split decodes a block known to be in range into its bank, its row in
+// the bank, and its index among the row's blocks.
+//
+//chipkill:seqread
+func (d *Decoder) split(block int64) (bank, row, colBlock int64) {
+	if d.pow2 {
+		rowIdx := block >> d.bprShift
+		return rowIdx & d.bankMask, rowIdx >> d.bankShift, block & d.bprMask
+	}
+	rowIdx := block / d.bpr
+	return rowIdx % d.banks, rowIdx / d.banks, block % d.bpr
+}
+
+// locate decodes a block into its bank, row and column (the byte offset
+// of its slice in the row's data), panicking on a block outside the rank.
+func (d *Decoder) locate(block int64) (bank, row, col int) {
+	if block < 0 || block >= d.blocks {
+		panic(fmt.Sprintf("rank: block %d out of range [0,%d)", block, d.blocks))
+	}
+	b, r, cb := d.split(block)
+	return int(b), int(r), int(cb * d.access)
+}
+
+// Bank returns the bank holding a block. The block must be in range.
+//
+//chipkill:seqread
+func (d *Decoder) Bank(block int64) int {
+	if d.pow2 {
+		return int(block >> d.bprShift & d.bankMask)
+	}
+	return int(block / d.bpr % d.banks)
+}
+
+// Offset returns the byte offset of a block's slice within every chip's
+// cell array (the chips share one geometry). The block must be in range.
+//
+//chipkill:seqread
+func (d *Decoder) Offset(block int64) int64 {
+	bank, row, cb := d.split(block)
+	return (bank*d.rowsPerBank+row)*d.rowStride + cb*d.access
+}
+
 // Rank is a set of lockstep NVRAM chips plus a parity chip.
 //
 // Concurrency contract: the accessors Config, NumChips, ParityChipIndex,
-// Chip, Blocks and Locate are read-only after New and safe for concurrent
-// use. Block-level reads and writes may run concurrently so long as no two
-// goroutines touch the same *bank* at the same time — Locate maps each
-// block to exactly one bank across all chips, and every chip keeps its
-// per-bank state, counters included, in one record per bank (see the
-// nvram.Chip contract). nvram.Chip.ReadVLEWInto and WriteVLEW also take
-// the chip's mutex, so scrub workers may share a bank among themselves.
+// Chip, Blocks, Decoder and Locate are read-only after New and safe for
+// concurrent use. Block-level reads and writes may run concurrently so
+// long as no two goroutines touch the same *bank* at the same time —
+// Locate maps each block to exactly one bank across all chips, and every
+// chip keeps its per-bank state, counters included, in one record per
+// bank (see the nvram.Chip contract). nvram.Chip.ReadVLEWInto and
+// WriteVLEW also take the chip's mutex, so scrub workers may share a bank
+// among themselves.
 // The sharded engine partitions banks across shard locks to exploit
 // this; a plain controller that serialises all rank access trivially
 // satisfies it. Stats folds the chips' bank records and so wants the same
 // quiescence as fault-injection and maintenance methods.
 type Rank struct {
 	cfg    Config
+	dec    Decoder
 	chips  []*nvram.Chip // data chips; index 0..DataChips-1
 	parity *nvram.Chip   // index DataChips in chip-indexed APIs
 
@@ -122,7 +217,7 @@ func New(cfg Config) (*Rank, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Rank{cfg: cfg}
+	r := &Rank{cfg: cfg, dec: newDecoder(cfg)}
 	for i := 0; i < cfg.DataChips; i++ {
 		c, err := nvram.NewChip(cfg.Geometry, cfg.VLEWCode, cfg.Seed+int64(i)*7919)
 		if err != nil {
@@ -159,26 +254,25 @@ func (r *Rank) Chip(i int) *nvram.Chip {
 }
 
 // Blocks returns the rank's capacity in blocks.
-func (r *Rank) Blocks() int64 {
-	g := r.cfg.Geometry
-	return int64(g.Banks) * int64(g.RowsPerBank) * int64(r.cfg.BlocksPerRow())
+func (r *Rank) Blocks() int64 { return r.dec.blocks }
+
+// Decoder returns the rank's address decoder.
+func (r *Rank) Decoder() *Decoder { return &r.dec }
+
+// Locate decodes a block index into its bank/row/column location (see
+// Decoder).
+func (r *Rank) Locate(block int64) BlockLoc {
+	bank, row, col := r.dec.locate(block)
+	return BlockLoc{Bank: bank, Row: row, Col: col}
 }
 
-// Locate decodes a block index into its bank/row/column location.
-// Consecutive blocks share a row (giving the row-buffer locality the EUR
-// exploits), and consecutive rows interleave across banks.
-func (r *Rank) Locate(block int64) BlockLoc {
-	if block < 0 || block >= r.Blocks() {
-		panic(fmt.Sprintf("rank: block %d out of range [0,%d)", block, r.Blocks()))
-	}
-	bpr := int64(r.cfg.BlocksPerRow())
-	rowIdx := block / bpr
-	g := r.cfg.Geometry
-	return BlockLoc{
-		Bank: int(rowIdx % int64(g.Banks)),
-		Row:  int(rowIdx / int64(g.Banks)),
-		Col:  int(block%bpr) * r.cfg.ChipAccessBytes,
-	}
+// resolve decodes a block once for a lockstep access into a: every
+// chip's kernel then applies its slice there.
+//
+//chipkill:noalloc
+func (r *Rank) resolve(a *nvram.Addr, block int64) {
+	bank, row, col := r.dec.locate(block)
+	r.parity.Resolve(a, bank, row, col, r.cfg.ChipAccessBytes)
 }
 
 // ReadBlockRawInto gathers a block's 64 data bytes and 8 check bytes from
@@ -192,25 +286,29 @@ func (r *Rank) ReadBlockRawInto(block int64, data, check []byte) {
 	if len(data) != r.cfg.BlockBytes() || len(check) != n {
 		panic("rank: ReadBlockRawInto size mismatch")
 	}
-	loc := r.Locate(block)
+	var a nvram.Addr
+	r.resolve(&a, block)
 	for i, c := range r.chips {
-		c.ReadDataInto(data[i*n:(i+1)*n], loc.Bank, loc.Row, loc.Col)
+		c.ReadDataAt(data[i*n:(i+1)*n], &a)
 	}
-	r.parity.ReadDataInto(check, loc.Bank, loc.Row, loc.Col)
+	r.parity.ReadDataAt(check, &a)
 }
 
 // WriteBlockRaw writes a block and its check bytes conventionally (raw
 // values on the bus); used by scrub write-back and baselines.
+//
+//chipkill:noalloc
 func (r *Rank) WriteBlockRaw(block int64, data, check []byte) {
-	loc := r.Locate(block)
+	var a nvram.Addr
+	r.resolve(&a, block)
 	n := r.cfg.ChipAccessBytes
 	if len(data) != r.cfg.BlockBytes() || len(check) != n {
 		panic("rank: WriteBlockRaw size mismatch")
 	}
 	for i, c := range r.chips {
-		c.WriteData(loc.Bank, loc.Row, loc.Col, data[i*n:(i+1)*n])
+		c.WriteDataAt(&a, data[i*n:(i+1)*n])
 	}
-	r.parity.WriteData(loc.Bank, loc.Row, loc.Col, check)
+	r.parity.WriteDataAt(&a, check)
 }
 
 // WriteBlockXOR sends the paper's modified write request: the bitwise sum
@@ -224,15 +322,16 @@ func (r *Rank) WriteBlockRaw(block int64, data, check []byte) {
 //
 //chipkill:noalloc
 func (r *Rank) WriteBlockXOR(block int64, deltaData, deltaCheck []byte) {
-	loc := r.Locate(block)
+	var a nvram.Addr
+	r.resolve(&a, block)
 	n := r.cfg.ChipAccessBytes
 	if len(deltaData) != r.cfg.BlockBytes() || len(deltaCheck) != n {
 		panic("rank: WriteBlockXOR size mismatch")
 	}
 	for i, c := range r.chips {
-		c.WriteXOR(loc.Bank, loc.Row, loc.Col, deltaData[i*n:(i+1)*n])
+		c.WriteXORAt(&a, deltaData[i*n:(i+1)*n])
 	}
-	r.parity.WriteXOR(loc.Bank, loc.Row, loc.Col, deltaCheck)
+	r.parity.WriteXORAt(&a, deltaCheck)
 }
 
 // CloseAllRows closes every open row on every chip, draining EURs.
