@@ -216,7 +216,7 @@ func newBenchEngine(b *testing.B) *engine.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := engine.New(r, engine.Config{Core: core.DefaultConfig(), BatchFanOut: 1})
+	eng, err := engine.New(r, engine.Config{Core: core.DefaultConfig()})
 	if err != nil {
 		b.Fatal(err)
 	}

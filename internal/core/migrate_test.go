@@ -343,6 +343,7 @@ func TestTelemetryAttribution(t *testing.T) {
 	// repair for it.
 	base = c.Telemetry()
 	c.Rank().FailChip(6)
+	baseFailed := c.Rank().Chip(6).FailedAccesses()
 	if _, err := readBlock(c, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +354,8 @@ func TestTelemetryAttribution(t *testing.T) {
 	if d.Chips[6].ErasureRepairs == 0 {
 		t.Error("erasure repair not attributed to chip 6")
 	}
-	if d.Chips[6].FailedAccesses == 0 {
-		t.Error("failed accesses not surfaced for chip 6")
+	if c.Rank().Chip(6).FailedAccesses() == baseFailed {
+		t.Error("reads of failed chip 6 not counted as failed accesses")
 	}
 	for ci := range d.Chips {
 		if ci != 6 && d.Chips[ci].VLEWFailures != 0 {

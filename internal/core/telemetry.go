@@ -22,13 +22,6 @@ type ChipTelemetry struct {
 	// ErasureRepairs counts blocks whose slice on this chip was
 	// reconstructed via RS erasure after its VLEW failed.
 	ErasureRepairs int64
-	// FailedAccesses mirrors nvram.Chip's count of reads served while the
-	// chip was marked failed. It is filled at snapshot time from the chip
-	// itself (an absolute counter, not a controller-side delta); Add
-	// deliberately keeps the receiver's value instead of summing, so
-	// aggregating per-shard snapshots over the same rank does not
-	// double-count it.
-	FailedAccesses int64
 }
 
 // Telemetry is a snapshot of per-chip error attribution plus rank-level
@@ -46,22 +39,16 @@ type Telemetry struct {
 	DUEs int64
 }
 
-// Add accumulates o into t chip by chip. FailedAccesses is snapshot-level
-// (see ChipTelemetry) and is kept from the receiver, except when the
-// receiver has no chips yet (a zero-value accumulator adopting its first
-// snapshot).
+// Add accumulates o into t chip by chip; a zero-value receiver takes o's
+// chip count.
 func (t *Telemetry) Add(o Telemetry) {
-	adopt := len(t.Chips) == 0
-	if adopt {
+	if len(t.Chips) == 0 {
 		t.Chips = make([]ChipTelemetry, len(o.Chips))
 	}
 	for i := range o.Chips {
 		t.Chips[i].RSCorrections += o.Chips[i].RSCorrections
 		t.Chips[i].VLEWFailures += o.Chips[i].VLEWFailures
 		t.Chips[i].ErasureRepairs += o.Chips[i].ErasureRepairs
-		if adopt {
-			t.Chips[i].FailedAccesses = o.Chips[i].FailedAccesses
-		}
 	}
 	t.DUEs += o.DUEs
 }
@@ -76,7 +63,6 @@ func (t Telemetry) Delta(prev Telemetry) Telemetry {
 			d.Chips[i].RSCorrections -= prev.Chips[i].RSCorrections
 			d.Chips[i].VLEWFailures -= prev.Chips[i].VLEWFailures
 			d.Chips[i].ErasureRepairs -= prev.Chips[i].ErasureRepairs
-			d.Chips[i].FailedAccesses -= prev.Chips[i].FailedAccesses
 		}
 	}
 	return d
@@ -89,18 +75,12 @@ func (ct ChipTelemetry) Total() int64 {
 }
 
 // Telemetry returns a snapshot of the controller's per-chip error
-// attribution, with FailedAccesses filled from the chips' own atomic
-// counters (nvram.Chip.FailedAccesses, the one chip counter that is safe
-// to read during traffic). Same concurrency contract as Stats: safe
-// against scrubs, not against demand traffic.
+// attribution. Same concurrency contract as Stats: safe against scrubs,
+// not against demand traffic.
 func (c *Controller) Telemetry() Telemetry {
 	c.statsMu.Lock()
-	t := Telemetry{Chips: append([]ChipTelemetry(nil), c.tel.Chips...), DUEs: c.tel.DUEs}
-	c.statsMu.Unlock()
-	for i := range t.Chips {
-		t.Chips[i].FailedAccesses = c.rank.Chip(i).FailedAccesses()
-	}
-	return t
+	defer c.statsMu.Unlock()
+	return Telemetry{Chips: append([]ChipTelemetry(nil), c.tel.Chips...), DUEs: c.tel.DUEs}
 }
 
 // addVLEWFailure publishes one VLEW decode failure of chip ci under the

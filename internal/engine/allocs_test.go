@@ -19,7 +19,7 @@ import (
 // lock-free path corrects. The locked fallback runs
 // core.Controller.ReadBlockInto, which core's own alloc pin covers.
 func TestReadAllocsZero(t *testing.T) {
-	e := testEngine(t, 0, 1) // fan-out 1: batches stay on the caller
+	e := testEngine(t, 0)
 	populate(t, e)
 	dst := make([]byte, e.BlockBytes())
 	var b int64
@@ -52,7 +52,7 @@ func TestReadAllocsZero(t *testing.T) {
 	// needs a one-symbol fix, which the lock-free path applies in place.
 	// A first pass finds the blocks it corrects; wider patterns take the
 	// locked decoder, whose corrected read TestWriteAllocsZero pins.
-	drift := testEngine(t, 0, 1)
+	drift := testEngine(t, 0)
 	populate(t, drift)
 	drift.Quiesce(func() { drift.rank.InjectRetentionErrors(2e-4) })
 	var fixed []int64
@@ -104,7 +104,7 @@ func (s *shadowOMV) OMV(block int64) ([]byte, bool) {
 func TestWriteAllocsZero(t *testing.T) {
 	// OMV-miss variant: the default NoOMV provider makes every write fetch
 	// its old value from memory first.
-	e := testEngine(t, 0, 1)
+	e := testEngine(t, 0)
 	populate(t, e)
 	buf := make([]byte, e.BlockBytes())
 	blocks := e.Blocks()
@@ -168,7 +168,7 @@ func TestWriteAllocsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &shadowOMV{}
-	e2, err := New(r2, Config{Core: core.DefaultConfig(), OMV: sh, BatchFanOut: 1})
+	e2, err := New(r2, Config{Core: core.DefaultConfig(), OMV: sh})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Batch APIs. A batch is grouped by owning shard, then each shard's group
 // executes as one critical section — one lock handoff amortised over the
@@ -14,10 +9,9 @@ import (
 // row-sorted first (so same-row writes coalesce in the EUR registers)
 // but same-block writes — which share a row by construction — still
 // apply their later slice entry last. Across shards there is no
-// ordering, matching real bank-level parallelism. Groups fan out across goroutines only when more than one
-// shard is involved and the fan-out cap allows it; otherwise they run
-// inline on the caller, which keeps the single-threaded batch path
-// allocation-free.
+// ordering, matching real bank-level parallelism. The groups run in
+// shard order on the caller's goroutine, which keeps the batch path
+// allocation-free; concurrent callers supply the parallelism.
 
 type batchOp uint8
 
@@ -46,31 +40,11 @@ func (e *Engine) putPlan(p *plan) {
 }
 
 // groupByShard fills the plan's per-shard index groups for blocks.
-func (e *Engine) groupByShard(p *plan, blocks []int64) (nonEmpty int) {
+func (e *Engine) groupByShard(p *plan, blocks []int64) {
 	for i, b := range blocks {
 		s := e.shardOf(b)
-		if len(p.groups[s]) == 0 {
-			nonEmpty++
-		}
 		p.groups[s] = append(p.groups[s], int32(i))
 	}
-	return nonEmpty
-}
-
-// batchFanOut decides how many goroutines a batch spanning nonEmpty shard
-// groups may use.
-func (e *Engine) batchFanOut(nonEmpty int) int {
-	limit := e.fanout
-	if limit == 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if limit > nonEmpty {
-		limit = nonEmpty
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	return limit
 }
 
 // ReadBlocks reads blocks[i] into into[i] for every i, preserving
@@ -101,8 +75,7 @@ func (e *Engine) WriteBlocks(blocks []int64, data [][]byte, errs []error) int {
 // validation window) with a per-op locked fallback; writes open one
 // writer section for the whole group — one mutex handoff and one pair of
 // sequence bumps amortised over every write in the group, pipelining the
-// row-close EUR drains behind a single reader stand-down window. It is
-// the fan-out=1 inline path, so the read side stays allocation-free.
+// row-close EUR drains behind a single reader stand-down window.
 //
 //chipkill:noalloc
 func (e *Engine) runGroup(op batchOp, s *shard, idx []int32, blocks []int64, bufs [][]byte, errs []error) int {
@@ -175,40 +148,19 @@ func (e *Engine) sortGroupByRow(idx []int32, blocks []int64) {
 }
 
 // runBatch groups the batch by shard and executes each group as one
-// critical section, fanning groups across goroutines when it helps.
+// critical section, in shard order on the caller's goroutine.
 func (e *Engine) runBatch(op batchOp, blocks []int64, bufs [][]byte, errs []error) int {
 	if len(blocks) == 0 {
 		return 0
 	}
 	p := e.getPlan()
 	defer e.putPlan(p)
-	nonEmpty := e.groupByShard(p, blocks)
-
-	if e.batchFanOut(nonEmpty) == 1 {
-		fails := 0
-		for si, idx := range p.groups {
-			if len(idx) == 0 {
-				continue
-			}
+	e.groupByShard(p, blocks)
+	fails := 0
+	for si, idx := range p.groups {
+		if len(idx) != 0 {
 			fails += e.runGroup(op, e.shards[si], idx, blocks, bufs, errs)
 		}
-		return fails
 	}
-
-	var wg sync.WaitGroup
-	var fails int64
-	for si, idx := range p.groups {
-		if len(idx) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int, idx []int32) {
-			defer wg.Done()
-			if n := e.runGroup(op, e.shards[si], idx, blocks, bufs, errs); n != 0 {
-				atomic.AddInt64(&fails, int64(n))
-			}
-		}(si, idx)
-	}
-	wg.Wait()
-	return int(fails)
+	return fails
 }

@@ -49,11 +49,6 @@ type Config struct {
 	// shards run concurrently, a non-nil provider must itself be safe for
 	// concurrent use. nil means every write fetches its OMV from memory.
 	OMV core.OMVProvider
-	// BatchFanOut bounds the goroutines a batch call may use across shard
-	// groups: 0 means min(GOMAXPROCS, shards), 1 forces inline execution
-	// (still batched per shard, just on the caller's goroutine), larger
-	// values cap the fan-out.
-	BatchFanOut int
 }
 
 type shard struct {
@@ -113,7 +108,6 @@ type Engine struct {
 	shards   []*shard
 	banks    int64
 	bpr      int64 // blocks per row
-	fanout   int   // batch fan-out cap from Config; 0 = auto
 	planPool sync.Pool
 
 	// shardMask is Shards()-1 when blocks-per-row, banks and shards are
@@ -153,16 +147,12 @@ func New(r *rank.Rank, cfg Config) (*Engine, error) {
 	if n == 0 || n > banks {
 		n = banks
 	}
-	if cfg.BatchFanOut < 0 {
-		return nil, fmt.Errorf("engine: batch fan-out %d must be >= 0", cfg.BatchFanOut)
-	}
 	e := &Engine{
-		rank:   r,
-		banks:  int64(banks),
-		bpr:    int64(r.Config().BlocksPerRow()),
-		fanout: cfg.BatchFanOut,
-		geo:    *r.Decoder(),
-		ctr:    obs.NewCounters(ctrChipCorrected+r.NumChips(), obs.Stripes),
+		rank:  r,
+		banks: int64(banks),
+		bpr:   int64(r.Config().BlocksPerRow()),
+		geo:   *r.Decoder(),
+		ctr:   obs.NewCounters(ctrChipCorrected+r.NumChips(), obs.Stripes),
 	}
 	ctrls, err := core.NewControllers(r, cfg.Core, cfg.OMV, n)
 	if err != nil {

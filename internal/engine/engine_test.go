@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,13 +13,13 @@ import (
 	"chipkillpm/internal/rank"
 )
 
-func testEngine(t testing.TB, shards, fanout int) *Engine {
+func testEngine(t testing.TB, shards int) *Engine {
 	t.Helper()
 	r, err := rank.New(rank.PaperConfig(4, 8, 1024, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(r, Config{Shards: shards, Core: core.DefaultConfig(), BatchFanOut: fanout})
+	e, err := New(r, Config{Shards: shards, Core: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func populate(t testing.TB, e *Engine) {
 }
 
 func TestShardOfPartitionsBanks(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	if e.Shards() != 4 {
 		t.Fatalf("default shards = %d, want 4 (one per bank)", e.Shards())
 	}
@@ -62,13 +63,13 @@ func TestShardOfPartitionsBanks(t *testing.T) {
 		}
 	}
 	// Clamping: more shards than banks collapses to one per bank.
-	if e2 := testEngine(t, 64, 0); e2.Shards() != 4 {
+	if e2 := testEngine(t, 64); e2.Shards() != 4 {
 		t.Fatalf("shards clamped to %d, want 4", e2.Shards())
 	}
 }
 
 func TestSingleOpRoundTrip(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	want := make([]byte, e.BlockBytes())
 	got := make([]byte, e.BlockBytes())
@@ -93,7 +94,7 @@ func TestSingleOpRoundTrip(t *testing.T) {
 }
 
 func TestBatchRoundTripAndOrdering(t *testing.T) {
-	e := testEngine(t, 0, 2)
+	e := testEngine(t, 0)
 	populate(t, e)
 	const n = 96
 	blocks := make([]int64, n)
@@ -144,7 +145,7 @@ func firstErr(errs []error) error {
 }
 
 func TestBatchErrorReporting(t *testing.T) {
-	e := testEngine(t, 0, 1)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.DisableBlock(5)
 	if !e.BlockDisabled(5) {
@@ -169,12 +170,126 @@ func TestBatchErrorReporting(t *testing.T) {
 	}
 }
 
+// twinOMV is a shadow-backed OMVProvider that hits for two blocks in
+// three and misses for the rest, so one write stream exercises both
+// write paths. The hit decision is a function of the block, not of the
+// order writes arrive in, so a batch and its one-at-a-time replay draw
+// the same decisions.
+type twinOMV struct {
+	buf []byte
+	bb  int64
+}
+
+func (s *twinOMV) OMV(block int64) ([]byte, bool) {
+	if block%3 == 0 {
+		return nil, false
+	}
+	return s.buf[block*s.bb : (block+1)*s.bb], true
+}
+
+// TestWriteBlocksMatchesWriteBlock pins the batched write path against
+// the per-op one: the same writes, issued through WriteBlocks on one rank
+// and one at a time through WriteBlock on an identically seeded, equally
+// drifted twin, must leave equal Stats and Telemetry, equal cells and
+// VLEW codes on every chip once the rows are closed, and the same
+// read-back. Each batch names a block at most once; its shard groups run
+// row-sorted, the replay runs in slice order.
+func TestWriteBlocksMatchesWriteBlock(t *testing.T) {
+	twin := func() (*Engine, *twinOMV) {
+		r, err := rank.New(rank.PaperConfig(4, 8, 1024, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		omv := &twinOMV{}
+		e, err := New(r, Config{Core: core.DefaultConfig(), OMV: omv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate(t, e)
+		omv.bb = int64(e.BlockBytes())
+		omv.buf = make([]byte, e.Blocks()*omv.bb)
+		for b := int64(0); b < e.Blocks(); b++ {
+			fillBlock(omv.buf[b*omv.bb:(b+1)*omv.bb], b, 0)
+		}
+		e.Quiesce(func() { r.InjectRetentionErrors(2e-4) })
+		return e, omv
+	}
+	batched, bomv := twin()
+	serial, somv := twin()
+
+	const batches, n = 24, 48
+	rng := rand.New(rand.NewSource(5))
+	blocks := make([]int64, n)
+	bufs := make([][]byte, n)
+	errs := make([]error, n)
+	for i := range bufs {
+		bufs[i] = make([]byte, batched.BlockBytes())
+	}
+	for k := 1; k <= batches; k++ {
+		for i, p := range rng.Perm(int(batched.Blocks()))[:n] {
+			blocks[i] = int64(p)
+			fillBlock(bufs[i], blocks[i], k)
+		}
+		if fails := batched.WriteBlocks(blocks, bufs, errs); fails != 0 {
+			t.Fatalf("batch %d: %d writes failed, first: %v", k, fails, firstErr(errs))
+		}
+		for i, b := range blocks {
+			if err := serial.WriteBlock(b, bufs[i]); err != nil {
+				t.Fatalf("batch %d: serial write of block %d: %v", k, b, err)
+			}
+			copy(somv.buf[b*somv.bb:(b+1)*somv.bb], bufs[i])
+			copy(bomv.buf[b*bomv.bb:(b+1)*bomv.bb], bufs[i])
+		}
+	}
+	if st := serial.Stats(); st.OMVHits == 0 || st.OMVMisses == 0 || st.ReadsRSCorrected == 0 {
+		t.Fatalf("writes missed a path (OMV hit, OMV miss, corrected old value): %+v", st)
+	}
+
+	if bs, ss := batched.Stats(), serial.Stats(); bs != ss {
+		t.Fatalf("Stats differ\nbatched %+v\nserial  %+v", bs, ss)
+	}
+	if bt, st := batched.Telemetry(), serial.Telemetry(); !reflect.DeepEqual(bt, st) {
+		t.Fatalf("Telemetry differs\nbatched %+v\nserial  %+v", bt, st)
+	}
+	batched.Rank().CloseAllRows()
+	serial.Rank().CloseAllRows()
+	g := batched.Rank().Config().Geometry
+	bcode, scode := make([]byte, g.VLEWCodeBytes), make([]byte, g.VLEWCodeBytes)
+	for ci := 0; ci < batched.Rank().NumChips(); ci++ {
+		bc, sc := batched.Rank().Chip(ci), serial.Rank().Chip(ci)
+		if !bytes.Equal(bc.CellArray(), sc.CellArray()) {
+			t.Fatalf("chip %d: cells differ", ci)
+		}
+		for bank := 0; bank < g.Banks; bank++ {
+			for row := 0; row < g.RowsPerBank; row++ {
+				for v := 0; v < g.VLEWsPerRow(); v++ {
+					bc.ReadCodeInto(bcode, bank, row, v)
+					sc.ReadCodeInto(scode, bank, row, v)
+					if !bytes.Equal(bcode, scode) {
+						t.Fatalf("chip %d bank %d row %d VLEW %d: codes differ", ci, bank, row, v)
+					}
+				}
+			}
+		}
+	}
+	got, want := make([]byte, batched.BlockBytes()), make([]byte, serial.BlockBytes())
+	for b := int64(0); b < batched.Blocks(); b++ {
+		berr, serr := batched.ReadBlockInto(b, got), serial.ReadBlockInto(b, want)
+		if berr != nil || serr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("block %d: batched (%v) and serial (%v) read-backs differ", b, berr, serr)
+		}
+		if !bytes.Equal(want, somv.buf[b*somv.bb:(b+1)*somv.bb]) {
+			t.Fatalf("block %d: read-back is not the last write", b)
+		}
+	}
+}
+
 // TestConcurrentShadow drives concurrent readers and writers across all
 // shards with per-goroutine shadow copies (each goroutine owns a disjoint
 // stripe of blocks, so its shadow is authoritative), plus a concurrent
 // Stats poller — the -race workout for the revised concurrency contracts.
 func TestConcurrentShadow(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	const (
 		workers = 8
@@ -274,7 +389,7 @@ func TestConcurrentShadow(t *testing.T) {
 }
 
 func TestStatsAggregateAcrossShards(t *testing.T) {
-	e := testEngine(t, 0, 1)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.ResetStats()
 	buf := make([]byte, e.BlockBytes())
@@ -297,7 +412,7 @@ func TestStatsAggregateAcrossShards(t *testing.T) {
 }
 
 func TestBootScrubAndQuiesce(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.Quiesce(func() {
 		e.rank.InjectRetentionErrors(1e-5)
@@ -324,7 +439,7 @@ func TestBootScrubAndQuiesce(t *testing.T) {
 }
 
 func TestEnterDegradedModeAllShards(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	const failed = 3
 	e.Quiesce(func() {
@@ -410,7 +525,7 @@ func TestShardOfMatchesLocate(t *testing.T) {
 func TestConcurrentReadCountsExact(t *testing.T) {
 	const g = 8
 	for _, rber := range []float64{0, 2e-4} {
-		e := testEngine(t, 0, 0)
+		e := testEngine(t, 0)
 		populate(t, e)
 		if rber > 0 {
 			e.Quiesce(func() { e.rank.InjectRetentionErrors(rber) })

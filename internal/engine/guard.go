@@ -12,9 +12,7 @@ import (
 // Telemetry aggregates every shard's per-chip error telemetry. Like
 // Stats, each shard is snapshotted under its own lock: safe concurrently
 // with demand traffic, consistent per shard, not a single rank-wide
-// instant. Chip-level FailedAccesses counters are absolute (every shard
-// reads the same chips), so they are adopted once rather than summed.
-// Symbols the lock-free path corrected are added to their chips'
+// instant. Symbols the lock-free path corrected are added to their chips'
 // RSCorrections, exactly where the controller would have counted them.
 func (e *Engine) Telemetry() core.Telemetry {
 	var total core.Telemetry

@@ -16,7 +16,7 @@ import (
 // per-worker shadows) while one migrator goroutine walks the rank band by
 // band — no global quiesce between chip kill and completion.
 func TestOnlineMigrationUnderLoad(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	const failed = 2
 	e.Quiesce(func() { e.rank.FailChip(failed) })
@@ -104,7 +104,7 @@ func TestOnlineMigrationUnderLoad(t *testing.T) {
 // counting past the failed chip, at code slot s/8.
 func TestDegradedEntryMatchesReference(t *testing.T) {
 	const failed = 4
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.Quiesce(func() { e.rank.FailChip(failed) })
 	if err := e.EnterDegradedMode(failed); err != nil {
@@ -147,7 +147,7 @@ func TestDegradedEntryMatchesReference(t *testing.T) {
 // while workers keep verifying their shadows, and the patrol's batched
 // counters must stay visible to a concurrent Stats poller.
 func TestPatrolScrubConcurrentWithDemand(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.Quiesce(func() { e.rank.InjectRetentionErrors(5e-6) })
 
@@ -240,7 +240,7 @@ func TestPatrolScrubConcurrentWithDemand(t *testing.T) {
 // groups through the engine and covers the whole (smaller) position
 // space.
 func TestEnginePatrolDegraded(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	const failed = 1
 	e.Quiesce(func() { e.rank.FailChip(failed) })
@@ -274,11 +274,12 @@ func TestEnginePatrolDegraded(t *testing.T) {
 // TestEngineTelemetryAttribution checks that chip-kill fallbacks feed the
 // aggregated telemetry the supervisor watches.
 func TestEngineTelemetryAttribution(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	base := e.Telemetry()
 	const failed = 5
 	e.Quiesce(func() { e.rank.FailChip(failed) })
+	baseFailed := e.rank.Chip(failed).FailedAccesses()
 	buf := make([]byte, e.BlockBytes())
 	for b := int64(0); b < 64; b++ {
 		if err := e.ReadBlockInto(b*e.bpr%e.Blocks(), buf); err != nil {
@@ -289,8 +290,8 @@ func TestEngineTelemetryAttribution(t *testing.T) {
 	if d.Chips[failed].VLEWFailures == 0 || d.Chips[failed].ErasureRepairs == 0 {
 		t.Fatalf("chip %d telemetry not attributed: %+v", failed, d.Chips[failed])
 	}
-	if d.Chips[failed].FailedAccesses == 0 {
-		t.Fatal("failed accesses not surfaced in engine telemetry")
+	if e.rank.Chip(failed).FailedAccesses() == baseFailed {
+		t.Fatal("reads of the failed chip not counted as failed accesses")
 	}
 	for ci := range d.Chips {
 		if ci != failed && d.Chips[ci].VLEWFailures != 0 {
@@ -310,7 +311,7 @@ func TestEngineTelemetryAttribution(t *testing.T) {
 // back corrected with nothing written back, and the read declines a word
 // beyond the code, a failed chip, and any chip once a migration starts.
 func TestReadVLEWInto(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	g := e.rank.Config().Geometry
 	const bank, row, v = 1, 2, 1

@@ -111,7 +111,7 @@ func torture(e *Engine, hot int64, read func(block int64, dst []byte) error) err
 // version in full, never a tear. Under -race the same workload runs
 // through the locked path and the detector audits the fallback story.
 func TestSeqlockTorture(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	if err := torture(e, e.Blocks(), e.ReadBlockInto); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestSeqlockTorture(t *testing.T) {
 // revalidation removed then shows the harness really produces tears the
 // checker flags.
 func TestSeqlockTortureUnderDrift(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.Quiesce(func() { e.rank.InjectRetentionErrors(2e-4) })
 	if err := torture(e, 256, e.ReadBlockInto); err != nil {
@@ -163,7 +163,7 @@ func TestSeqlockTortureUnderDrift(t *testing.T) {
 	}
 	// A clean rank, so that anything the broken reader serves wrong is a
 	// tear rather than a multi-symbol drift pattern it did not correct.
-	clean := testEngine(t, 0, 0)
+	clean := testEngine(t, 0)
 	populate(t, clean)
 	broken := func(block int64, dst []byte) error {
 		unvalidatedRead(clean, block, dst)
@@ -207,7 +207,7 @@ func unvalidatedRead(e *Engine, block int64, dst []byte) {
 // which zeroes Stats on both sides and leaves the lifetime per-chip counts
 // alone on both.
 func TestFastCorrectionsFoldLikeLocked(t *testing.T) {
-	fast := testEngine(t, 0, 0)
+	fast := testEngine(t, 0)
 	populate(t, fast)
 	fast.Quiesce(func() { fast.rank.InjectRetentionErrors(2e-4) })
 	r, err := rank.New(rank.PaperConfig(4, 8, 1024, 7))
@@ -281,7 +281,7 @@ func TestFastCorrectionsFoldLikeLocked(t *testing.T) {
 // must bow out rather than gather a failed chip's stale cells or a
 // band's half-moved layout.
 func TestSeqlockTortureDuringMigration(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	const failed = 1
 	e.Quiesce(func() { e.rank.FailChip(failed) })
@@ -352,7 +352,7 @@ func TestSeqlockTortureDuringMigration(t *testing.T) {
 // writer section, so no reader may return pre-flip bytes under the post-flip
 // layout (or vice versa — any committed version, whole, is the bar).
 func TestSeqlockDegradedEntryUnderReads(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.Quiesce(func() { e.rank.FailChip(2) })
 	enterDegradedUnderReads(t, e, 2)
@@ -364,7 +364,7 @@ func TestSeqlockDegradedEntryUnderReads(t *testing.T) {
 // over them, so reads during the entry and a sweep of every block after
 // it return the populated data.
 func TestSeqlockDegradedEntryOverDrift(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	e.Quiesce(func() {
 		e.rank.InjectRetentionErrors(2e-4)
@@ -437,7 +437,7 @@ func enterDegradedUnderReads(t *testing.T, e *Engine, chip int) {
 // sequence — it counts a fallback and parks on the mutex, completing as
 // soon as the writer leaves.
 func TestSeqlockReaderFallbackBound(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	if !e.SeqlockEnabled() {
 		t.Skip("seqlock path disabled in this build (race detector)")
@@ -483,7 +483,7 @@ func TestSeqlockReaderFallbackBound(t *testing.T) {
 // serves every clean read — the perf claim depends on the gates standing
 // down only when they must.
 func TestSeqlockServesCleanReads(t *testing.T) {
-	e := testEngine(t, 0, 0)
+	e := testEngine(t, 0)
 	populate(t, e)
 	if !e.SeqlockEnabled() {
 		t.Skip("seqlock path disabled in this build (race detector)")

@@ -28,12 +28,6 @@ type PerfOptions struct {
 	Seed         int64
 }
 
-// DefaultPerf returns the budget used by cmd/experiments; tests use a
-// smaller one.
-func DefaultPerf() PerfOptions {
-	return PerfOptions{Instructions: 2_000_000, Warmup: 600_000, Seed: 7}
-}
-
 // RunComparisons executes the paper's three-pass evaluation for every
 // workload under one NVRAM technology (Figs 16/17, with Figs 10, 14, 15
 // and 18 as by-products).

@@ -51,10 +51,6 @@ type Config struct {
 	Banks, RowsPerBank, RowBytes int
 	// Seed feeds per-rank chip randomness and the guard probe streams.
 	Seed int64
-	// Shards is the engine shard count per rank (0 = one per bank).
-	Shards int
-	// Threshold is the runtime RS acceptance threshold (<= 0 = paper's 2).
-	Threshold int
 	// ReplicaBands reserves that many trailing bands of every rank as the
 	// replica pool; they are invisible to the fleet block space. Default
 	// a quarter of the rank's bands, minimum 1.
@@ -74,13 +70,6 @@ type Config struct {
 	// seeds are mixed in); the Repair hook is owned by the fleet and must
 	// be left nil.
 	Guard guard.Config
-	// RepairBandHook, when non-nil, is called once per primary band of a
-	// data-chip repair, in band order, after the band is copied from its
-	// replica or queued for the erasure pass that follows the walk;
-	// bandsDone counts the bands walked (fault campaigns use it to kill
-	// the replica rank mid-repair). It runs inside the repaired rank's
-	// quiesce.
-	RepairBandHook func(rank, bandsDone int)
 }
 
 func (c Config) withDefaults() Config {
@@ -95,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RowBytes == 0 {
 		c.RowBytes = 1024
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 2
 	}
 	if c.ReplicatePerTick == 0 {
 		c.ReplicatePerTick = 2
@@ -188,6 +174,10 @@ type Fleet struct {
 	poolMu sync.Mutex
 
 	verifyCursor int64 // anti-entropy round-robin position (tick-owned)
+
+	// repairBandHook, when non-nil, is called once per primary band of a
+	// data-chip repair (see SetRepairBandHook).
+	repairBandHook func(rank, bandsDone int)
 
 	// repMu guards the repair history appended by RepairChip.
 	//chipkill:lock fleet.repairs level=41
@@ -283,10 +273,7 @@ func newFromParts(cfg Config, ranks []*rank.Rank, regions []*guard.Region) (*Fle
 	f.heat = obs.NewCounters(len(f.bands), heatStripes)
 
 	for i, r := range ranks {
-		eng, err := engine.New(r, engine.Config{
-			Shards: cfg.Shards,
-			Core:   core.Config{Threshold: cfg.Threshold},
-		})
+		eng, err := engine.New(r, engine.Config{Core: core.DefaultConfig()})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: rank %d engine: %w", i, err)
 		}
@@ -352,10 +339,14 @@ func (f *Fleet) Region(i int) *guard.Region { return f.ranks[i].region }
 func (f *Fleet) RankKilled(i int) bool { return f.ranks[i].killed.Load() }
 
 // SetRepairBandHook installs (or clears) the per-band chip-repair
-// progress hook after construction — fault harnesses use it to land
-// faults mid-repair. Set it before the repair starts; it is invoked on
-// the supervision goroutine inside the repairing rank's quiesce.
-func (f *Fleet) SetRepairBandHook(fn func(rank, bandsDone int)) { f.cfg.RepairBandHook = fn }
+// progress hook. When non-nil, it is called once per primary band of a
+// data-chip repair, in band order, after the band is copied from its
+// replica or queued for the erasure pass that follows the walk;
+// bandsDone counts the bands walked (fault campaigns use it to kill the
+// replica rank mid-repair). Set it before the repair starts; it is
+// invoked on the supervision goroutine inside the repaired rank's
+// quiesce.
+func (f *Fleet) SetRepairBandHook(fn func(rank, bandsDone int)) { f.repairBandHook = fn }
 
 // RankOf returns the rank serving a fleet block's primary copy.
 func (f *Fleet) RankOf(block int64) int {

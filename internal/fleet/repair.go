@@ -173,8 +173,9 @@ func (f *Fleet) repairChip(n *node, solver *rs.ErasureSolver, rep *RepairReport)
 // band with a live replica from it and marking every other band in
 // erasure, as well as the whole replica pool: the pool holds other
 // bands' mirrors, which the anti-entropy sweep can re-verify against
-// their primaries. RepairBandHook fires once per primary band, after the
-// band is copied or marked; the marked bands are rebuilt after the walk.
+// their primaries. The repair-band hook fires once per primary band,
+// after the band is copied or marked; the marked bands are rebuilt after
+// the walk.
 //
 //chipkill:holds engine.rank
 func (f *Fleet) repairDataChip(n *node, rep *RepairReport, erasure []bool) {
@@ -182,14 +183,14 @@ func (f *Fleet) repairDataChip(n *node, rep *RepairReport, erasure []bool) {
 	data, code := make([]byte, g.VLEWDataBytes), make([]byte, g.VLEWCodeBytes)
 	for band := int64(0); band < f.primary; band++ {
 		erasure[band] = !f.repairBandFromReplica(n, band, data, code, rep)
-		if f.cfg.RepairBandHook != nil {
+		if f.repairBandHook != nil {
 			// The campaign hooks registered here kill *other* ranks
 			// mid-repair, quiescing a different engine instance than the
 			// one this repair holds; the instance-blind lock model cannot
 			// see the distinction. The single supervision goroutine never
 			// re-enters this rank's own quiesce.
 			//chipkill:allow lockorder hook quiesces a different rank's engine, never this one's
-			f.cfg.RepairBandHook(n.idx, int(band)+1)
+			f.repairBandHook(n.idx, int(band)+1)
 		}
 	}
 	for band := f.primary; band < int64(len(erasure)); band++ {

@@ -40,18 +40,6 @@ func (f *Field) PolyAdd(p, q Poly) Poly {
 	return PolyTrim(r)
 }
 
-// PolyScale returns c * p over f.
-func (f *Field) PolyScale(p Poly, c Elem) Poly {
-	if c == 0 {
-		return nil
-	}
-	r := make(Poly, len(p))
-	for i, a := range p {
-		r[i] = f.Mul(a, c)
-	}
-	return PolyTrim(r)
-}
-
 // PolyMul returns p * q over f.
 func (f *Field) PolyMul(p, q Poly) Poly {
 	dp, dq := PolyDeg(p), PolyDeg(q)

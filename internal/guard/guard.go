@@ -49,35 +49,40 @@ func (s State) String() string {
 	}
 }
 
-// Config tunes the supervisor. Zero values take the documented defaults.
-type Config struct {
-	// SuspectThreshold is the decayed per-chip VLEW-failure rate that
-	// raises suspicion. Default 1: a single failed VLEW decode is worth
-	// probing — probes are cheap and reversible.
-	SuspectThreshold float64
-	// Decay is the per-tick multiplier of the per-chip rate windows
-	// (exponential decay, so old noise fades). Default 0.5.
-	Decay float64
-	// ProbeVLEWs is how many randomly placed VLEWs of the suspect chip
-	// one probe round decodes. Default 8.
-	ProbeVLEWs int
-	// ProbeRounds is how many consecutive failing rounds convict the
-	// chip. Default 3.
-	ProbeRounds int
-	// BackoffTicks is the wait before the first retry round; it doubles
+// The supervisor's policy: HARP-style online suspicion and bounded
+// retry-with-backoff probing (DESIGN.md §10).
+const (
+	// suspectThreshold is the decayed per-chip VLEW-failure rate that
+	// raises suspicion: a single failed VLEW decode is worth probing —
+	// probes are cheap and reversible.
+	suspectThreshold = 1.0
+	// decay is the per-tick multiplier of the per-chip rate windows
+	// (exponential decay, so old noise fades).
+	decay = 0.5
+	// probeVLEWs is how many randomly placed VLEWs of the suspect chip
+	// one probe round decodes.
+	probeVLEWs = 8
+	// probeRounds is how many consecutive failing rounds convict the
+	// chip.
+	probeRounds = 3
+	// backoffTicks is the wait before the first retry round; it doubles
 	// after every failing round (bounded retry-with-backoff, so a
-	// transient storm gets time to pass before the verdict). Default 1.
-	BackoffTicks int
-	// SuspectClearRounds is how many consecutive passing rounds return
-	// the chip to good standing. Default 2.
-	SuspectClearRounds int
-	// PatrolUnits is the patrol-scrub increment driven per tick between
-	// demand batches. Default 64; negative disables patrol.
-	PatrolUnits int
-	// BandsPerTick bounds how many bands one migrating tick rewrites, so
+	// transient storm gets time to pass before the verdict).
+	backoffTicks = 1
+	// suspectClearRounds is how many consecutive passing rounds return
+	// the chip to good standing.
+	suspectClearRounds = 2
+	// patrolUnits is the patrol-scrub increment driven per tick between
+	// demand batches.
+	patrolUnits = 64
+	// bandsPerTick bounds how many bands one migrating tick rewrites, so
 	// migration shares the rank with demand traffic instead of hogging
-	// it. Default 4.
-	BandsPerTick int
+	// it.
+	bandsPerTick = 4
+)
+
+// Config configures the supervisor.
+type Config struct {
 	// Seed feeds probe placement.
 	Seed int64
 	// Repair, when non-nil, is consulted on a chip-kill verdict before
@@ -88,34 +93,6 @@ type Config struct {
 	// degraded-mode migration path. The hook runs on the supervisor's
 	// tick goroutine and may quiesce the engine.
 	Repair func(chip int) error
-}
-
-func (c Config) withDefaults() Config {
-	if c.SuspectThreshold == 0 {
-		c.SuspectThreshold = 1
-	}
-	if c.Decay == 0 {
-		c.Decay = 0.5
-	}
-	if c.ProbeVLEWs == 0 {
-		c.ProbeVLEWs = 8
-	}
-	if c.ProbeRounds == 0 {
-		c.ProbeRounds = 3
-	}
-	if c.BackoffTicks == 0 {
-		c.BackoffTicks = 1
-	}
-	if c.SuspectClearRounds == 0 {
-		c.SuspectClearRounds = 2
-	}
-	if c.PatrolUnits == 0 {
-		c.PatrolUnits = 64
-	}
-	if c.BandsPerTick == 0 {
-		c.BandsPerTick = 4
-	}
-	return c
 }
 
 // Report is a snapshot of the supervisor's findings for harnesses and
@@ -170,7 +147,6 @@ func New(eng *engine.Engine, region *Region, cfg Config) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	s := &Supervisor{
 		eng:       eng,
 		jrn:       jrn,
@@ -259,7 +235,7 @@ func (s *Supervisor) Tick() error {
 				s.state = StateSuspected
 				s.raised++
 				s.failRounds, s.passRounds = 0, 0
-				s.backoff = s.cfg.BackoffTicks
+				s.backoff = backoffTicks
 				s.wait = 0
 			}
 		}
@@ -290,10 +266,7 @@ func (s *Supervisor) Run(n int) error {
 //
 //chipkill:rankwide
 func (s *Supervisor) patrol() {
-	if s.cfg.PatrolUnits <= 0 {
-		return
-	}
-	s.patrolPos, _ = s.eng.PatrolScrub(s.patrolPos, s.cfg.PatrolUnits)
+	s.patrolPos, _ = s.eng.PatrolScrub(s.patrolPos, patrolUnits)
 	s.jrn.SavePatrol(s.patrolPos)
 }
 
@@ -304,14 +277,14 @@ func (s *Supervisor) observe() {
 	d := tel.Delta(s.prevTel)
 	s.prevTel = tel
 	for i := range s.rates {
-		s.rates[i] = s.rates[i]*s.cfg.Decay + float64(d.Chips[i].VLEWFailures)
+		s.rates[i] = s.rates[i]*decay + float64(d.Chips[i].VLEWFailures)
 	}
 }
 
 // worstChip returns the chip whose rate window tops the suspicion
 // threshold, or -1.
 func (s *Supervisor) worstChip() int {
-	best, bestRate := -1, s.cfg.SuspectThreshold
+	best, bestRate := -1, suspectThreshold
 	for i, r := range s.rates {
 		if r >= bestRate {
 			best, bestRate = i, r
@@ -321,7 +294,7 @@ func (s *Supervisor) worstChip() int {
 }
 
 // probeTick runs one step of the bounded retry-with-backoff
-// discriminator: decode ProbeVLEWs randomly placed VLEWs of the suspect
+// discriminator: decode probeVLEWs randomly placed VLEWs of the suspect
 // chip; a round fails when more than half fail (a dead chip fails
 // essentially all probes; a transient storm's isolated broken words fail
 // at most a few). Consecutive failing rounds — each preceded by a
@@ -334,7 +307,7 @@ func (s *Supervisor) probeTick() error {
 	}
 	g := s.eng.Rank().Config().Geometry
 	fails := 0
-	for i := 0; i < s.cfg.ProbeVLEWs; i++ {
+	for i := 0; i < probeVLEWs; i++ {
 		bank := s.rng.Intn(g.Banks)
 		row := s.rng.Intn(g.RowsPerBank)
 		v := s.rng.Intn(g.VLEWsPerRow())
@@ -342,10 +315,10 @@ func (s *Supervisor) probeTick() error {
 			fails++
 		}
 	}
-	if fails*2 > s.cfg.ProbeVLEWs {
+	if fails*2 > probeVLEWs {
 		s.failRounds++
 		s.passRounds = 0
-		if s.failRounds >= s.cfg.ProbeRounds {
+		if s.failRounds >= probeRounds {
 			return s.convict()
 		}
 		s.wait = s.backoff
@@ -354,8 +327,8 @@ func (s *Supervisor) probeTick() error {
 	}
 	s.passRounds++
 	s.failRounds = 0
-	s.wait = s.cfg.BackoffTicks
-	if s.passRounds >= s.cfg.SuspectClearRounds {
+	s.wait = backoffTicks
+	if s.passRounds >= suspectClearRounds {
 		s.rates[s.suspect] = 0
 		s.suspect = -1
 		s.state = StateHealthy
@@ -407,7 +380,7 @@ func (s *Supervisor) convict() error {
 	return nil
 }
 
-// migrateTick rewrites up to BandsPerTick bands, journaling each band's
+// migrateTick rewrites up to bandsPerTick bands, journaling each band's
 // write-ahead image before touching the rank, and journals the migration
 // done once the cursor reaches the end (the rank is degraded from the
 // last band on).
@@ -415,7 +388,7 @@ func (s *Supervisor) convict() error {
 //chipkill:rankwide
 func (s *Supervisor) migrateTick() error {
 	bb := s.eng.BandBlocks()
-	for i := 0; i < s.cfg.BandsPerTick && s.mig.Cursor() < s.eng.Blocks(); i++ {
+	for i := 0; i < bandsPerTick && s.mig.Cursor() < s.eng.Blocks(); i++ {
 		band := s.mig.Cursor() / bb
 		err := s.eng.MigrateBand(s.mig, func(slices []byte) error {
 			return s.jrn.AppendBand(band, slices)

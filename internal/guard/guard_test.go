@@ -273,7 +273,7 @@ func TestSupervisorCrashMidMigrationRecovers(t *testing.T) {
 	}
 	populate(t, e)
 	region := NewRegion(RegionSizeFor(e))
-	sup, err := New(e, region, Config{Seed: 4, BandsPerTick: 1})
+	sup, err := New(e, region, Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestSupervisorCrashMidMigrationRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup2, err := New(e2, region, Config{Seed: 5, BandsPerTick: 1})
+	sup2, err := New(e2, region, Config{Seed: 5})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -422,7 +422,7 @@ func TestSupervisorCrashBeforeDoneRecovers(t *testing.T) {
 	}
 	populate(t, e)
 	region := NewRegion(RegionSizeFor(e))
-	sup, err := New(e, region, Config{Seed: 8, BandsPerTick: 1})
+	sup, err := New(e, region, Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestSupervisorCrashBeforeDoneRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup2, err := New(e2, region, Config{Seed: 9, PatrolUnits: 16})
+	sup2, err := New(e2, region, Config{Seed: 9})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -466,9 +466,10 @@ func TestSupervisorCrashBeforeDoneRecovers(t *testing.T) {
 	if sup2.State() != StateDegraded {
 		t.Fatalf("supervisor in %v after recovery ticks, want degraded", sup2.State())
 	}
-	// One tick journals done; the other four patrol 16 striped groups each.
-	if st := e2.Stats(); st.ScrubbedVLEWs != 4*16 || st.ScrubUncorrectable != 0 {
-		t.Fatalf("post-recovery patrol: scrubbed %d, uncorrectable %d; want 64, 0", st.ScrubbedVLEWs, st.ScrubUncorrectable)
+	// One tick journals done; the other four patrol patrolUnits striped
+	// groups each.
+	if st := e2.Stats(); st.ScrubbedVLEWs != 4*patrolUnits || st.ScrubUncorrectable != 0 {
+		t.Fatalf("post-recovery patrol: scrubbed %d, uncorrectable %d; want %d, 0", st.ScrubbedVLEWs, st.ScrubUncorrectable, 4*patrolUnits)
 	}
 	if total := e2.TotalPatrolUnits(); total != e2.Blocks()/core.StripedBlocksPerVLEW {
 		t.Fatalf("patrol space %d, want %d striped groups", total, e2.Blocks()/core.StripedBlocksPerVLEW)

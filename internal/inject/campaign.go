@@ -34,10 +34,6 @@ type Campaign struct {
 	RowsPerBank int `json:"rows_per_bank,omitempty"`
 	RowBytes    int `json:"row_bytes,omitempty"`
 
-	// WorkingSet is the number of blocks committed and exercised,
-	// strided evenly across the rank; 0 means every block.
-	WorkingSet int `json:"working_set,omitempty"`
-
 	// Ops random operations run after initialisation; each is a read
 	// (oracle-checked) or a write with probability WriteFrac.
 	Ops       int     `json:"ops"`
@@ -46,10 +42,6 @@ type Campaign struct {
 	// OMVHitRate is the probability the LLC supplies a write's old
 	// memory value (otherwise the controller pays the memory fetch).
 	OMVHitRate float64 `json:"omv_hit_rate,omitempty"`
-
-	// Threshold is the runtime RS acceptance threshold; <=0 means the
-	// paper's default of 2.
-	Threshold int `json:"threshold,omitempty"`
 
 	// ScrubWorkers sizes the boot-scrub pool (0 = GOMAXPROCS).
 	ScrubWorkers int `json:"scrub_workers,omitempty"`
@@ -60,22 +52,6 @@ type Campaign struct {
 	// in engine mode must report identical totals to the serial run —
 	// which is exactly what the engine-mode tests assert.
 	EngineShards int `json:"engine_shards,omitempty"`
-
-	// EngineBatchWrites > 0 buffers up to that many demand writes and
-	// issues each batch through Engine.WriteBlocks (the row-coalescing
-	// batched write path) instead of per-op WriteBlock calls. The harness
-	// flushes the buffer whenever per-op ordering becomes observable —
-	// before any read or scripted event, before a one-shot armed write
-	// fault, and before a duplicate of a buffered block — and pre-draws
-	// each buffered write's OMV decision in buffered order so the OMV rng
-	// stream matches the serial run exactly. Batched campaigns must
-	// therefore produce reports identical to serial and per-op engine
-	// runs, which is what the three-way equivalence test asserts. Implies
-	// EngineShards (defaulting it to Banks) and forces BatchFanOut=1: the
-	// campaign OMV source is not safe for concurrent shard goroutines.
-	// Buffered mode assumes demand writes never target disabled blocks
-	// (the OMV decision is drawn before the engine sees the write).
-	EngineBatchWrites int `json:"engine_batch_writes,omitempty"`
 
 	// ProbeStatsDuringScrub spawns a goroutine hammering Controller.
 	// Stats while each BootScrub runs, exercising the documented stats
@@ -91,7 +67,7 @@ type Campaign struct {
 	// Fleet switches the campaign to a multi-rank fleet scenario (see
 	// FleetSpec): the demand backend becomes a fleet.Fleet and the
 	// scenario drives rank-scale faults. Mutually exclusive with Guard,
-	// Events, EngineShards, and EngineBatchWrites.
+	// Events and EngineShards.
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 
 	Events []Event `json:"events,omitempty"`
@@ -140,18 +116,13 @@ type Harness struct {
 	omv    *omvSource
 	rep    *CampaignReport
 
-	blocks     []int64 // working set, ascending
+	blocks     []int64 // committed blocks, ascending
 	blockBytes int
 	rbuf       []byte // the campaign goroutine's read buffer (readBlock)
 	degraded   bool
 	armDelta   bool
 	armOMV     bool
 	opIndex    int64
-
-	// Write buffer for EngineBatchWrites mode (see flushWrites).
-	wblocks []int64
-	wdatas  [][]byte
-	werrs   []error
 }
 
 // campaignSeed mixes the campaign name into the base seed so sibling
@@ -173,14 +144,8 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 	if c.RowBytes == 0 {
 		c.RowBytes = 1024
 	}
-	if c.Threshold <= 0 {
-		c.Threshold = 2
-	}
 	if c.Guard != nil && c.EngineShards <= 0 {
 		c.EngineShards = c.Banks // guard scenarios need the sharded engine
-	}
-	if c.EngineBatchWrites > 0 && c.EngineShards <= 0 {
-		c.EngineShards = c.Banks // batched writes go through the engine
 	}
 	seed := campaignSeed(c.Name, c.Seed)
 	h := &Harness{
@@ -199,7 +164,7 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 		},
 	}
 	if c.Fleet != nil {
-		if c.Guard != nil || len(c.Events) > 0 || c.EngineShards > 0 || c.EngineBatchWrites > 0 {
+		if c.Guard != nil || len(c.Events) > 0 || c.EngineShards > 0 {
 			return nil, fmt.Errorf("inject: fleet campaign %q cannot combine guard, events, or engine knobs", c.Name)
 		}
 		spec := c.Fleet.withDefaults()
@@ -223,10 +188,7 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 	h.blockBytes = r.Config().BlockBytes()
 	h.rbuf = make([]byte, h.blockBytes)
 	h.omv = &omvSource{oracle: h.oracle, rng: rand.New(rand.NewSource(seed + 2)), hitRate: c.OMVHitRate}
-	if c.EngineShards > 0 {
-		h.rep.EngineShards = c.EngineShards
-		h.rep.EngineBatchWrites = c.EngineBatchWrites
-	}
+	h.rep.EngineShards = c.EngineShards
 	if err := h.rebuild(); err != nil {
 		return nil, fmt.Errorf("inject: %w", err)
 	}
@@ -254,17 +216,13 @@ func (h *Harness) rebuild() error {
 }
 
 func (h *Harness) ctrlCfg() core.Config {
-	return core.Config{Threshold: h.c.Threshold, ScrubWorkers: h.c.ScrubWorkers}
+	cfg := core.DefaultConfig()
+	cfg.ScrubWorkers = h.c.ScrubWorkers
+	return cfg
 }
 
 func (h *Harness) engCfg() engine.Config {
-	cfg := engine.Config{Shards: h.c.EngineShards, Core: h.ctrlCfg(), OMV: h.omv}
-	if h.c.EngineBatchWrites > 0 {
-		// The campaign omvSource is single-threaded; keep batch flushes on
-		// the campaign goroutine.
-		cfg.BatchFanOut = 1
-	}
-	return cfg
+	return engine.Config{Shards: h.c.EngineShards, Core: h.ctrlCfg(), OMV: h.omv}
 }
 
 // Demand-backend indirection: every workload touch of memory goes through
@@ -287,12 +245,12 @@ func (h *Harness) stats() core.Stats { return h.be.Stats() }
 // Rank exposes the rank under test.
 func (h *Harness) Rank() *rank.Rank { return h.rank }
 
-// Run executes the campaign: initialise the working set, interleave the
+// Run executes the campaign: commit every block, interleave the
 // randomized workload with scripted events, then verify every committed
 // block byte-for-byte against the oracle.
 func (h *Harness) Run() *CampaignReport {
 	start := time.Now()
-	h.initWorkingSet()
+	h.commitAll()
 	switch {
 	case h.c.Fleet != nil:
 		h.runFleet()
@@ -340,19 +298,9 @@ func RunCampaign(suite string, c Campaign) *CampaignReport {
 	return h.Run()
 }
 
-// initWorkingSet commits WorkingSet blocks, strided across the backend.
-func (h *Harness) initWorkingSet() {
-	total := h.rep.Blocks // the backend's capacity, set in NewHarness
-	ws := int64(h.c.WorkingSet)
-	if ws <= 0 || ws > total {
-		ws = total
-	}
-	stride := total / ws
-	if stride < 1 {
-		stride = 1
-	}
-	for i := int64(0); i < ws; i++ {
-		b := i * stride
+// commitAll commits every block of the backend with random data.
+func (h *Harness) commitAll() {
+	for b := int64(0); b < h.rep.Blocks; b++ { // the backend's capacity, set in NewHarness
 		data := make([]byte, h.blockBytes)
 		h.rng.Read(data)
 		if err := h.writeInitial(b, data); err != nil {
@@ -376,17 +324,9 @@ func (h *Harness) randomOp() {
 
 // writeOp writes fresh random data, applying any armed one-shot
 // write-path fault, and commits the *intended* data to the oracle.
-// In EngineBatchWrites mode unarmed writes are buffered for a batched
-// flush; armed writes flush the buffer and go through the per-op path so
-// the one-shot fault lands on exactly the intended write.
 func (h *Harness) writeOp(b int64) {
 	data := make([]byte, h.blockBytes)
 	h.rng.Read(data)
-	if h.c.EngineBatchWrites > 0 && !h.armOMV && !h.armDelta {
-		h.bufferWrite(b, data)
-		return
-	}
-	h.flushWrites()
 	if h.armOMV {
 		h.armOMV = false
 		h.omv.corruptNext = true
@@ -406,56 +346,6 @@ func (h *Harness) writeOp(b int64) {
 	h.oracle.Commit(b, data)
 }
 
-// bufferWrite queues one write for the next batched flush. A duplicate of
-// an already-buffered block flushes first: the later write's OMV decision
-// must be drawn against the earlier write's committed data, exactly as in
-// the serial run. The OMV decision is drawn here, at buffer time, so the
-// omvSource rng stream advances in op order even though the engine
-// executes the flushed batch in shard-group order.
-func (h *Harness) bufferWrite(b int64, data []byte) {
-	for _, q := range h.wblocks {
-		if q == b {
-			h.flushWrites()
-			break
-		}
-	}
-	h.omv.plan(b)
-	h.wblocks = append(h.wblocks, b)
-	h.wdatas = append(h.wdatas, data)
-	if len(h.wblocks) >= h.c.EngineBatchWrites {
-		h.flushWrites()
-	}
-}
-
-// flushWrites issues the buffered writes as one Engine.WriteBlocks batch,
-// then commits each successful write's intended data to the oracle in
-// buffered order. Counters and oracle state after a flush are identical
-// to running the same writes through the per-op path: blocks in the
-// buffer are unique, total OMV hit/miss counts are fixed by the
-// pre-drawn decisions, and writes to distinct blocks commute physically
-// (XOR deltas touch disjoint cells; EUR coalescing is linear).
-func (h *Harness) flushWrites() {
-	if len(h.wblocks) == 0 {
-		return
-	}
-	h.werrs = h.werrs[:0]
-	for range h.wblocks {
-		h.werrs = append(h.werrs, nil)
-	}
-	h.eng.WriteBlocks(h.wblocks, h.wdatas, h.werrs)
-	for i, b := range h.wblocks {
-		h.omv.unplan(b) // drop any decision an errored write never consumed
-		if err := h.werrs[i]; err != nil {
-			h.fail("write", b, err.Error())
-			continue
-		}
-		h.rep.Writes++
-		h.oracle.Commit(b, h.wdatas[i])
-	}
-	h.wblocks = h.wblocks[:0]
-	h.wdatas = h.wdatas[:0]
-}
-
 // corruptStoredDelta models a one-bit bus fault on the XOR delta to one
 // data chip: the chip folds the corrupted delta into its stored data and
 // its VLEW code bits (so the chip is internally consistent), while the
@@ -473,7 +363,6 @@ func (h *Harness) corruptStoredDelta(b int64) {
 // readAndCheck reads one block and classifies the outcome against the
 // oracle, distinguishing silent corruption from honest DUEs.
 func (h *Harness) readAndCheck(b int64) Outcome {
-	h.flushWrites() // buffered writes must land before the stats snapshot
 	want, ok := h.oracle.Expected(b)
 	if !ok {
 		return OutcomeClean
@@ -507,7 +396,6 @@ func (h *Harness) readAndCheck(b int64) Outcome {
 
 // sweep reads and classifies every committed block in ascending order.
 func (h *Harness) sweep() {
-	h.flushWrites()
 	for _, b := range h.oracle.Blocks() {
 		h.readAndCheck(b)
 	}
@@ -519,7 +407,6 @@ func (h *Harness) sweep() {
 //
 //chipkill:rankwide
 func (h *Harness) apply(ev Event) {
-	h.flushWrites() // events must see exactly the serial run's memory state
 	switch ev.Kind {
 	case EvDrift:
 		h.rep.BitsInjected += int64(h.rank.InjectRetentionErrors(ev.RBER))
@@ -680,50 +567,10 @@ type omvSource struct {
 	hitRate     float64
 	corruptNext bool
 	disabled    atomic.Bool
-
-	// planned holds OMV decisions pre-drawn for buffered writes (see
-	// Harness.bufferWrite), keyed by block — unique within a batch because
-	// duplicates force a flush. OMV serves and consumes a planned decision
-	// before consulting the live oracle, so flush-time execution order
-	// cannot perturb the rng stream.
-	planned map[int64]plannedOMV
-}
-
-type plannedOMV struct {
-	data []byte
-	hit  bool
-}
-
-// plan draws the OMV decision for a buffered write of block, mirroring
-// OMV's unarmed logic draw for draw.
-func (o *omvSource) plan(block int64) {
-	if o.planned == nil {
-		o.planned = make(map[int64]plannedOMV)
-	}
-	if o.disabled.Load() {
-		o.planned[block] = plannedOMV{}
-		return
-	}
-	want, ok := o.oracle.Expected(block)
-	if !ok || o.rng.Float64() >= o.hitRate {
-		o.planned[block] = plannedOMV{}
-		return
-	}
-	o.planned[block] = plannedOMV{data: append([]byte(nil), want...), hit: true}
-}
-
-// unplan discards a planned decision that was never consumed (an errored
-// write that failed before its OMV consult).
-func (o *omvSource) unplan(block int64) {
-	delete(o.planned, block)
 }
 
 // OMV implements core.OMVProvider.
 func (o *omvSource) OMV(block int64) ([]byte, bool) {
-	if p, ok := o.planned[block]; ok {
-		delete(o.planned, block)
-		return p.data, p.hit
-	}
 	if o.disabled.Load() {
 		return nil, false
 	}

@@ -1,11 +1,8 @@
 package inject
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"chipkillpm/internal/fleet"
@@ -27,56 +24,36 @@ const (
 // guard supervisor) and the scenario drives rank-scale faults —
 // whole-rank kills, replica divergence, chip convictions repaired from
 // replicas. Fleet campaigns ignore OMVHitRate (fleet engines fetch OMVs
-// from memory) and are incompatible with EngineShards, EngineBatchWrites,
-// Guard, and scripted Events.
+// from memory) and are incompatible with EngineShards, Guard, and
+// scripted Events.
 type FleetSpec struct {
 	Scenario string `json:"scenario"`
 	// Ranks is the fleet width (default 3; double-fault uses 2).
 	Ranks int `json:"ranks,omitempty"`
-	// ReplicaBands sizes each rank's replica pool (default 8).
-	ReplicaBands int `json:"replica_bands,omitempty"`
-	// Workers is the demand-worker count for rank-kill-load (default 4).
-	Workers int `json:"workers,omitempty"`
-	// KillRank is the rank the kill scenarios fail (default 1).
-	KillRank int `json:"kill_rank,omitempty"`
-	// KillChip is the data chip conviction scenarios fail (default 2).
-	KillChip int `json:"kill_chip,omitempty"`
-	// KillChipB is double-fault's second chip, on the other rank
-	// (default 5).
-	KillChipB int `json:"kill_chip_b,omitempty"`
-	// ReplicateBands is how many bands the scenario mirrors explicitly
-	// before the fault lands (default 6).
-	ReplicateBands int `json:"replicate_bands,omitempty"`
-	// KillAfterBands is when kill-during-repair fails the replica rank:
-	// after that many bands of the in-flight chip repair (default 3).
-	KillAfterBands int `json:"kill_after_bands,omitempty"`
 }
+
+// The fleet scenarios' fixed shapes.
+const (
+	// fleetReplicaBands sizes each rank's replica pool.
+	fleetReplicaBands = 8
+	// fleetKillRank is the rank the kill scenarios fail.
+	fleetKillRank = 1
+	// fleetKillChip is the data chip conviction scenarios fail.
+	fleetKillChip = 2
+	// fleetKillChipB is double-fault's second chip, on the other rank.
+	fleetKillChipB = 5
+	// fleetReplicateBands is how many bands the scenario mirrors
+	// explicitly before the fault lands.
+	fleetReplicateBands = 6
+	// fleetKillAfterBands is when kill-during-repair fails the replica
+	// rank: after that many bands of the in-flight chip repair.
+	fleetKillAfterBands = 3
+)
 
 func (s *FleetSpec) withDefaults() FleetSpec {
 	f := *s
 	if f.Ranks <= 0 {
 		f.Ranks = 3
-	}
-	if f.ReplicaBands <= 0 {
-		f.ReplicaBands = 8
-	}
-	if f.Workers <= 0 {
-		f.Workers = 4
-	}
-	if f.KillRank <= 0 {
-		f.KillRank = 1
-	}
-	if f.KillChip <= 0 {
-		f.KillChip = 2
-	}
-	if f.KillChipB <= 0 {
-		f.KillChipB = 5
-	}
-	if f.ReplicateBands <= 0 {
-		f.ReplicateBands = 6
-	}
-	if f.KillAfterBands <= 0 {
-		f.KillAfterBands = 3
 	}
 	return f
 }
@@ -92,8 +69,7 @@ func (h *Harness) fleetCfg(spec FleetSpec) fleet.Config {
 		RowsPerBank:      h.c.RowsPerBank,
 		RowBytes:         h.c.RowBytes,
 		Seed:             seed + 1,
-		Threshold:        h.c.Threshold,
-		ReplicaBands:     spec.ReplicaBands,
+		ReplicaBands:     fleetReplicaBands,
 		ReplicatePerTick: -1,
 		Guard:            guard.Config{Seed: seed + 3},
 	}
@@ -121,13 +97,13 @@ func (h *Harness) runFleet() {
 	case ScenarioFleetRankKillLoad:
 		h.fleetRankKillLoad(spec)
 	case ScenarioFleetChipRepair:
-		h.fleetChipRepair(spec)
+		h.fleetChipRepair()
 	case ScenarioFleetDivergence:
-		h.fleetDivergence(spec)
+		h.fleetDivergence()
 	case ScenarioFleetKillMidRepair:
 		h.fleetKillDuringRepair(spec)
 	case ScenarioFleetDoubleFault:
-		h.fleetDoubleFault(spec)
+		h.fleetDoubleFault()
 	default:
 		h.fail("fleet", -1, fmt.Sprintf("unknown fleet scenario %q", spec.Scenario))
 	}
@@ -224,13 +200,13 @@ func (h *Harness) captureFleetStats() {
 // and the other ranks never notice.
 func (h *Harness) fleetRankKill(spec FleetSpec) {
 	f := h.fleet
-	bands := h.victimBands(spec.KillRank, spec.ReplicateBands)
+	bands := h.victimBands(fleetKillRank, fleetReplicateBands)
 	h.replicateOrFail(bands)
 
 	for i := 0; i < h.c.Ops; i++ {
 		h.randomOp()
 	}
-	f.KillRank(spec.KillRank)
+	f.KillRank(fleetKillRank)
 
 	// Post-kill demand, by hand: writes to replicated bands must still
 	// acknowledge (and then read back), writes to the victim's
@@ -248,7 +224,7 @@ func (h *Harness) fleetRankKill(spec FleetSpec) {
 		h.oracle.Commit(b, data)
 		h.rep.Fleet.AckedAfterKill++
 	}
-	deadBand := int64(spec.KillRank) + int64(spec.ReplicateBands)*int64(f.NumRanks())
+	deadBand := int64(fleetKillRank) + int64(fleetReplicateBands)*int64(f.NumRanks())
 	data := make([]byte, h.blockBytes)
 	h.rng.Read(data)
 	if err := f.WriteBlock(deadBand*bb, data); !errors.Is(err, fleet.ErrRankFailed) {
@@ -270,94 +246,22 @@ func (h *Harness) fleetRankKillLoad(spec FleetSpec) {
 	// Mirror as many of the victim's bands as the other ranks' pools can
 	// hold; the remainder exercises the contained path under load too.
 	bandsPerRank := int(f.Bands()) / f.NumRanks()
-	if cap := spec.ReplicaBands * (spec.Ranks - 1); bandsPerRank > cap {
+	if cap := fleetReplicaBands * (spec.Ranks - 1); bandsPerRank > cap {
 		bandsPerRank = cap
 	}
-	h.replicateOrFail(h.victimBands(spec.KillRank, bandsPerRank))
+	h.replicateOrFail(h.victimBands(fleetKillRank, bandsPerRank))
 
-	seed := campaignSeed(h.c.Name, h.c.Seed)
-	type workerState struct {
-		shadow map[int64][]byte
-		ops    int64
-		err    error
-	}
-	var killedFlag atomic.Bool
-	var postKill, live atomic.Int64
-	stop := make(chan struct{})
-	results := make([]workerState, spec.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < spec.Workers; w++ {
-		wg.Add(1)
-		live.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer live.Add(-1)
-			res := &results[w]
-			res.shadow = make(map[int64][]byte)
-			rng := rand.New(rand.NewSource(seed + int64(w)*977 + 11))
-			var owned []int64
-			for i := w; i < len(h.blocks); i += spec.Workers {
-				owned = append(owned, h.blocks[i])
-			}
-			buf := make([]byte, h.blockBytes)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				b := owned[rng.Intn(len(owned))]
-				// An op counts as post-kill only if it started after the
-				// kill, but a contained error is legal as soon as the kill
-				// has been flagged (the flag is stored before KillRank): an
-				// op that starts before the kill may fail after it, so the
-				// flag is re-read where the error surfaces.
-				killed := killedFlag.Load()
-				if rng.Intn(3) == 0 {
-					data := make([]byte, h.blockBytes)
-					rng.Read(data)
-					if err := f.WriteBlock(b, data); err != nil {
-						if !fleet.Contained(err) || !killedFlag.Load() {
-							res.err = fmt.Errorf("write %d: %w", b, err)
-							return
-						}
-					} else {
-						res.shadow[b] = data
-					}
-				} else {
-					if err := f.ReadBlockInto(b, buf); err != nil {
-						if !fleet.Contained(err) || !killedFlag.Load() {
-							res.err = fmt.Errorf("read %d: %w", b, err)
-							return
-						}
-					} else {
-						want, ok := res.shadow[b]
-						if !ok {
-							want, _ = h.oracle.Expected(b)
-						}
-						if !bytes.Equal(buf, want) {
-							res.err = fmt.Errorf("block %d: wrong data under rank kill", b)
-							return
-						}
-					}
-				}
-				res.ops++
-				if killed {
-					postKill.Add(1)
-				}
-			}
-		}(w)
-	}
-
+	var killed atomic.Bool
+	l := h.startLoad(h.be, func(err error) bool { return fleet.Contained(err) && killed.Load() }, &killed)
 	for i := 0; i < 10; i++ {
 		if err := f.Tick(); err != nil {
 			h.fail("fleet", -1, fmt.Sprintf("pre-kill tick: %v", err))
 		}
 	}
-	killedFlag.Store(true)
-	f.KillRank(spec.KillRank)
-	for postKill.Load() < int64(200*spec.Workers) {
-		if live.Load() == 0 { // workers only leave early on an error
+	killed.Store(true) // before KillRank, so no contained error precedes it
+	f.KillRank(fleetKillRank)
+	for l.marked.Load() < 200*loadWorkers {
+		if l.live.Load() == 0 { // workers only leave early on an error
 			h.fail("fleet", -1, "every worker stopped before the post-kill quota")
 			break
 		}
@@ -366,21 +270,11 @@ func (h *Harness) fleetRankKillLoad(spec FleetSpec) {
 			break
 		}
 	}
-	close(stop)
-	wg.Wait()
+	reads, writes := l.finish(h, "fleet")
 
 	fr := h.rep.Fleet
-	for w := range results {
-		res := &results[w]
-		if res.err != nil {
-			h.fail("fleet", -1, fmt.Sprintf("worker %d: %v", w, res.err))
-		}
-		for b, data := range res.shadow {
-			h.oracle.Commit(b, data)
-		}
-		fr.WorkerOps += res.ops
-	}
-	fr.OpsAfterKill = postKill.Load()
+	fr.WorkerOps = reads + writes
+	fr.OpsAfterKill = l.marked.Load()
 	if fr.OpsAfterKill == 0 {
 		h.fail("fleet", -1, "no worker traffic after the rank kill")
 	}
@@ -393,7 +287,7 @@ func (h *Harness) fleetRankKillLoad(spec FleetSpec) {
 // the replicas, measurably faster per block than the local RS erasure
 // decode used for the unreplicated bands, with no migration and no
 // degraded mode.
-func (h *Harness) fleetChipRepair(spec FleetSpec) {
+func (h *Harness) fleetChipRepair() {
 	f := h.fleet
 	const hot = 6
 	bb := f.BandBlocks()
@@ -433,7 +327,7 @@ func (h *Harness) fleetChipRepair(spec FleetSpec) {
 		}
 	}
 
-	f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(spec.KillChip) })
+	f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(fleetKillChip) })
 	h.rep.ChipKills++
 	sup := f.Supervisor(0)
 	for i := 0; i < 600 && sup.Report().ExternalRepairs == 0; i++ {
@@ -483,10 +377,10 @@ func (h *Harness) fleetChipRepair(spec FleetSpec) {
 // rank's own RS) and requires the anti-entropy sweep to heal every one
 // from the primary; the primary rank is then killed and the sweep-served
 // failover bytes prove the heal was real.
-func (h *Harness) fleetDivergence(spec FleetSpec) {
+func (h *Harness) fleetDivergence() {
 	f := h.fleet
 	bb := f.BandBlocks()
-	bands := h.victimBands(spec.KillRank, spec.ReplicateBands)
+	bands := h.victimBands(fleetKillRank, fleetReplicateBands)
 	h.replicateOrFail(bands)
 
 	bogus := make([]byte, h.blockBytes)
@@ -514,7 +408,7 @@ func (h *Harness) fleetDivergence(spec FleetSpec) {
 	}
 	// Kill the primary: from here the sweep serves those bands from the
 	// healed replicas, so any un-healed byte would surface as SDC.
-	f.KillRank(spec.KillRank)
+	f.KillRank(fleetKillRank)
 }
 
 // fleetKillDuringRepair starts a chip repair whose replica source rank
@@ -527,16 +421,16 @@ func (h *Harness) fleetKillDuringRepair(spec FleetSpec) {
 	// All replicas land on the rank after the primary in allocSlot
 	// order; that is the rank the hook kills.
 	victim := (0 + 1) % spec.Ranks
-	h.replicateOrFail(h.victimBands(0, spec.ReplicateBands))
+	h.replicateOrFail(h.victimBands(0, fleetReplicateBands))
 	f.SetRepairBandHook(func(rk, bandsDone int) {
-		if rk == 0 && bandsDone == spec.KillAfterBands {
+		if rk == 0 && bandsDone == fleetKillAfterBands {
 			f.KillRank(victim)
 		}
 	})
 
-	f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(spec.KillChip) })
+	f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(fleetKillChip) })
 	h.rep.ChipKills++
-	if err := f.RepairChip(0, spec.KillChip); err != nil {
+	if err := f.RepairChip(0, fleetKillChip); err != nil {
 		h.fail("fleet", -1, fmt.Sprintf("repair across replica-rank death: %v", err))
 		return
 	}
@@ -546,8 +440,8 @@ func (h *Harness) fleetKillDuringRepair(spec FleetSpec) {
 		return
 	}
 	r := reps[0]
-	if r.ReplicaBands != spec.KillAfterBands {
-		h.fail("fleet", -1, fmt.Sprintf("%d bands copied before the kill, want %d", r.ReplicaBands, spec.KillAfterBands))
+	if r.ReplicaBands != fleetKillAfterBands {
+		h.fail("fleet", -1, fmt.Sprintf("%d bands copied before the kill, want %d", r.ReplicaBands, fleetKillAfterBands))
 	}
 	if r.ErasureBands == 0 {
 		h.fail("fleet", -1, "no bands fell back to erasure after the replica rank died")
@@ -564,15 +458,15 @@ func (h *Harness) fleetKillDuringRepair(spec FleetSpec) {
 // bands are replicated both ways: each guard convicts its own chip, and
 // each repair byte-copies through the *other*, equally wounded, rank's
 // corrected-read path. Both ranks must come back healthy with zero DUEs.
-func (h *Harness) fleetDoubleFault(spec FleetSpec) {
+func (h *Harness) fleetDoubleFault() {
 	f := h.fleet
 	bb := f.BandBlocks()
-	both := append(h.victimBands(0, spec.ReplicateBands/2),
-		h.victimBands(1, spec.ReplicateBands/2)...)
+	both := append(h.victimBands(0, fleetReplicateBands/2),
+		h.victimBands(1, fleetReplicateBands/2)...)
 	h.replicateOrFail(both)
 
-	f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(spec.KillChip) })
-	f.Engine(1).Quiesce(func() { f.Rank(1).FailChip(spec.KillChipB) })
+	f.Engine(0).Quiesce(func() { f.Rank(0).FailChip(fleetKillChip) })
+	f.Engine(1).Quiesce(func() { f.Rank(1).FailChip(fleetKillChipB) })
 	h.rep.ChipKills += 2
 
 	buf := make([]byte, h.blockBytes)

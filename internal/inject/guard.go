@@ -1,10 +1,7 @@
 package inject
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,42 +28,31 @@ const (
 // never exact counts.
 type GuardSpec struct {
 	Scenario string `json:"scenario"`
-	// Workers is the concurrent demand-worker count for
-	// chip-kill-under-load (default 4).
-	Workers int `json:"workers,omitempty"`
 	// KillChip is the data chip the scenario kills (default 2).
 	KillChip int `json:"kill_chip,omitempty"`
-	// CrashAfterBands is how many bands crash-during-migration lets the
-	// supervisor journal before tearing a journal write (default 8).
-	CrashAfterBands int64 `json:"crash_after_bands,omitempty"`
-	// CrashKeepBytes is the torn-record prefix that survives the power
-	// loss (default 20 — a header plus a sliver of payload).
-	CrashKeepBytes int `json:"crash_keep_bytes,omitempty"`
-	// StormChip hosts transient-storm's dead VLEW (default 3).
-	StormChip int `json:"storm_chip,omitempty"`
 }
+
+// The guard scenarios' fixed shapes.
+const (
+	// crashAfterBands is how many bands crash-during-migration lets the
+	// supervisor journal before tearing a journal write.
+	crashAfterBands = 8
+	// crashKeepBytes is the torn-record prefix that survives the power
+	// loss: a header plus a sliver of payload.
+	crashKeepBytes = 20
+	// stormChip hosts transient-storm's dead VLEW.
+	stormChip = 3
+)
 
 func (s *GuardSpec) withDefaults() GuardSpec {
 	g := *s
-	if g.Workers <= 0 {
-		g.Workers = 4
-	}
 	if g.KillChip <= 0 {
 		g.KillChip = 2
-	}
-	if g.CrashAfterBands <= 0 {
-		g.CrashAfterBands = 8
-	}
-	if g.CrashKeepBytes <= 0 {
-		g.CrashKeepBytes = 20
-	}
-	if g.StormChip <= 0 {
-		g.StormChip = 3
 	}
 	return g
 }
 
-// runGuard executes the campaign's guard scenario. The working set is
+// runGuard executes the campaign's guard scenario. Every block is
 // already committed; the final oracle sweep runs afterwards in Run.
 func (h *Harness) runGuard() {
 	spec := h.c.Guard.withDefaults()
@@ -87,7 +73,7 @@ func (h *Harness) runGuard() {
 	case ScenarioCrashDuringMigration:
 		sup = h.guardCrashDuringMigration(sup, region, spec, cfg)
 	case ScenarioTransientStorm:
-		h.guardTransientStorm(sup, spec)
+		h.guardTransientStorm(sup)
 	default:
 		h.fail("guard", -1, fmt.Sprintf("unknown guard scenario %q", spec.Scenario))
 		return
@@ -121,9 +107,6 @@ const overlapWait = 5 * time.Second
 // neither does the one that migrates the last band) until some op has
 // completed with the migration in progress, or overlapWait has passed.
 func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) {
-	e := h.eng
-	seed := campaignSeed(h.c.Name, h.c.Seed)
-
 	// Serial warmup through the oracle.
 	for i := 0; i < h.c.Ops; i++ {
 		h.randomOp()
@@ -135,78 +118,11 @@ func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) 
 	h.omv.disabled.Store(true)
 	defer h.omv.disabled.Store(false)
 
-	type workerState struct {
-		shadow     map[int64][]byte
-		reads      int64
-		writes     int64
-		overlapped int64
-		err        error
-	}
 	var migrating atomic.Bool
-	var overlapped atomic.Int64 // ops, across workers, that began with migrating set
-	stop := make(chan struct{})
-	results := make([]workerState, spec.Workers)
-	var wg, running sync.WaitGroup
-	running.Add(spec.Workers)
-	for w := 0; w < spec.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// The first completed op releases the chip kill; so does a
-			// worker that stops before completing one.
-			var ran sync.Once
-			defer ran.Do(running.Done)
-			res := &results[w]
-			res.shadow = make(map[int64][]byte)
-			rng := rand.New(rand.NewSource(seed + int64(w)*977 + 11))
-			var owned []int64
-			for i := w; i < len(h.blocks); i += spec.Workers {
-				owned = append(owned, h.blocks[i])
-			}
-			buf := make([]byte, h.blockBytes)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				b := owned[rng.Intn(len(owned))]
-				over := migrating.Load()
-				if rng.Intn(3) == 0 {
-					data := make([]byte, h.blockBytes)
-					rng.Read(data)
-					if err := e.WriteBlock(b, data); err != nil {
-						res.err = fmt.Errorf("write %d: %w", b, err)
-						return
-					}
-					res.shadow[b] = data
-					res.writes++
-				} else {
-					if err := e.ReadBlockInto(b, buf); err != nil {
-						res.err = fmt.Errorf("read %d: %w", b, err)
-						return
-					}
-					want, ok := res.shadow[b]
-					if !ok {
-						want, _ = h.oracle.Expected(b)
-					}
-					if !bytes.Equal(buf, want) {
-						res.err = fmt.Errorf("block %d: wrong data under self-heal", b)
-						return
-					}
-					res.reads++
-				}
-				if over {
-					res.overlapped++
-					overlapped.Add(1)
-				}
-				ran.Do(running.Done)
-			}
-		}(w)
-	}
-
-	running.Wait()
-	e.Quiesce(func() { h.rank.FailChip(spec.KillChip) })
+	l := h.startLoad(h.eng, nil, &migrating)
+	// Every worker's first completed op releases the chip kill.
+	l.started.Wait()
+	h.eng.Quiesce(func() { h.rank.FailChip(spec.KillChip) })
 	h.rep.ChipKills++
 
 	held := false
@@ -215,7 +131,7 @@ func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) 
 		migrating.Store(m)
 		if m && !held {
 			held = true
-			for deadline := time.Now().Add(overlapWait); overlapped.Load() == 0 && time.Now().Before(deadline); {
+			for deadline := time.Now().Add(overlapWait); l.marked.Load() == 0 && time.Now().Before(deadline); {
 				time.Sleep(50 * time.Microsecond)
 			}
 		}
@@ -224,23 +140,13 @@ func (h *Harness) guardChipKillUnderLoad(sup *guard.Supervisor, spec GuardSpec) 
 			break
 		}
 	}
-	close(stop)
-	wg.Wait()
+	reads, writes := l.finish(h, "guard")
 
 	g := h.rep.Guard
-	for w := range results {
-		res := &results[w]
-		if res.err != nil {
-			h.fail("guard", -1, fmt.Sprintf("worker %d: %v", w, res.err))
-		}
-		for b, data := range res.shadow {
-			h.oracle.Commit(b, data)
-		}
-		h.rep.Reads += res.reads
-		h.rep.Writes += res.writes
-		g.WorkerOps += res.reads + res.writes
-		g.OpsDuringMigration += res.overlapped
-	}
+	h.rep.Reads += reads
+	h.rep.Writes += writes
+	g.WorkerOps += reads + writes
+	g.OpsDuringMigration += l.marked.Load()
 
 	if st := sup.State(); st != guard.StateDegraded {
 		h.fail("guard", -1, fmt.Sprintf("supervisor finished in %v, want degraded", st))
@@ -272,7 +178,7 @@ func (h *Harness) guardCrashDuringMigration(sup *guard.Supervisor, region *guard
 	h.eng.Quiesce(func() { h.rank.FailChip(spec.KillChip) })
 	h.rep.ChipKills++
 
-	for i := 0; i < 4000 && h.stats().BandsMigrated < spec.CrashAfterBands; i++ {
+	for i := 0; i < 4000 && h.stats().BandsMigrated < crashAfterBands; i++ {
 		for j := 0; j < 4; j++ {
 			h.randomOp()
 		}
@@ -290,7 +196,7 @@ func (h *Harness) guardCrashDuringMigration(sup *guard.Supervisor, region *guard
 	}
 
 	preCrash := h.stats().BandsMigrated
-	region.TearNextWrite(spec.CrashKeepBytes)
+	region.TearNextWrite(crashKeepBytes)
 	if err := sup.Tick(); err == nil {
 		h.fail("guard", -1, "tick across the torn journal write reported success")
 		return sup
@@ -349,12 +255,12 @@ func (h *Harness) guardCrashDuringMigration(sup *guard.Supervisor, region *guard
 // failure — on an otherwise healthy chip. The supervisor must raise
 // suspicion, probe, and acquit: zero verdicts, zero migrations, zero
 // spurious degraded transitions, zero DUEs.
-func (h *Harness) guardTransientStorm(sup *guard.Supervisor, spec GuardSpec) {
+func (h *Harness) guardTransientStorm(sup *guard.Supervisor) {
 	b := h.blocks[len(h.blocks)/2]
 	loc := h.rank.Locate(b)
 	n := h.rank.Config().ChipAccessBytes
 	h.eng.Quiesce(func() {
-		chip := h.rank.Chip(spec.StormChip)
+		chip := h.rank.Chip(stormChip)
 		for k := 0; k < n; k++ {
 			for _, bit := range []uint{0, 3, 6} {
 				chip.FlipDataBit(loc.Bank, loc.Row, loc.Col+k, bit)

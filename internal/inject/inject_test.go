@@ -110,9 +110,8 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 // TestEngineCampaignMatchesSerial pins the engine backend's semantics:
-// a campaign driven serially through the sharded engine — per-op and with
-// batched writes — must produce the exact report, counter for counter,
-// that the bare controller produces. Same name and seed give identical rng streams; the only
+// a campaign driven serially through the sharded engine must produce the
+// exact report, counter for counter, that the bare controller produces. Same name and seed give identical rng streams; the only
 // report fields allowed to differ are the timing and the engine_shards
 // tag itself. Seqlock reads folding their stats differently from locked
 // reads would show up here as a counter diff.
@@ -131,8 +130,6 @@ func TestEngineCampaignMatchesSerial(t *testing.T) {
 	serial := RunCampaign("unit", c)
 	c.EngineShards = 4
 	engined := RunCampaign("unit", c)
-	c.EngineBatchWrites = 16
-	batched := RunCampaign("unit", c)
 
 	if !serial.Pass {
 		t.Fatalf("serial campaign failed: %s", serial.Reason)
@@ -140,32 +137,18 @@ func TestEngineCampaignMatchesSerial(t *testing.T) {
 	if !engined.Pass {
 		t.Fatalf("engine campaign failed: %s", engined.Reason)
 	}
-	if !batched.Pass {
-		t.Fatalf("engine (batched writes) campaign failed: %s", batched.Reason)
-	}
 	if engined.SDC != 0 || engined.DUE != 0 {
 		t.Fatalf("engine campaign leaked: sdc=%d due=%d", engined.SDC, engined.DUE)
-	}
-	if batched.SDC != 0 || batched.DUE != 0 {
-		t.Fatalf("batched-write campaign leaked: sdc=%d due=%d", batched.SDC, batched.DUE)
 	}
 	if engined.EngineShards != 4 {
 		t.Fatalf("engine report tagged with %d shards, want 4", engined.EngineShards)
 	}
-	if batched.EngineBatchWrites != 16 {
-		t.Fatalf("batched report tagged with %d batch writes, want 16", batched.EngineBatchWrites)
-	}
-	serial.ElapsedMS, engined.ElapsedMS, batched.ElapsedMS = 0, 0, 0
-	serial.EngineShards, engined.EngineShards, batched.EngineShards = 0, 0, 0
-	batched.EngineBatchWrites = 0
+	serial.ElapsedMS, engined.ElapsedMS = 0, 0
+	serial.EngineShards, engined.EngineShards = 0, 0
 	js, _ := json.Marshal(serial)
 	je, _ := json.Marshal(engined)
-	jb, _ := json.Marshal(batched)
 	if string(js) != string(je) {
 		t.Fatalf("engine and serial backends diverged:\nserial: %s\nengine: %s", js, je)
-	}
-	if string(js) != string(jb) {
-		t.Fatalf("batched-write engine and serial backends diverged:\nserial: %s\nbatched: %s", js, jb)
 	}
 }
 

@@ -57,9 +57,6 @@ type CampaignReport struct {
 	// EngineShards is nonzero when demand ops ran through the sharded
 	// engine rather than a bare controller.
 	EngineShards int `json:"engine_shards,omitempty"`
-	// EngineBatchWrites is nonzero when demand writes were buffered and
-	// issued through the engine's batched write path.
-	EngineBatchWrites int `json:"engine_batch_writes,omitempty"`
 
 	Ops    int64 `json:"ops"`
 	Reads  int64 `json:"reads"` // classified reads (workload + sweeps)

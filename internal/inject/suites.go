@@ -219,21 +219,21 @@ func guardSuite(seed int64) []Campaign {
 			Seed:        seed,
 			Banks:       4, RowsPerBank: 8, RowBytes: 1024,
 			Ops: 200, WriteFrac: 0.3, OMVHitRate: 0.7,
-			Guard: &GuardSpec{Scenario: ScenarioChipKillUnderLoad, Workers: 4, KillChip: 2},
+			Guard: &GuardSpec{Scenario: ScenarioChipKillUnderLoad, KillChip: 2},
 		},
 		{
 			Name:        "guard-crash-migration",
 			Description: "journal write tears mid-migration; reboot resumes and finishes",
 			Seed:        seed,
 			Ops:         0, WriteFrac: 0.3, OMVHitRate: 0.7,
-			Guard: &GuardSpec{Scenario: ScenarioCrashDuringMigration, KillChip: 1, CrashAfterBands: 8},
+			Guard: &GuardSpec{Scenario: ScenarioCrashDuringMigration, KillChip: 1},
 		},
 		{
 			Name:        "guard-transient-storm",
 			Description: "telemetry storm from a healthy chip; probes must acquit",
 			Seed:        seed,
 			Ops:         0, WriteFrac: 0.3, OMVHitRate: 0.7,
-			Guard: &GuardSpec{Scenario: ScenarioTransientStorm, StormChip: 3},
+			Guard: &GuardSpec{Scenario: ScenarioTransientStorm},
 		},
 	}
 }

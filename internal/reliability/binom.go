@@ -7,10 +7,7 @@
 // 1e-22 (the paper's t=2 SDC rate) remain exact in float64.
 package reliability
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LogChoose returns ln C(n, k) computed via the log-gamma function.
 // It returns -Inf for k < 0 or k > n.
@@ -79,17 +76,4 @@ func ByteErrorRate(rber float64, symbolBits int) float64 {
 // bytes): 4% at 7e-5 and ~10% at 2e-4 (Sec IV-A).
 func FracAccessesWithErrors(bits int, rber float64) float64 {
 	return ByteErrorRate(rber, bits)
-}
-
-// MinCorrectableT returns the smallest error-correction strength t such
-// that the probability of more than t symbol errors among n symbols, each
-// independently bad with probability p, is at most target. It returns an
-// error when even t = maxT does not reach the target.
-func MinCorrectableT(n int, p, target float64, maxT int) (int, error) {
-	for t := 0; t <= maxT; t++ {
-		if BinomTail(n, t+1, p) <= target {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("reliability: no t <= %d meets target %.3g for n=%d p=%.3g", maxT, target, n, p)
 }

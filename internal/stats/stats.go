@@ -1,12 +1,11 @@
 // Package stats provides small statistics helpers shared by the simulator
-// and the experiment harness: counters, running means, histograms and a
-// geometric mean, plus fixed-width table rendering for experiment output.
+// and the experiment harness: running means and a geometric mean, plus
+// fixed-width table rendering for experiment output.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -18,9 +17,6 @@ type Mean struct {
 
 // Add accumulates one observation.
 func (m *Mean) Add(v float64) { m.n++; m.sum += v }
-
-// AddN accumulates an observation with weight n.
-func (m *Mean) AddN(v float64, n int64) { m.n += n; m.sum += v * float64(n) }
 
 // Value returns the mean, or 0 when empty.
 func (m *Mean) Value() float64 {
@@ -46,62 +42,6 @@ func GeoMean(vs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// Histogram is a fixed-bucket integer histogram (bucket i counts value i;
-// the last bucket absorbs overflow).
-type Histogram struct {
-	buckets []int64
-	total   int64
-}
-
-// NewHistogram creates a histogram with n buckets (values 0..n-2, plus an
-// overflow bucket).
-func NewHistogram(n int) *Histogram { return &Histogram{buckets: make([]int64, n)} }
-
-// Add records one observation of value v.
-func (h *Histogram) Add(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.buckets) {
-		v = len(h.buckets) - 1
-	}
-	h.buckets[v]++
-	h.total++
-}
-
-// Count returns bucket v's count.
-func (h *Histogram) Count(v int) int64 {
-	if v < 0 || v >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[v]
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Frac returns bucket v's fraction of all observations.
-func (h *Histogram) Frac(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Count(v)) / float64(h.total)
-}
-
-// FracAtLeast returns the fraction of observations >= v.
-func (h *Histogram) FracAtLeast(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var c int64
-	for i := v; i < len(h.buckets); i++ {
-		if i >= 0 {
-			c += h.buckets[i]
-		}
-	}
-	return float64(c) / float64(h.total)
 }
 
 // Table renders rows of labelled values as a fixed-width text table, used
@@ -149,14 +89,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order; handy for stable output.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -17,10 +17,6 @@ func TestMean(t *testing.T) {
 	if m.Value() != 3 || m.N() != 2 {
 		t.Errorf("mean=%v n=%v", m.Value(), m.N())
 	}
-	m.AddN(10, 2)
-	if m.Value() != 6.5 {
-		t.Errorf("weighted mean=%v, want 6.5", m.Value())
-	}
 }
 
 func TestGeoMean(t *testing.T) {
@@ -55,38 +51,6 @@ func TestGeoMeanBetweenMinMaxQuick(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(5)
-	for _, v := range []int{0, 1, 1, 2, 9, -3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total=%d", h.Total())
-	}
-	if h.Count(1) != 2 {
-		t.Errorf("count(1)=%d", h.Count(1))
-	}
-	if h.Count(4) != 1 { // overflow bucket absorbed 9
-		t.Errorf("overflow=%d", h.Count(4))
-	}
-	if h.Count(0) != 2 { // -3 clamped to 0
-		t.Errorf("count(0)=%d", h.Count(0))
-	}
-	if h.Count(99) != 0 {
-		t.Error("out-of-range count nonzero")
-	}
-	if f := h.Frac(1); math.Abs(f-2.0/6) > 1e-12 {
-		t.Errorf("frac=%v", f)
-	}
-	if f := h.FracAtLeast(2); math.Abs(f-2.0/6) > 1e-12 {
-		t.Errorf("fracAtLeast=%v", f)
-	}
-	var empty Histogram
-	if empty.Frac(0) != 0 || empty.FracAtLeast(0) != 0 {
-		t.Error("empty histogram fractions nonzero")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Header: []string{"name", "value"}}
 	tab.AddRow("alpha", "1")
@@ -98,13 +62,5 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines, want 4", len(lines))
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("keys=%v", keys)
 	}
 }

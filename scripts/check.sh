@@ -7,8 +7,8 @@
 #   workload and the ladder), then `make race` (race detector on the
 #   concurrent packages), `make fuzz` (a short coverage-guided pass per
 #   fuzz target), `make bench-smoke` (one iteration of every kernel
-#   benchmark, for their correctness checks) and the standard and fleet
-#   fault-injection campaign suites. The race package list, the fuzz
+#   benchmark, for their correctness checks) and the standard, guard and
+#   fleet fault-injection campaign suites. The race package list, the fuzz
 #   targets and the benchmark packages live in the Makefile only. Nothing here times anything or writes a tracked file:
 #   performance is compared same-host with scripts/benchpair.sh, and a
 #   change that must keep every campaign answer is compared with its base
@@ -69,6 +69,9 @@ if ! $quick; then
 
 	echo "== fault campaigns (standard suite)"
 	go run ./cmd/faultcampaign -suite standard
+
+	echo "== fault campaigns (guard suite)"
+	go run ./cmd/faultcampaign -suite guard
 
 	echo "== fault campaigns (fleet suite)"
 	go run ./cmd/faultcampaign -suite fleet
