@@ -38,8 +38,14 @@ bench:
 
 # One iteration of every kernel benchmark: they carry b.Fatal correctness
 # checks (decode counts, clean words staying clean) that nothing else runs.
+# Then one iteration of the root package's recovery benchmarks, the ones
+# `make profile` takes: the boot scrub, its one-pass chip rebuild and the
+# fleet's chip repair, so a change that breaks their set-up or their
+# b.Fatal checks fails here rather than at the next profile.
+RECOVERY_BENCH = '^Benchmark(BootScrub|ChipkillRebuild|FleetRepairChip)$$'
 bench-smoke:
 	go test -run xxx -bench $(KERNEL_BENCH) -benchtime 1x $(KERNEL_PKGS)
+	go test -run xxx -bench $(RECOVERY_BENCH) -benchtime 1x .
 
 # CPU + allocation profiles of the engine write benchmark (the zero-alloc
 # write pipeline); inspect with `go tool pprof profiles/write_{cpu,mem}.pprof`.
@@ -59,7 +65,7 @@ campaign:
 
 # Multi-rank fleet campaigns: rank kills (serial and under concurrent
 # load), chip repair with the measured per-block cost of each path (VLEW
-# copy from a replica vs bank-parallel RS erasure rebuild), replica
+# copy from a replica vs the parallel RS erasure rebuild), replica
 # divergence healing, replica death mid-repair, and the two-rank
 # double-fault.
 fleet-campaign:

@@ -127,7 +127,7 @@ func TestRebuildAllocatesPerWorkerNotPerBlock(t *testing.T) {
 			allocs[i] = testing.AllocsPerRun(3, func() {
 				r.FailChip(ci)
 				r.RepairChip(ci)
-				ScrubRebuild(r, c.chipSolver(ci), ci, nil, 4)
+				ScrubRebuild(r, c.ChipSolver(ci), ci, nil, 4)
 			})
 			twin.BootScrub()
 			r.CloseAllRows()

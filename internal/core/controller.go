@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"chipkillpm/internal/gf"
 	"chipkillpm/internal/rank"
@@ -135,7 +136,7 @@ type Config struct {
 	// runtime before falling back to VLEWs (2 in the paper, Sec V-C).
 	Threshold int
 	// ScrubWorkers sets the boot-scrub worker-pool size. Workers scan
-	// disjoint (chip, bank) shards, so results are independent of the
+	// disjoint (bank, row) units, so results are independent of the
 	// worker count. Zero means GOMAXPROCS; negative is rejected.
 	ScrubWorkers int
 }
@@ -176,11 +177,6 @@ type Controller struct {
 	checkDelta   []byte // RS check bytes for writes: the delta on the XOR path, the full check on raw writes
 	internalBuf  []byte // OMV fetches and other internal reads
 
-	// solver reconstructs chip solverChip's eight symbols of a block; built
-	// on first use (chipSolver) and kept, since a chip failure is sticky.
-	solver     *rs.ErasureSolver
-	solverChip int
-
 	// Correction-path scratch, reused across corrections so reads under
 	// drift stay allocation-free: RS corrections land in corrBuf via the
 	// DecodeAppend family, and the VLEW fallback gathers each chip's VLEW
@@ -205,9 +201,10 @@ func NewController(r *rank.Rank, cfg Config, omv OMVProvider) (*Controller, erro
 
 // NewControllers wires n controllers to one rank, as an engine's shards
 // use it: each has its own scratch, counters and telemetry, and all of
-// them share the rank's layout (see MigrationState) and one per-block RS
-// code, so a migration begun or advanced through any of them is seen by
-// all.
+// them share the rank's layout (see MigrationState), one per-block RS
+// code and, through the layout, one per-chip erasure-solver cache
+// (ChipSolver), so a migration begun or advanced through any of them is
+// seen by all, and a chip's solver is built once.
 func NewControllers(r *rank.Rank, cfg Config, omv OMVProvider, n int) ([]*Controller, error) {
 	bb := r.Config().BlockBytes()
 	checkBytes := r.Config().ChipAccessBytes
@@ -387,24 +384,44 @@ func (c *Controller) readCorrectedInto(dst []byte, block int64) error {
 	return c.vlewCorrectBlockInto(dst, block)
 }
 
-// chipSolver returns the RS erasure solver for chip ci, built on first use
-// and kept, since a chip failure is sticky.
-func (c *Controller) chipSolver(ci int) *rs.ErasureSolver {
-	if c.solver == nil || c.solverChip != ci {
-		c.solver, c.solverChip = chipErasureSolver(c.rsCode, ci), ci
+// ChipSolver returns the RS erasure solver that reconstructs chip ci's
+// symbols of a block (data or parity chip), from the rank's cache. It is
+// safe for concurrent use. It panics if ci is not one of the rank's
+// chips.
+func (c *Controller) ChipSolver(ci int) *rs.ErasureSolver {
+	if ci < 0 || ci >= c.rank.NumChips() {
+		panic(fmt.Sprintf("core: erasure solver for chip %d of %d", ci, c.rank.NumChips()))
 	}
-	return c.solver
+	cs := c.layout.solvers.Load()
+	if cs == nil {
+		cs = &chipSolvers{code: c.rsCode, chips: make([]atomic.Pointer[rs.ErasureSolver], c.rank.NumChips())}
+		if !c.layout.solvers.CompareAndSwap(nil, cs) {
+			cs = c.layout.solvers.Load()
+		}
+	}
+	return cs.get(ci)
 }
 
-// NewChipSolver builds the RS erasure solver ScrubRebuild takes for chip ci
-// (data or parity) of ranks shaped like r. It panics if ci is not one of
-// r's chips.
-func NewChipSolver(r *rank.Rank, ci int) *rs.ErasureSolver {
-	code, err := rs.New(r.Config().BlockBytes(), r.Config().ChipAccessBytes)
-	if err != nil {
-		panic(fmt.Sprintf("core: sizing per-block RS: %v", err))
+// chipSolvers is a rank's per-chip erasure-solver cache: one atomic
+// pointer per chip, built on first use. Racing builders each construct a
+// candidate and CompareAndSwap keeps exactly one, so every controller and
+// scrub worker shares a single solver per chip. A solver is read-only
+// once built (Solve and SolveWords only read its tables), so sharing it
+// needs no lock.
+type chipSolvers struct {
+	code  *rs.Code
+	chips []atomic.Pointer[rs.ErasureSolver]
+}
+
+func (cs *chipSolvers) get(ci int) *rs.ErasureSolver {
+	if s := cs.chips[ci].Load(); s != nil {
+		return s
 	}
-	return chipErasureSolver(code, ci)
+	s := chipErasureSolver(cs.code, ci)
+	if !cs.chips[ci].CompareAndSwap(nil, s) {
+		s = cs.chips[ci].Load()
+	}
+	return s
 }
 
 // chipErasureSolver builds code's solver for chip ci's symbols: chip ci
@@ -489,7 +506,7 @@ func (c *Controller) vlewCorrectBlockInto(dst []byte, block int64) error {
 		}
 		// Reconstruct the failed chip's bytes via RS erasure; the solve
 		// replaces whatever the chip returned, so dst needs no pre-zeroing.
-		c.chipSolver(ci).Solve(dst, check)
+		c.ChipSolver(ci).Solve(dst, check)
 		c.tel.Chips[ci].ErasureRepairs++
 	default:
 		c.stats.Uncorrectable++

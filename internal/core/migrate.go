@@ -58,10 +58,16 @@ type MigrationState struct {
 	//chipkill:atomic
 	cursor atomic.Int64
 	blocks int64
+	// solvers is the rank's erasure-solver cache (Controller.ChipSolver).
+	// It rides here, in the one value every controller over the rank
+	// shares, so that it can be built on the first solver anyone asks
+	// for: building a rank's controllers allocates nothing for it.
+	//chipkill:atomic
+	solvers atomic.Pointer[chipSolvers]
 	// The lock-free engine read loads the cursor on every read; the pad
 	// makes the value a 64-B object, which the allocator's 64-B size
 	// class places on a line of its own.
-	_ [cpu.CacheLineBytes - 3*8]byte
+	_ [cpu.CacheLineBytes - 4*8]byte
 }
 
 // Cursor returns the first unmigrated block: blocks below it are in the
@@ -215,7 +221,7 @@ func (c *Controller) cleanBand(first int64, failed int) ([]byte, error) {
 		c.tel.DUEs++
 		return nil, fmt.Errorf("chip %d lost and parity beyond the VLEW code: %w", failed, ErrUncorrectable)
 	}
-	c.chipSolver(failed).SolveWords(words[failed], words)
+	c.ChipSolver(failed).SolveWords(words[failed], words)
 	c.tel.Chips[failed].ErasureRepairs += c.BandBlocks()
 	return words[failed], nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,9 +24,10 @@ type ScrubReport struct {
 	BusBlockFetches int64 // block transfers the scrub cost
 }
 
-// scrubPartial is one bank's contribution to a pass's totals, merged
-// serially after the pool drains so the result is deterministic regardless
-// of worker count or scheduling.
+// scrubPartial is one worker's contribution to a pass's totals, merged
+// after the pool drains. The sums do not depend on which worker took
+// which unit, and the beyond-code list is sorted into (bank, row, chip,
+// v) order, so the result is the same for any worker count or schedule.
 type scrubPartial struct {
 	vlews, bits   int64
 	uncorrectable []VLEWLoc
@@ -136,7 +139,7 @@ func (c *Controller) BootScrub() ScrubReport {
 	var solver *rs.ErasureSolver
 	if len(dead) == 1 {
 		rebuilt = dead[0]
-		solver = c.chipSolver(rebuilt)
+		solver = c.ChipSolver(rebuilt)
 		r.RepairChip(rebuilt)
 	}
 	vlews, bits, beyond := ScrubRebuild(r, solver, rebuilt, nil, workers)
@@ -161,7 +164,7 @@ func (c *Controller) BootScrub() ScrubReport {
 		ci := rep.ChipsFailed[0]
 		if ci != rebuilt { // convicted by the scan: rebuild it in a second pass
 			r.RepairChip(ci)
-			ScrubRebuild(r, c.chipSolver(ci), ci, nil, workers)
+			ScrubRebuild(r, c.ChipSolver(ci), ci, nil, workers)
 		}
 		rep.BlocksRebuilt += r.Blocks()
 		rep.BusBlockFetches += r.Blocks()
@@ -187,14 +190,13 @@ func (c *Controller) BootScrub() ScrubReport {
 // covers only the selected spans. With ci >= 0 it covers them all, and
 // the same pass then rebuilds chip ci's VLEWs of the selected spans from
 // the survivors' just corrected row: the caller has cleared ci with
-// Rank.RepairChip, and
-// solver is ci's erasure solver (NewChipSolver). A block's slice on the
-// chip is the RS erasure solution for the chip's eight symbols — for the
-// parity chip simply the re-encoded check bytes (Sec V-B) — solved
-// straight from the survivors' row buffers (ErasureSolver.SolveWords),
-// BCH-encoded once per VLEW and landed with one WriteVLEWRow per row.
-// Spans not selected are left as they are. The caller has closed all rows
-// and holds the rank quiesced.
+// Rank.RepairChip, and solver is ci's erasure solver
+// (Controller.ChipSolver). A block's slice on the chip is the RS erasure
+// solution for the chip's eight symbols — for the parity chip simply the
+// re-encoded check bytes (Sec V-B) — solved straight from the survivors'
+// row buffers (ErasureSolver.SolveWords), BCH-encoded once per VLEW and
+// landed with one WriteVLEWRow per row. Spans not selected are left as
+// they are. The caller has closed all rows and holds the rank quiesced.
 //
 // RS(72,64) with a whole chip erased has no check symbol left, so a
 // rebuild is only as good as the survivors under it: a rebuilt span
@@ -202,11 +204,15 @@ func (c *Controller) BootScrub() ScrubReport {
 // chip has failed (its cells are not read; the solve sees zeros) is
 // garbage, and the caller must fail ci again or take the span elsewhere.
 //
-// Workers (0 = GOMAXPROCS) take whole banks, modelling a controller that
-// scrubs banks in parallel under the rank's bank-level parallelism; banks
-// are disjoint under the nvram.Chip contract. Decoding VLEWs dominates
-// the cost and runs without locks; only the per-chip ReadVLEWInto and
-// WriteVLEWRow accesses synchronise.
+// Workers (0 = GOMAXPROCS) take one (bank, row) at a time, numbered
+// banks-fastest (unit u is bank u % Banks, row u / Banks), modelling a
+// controller that scrubs banks in parallel under the rank's bank-level
+// parallelism: workers running together sit on different banks except
+// at the very end of the pass, and none idles while rows are left.
+// Decoding VLEWs dominates the cost and runs without locks; only the
+// per-chip ReadVLEWInto and WriteVLEWRow accesses synchronise, on the
+// chip's mutex, which lets workers share a bank under the nvram.Chip
+// contract.
 //
 //chipkill:rankwide
 func ScrubRebuild(r *rank.Rank, solver *rs.ErasureSolver, ci int, want []bool, workers int) (vlews, bitsCorrected int64, uncorrectable []VLEWLoc) {
@@ -220,96 +226,104 @@ func ScrubRebuild(r *rank.Rank, solver *rs.ErasureSolver, ci int, want []bool, w
 		}
 	}
 
-	partials := make([]scrubPartial, g.Banks)
-	fanOut(workers, g.Banks, func() func(int) {
-		// Per-worker working set: one data/code buffer pair per VLEW of
-		// a row on every chip, reused for every row the worker visits
-		// (ReadVLEWInto fills them in place), plus the row's write-back
-		// batch and the word solve's view of one VLEW across the chips.
-		// A worker allocates once, not per VLEW or per block.
+	units := g.Banks * g.RowsPerBank
+	partials := make([]*scrubPartial, poolSize(workers, units))
+	fanOut(len(partials), units, func(w int) func(int) {
+		// Per-worker working set: its partial totals, one data/code
+		// buffer pair per VLEW of a row on every chip, reused for every
+		// row the worker visits (ReadVLEWInto fills them in place), plus
+		// the row's write-back batch and the word solve's view of one
+		// VLEW across the chips. A worker allocates once, not per row,
+		// VLEW or block.
+		p := new(scrubPartial)
+		partials[w] = p
 		vpr := g.VLEWsPerRow()
 		rowData, rowCode := rowBuffers(g, nchips)
 		vs := make([]int, 0, vpr)
 		datas := make([][]byte, 0, vpr)
 		codes := make([][]byte, 0, vpr)
 		src := make([][]byte, nchips)
-		return func(bank int) {
-			p := &partials[bank]
-			for row := 0; row < g.RowsPerBank; row++ {
-				for _, chip := range scan {
-					vs, datas, codes = vs[:0], datas[:0], codes[:0]
-					for v := 0; v < vpr; v++ {
-						if ci < 0 && want != nil && !want[VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)] {
-							continue
-						}
-						p.vlews++
-						data, vcode := rowData[chip*vpr+v], rowCode[chip*vpr+v]
-						r.Chip(chip).ReadVLEWInto(data, vcode, bank, row, v)
-						fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
-						if err != nil {
-							p.uncorrectable = append(p.uncorrectable, VLEWLoc{Chip: chip, Bank: bank, Row: row, V: v})
-							continue
-						}
-						if fixed > 0 {
-							p.bits += int64(fixed)
-							vs, datas, codes = append(vs, v), append(datas, data), append(codes, vcode)
-						}
-					}
-					// One locked write-back per row covers every corrected
-					// VLEW in it, instead of one lock round-trip per VLEW.
-					if len(vs) > 0 {
-						r.Chip(chip).WriteVLEWRow(bank, row, vs, datas, codes)
-					}
-				}
-				if ci < 0 {
-					continue
-				}
+		return func(u int) {
+			bank, row := u%g.Banks, u/g.Banks
+			for _, chip := range scan {
 				vs, datas, codes = vs[:0], datas[:0], codes[:0]
 				for v := 0; v < vpr; v++ {
-					if want != nil && !want[VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)] {
+					if ci < 0 && want != nil && !want[VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)] {
 						continue
 					}
-					for chip := range src {
-						src[chip] = rowData[chip*vpr+v]
+					p.vlews++
+					data, vcode := rowData[chip*vpr+v], rowCode[chip*vpr+v]
+					r.Chip(chip).ReadVLEWInto(data, vcode, bank, row, v)
+					fixed, err := code.Decode(data, vcode[:code.ParityBytes()])
+					if err != nil {
+						p.uncorrectable = append(p.uncorrectable, VLEWLoc{Chip: chip, Bank: bank, Row: row, V: v})
+						continue
 					}
-					data, vcode := rowData[ci*vpr+v], rowCode[ci*vpr+v]
-					solver.SolveWords(data, src)
-					code.EncodeDeltaInto(vcode[:code.ParityBytes()], data, 0)
-					vs, datas, codes = append(vs, v), append(datas, data), append(codes, vcode)
+					if fixed > 0 {
+						p.bits += int64(fixed)
+						vs, datas, codes = append(vs, v), append(datas, data), append(codes, vcode)
+					}
 				}
+				// One locked write-back per row covers every corrected
+				// VLEW in it, instead of one lock round-trip per VLEW.
 				if len(vs) > 0 {
-					r.Chip(ci).WriteVLEWRow(bank, row, vs, datas, codes)
+					r.Chip(chip).WriteVLEWRow(bank, row, vs, datas, codes)
 				}
+			}
+			if ci < 0 {
+				return
+			}
+			vs, datas, codes = vs[:0], datas[:0], codes[:0]
+			for v := 0; v < vpr; v++ {
+				if want != nil && !want[VLEWLoc{Bank: bank, Row: row, V: v}.Span(g)] {
+					continue
+				}
+				for chip := range src {
+					src[chip] = rowData[chip*vpr+v]
+				}
+				data, vcode := rowData[ci*vpr+v], rowCode[ci*vpr+v]
+				solver.SolveWords(data, src)
+				code.EncodeDeltaInto(vcode[:code.ParityBytes()], data, 0)
+				vs, datas, codes = append(vs, v), append(datas, data), append(codes, vcode)
+			}
+			if len(vs) > 0 {
+				r.Chip(ci).WriteVLEWRow(bank, row, vs, datas, codes)
 			}
 		}
 	})
-	for i := range partials {
-		p := &partials[i]
+	for _, p := range partials {
 		vlews += p.vlews
 		bitsCorrected += p.bits
 		uncorrectable = append(uncorrectable, p.uncorrectable...)
 	}
+	slices.SortFunc(uncorrectable, func(a, b VLEWLoc) int {
+		return cmp.Or(cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Row, b.Row), cmp.Compare(a.Chip, b.Chip), cmp.Compare(a.V, b.V))
+	})
 	return vlews, bitsCorrected, uncorrectable
 }
 
-// fanOut runs body(i) for every i in [0, n) on up to `workers` goroutines
-// (GOMAXPROCS when workers <= 0) and waits for them. newWorker is called
-// once per goroutine to build its private working set and returns that
-// goroutine's body.
-func fanOut(workers, n int, newWorker func() func(i int)) {
+// poolSize is the number of goroutines fanOut runs for n work items when
+// asked for `workers`: GOMAXPROCS when workers <= 0, and never more than
+// n.
+func poolSize(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	return min(workers, n)
+}
+
+// fanOut runs body(i) for every i in [0, n) on `workers` goroutines (see
+// poolSize) and waits for them. newWorker(w) is called once on goroutine
+// w, 0 <= w < workers, to build its private working set and returns that
+// goroutine's body.
+func fanOut(workers, n int, newWorker func(w int) func(i int)) {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body := newWorker()
+			body := newWorker(w)
 			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
 				body(i)
 			}

@@ -2,9 +2,16 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"chipkillpm/internal/nvram"
 	"chipkillpm/internal/rank"
+	"chipkillpm/internal/rs"
 )
 
 // newScrubController builds a controller with an explicit scrub worker
@@ -65,45 +72,180 @@ func TestBootScrubWritesBackCorrectedParityBits(t *testing.T) {
 	}
 }
 
-// TestBootScrubParallelMatchesSerial runs identically seeded ranks through
-// scrubs with 1, 3 and 8 workers and demands identical reports and chip
-// stats: the (chip, bank) sharding makes the scan order-insensitive.
+// gridRank builds a drifted rank of 5 banks (a multiple of none of the
+// worker counts gridWorkers tries, so the last units of a pass straggle
+// differently for each) behind a controller with the given scrub worker
+// count, and plants VLEWs beyond the BCH code (30 flipped data bits,
+// t = 22) at the given sites. Identical arguments give byte-identical
+// ranks.
+func gridRank(t testing.TB, workers int, beyond []VLEWLoc) *Controller {
+	t.Helper()
+	r, err := rank.New(rank.PaperConfig(5, 4, 1024, 71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ScrubWorkers = workers
+	c, err := NewController(r, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, c, 72)
+	r.CloseAllRows()
+	r.InjectRetentionErrors(1e-3)
+	vb := r.Config().Geometry.VLEWDataBytes
+	for _, l := range beyond {
+		for i := 0; i < 30; i++ {
+			r.Chip(l.Chip).FlipDataBit(l.Bank, l.Row, l.V*vb+i*8, uint(i%8))
+		}
+	}
+	return c
+}
+
+// gridWorkers are the worker counts the grid tests compare against one.
+var gridWorkers = []int{2, 3, 4, 7}
+
+// cellsOf snapshots every chip's cell array, rows closed first.
+func cellsOf(r *rank.Rank) [][]byte {
+	r.CloseAllRows()
+	cells := make([][]byte, r.NumChips())
+	for ci := range cells {
+		cells[ci] = bytes.Clone(r.Chip(ci).CellArray())
+	}
+	return cells
+}
+
+// TestBootScrubParallelMatchesSerial runs identically seeded, drifted
+// ranks through scrubs with 1, 2, 3, 4 and 7 workers and demands the same
+// report, the same counters and the same cells on every chip: workers
+// take (bank, row) units, and nothing a pass returns or writes depends on
+// which worker took which. The cases cover a plain drift scrub, a dead
+// chip rebuilt in the scan's own pass, a chip the scan convicts (beyond
+// the code in several units) and rebuilds in a second pass, and two
+// convicted chips, which is unrecoverable.
 func TestBootScrubParallelMatchesSerial(t *testing.T) {
-	run := func(workers int) (ScrubReport, Stats, []byte) {
-		c := newScrubController(t, 31, workers)
-		fillRandom(t, c, 32)
-		c.Rank().InjectRetentionErrors(1e-3)
-		rep := c.BootScrub()
-		var contents []byte
-		data := make([]byte, c.Rank().Config().BlockBytes())
-		check := make([]byte, c.Rank().Config().ChipAccessBytes)
-		for b := int64(0); b < c.Rank().Blocks(); b++ {
-			c.Rank().ReadBlockRawInto(b, data, check)
-			contents = append(contents, data...)
-			contents = append(contents, check...)
-		}
-		return rep, c.Stats(), contents
+	for _, tc := range []struct {
+		name   string
+		dead   int // chip failed before the scrub, -1 for none
+		beyond []VLEWLoc
+	}{
+		{"drift", -1, nil},
+		{"dead chip", 2, nil},
+		{"convicted chip", -1, []VLEWLoc{{Chip: 5, Bank: 0, Row: 0, V: 1}, {Chip: 5, Bank: 3, Row: 2, V: 0}, {Chip: 5, Bank: 4, Row: 3, V: 3}}},
+		{"two convicted chips", -1, []VLEWLoc{{Chip: 1, Bank: 2, Row: 1, V: 2}, {Chip: 8, Bank: 4, Row: 0, V: 0}, {Chip: 1, Bank: 0, Row: 3, V: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) (ScrubReport, Stats, [][]byte) {
+				c := gridRank(t, workers, tc.beyond)
+				if tc.dead >= 0 {
+					c.Rank().FailChip(tc.dead)
+				}
+				rep := c.BootScrub()
+				return rep, c.Stats(), cellsOf(c.Rank())
+			}
+			refRep, refStats, refCells := run(1)
+			if refRep.BitsCorrected == 0 {
+				t.Fatal("reference scrub corrected nothing")
+			}
+			if want := tc.dead >= 0 || len(tc.beyond) > 0; want != (len(refRep.ChipsFailed) > 0) {
+				t.Fatalf("reference scrub: %v", refRep)
+			}
+			for _, workers := range gridWorkers {
+				rep, stats, cells := run(workers)
+				if !reflect.DeepEqual(rep, refRep) {
+					t.Fatalf("workers=%d: report diverged\ngot  %+v\nwant %+v", workers, rep, refRep)
+				}
+				if stats != refStats {
+					t.Fatalf("workers=%d: stats diverged\ngot  %+v\nwant %+v", workers, stats, refStats)
+				}
+				for ci := range cells {
+					if !bytes.Equal(cells[ci], refCells[ci]) {
+						t.Fatalf("workers=%d: chip %d cells diverged", workers, ci)
+					}
+				}
+			}
+		})
 	}
-	refRep, refStats, refContents := run(1)
-	if refRep.BitsCorrected == 0 {
-		t.Fatal("reference scrub corrected nothing")
+}
+
+// TestScrubRebuildGridMatchesSerial drives ScrubRebuild directly, scan
+// only (every span, and a selection of them) and scan plus rebuild of a
+// cleared chip, over a rank with VLEWs beyond the code in several
+// (bank, row) units and chips. The whole beyond-code list, in (bank, row,
+// chip, v) order, the totals and every chip's cells must not depend on
+// the worker count.
+func TestScrubRebuildGridMatchesSerial(t *testing.T) {
+	beyond := []VLEWLoc{
+		{Chip: 0, Bank: 0, Row: 0, V: 0},
+		{Chip: 6, Bank: 0, Row: 0, V: 2},
+		{Chip: 3, Bank: 1, Row: 3, V: 1},
+		{Chip: 8, Bank: 4, Row: 2, V: 3},
+		{Chip: 3, Bank: 4, Row: 2, V: 0},
+		{Chip: 7, Bank: 2, Row: 1, V: 2},
 	}
-	for _, workers := range []int{3, 8} {
-		rep, stats, contents := run(workers)
-		if rep.VLEWsScrubbed != refRep.VLEWsScrubbed ||
-			rep.BitsCorrected != refRep.BitsCorrected ||
-			rep.BusBlockFetches != refRep.BusBlockFetches ||
-			rep.BlocksRebuilt != refRep.BlocksRebuilt ||
-			rep.Unrecoverable != refRep.Unrecoverable ||
-			len(rep.ChipsFailed) != len(refRep.ChipsFailed) {
-			t.Fatalf("workers=%d: report diverged\ngot  %v\nwant %v", workers, rep, refRep)
+	want := func(g nvram.Geometry) []bool {
+		w := make([]bool, g.Banks*g.RowsPerBank*g.VLEWsPerRow())
+		for s := range w {
+			w[s] = s%3 != 1
 		}
-		if stats != refStats {
-			t.Fatalf("workers=%d: stats diverged\ngot  %+v\nwant %+v", workers, stats, refStats)
-		}
-		if !bytes.Equal(contents, refContents) {
-			t.Fatalf("workers=%d: scrubbed memory contents diverged", workers)
-		}
+		return w
+	}
+	for _, tc := range []struct {
+		name   string
+		ci     int
+		subset bool
+	}{
+		{"scan", -1, false},
+		{"scan selected spans", -1, true},
+		{"scan and rebuild", 4, false},
+		{"scan and rebuild selected spans", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type result struct {
+				vlews, bits int64
+				beyond      []VLEWLoc
+				cells       [][]byte
+			}
+			run := func(workers int) result {
+				c := gridRank(t, workers, beyond)
+				r := c.Rank()
+				r.CloseAllRows()
+				var sel []bool
+				if tc.subset {
+					sel = want(r.Config().Geometry)
+				}
+				var solver *rs.ErasureSolver
+				if tc.ci >= 0 {
+					solver = c.ChipSolver(tc.ci)
+					r.RepairChip(tc.ci)
+				}
+				var res result
+				res.vlews, res.bits, res.beyond = ScrubRebuild(r, solver, tc.ci, sel, workers)
+				res.cells = cellsOf(r)
+				return res
+			}
+			ref := run(1)
+			if ref.bits == 0 || len(ref.beyond) < 2 {
+				t.Fatalf("reference pass: %d bits corrected, beyond the code %v", ref.bits, ref.beyond)
+			}
+			if !slices.IsSortedFunc(ref.beyond, func(a, b VLEWLoc) int {
+				return cmp.Or(cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Row, b.Row), cmp.Compare(a.Chip, b.Chip), cmp.Compare(a.V, b.V))
+			}) {
+				t.Fatalf("beyond-code list not in (bank, row, chip, v) order: %v", ref.beyond)
+			}
+			for _, workers := range gridWorkers {
+				got := run(workers)
+				if got.vlews != ref.vlews || got.bits != ref.bits || !reflect.DeepEqual(got.beyond, ref.beyond) {
+					t.Fatalf("workers=%d: got %d VLEWs, %d bits, beyond %v; want %d, %d, %v",
+						workers, got.vlews, got.bits, got.beyond, ref.vlews, ref.bits, ref.beyond)
+				}
+				for ci := range got.cells {
+					if !bytes.Equal(got.cells[ci], ref.cells[ci]) {
+						t.Fatalf("workers=%d: chip %d cells diverged", workers, ci)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -198,6 +340,52 @@ func TestRebuildMatchesNeverFailedTwin(t *testing.T) {
 				t.Fatalf("chip %d: report depends on worker count\n1: %v (%d fetches)\n%d: %v (%d fetches)",
 					ci, ref, ref.BusBlockFetches, workers, rep, rep.BusBlockFetches)
 			}
+		}
+	}
+}
+
+// TestChipSolverSharedAcrossControllers races every controller over one
+// rank for every chip's solver: the cache must hand all of them the same
+// solver per chip, and a solver for each chip must reconstruct that
+// chip's symbols of a block.
+func TestChipSolverSharedAcrossControllers(t *testing.T) {
+	cs, err := NewControllers(smallRank(t, 81), DefaultConfig(), nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nchips := cs[0].Rank().NumChips()
+	got := make([][]*rs.ErasureSolver, len(cs))
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		got[i] = make([]*rs.ErasureSolver, nchips)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := range got[i] {
+				got[i][ci] = c.ChipSolver(ci)
+			}
+		}()
+	}
+	wg.Wait()
+	code := cs[0].RS()
+	data, check := make([]byte, code.K()), make([]byte, code.R())
+	rand.New(rand.NewSource(82)).Read(data)
+	code.EncodeInto(check, data)
+	for ci := 0; ci < nchips; ci++ {
+		for i := range cs {
+			if got[i][ci] != got[0][ci] {
+				t.Fatalf("chip %d: controller %d got another solver than controller 0", ci, i)
+			}
+		}
+		d, c := bytes.Clone(data), bytes.Clone(check)
+		if ci < cs[0].Rank().ParityChipIndex() {
+			clear(d[ci*len(c) : (ci+1)*len(c)])
+		} else {
+			clear(c)
+		}
+		got[0][ci].Solve(d, c)
+		if !bytes.Equal(d, data) || !bytes.Equal(c, check) {
+			t.Fatalf("chip %d: the cached solver does not rebuild the chip's symbols", ci)
 		}
 	}
 }

@@ -329,7 +329,7 @@ func (e *Engine) Quiesce(f func()) {
 }
 
 // BootScrub runs the boot-time scrub under full quiescence. The scrub
-// itself fans workers across (chip, bank) pairs internally; its counters
+// itself fans workers across (bank, row) units internally; its counters
 // land on shard 0's controller and therefore appear in Stats.
 func (e *Engine) BootScrub() core.ScrubReport {
 	var rep core.ScrubReport
@@ -337,6 +337,19 @@ func (e *Engine) BootScrub() core.ScrubReport {
 		rep = e.shards[0].ctrl.BootScrub()
 	})
 	return rep
+}
+
+// ChipSolver returns the rank's RS erasure solver for chip ci, from the
+// cache the shards' controllers share (core.Controller.ChipSolver): built
+// on first use, then the same read-only solver for every caller. It asks
+// through shard 0 under that shard's lock, like the other per-controller
+// calls here. Safe for concurrent use.
+func (e *Engine) ChipSolver(ci int) *rs.ErasureSolver {
+	s := e.shards[0]
+	s.mu.Lock()
+	solver := s.ctrl.ChipSolver(ci)
+	s.mu.Unlock()
+	return solver
 }
 
 // EnterDegradedMode remaps the rank around a failed data chip: it begins

@@ -6,13 +6,14 @@
 // and code land on the repaired chip unchanged. Nothing is re-encoded:
 // the VLEW code is a function of the data alone, and both ranks hold the
 // same bytes. Every other band, the rank's replica pool and the whole
-// parity chip are rebuilt by one core.ScrubRebuild pass, the
-// bank-parallel kernel BootScrub runs: row by row it drift-corrects the
-// survivors and solves the chip's VLEWs of the row from the same
-// buffers. Both paths are timed — the erasure path's time includes the
-// survivors' scan it cannot do without — so the campaign reports can
-// prove the replica copy beats the erasure rebuild, which is the fleet's
-// core argument. With no replica at all the repair declines
+// parity chip are rebuilt by one core.ScrubRebuild pass, the kernel
+// BootScrub runs: its workers take one (bank, row) at a time,
+// drift-correct the survivors' row and solve the chip's VLEWs of the row
+// from the same buffers, with the rank's cached erasure solver for the
+// chip (Engine.ChipSolver). Both paths are timed — the erasure path's
+// time includes the survivors' scan it cannot do without — so the
+// campaign reports can prove the replica copy beats the erasure rebuild,
+// which is the fleet's core argument. With no replica at all the repair declines
 // (ErrNoReplica) and the guard falls back to its journaled degraded-mode
 // migration exactly as a single-rank deployment would.
 package fleet
@@ -86,7 +87,7 @@ func (f *Fleet) RepairChip(rk, chip int) error {
 		return fmt.Errorf("fleet: repair rank %d chip %d: %w", rk, chip, ErrNoReplica)
 	}
 	rep := RepairReport{Rank: rk, Chip: chip, Parity: parity}
-	solver := core.NewChipSolver(n.rank, chip)
+	solver := n.eng.ChipSolver(chip)
 	n.eng.Quiesce(func() { f.repairChip(n, solver, &rep) })
 	f.repMu.Lock()
 	f.repairs = append(f.repairs, rep)

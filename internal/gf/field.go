@@ -183,21 +183,6 @@ func (f *Field) Log(a Elem) int {
 	return int(f.log[a])
 }
 
-// Pow returns a^k for k >= 0, with 0^0 defined as 1.
-func (f *Field) Pow(a Elem, k int) Elem {
-	if k == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	e := (int(f.log[a]) * k) % f.n
-	if e < 0 {
-		e += f.n
-	}
-	return f.exp[e]
-}
-
 // String implements fmt.Stringer.
 func (f *Field) String() string {
 	return fmt.Sprintf("GF(2^%d) [poly=%#x]", f.m, f.poly)

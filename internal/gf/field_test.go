@@ -194,3 +194,18 @@ func BenchmarkMulGF256(b *testing.B) {
 	}
 	_ = acc
 }
+
+// Pow returns a^k for k >= 0, with 0^0 defined as 1.
+func (f *Field) Pow(a Elem, k int) Elem {
+	if k == 0 {
+		return 1
+	}
+	if a == 0 {
+		return 0
+	}
+	e := (int(f.log[a]) * k) % f.n
+	if e < 0 {
+		e += f.n
+	}
+	return f.exp[e]
+}

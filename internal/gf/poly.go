@@ -30,16 +30,6 @@ func PolyClone(p Poly) Poly {
 	return q
 }
 
-// PolyAdd returns p + q over f.
-func (f *Field) PolyAdd(p, q Poly) Poly {
-	r := make(Poly, max(len(p), len(q)))
-	copy(r, p)
-	for i, c := range q {
-		r[i] ^= c
-	}
-	return PolyTrim(r)
-}
-
 // PolyMul returns p * q over f.
 func (f *Field) PolyMul(p, q Poly) Poly {
 	dp, dq := PolyDeg(p), PolyDeg(q)
@@ -60,17 +50,6 @@ func (f *Field) PolyMul(p, q Poly) Poly {
 		}
 	}
 	return PolyTrim(r)
-}
-
-// PolyMulXk returns p * x^k.
-func (f *Field) PolyMulXk(p Poly, k int) Poly {
-	d := PolyDeg(p)
-	if d < 0 {
-		return nil
-	}
-	r := make(Poly, d+1+k)
-	copy(r[k:], p[:d+1])
-	return r
 }
 
 // PolyDivMod returns the quotient and remainder of p / d over f. It panics
@@ -106,20 +85,6 @@ func (f *Field) PolyEval(p Poly, x Elem) Elem {
 		acc = f.Mul(acc, x) ^ p[i]
 	}
 	return acc
-}
-
-// PolyDeriv returns the formal derivative of p. In characteristic 2 the
-// even-power terms vanish and odd powers keep their coefficients:
-// d/dx sum(c_i x^i) = sum over odd i of c_i x^(i-1).
-func (f *Field) PolyDeriv(p Poly) Poly {
-	if len(p) <= 1 {
-		return nil
-	}
-	r := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i += 2 {
-		r[i-1] = p[i]
-	}
-	return PolyTrim(r)
 }
 
 // PolyString renders p with explicit coefficients, highest degree first.

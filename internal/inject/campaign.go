@@ -167,7 +167,10 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 		if c.Guard != nil || len(c.Events) > 0 || c.EngineShards > 0 {
 			return nil, fmt.Errorf("inject: fleet campaign %q cannot combine guard, events, or engine knobs", c.Name)
 		}
-		spec := c.Fleet.withDefaults()
+		spec := *c.Fleet
+		if spec.Ranks < 2 {
+			return nil, fmt.Errorf("inject: fleet campaign %q has %d ranks, want at least 2", c.Name, spec.Ranks)
+		}
 		fl, err := fleet.New(h.fleetCfg(spec))
 		if err != nil {
 			return nil, fmt.Errorf("inject: building fleet: %w", err)
@@ -182,6 +185,9 @@ func NewHarness(suite string, c Campaign) (*Harness, error) {
 	r, err := rank.New(rank.PaperConfig(c.Banks, c.RowsPerBank, c.RowBytes, seed+1))
 	if err != nil {
 		return nil, fmt.Errorf("inject: building rank: %w", err)
+	}
+	if g := c.Guard; g != nil && g.killsChip() && (g.KillChip < 0 || g.KillChip >= r.Config().DataChips) {
+		return nil, fmt.Errorf("inject: guard campaign %q kills chip %d, not a data chip", c.Name, g.KillChip)
 	}
 	h.rank = r
 	h.rep.Blocks = r.Blocks()

@@ -28,7 +28,8 @@ const (
 // scripted Events.
 type FleetSpec struct {
 	Scenario string `json:"scenario"`
-	// Ranks is the fleet width (default 3; double-fault uses 2).
+	// Ranks is the fleet width, at least 2 (the suite runs 3, and 2 for
+	// double-fault).
 	Ranks int `json:"ranks,omitempty"`
 }
 
@@ -49,14 +50,6 @@ const (
 	// rank: after that many bands of the in-flight chip repair.
 	fleetKillAfterBands = 3
 )
-
-func (s *FleetSpec) withDefaults() FleetSpec {
-	f := *s
-	if f.Ranks <= 0 {
-		f.Ranks = 3
-	}
-	return f
-}
 
 // fleetCfg derives the fleet configuration for a campaign: replication
 // runs policy-driven only in the scenario that tests the policy; every
@@ -89,7 +82,7 @@ func (h *Harness) fleetCfg(spec FleetSpec) fleet.Config {
 // for campaigns with a FleetSpec). The final sweep and stats capture run
 // afterwards in Run.
 func (h *Harness) runFleet() {
-	spec := h.c.Fleet.withDefaults()
+	spec := *h.c.Fleet
 	h.rep.Fleet = &FleetReport{Scenario: spec.Scenario, Ranks: spec.Ranks}
 	switch spec.Scenario {
 	case ScenarioFleetRankKill:

@@ -100,7 +100,7 @@ func TestFleetChipRepairMeasuresSpeedup(t *testing.T) {
 // Fleet campaigns reject the single-rank knobs they cannot honour.
 func TestFleetCampaignRejectsEngineKnobs(t *testing.T) {
 	_, err := NewHarness("test", Campaign{
-		Name: "bad", Fleet: &FleetSpec{Scenario: ScenarioFleetRankKill},
+		Name: "bad", Fleet: &FleetSpec{Scenario: ScenarioFleetRankKill, Ranks: 3},
 		EngineShards: 2,
 	})
 	if err == nil {

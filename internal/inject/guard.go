@@ -28,7 +28,9 @@ const (
 // never exact counts.
 type GuardSpec struct {
 	Scenario string `json:"scenario"`
-	// KillChip is the data chip the scenario kills (default 2).
+	// KillChip is the data chip the chip-kill and crash scenarios kill;
+	// 0 is data chip 0. NewHarness rejects a chip that is not a data
+	// chip. The transient-storm scenario ignores it.
 	KillChip int `json:"kill_chip,omitempty"`
 }
 
@@ -44,18 +46,15 @@ const (
 	stormChip = 3
 )
 
-func (s *GuardSpec) withDefaults() GuardSpec {
-	g := *s
-	if g.KillChip <= 0 {
-		g.KillChip = 2
-	}
-	return g
+// killsChip reports whether the spec's scenario kills KillChip.
+func (s *GuardSpec) killsChip() bool {
+	return s.Scenario == ScenarioChipKillUnderLoad || s.Scenario == ScenarioCrashDuringMigration
 }
 
 // runGuard executes the campaign's guard scenario. Every block is
 // already committed; the final oracle sweep runs afterwards in Run.
 func (h *Harness) runGuard() {
-	spec := h.c.Guard.withDefaults()
+	spec := *h.c.Guard
 	g := &GuardReport{Scenario: spec.Scenario}
 	h.rep.Guard = g
 

@@ -261,3 +261,46 @@ func TestGuardSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardCampaignKillsChipZero kills data chip 0, whose index is the
+// zero value of GuardSpec.KillChip: the crash-during-migration scenario
+// must convict, journal and finish the migration around chip 0 itself,
+// with zero SDC and zero DUE.
+func TestGuardCampaignKillsChipZero(t *testing.T) {
+	h, err := NewHarness("test", Campaign{
+		Name: "guard-crash-chip0", Seed: 1, WriteFrac: 0.3, OMVHitRate: 0.7,
+		Guard: &GuardSpec{Scenario: ScenarioCrashDuringMigration, KillChip: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := h.Run()
+	if !cr.Pass || cr.SDC != 0 || cr.DUE != 0 {
+		t.Fatalf("campaign: pass=%v sdc=%d due=%d: %s", cr.Pass, cr.SDC, cr.DUE, cr.Reason)
+	}
+	if g := cr.Guard; g == nil || !g.MigrationResumed || g.BandsMigrated == 0 {
+		t.Fatalf("guard summary %+v: want a resumed migration", cr.Guard)
+	}
+	if d, chip := h.eng.Degraded(); !d || chip != 0 {
+		t.Fatalf("rank degraded=%v around chip %d, want degraded around chip 0", d, chip)
+	}
+}
+
+// TestCampaignSpecsStateEveryValue pins that a spec states every value
+// it uses, with no default behind a zero: NewHarness rejects a chip kill
+// that names no data chip and a fleet of fewer than two ranks.
+func TestCampaignSpecsStateEveryValue(t *testing.T) {
+	for _, c := range []Campaign{
+		{Name: "parity", Guard: &GuardSpec{Scenario: ScenarioChipKillUnderLoad, KillChip: 8}},
+		{Name: "negative", Guard: &GuardSpec{Scenario: ScenarioCrashDuringMigration, KillChip: -1}},
+		{Name: "no ranks", Fleet: &FleetSpec{Scenario: ScenarioFleetRankKill}},
+		{Name: "one rank", Fleet: &FleetSpec{Scenario: ScenarioFleetChipRepair, Ranks: 1}},
+	} {
+		if _, err := NewHarness("test", c); err == nil {
+			t.Errorf("campaign %q built", c.Name)
+		}
+	}
+	if _, err := NewHarness("test", Campaign{Name: "storm", Guard: &GuardSpec{Scenario: ScenarioTransientStorm}}); err != nil {
+		t.Errorf("transient storm, which kills no chip: %v", err)
+	}
+}

@@ -251,7 +251,7 @@ func fleetSuite(seed int64) []Campaign {
 			Seed:        seed,
 			RowsPerBank: 4,
 			Ops:         800, WriteFrac: 0.3,
-			Fleet: &FleetSpec{Scenario: ScenarioFleetRankKill},
+			Fleet: &FleetSpec{Scenario: ScenarioFleetRankKill, Ranks: 3},
 		},
 		{
 			Name:        "fleet-rank-kill-load",
@@ -259,7 +259,7 @@ func fleetSuite(seed int64) []Campaign {
 			Seed:        seed,
 			RowsPerBank: 4,
 			Ops:         0, WriteFrac: 0.3,
-			Fleet: &FleetSpec{Scenario: ScenarioFleetRankKillLoad},
+			Fleet: &FleetSpec{Scenario: ScenarioFleetRankKillLoad, Ranks: 3},
 		},
 		{
 			Name:        "fleet-chip-repair",
@@ -267,7 +267,7 @@ func fleetSuite(seed int64) []Campaign {
 			Seed:        seed,
 			RowsPerBank: 4,
 			Ops:         0, WriteFrac: 0.3,
-			Fleet: &FleetSpec{Scenario: ScenarioFleetChipRepair},
+			Fleet: &FleetSpec{Scenario: ScenarioFleetChipRepair, Ranks: 3},
 		},
 		{
 			Name:        "fleet-replica-divergence",
@@ -275,7 +275,7 @@ func fleetSuite(seed int64) []Campaign {
 			Seed:        seed,
 			RowsPerBank: 4,
 			Ops:         0, WriteFrac: 0.3,
-			Fleet: &FleetSpec{Scenario: ScenarioFleetDivergence},
+			Fleet: &FleetSpec{Scenario: ScenarioFleetDivergence, Ranks: 3},
 		},
 		{
 			Name:        "fleet-kill-during-repair",
@@ -283,7 +283,7 @@ func fleetSuite(seed int64) []Campaign {
 			Seed:        seed,
 			RowsPerBank: 4,
 			Ops:         0, WriteFrac: 0.3,
-			Fleet: &FleetSpec{Scenario: ScenarioFleetKillMidRepair},
+			Fleet: &FleetSpec{Scenario: ScenarioFleetKillMidRepair, Ranks: 3},
 		},
 		{
 			Name:        "fleet-double-fault",

@@ -103,7 +103,7 @@ func (s Stats) CFactor() float64 {
 //     sharded engine relies on this by assigning each bank to exactly one
 //     shard lock. ReadVLEWInto, WriteVLEW and WriteVLEWRow also take the
 //     chip's mutex, so scrub workers may share a bank among themselves —
-//     the parallel boot scrub fans workers out across (chip, bank) pairs.
+//     the parallel boot scrub fans workers out across (bank, row) units.
 //   - FailedAccesses is safe at any time, against any traffic.
 //   - Stats is a snapshot taken while no bank operation is in flight.
 //   - Fault-injection and maintenance methods (Fail, Repair, CloseAllRows,

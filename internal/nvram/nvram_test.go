@@ -345,18 +345,6 @@ func TestRBERClamps(t *testing.T) {
 	}
 }
 
-func TestRBERTableCoversFig1(t *testing.T) {
-	table := RBERTable([]float64{1, Hour, Week, Year})
-	if len(table) != 5 {
-		t.Fatalf("table has %d technologies, want 5", len(table))
-	}
-	for name, row := range table {
-		if len(row) != 4 {
-			t.Errorf("%s: %d entries", name, len(row))
-		}
-	}
-}
-
 func TestFormatInterval(t *testing.T) {
 	cases := map[float64]string{1: "1s", 120: "2m", Hour: "1h", Day: "1d", Week: "1.0w", Year: "1.0y"}
 	for s, want := range cases {

@@ -100,20 +100,6 @@ func Fig1Technologies() []Tech {
 	return []Tech{PCM2, PCM3, ReRAM, FlashMLC, DRAM}
 }
 
-// RBERTable renders RBER at the given times for every Fig 1 technology;
-// used by the experiment harness to regenerate Figure 1.
-func RBERTable(times []float64) map[string][]float64 {
-	out := make(map[string][]float64)
-	for _, tech := range Fig1Technologies() {
-		row := make([]float64, len(times))
-		for i, s := range times {
-			row[i] = tech.RBER(s)
-		}
-		out[tech.Name] = row
-	}
-	return out
-}
-
 // Common refresh/outage intervals, in seconds.
 const (
 	Second = 1.0

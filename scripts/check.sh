@@ -7,7 +7,8 @@
 #   workload and the ladder), then `make race` (race detector on the
 #   concurrent packages), `make fuzz` (a short coverage-guided pass per
 #   fuzz target), `make bench-smoke` (one iteration of every kernel
-#   benchmark, for their correctness checks) and the standard, guard and
+#   benchmark and of the root recovery benchmarks, for their correctness
+#   checks) and the standard, guard and
 #   fleet fault-injection campaign suites. The race package list, the fuzz
 #   targets and the benchmark packages live in the Makefile only. Nothing here times anything or writes a tracked file:
 #   performance is compared same-host with scripts/benchpair.sh, and a
