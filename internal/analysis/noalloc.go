@@ -30,7 +30,9 @@ import (
 // Allocations that only feed a panic call are ignored: a panicking
 // process has no allocation budget to protect. Callees that are
 // themselves annotated //chipkill:noalloc are trusted here and checked
-// at their own declaration. Intentional cold-path allocations take a
+// at their own declaration; a body-less (assembly) declaration so
+// annotated is trusted without a check, and an unannotated one calls as
+// unknown. Intentional cold-path allocations take a
 // //chipkill:allow noalloc <reason> on the offending line.
 var NoAlloc = &Analyzer{
 	Name:          "noalloc",
@@ -131,16 +133,25 @@ type allocLocal struct {
 // facts (annotation, direct allocation sites). Propagation through calls
 // happens afterwards in propagateAllocFacts, once every package has been
 // summarised — go list's output interleaves test variants with their
-// importers, so no single-pass order has callee facts ready.
+// importers, so no single-pass order has callee facts ready. A body-less
+// declaration (an assembly function) has nothing to summarise: marked
+// //chipkill:noalloc it is a known non-allocating fact, the author's word
+// for code the checker cannot read; unmarked it stays unknown.
 func collectAllocFacts(s *Suite, pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
 				continue
 			}
 			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 			if fn == nil {
+				continue
+			}
+			if fd.Body == nil {
+				if pkg.dirs.markedDecl("noalloc", fd) {
+					s.facts[symbolKey(fn)] = funcFact{known: true, noalloc: true}
+				}
 				continue
 			}
 			sum := summarizeAllocs(pkg, fd, fn)

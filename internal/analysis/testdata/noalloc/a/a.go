@@ -182,3 +182,22 @@ func (c *fakeChip) badCloseRow(bank int) {
 	c.unannotatedDrain(bank) // want `calls noallocstub/a.fakeChip.unannotatedDrain, which allocates`
 	c.open[bank] = -1
 }
+
+// Body-less declarations stand for assembly functions, whose code the
+// checker cannot read. The annotated one is trusted as the author's
+// declaration; the unannotated one stays unknown to its callers.
+
+//chipkill:noalloc
+func asmKernel(state *[5]uint64, data []byte)
+
+func asmUnknown(data []byte)
+
+//chipkill:noalloc
+func okCallsAsm(state *[5]uint64, data []byte) {
+	asmKernel(state, data)
+}
+
+//chipkill:noalloc
+func badCallsUnmarkedAsm(data []byte) {
+	asmUnknown(data) // want `calls noallocstub/a.asmUnknown, whose allocation behaviour is unknown`
+}

@@ -73,7 +73,7 @@ func New(m uint, k, t int) (*Code, error) {
 			k, r, m, field.N())
 	}
 	c := &Code{field: field, exp: field.ExpTable(), m: m, t: t, k: k, r: r, n: k + r, gen: gen}
-	c.enc = c.buildEncTables()
+	c.enc = c.buildEncTables(hasCLMUL)
 	return c, nil
 }
 

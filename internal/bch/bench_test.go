@@ -238,3 +238,30 @@ func BenchmarkKernelDecodeBootMix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelRemainder times the first stage of every VLEW check, the
+// 256-byte LFSR remainder, through the kernel New dispatches to (carry-less
+// multiply where the CPU has it); BenchmarkKernelRemainderTable times the
+// slicing-by-8 table kernel on the same data.
+func BenchmarkKernelRemainder(b *testing.B) { benchmarkRemainder(b, paperCode().enc) }
+
+func BenchmarkKernelRemainderTable(b *testing.B) {
+	benchmarkRemainder(b, paperCode().buildEncTables(false))
+}
+
+func benchmarkRemainder(b *testing.B, e *encTables) {
+	c := paperCode()
+	data := benchData(c)
+	state := make([]uint64, e.w)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.remainder(state, data)
+	}
+	b.StopTimer()
+	got := make([]byte, c.ParityBytes())
+	stateBytes(state, got)
+	if want := c.EncodeBitSerial(data); !bytes.Equal(got, want) {
+		b.Fatalf("remainder %x, polynomial division %x", got, want)
+	}
+}

@@ -19,8 +19,10 @@ import (
 //
 //  1. Remainder. D(x) = data(x)*x^r + parity(x) mod g(x) through an LFSR
 //     table of u(x)*x^r mod g(x) per input byte value. The paper's r = 264
-//     layout keeps eight byte positions of that table and consumes eight
-//     data bytes per step (slicing-by-8); other layouts step per byte.
+//     layout consumes eight data bytes per step: one carry-less-multiply
+//     Barrett reduction where the CPU has PCLMULQDQ (clmulFeed264), else
+//     eight byte positions of that table (slicing-by-8); other layouts
+//     step per byte.
 //  2. Syndromes. Because g | x^n - 1 has alpha^1..alpha^2t as roots,
 //     S_e(received) = D(alpha^e), so syndromes are evaluated over the
 //     ParityBytes() remainder bytes instead of the whole codeword. Only
@@ -51,6 +53,7 @@ type encTables struct {
 	w      int                // uint64 words per r-bit LFSR state
 	tab    []uint64           // 256 rows of w words: tab[u] = u(x)*x^r mod g; nil when slice8 is set
 	slice8 *[8][256][5]uint64 // r = 264 only: slice8[k][u] = u(x)*x^(8k+r) mod g
+	clmul  *[6]uint64         // r = 264 with PCLMULQDQ only: mu_lo, g0..g4 for clmulFeed264
 	loWord int                // word holding bit r-8 (start of the outgoing byte)
 	loOff  uint               // offset of bit r-8 within loWord
 	split  bool               // outgoing byte straddles loWord and loWord+1
@@ -103,8 +106,11 @@ type decodeScratch struct {
 }
 
 // buildEncTables constructs the byte-wise LFSR table, or returns nil for
-// codes with r < 8 where the byte-serial recurrence does not hold.
-func (c *Code) buildEncTables() *encTables {
+// codes with r < 8 where the byte-serial recurrence does not hold. With
+// clmul set (New passes hasCLMUL), the r = 264 layout also gets the
+// Barrett constants that select clmulFeed264; without them feed264 runs
+// the slicing-by-8 table loop, which tests use as the kernel's oracle.
+func (c *Code) buildEncTables(clmul bool) *encTables {
 	if c.r < 8 {
 		return nil
 	}
@@ -172,6 +178,13 @@ func (c *Code) buildEncTables() *encTables {
 			}
 		}
 		e.slice8, e.tab = s, nil
+		if clmul {
+			// mu = floor(x^328 / g) = x^64 + mu_lo, and g without its
+			// x^264 term: four whole words and the 8 bits of the fifth.
+			mu, _ := gf.NewPoly2(328).DivMod(c.gen)
+			g := c.gen
+			e.clmul = &[6]uint64{mu[0], g[0], g[1], g[2], g[3], g[4] & 0xFF}
+		}
 	}
 	return e
 }
@@ -248,28 +261,54 @@ func (e *encTables) feed(state []uint64, data []byte) {
 }
 
 // feed264 is the register-resident specialisation of feed for the 5-word
-// byte-aligned layout (r = 264, the paper's BCH code), eight data bytes per
-// step. With S the 264-bit state and D the next eight bytes,
+// byte-aligned layout (r = 264, the paper's BCH code). After the zero-skip,
+// the whole eight-byte chunks at the top of data go to a chunk kernel:
+// clmulFeed264 where the CPU has carry-less multiply, slice8Feed otherwise.
+// Fewer than eight low bytes remain; they take the per-byte step, where
+// the outgoing byte is exactly the low byte of word 4, so it unrolls into
+// shift/xor chains on five locals with one row load.
+func (e *encTables) feed264(state []uint64, data []byte) {
+	s := (*[5]uint64)(state)
+	m := len(data)
+	if s[0]|s[1]|s[2]|s[3]|s[4] == 0 {
+		for ; m > 0 && data[m-1] == 0; m-- {
+		}
+	}
+	if lo := m % 8; lo < m {
+		if e.clmul != nil {
+			clmulFeed264(e.clmul, s, data[lo:m])
+		} else {
+			e.slice8Feed(s, data[lo:m])
+		}
+		m = lo
+	}
+	t := &e.slice8[0]
+	s0, s1, s2, s3, s4 := s[0], s[1], s[2], s[3], s[4]
+	for i := m - 1; i >= 0; i-- {
+		row := &t[byte(s4)^data[i]]
+		s4 = (s3 >> 56) ^ row[4]
+		s3 = (s3<<8 | s2>>56) ^ row[3]
+		s2 = (s2<<8 | s1>>56) ^ row[2]
+		s1 = (s1<<8 | s0>>56) ^ row[1]
+		s0 = (s0 << 8) ^ row[0]
+	}
+	s[0], s[1], s[2], s[3], s[4] = s0, s1, s2, s3, s4
+}
+
+// slice8Feed is the table chunk kernel: len(data) is a multiple of eight,
+// consumed eight bytes per step, highest chunk first. With S the 264-bit
+// state and D the next eight bytes,
 //
 //	S' = (S mod x^200)*x^64  +  sum_k slice8[k][byte_k((S >> 200) + D)]
 //
 // because byte k of the 64 bits leaving the register sits 8k degrees above
 // x^r, which is row family slice8[k]. The eight row loads of a step are
-// independent of each other; only the next step waits on them. Fewer than
-// eight trailing bytes take the per-byte step: the outgoing byte is exactly
-// the low byte of word 4, so it unrolls into shift/xor chains on five
-// locals with one row load.
-func (e *encTables) feed264(state []uint64, data []byte) {
+// independent of each other; only the next step waits on them.
+func (e *encTables) slice8Feed(s *[5]uint64, data []byte) {
 	t := e.slice8
-	_ = state[4]
-	s0, s1, s2, s3, s4 := state[0], state[1], state[2], state[3], state[4]
-	i := len(data) - 1
-	if s0|s1|s2|s3|s4 == 0 {
-		for ; i >= 0 && data[i] == 0; i-- {
-		}
-	}
-	for ; i >= 7; i -= 8 {
-		v := (s4<<56 | s3>>8) ^ binary.LittleEndian.Uint64(data[i-7:i+1])
+	s0, s1, s2, s3, s4 := s[0], s[1], s[2], s[3], s[4]
+	for i := len(data); i >= 8; i -= 8 {
+		v := (s4<<56 | s3>>8) ^ binary.LittleEndian.Uint64(data[i-8:i])
 		r0, r1, r2, r3 := &t[0][byte(v)], &t[1][byte(v>>8)], &t[2][byte(v>>16)], &t[3][byte(v>>24)]
 		r4, r5, r6, r7 := &t[4][byte(v>>32)], &t[5][byte(v>>40)], &t[6][byte(v>>48)], &t[7][byte(v>>56)]
 		s4 = s3&0xFF ^ r0[4] ^ r1[4] ^ r2[4] ^ r3[4] ^ r4[4] ^ r5[4] ^ r6[4] ^ r7[4]
@@ -278,15 +317,7 @@ func (e *encTables) feed264(state []uint64, data []byte) {
 		s1 = s0 ^ r0[1] ^ r1[1] ^ r2[1] ^ r3[1] ^ r4[1] ^ r5[1] ^ r6[1] ^ r7[1]
 		s0 = r0[0] ^ r1[0] ^ r2[0] ^ r3[0] ^ r4[0] ^ r5[0] ^ r6[0] ^ r7[0]
 	}
-	for ; i >= 0; i-- {
-		row := &t[0][byte(s4)^data[i]]
-		s4 = (s3 >> 56) ^ row[4]
-		s3 = (s3<<8 | s2>>56) ^ row[3]
-		s2 = (s2<<8 | s1>>56) ^ row[2]
-		s1 = (s1<<8 | s0>>56) ^ row[1]
-		s0 = (s0 << 8) ^ row[0]
-	}
-	state[0], state[1], state[2], state[3], state[4] = s0, s1, s2, s3, s4
+	s[0], s[1], s[2], s[3], s[4] = s0, s1, s2, s3, s4
 }
 
 // stateBytes serialises the LFSR state little-endian into out, which holds

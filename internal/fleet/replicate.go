@@ -8,9 +8,10 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // allocSlot finds a free replica slot on a live rank other than the
@@ -34,6 +35,18 @@ func (f *Fleet) allocSlot(primaryRank int) (rk int, slot int, err error) {
 		}
 	}
 	return 0, 0, fmt.Errorf("fleet: no free replica slot off rank %d: %w", primaryRank, ErrNoReplica)
+}
+
+// hasFreeSlot reports whether any live rank has a free replica slot.
+func (f *Fleet) hasFreeSlot() bool {
+	f.poolMu.Lock()
+	defer f.poolMu.Unlock()
+	for _, n := range f.ranks {
+		if !n.killed.Load() && slices.Contains(n.pool, -1) {
+			return true
+		}
+	}
+	return false
 }
 
 func (f *Fleet) setSlot(rk, slot int, band int64) {
@@ -152,6 +165,9 @@ func (f *Fleet) replicateTick() {
 		errs += d.DUEs
 		n.pressure = n.pressure*0.5 + float64(errs)
 	}
+	if !f.hasFreeSlot() {
+		return // every ReplicateBand below would fail in allocSlot
+	}
 	type cand struct {
 		band  int64
 		score float64
@@ -172,11 +188,11 @@ func (f *Fleet) replicateTick() {
 		}
 		cands = append(cands, cand{int64(b), float64(heat) * (1 + f.ranks[rk].pressure)})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return cands[i].band < cands[j].band
+		return cmp.Compare(a.band, b.band)
 	})
 	started := 0
 	for _, c := range cands {

@@ -65,7 +65,11 @@ done
 
 awk -F'"' '/"name":/ { n = $4 } /"better":/ { print "dir", n, $4 }' BENCHMARK.json >"$tmp/dirs"
 
-echo "$workload: $pairs pairs, base=$base, head=working tree, seeds 1..$pairs"
+# A -seed in BENCH_FLAGS comes after run's own and overrides it in every run.
+seeds="seeds 1..$pairs"
+flagseed=$(printf '%s\n' "${BENCH_FLAGS:-}" | sed -n 's/.*-\{1,2\}seed[= ]\{1,\}\([^ ]*\).*/\1/p')
+[ -n "$flagseed" ] && seeds="seed $flagseed (from BENCH_FLAGS)"
+echo "$workload: $pairs pairs, base=$base, head=working tree, $seeds"
 awk '
 function quantile(side, m, p,    n, i, j, t, v, pos, lo) {
 	n = 0
