@@ -37,9 +37,11 @@ func TestDecodeAllocsZero(t *testing.T) {
 // TestEncodeDeltaIntoAllocFree pins steady-state EncodeDeltaInto at zero
 // heap allocations on both branches — nibble rows for the 8-byte demand
 // shape, the LFSR with its zero-feed for EUR-drain-sized deltas — for the
-// paper's typed layout and a flat one; chips call it on every EUR drain.
+// paper's typed layout and flat ones up to the widest code in the
+// repository (the Fig 3 41-EC code, 533 parity bits in nine words); chips
+// call it on every EUR drain.
 func TestEncodeDeltaIntoAllocFree(t *testing.T) {
-	for _, code := range []*Code{Must(12, 2048, 22), Must(10, 512, 14)} {
+	for _, code := range []*Code{Must(12, 2048, 22), Must(10, 512, 14), Must(13, 4096, 41)} {
 		out := make([]byte, code.ParityBytes())
 		sparse := []byte{0xA5, 0x5A, 0x01, 0xFF, 0x80, 0x7E, 0x33, 0xCC}
 		dense := make([]byte, min(lfsrDeltaBytes+5, code.DataBytes()))

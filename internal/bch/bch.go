@@ -9,9 +9,9 @@
 // k + parity <= 2^m - 1 is accepted.
 //
 // Because BCH is linear, code-bit updates can be computed from the XOR of
-// old and new data alone: f(x) XOR f(x') = f(x XOR x'). EncodeDelta exposes
-// exactly that operation; it is what the paper's in-NVRAM-chip encoder and
-// ECC Update Registerfile (EUR) evaluate on each write.
+// old and new data alone: f(x) XOR f(x') = f(x XOR x'). EncodeDeltaInto
+// exposes exactly that operation; it is what the paper's in-NVRAM-chip
+// encoder and ECC Update Registerfile (EUR) evaluate on each write.
 package bch
 
 import (
@@ -42,7 +42,7 @@ type Code struct {
 	n     int // codeword bits = k + r (shortened from 2^m-1)
 	gen   gf.Poly2
 
-	enc       *encTables // byte-wise LFSR tables; nil when r < 8
+	enc       *encTables // byte-wise LFSR tables
 	decOnce   sync.Once
 	dec       *decTables // syndrome and closed-form root tables, built on demand
 	deltaTabs atomic.Pointer[deltaTables]
@@ -51,7 +51,10 @@ type Code struct {
 
 // New constructs a binary BCH code over GF(2^m) that protects k data bits
 // and corrects up to t bit errors. It returns an error when the shortened
-// length k + deg(g) exceeds 2^m - 1 or the parameters are degenerate.
+// length k + deg(g) exceeds 2^m - 1, the parameters are degenerate, or
+// deg(g) falls outside [8, maxParityBits], the parity widths the table
+// paths serve: the byte-wise LFSR needs at least one whole byte of state,
+// and EncodeDeltaInto accumulates at most maxParityBits on the stack.
 func New(m uint, k, t int) (*Code, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("bch: t=%d must be >= 1", t)
@@ -71,6 +74,9 @@ func New(m uint, k, t int) (*Code, error) {
 	if k+r > field.N() {
 		return nil, fmt.Errorf("bch: k+r = %d+%d exceeds 2^%d-1 = %d; use a larger m",
 			k, r, m, field.N())
+	}
+	if r < 8 || r > maxParityBits {
+		return nil, fmt.Errorf("bch: %d parity bits outside the table paths' range [8, %d]", r, maxParityBits)
 	}
 	c := &Code{field: field, exp: field.ExpTable(), m: m, t: t, k: k, r: r, n: k + r, gen: gen}
 	c.enc = c.buildEncTables(hasCLMUL)
@@ -150,14 +156,10 @@ func (c *Code) Generator() gf.Poly2 { return c.gen.Clone() }
 // last byte must be zero. The returned slice has ParityBytes() bytes.
 //
 // The computation streams data through the table-driven LFSR (eight bytes
-// per step for the paper's code, see feed264); EncodeBitSerial is the
-// retained reference implementation.
+// per step for the paper's code, see feed264).
 func (c *Code) Encode(data []byte) []byte {
 	if len(data) != c.DataBytes() {
 		panic(fmt.Sprintf("bch: Encode: got %d data bytes, want %d", len(data), c.DataBytes()))
-	}
-	if c.enc == nil {
-		return c.EncodeBitSerial(data)
 	}
 	sc := c.getScratch()
 	c.enc.remainder(sc.state, data)
@@ -167,55 +169,19 @@ func (c *Code) Encode(data []byte) []byte {
 	return out
 }
 
-// EncodeBitSerial is the original bit-serial systematic encoder:
-// parity(x) = (data(x) * x^r) mod g(x) via generic polynomial division.
-// It is retained as the differential-testing oracle and as the fallback
-// for degenerate codes with fewer than 8 parity bits; production callers
-// use Encode.
-func (c *Code) EncodeBitSerial(data []byte) []byte {
-	if len(data) != c.DataBytes() {
-		panic(fmt.Sprintf("bch: Encode: got %d data bytes, want %d", len(data), c.DataBytes()))
-	}
-	p := gf.Poly2FromBytes(data).Shl(c.r).Mod(c.gen)
-	return p.Bytes(c.ParityBytes())
-}
+// maxParityBits is the widest parity New accepts: EncodeDeltaInto's
+// stack accumulator holds maxParityBits/64 words. Every code in this
+// repository fits; the widest, the Fig 3 Flash-style 41-EC code, has 533.
+const maxParityBits = 1024
 
-// EncodeDelta computes the parity update f(delta) for a sparse data change:
-// delta is XOR(old, new) for the bitOffset-aligned region it covers, where
-// bitOffset is the position of delta's first bit within the k data bits.
-// XORing the result into the stored parity yields the parity of the new
-// data. This is the operation the paper embeds in NVRAM chips (Fig. 11):
-// the chip receives the bitwise sum of old and new data and updates the
-// VLEW code bits without knowing either value in full.
-//
-// Byte-aligned offsets (every caller in this repository; chips address
-// whole bytes) take the table-driven path: the delta streams through the
-// LFSR followed by bitOffset/8 zero-feed steps for the x^bitOffset shift.
-// Unaligned offsets fall back to EncodeDeltaBitSerial.
-func (c *Code) EncodeDelta(delta []byte, bitOffset int) []byte {
-	if bitOffset < 0 || bitOffset+8*len(delta) > c.k {
-		panic(fmt.Sprintf("bch: EncodeDelta: %d bytes at bit offset %d overflow k=%d", len(delta), bitOffset, c.k))
-	}
-	if c.enc == nil || bitOffset%8 != 0 {
-		return c.EncodeDeltaBitSerial(delta, bitOffset)
-	}
-	sc := c.getScratch()
-	c.enc.remainder(sc.state, delta)
-	c.enc.zeroFeed(sc.state, bitOffset/8)
-	out := make([]byte, c.ParityBytes())
-	stateBytes(sc.state, out)
-	c.putScratch(sc)
-	return out
-}
-
-// maxDeltaWords bounds the stack-resident accumulator used by
-// EncodeDeltaInto: codes with up to 512 parity bits (every code in this
-// repository; the paper's is 264) take the allocation-free path.
-const maxDeltaWords = 8
-
-// EncodeDeltaInto is the allocation-free EncodeDelta used on the demand
-// write path: it writes the ParityBytes() parity update for delta at
-// bitOffset into out.
+// EncodeDeltaInto computes the parity update f(delta) for a sparse data
+// change and writes its ParityBytes() bytes into out: delta is XOR(old, new)
+// for the region it covers, starting at data bit bitOffset, which must be
+// byte-aligned (chips address whole bytes). XORing out into the stored
+// parity yields the parity of the new data. This is the operation the paper
+// embeds in NVRAM chips (Fig. 11): the chip receives the bitwise sum of old
+// and new data and updates the VLEW code bits without knowing either value
+// in full. It allocates nothing; the demand write path calls it per chip.
 //
 // Short deltas — a demand write hands each chip 8 bytes — skip the LFSR
 // and its x^bitOffset zero-feed: they sum precomputed nibble rows
@@ -237,16 +203,12 @@ func (c *Code) EncodeDeltaInto(out, delta []byte, bitOffset int) {
 	if len(out) != c.ParityBytes() {
 		panic(fmt.Sprintf("bch: EncodeDeltaInto: got %d out bytes, want %d", len(out), c.ParityBytes()))
 	}
-	if bitOffset < 0 || bitOffset+8*len(delta) > c.k {
-		panic(fmt.Sprintf("bch: EncodeDeltaInto: %d bytes at bit offset %d overflow k=%d", len(delta), bitOffset, c.k))
+	if bitOffset < 0 || bitOffset%8 != 0 || bitOffset+8*len(delta) > c.k {
+		panic(fmt.Sprintf("bch: EncodeDeltaInto: %d bytes at bit offset %d are unaligned or overflow k=%d", len(delta), bitOffset, c.k))
 	}
-	if c.enc == nil || bitOffset%8 != 0 || c.enc.w > maxDeltaWords {
-		copy(out, c.EncodeDelta(delta, bitOffset)) //chipkill:allow noalloc degenerate-code fallback, never hit by the paper's geometry
-		return
-	}
-	var acc [maxDeltaWords]uint64
 	w := c.enc.w
 	if len(delta) >= lfsrDeltaBytes {
+		var acc [maxParityBits / 64]uint64
 		c.enc.remainder(acc[:w], delta)
 		c.enc.zeroFeed(acc[:w], bitOffset/8)
 		stateBytes(acc[:w], out)
@@ -257,6 +219,7 @@ func (c *Code) EncodeDeltaInto(out, delta []byte, bitOffset int) {
 		d.encode264(out, delta, bitOffset/8)
 		return
 	}
+	var acc [maxParityBits / 64]uint64
 	d.encode(acc[:w], delta, bitOffset/8)
 	stateBytes(acc[:w], out)
 }
@@ -270,107 +233,6 @@ func (c *Code) EncodeDeltaInto(out, delta []byte, bitOffset int) {
 // it: demand writes hand each chip 8 bytes, and row-streaming EUR drains a
 // whole VLEW at offset 0 (256 bytes for the paper's code).
 const lfsrDeltaBytes = 64
-
-// EncodeDeltaBitSerial is the original bit-serial delta encoder, retained
-// as the differential-testing oracle and the fallback for bit-unaligned
-// offsets; production callers use EncodeDelta.
-func (c *Code) EncodeDeltaBitSerial(delta []byte, bitOffset int) []byte {
-	if bitOffset < 0 || bitOffset+8*len(delta) > c.k {
-		panic(fmt.Sprintf("bch: EncodeDelta: %d bytes at bit offset %d overflow k=%d", len(delta), bitOffset, c.k))
-	}
-	p := gf.Poly2FromBytes(delta).Shl(c.r + bitOffset).Mod(c.gen)
-	return p.Bytes(c.ParityBytes())
-}
-
-// XORParity XORs src into dst in place; a convenience mirroring the EUR's
-// accumulate operation. Both must be ParityBytes() long.
-func (c *Code) XORParity(dst, src []byte) {
-	if len(dst) != c.ParityBytes() || len(src) != c.ParityBytes() {
-		panic("bch: XORParity: parity length mismatch")
-	}
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
-}
-
-// Syndromes evaluates the received word at alpha^1..alpha^2t and reports
-// whether all syndromes are zero (i.e. the word is a codeword). The
-// received word is data || parity with parity occupying degrees 0..r-1 and
-// data bit i at degree r+i.
-//
-// The fast path reduces the word modulo g(x) with the byte-wise LFSR and
-// evaluates only the r-bit remainder — valid because alpha^1..alpha^2t are
-// roots of g — tabulating odd syndromes per remainder byte and deriving
-// even ones by squaring (S_2e = S_e^2 in characteristic 2).
-func (c *Code) Syndromes(data, parity []byte) ([]gf.Elem, bool) {
-	if len(data) != c.DataBytes() || len(parity) != c.ParityBytes() {
-		panic(fmt.Sprintf("bch: Syndromes: got %d data bytes and %d parity bytes, want %d and %d",
-			len(data), len(parity), c.DataBytes(), c.ParityBytes()))
-	}
-	syn := make([]gf.Elem, 2*c.t)
-	sc := c.getScratch()
-	clean := c.syndromesInto(syn, data, parity, sc)
-	c.putScratch(sc)
-	return syn, clean
-}
-
-// SyndromesBitSerial is the original per-set-bit syndrome evaluation,
-// retained as the differential-testing oracle and the fallback for codes
-// without byte-wise tables; production callers use Syndromes.
-func (c *Code) SyndromesBitSerial(data, parity []byte) ([]gf.Elem, bool) {
-	syn := make([]gf.Elem, 2*c.t)
-	clean := true
-	addBit := func(deg int) {
-		for j := range syn {
-			syn[j] ^= c.field.Exp(deg * (j + 1))
-		}
-	}
-	for i, b := range parity {
-		for bit := 0; bit < 8; bit++ {
-			if b&(1<<uint(bit)) != 0 {
-				deg := 8*i + bit
-				if deg < c.r {
-					addBit(deg)
-				}
-			}
-		}
-	}
-	for i, b := range data {
-		for bit := 0; bit < 8; bit++ {
-			if b&(1<<uint(bit)) != 0 {
-				addBit(c.r + 8*i + bit)
-			}
-		}
-	}
-	for _, s := range syn {
-		if s != 0 {
-			clean = false
-			break
-		}
-	}
-	return syn, clean
-}
-
-// chien finds all error positions (bit degrees in the received polynomial)
-// by locating roots of sigma. It returns nil and false when the number of
-// roots inside the shortened code does not match deg(sigma).
-func (c *Code) chien(sigma gf.Poly) ([]int, bool) {
-	f := c.field
-	deg := gf.PolyDeg(sigma)
-	if deg <= 0 {
-		return nil, deg == 0
-	}
-	positions := make([]int, 0, deg)
-	for p := 0; p < c.n; p++ {
-		if f.PolyEval(sigma, f.Exp(-p)) == 0 {
-			positions = append(positions, p)
-			if len(positions) == deg {
-				break
-			}
-		}
-	}
-	return positions, len(positions) == deg
-}
 
 // Decode corrects bit errors in data and parity in place. It returns the
 // number of bits corrected, or ErrUncorrectable when the error pattern
@@ -402,7 +264,7 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 	defer c.putScratch(sc)
 	syn := sc.syn
 	switch d := c.decTables(); {
-	case d == nil || c.t < fewErrors:
+	case c.t < fewErrors:
 		if c.syndromesInto(syn, data, parity, sc) {
 			return 0, nil
 		}

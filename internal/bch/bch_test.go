@@ -57,6 +57,13 @@ func TestNewRejectsBadParams(t *testing.T) {
 	if _, err := New(40, 512, 3); err == nil {
 		t.Error("unsupported m accepted")
 	}
+	// The table paths serve 8..maxParityBits parity bits.
+	if c, err := New(4, 5, 1); err == nil {
+		t.Errorf("%v with %d parity bits accepted", c, c.ParityBits())
+	}
+	if c, err := New(13, 4096, 100); err == nil {
+		t.Errorf("%v with %d parity bits accepted", c, c.ParityBits())
+	}
 }
 
 func TestEncodeDecodeNoErrors(t *testing.T) {
@@ -172,7 +179,7 @@ func TestDetectsBeyondT(t *testing.T) {
 }
 
 func TestEncodeDeltaMatchesFullReencode(t *testing.T) {
-	// Linearity: parity(new) = parity(old) XOR EncodeDelta(old XOR new).
+	// Linearity: parity(new) = parity(old) XOR EncodeDeltaInto(old XOR new).
 	// This is the property the in-chip encoder + EUR rely on (Fig 11/12).
 	code := Must(12, 2048, 22)
 	rng := rand.New(rand.NewSource(4))
@@ -187,9 +194,9 @@ func TestEncodeDeltaMatchesFullReencode(t *testing.T) {
 		for i := range delta {
 			newData[off+i] ^= delta[i]
 		}
-		update := code.EncodeDelta(delta, off*8)
-		got := bytes.Clone(oldParity)
-		code.XORParity(got, update)
+		got := make([]byte, code.ParityBytes())
+		code.EncodeDeltaInto(got, delta, off*8)
+		gf.XORBytes(got, oldParity)
 		want := code.Encode(newData)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("offset %d: incremental parity != full re-encode", off)
@@ -206,6 +213,7 @@ func TestEncodeDeltaCoalescing(t *testing.T) {
 	rng.Read(data)
 	parity := code.Encode(data)
 	accum := make([]byte, code.ParityBytes())
+	update := make([]byte, code.ParityBytes())
 	cur := bytes.Clone(data)
 	for w := 0; w < 10; w++ {
 		off := 8 * rng.Intn(code.DataBytes()/8)
@@ -214,9 +222,10 @@ func TestEncodeDeltaCoalescing(t *testing.T) {
 		for i := range delta {
 			cur[off+i] ^= delta[i]
 		}
-		code.XORParity(accum, code.EncodeDelta(delta, off*8))
+		code.EncodeDeltaInto(update, delta, off*8)
+		gf.XORBytes(accum, update)
 	}
-	code.XORParity(parity, accum)
+	gf.XORBytes(parity, accum)
 	if !bytes.Equal(parity, code.Encode(cur)) {
 		t.Fatal("coalesced EUR update does not match re-encoded parity")
 	}
@@ -273,13 +282,13 @@ func TestGeneratorDividesCodewords(t *testing.T) {
 	rng.Read(data)
 	parity := code.Encode(data)
 	// Build codeword poly: parity at low degrees, data shifted by r.
-	cw := gf.Poly2FromBytes(parity)
+	cw := poly2FromBytes(parity)
 	// Mask any padding bits above r in the parity bytes.
 	for i := code.ParityBits(); i < 8*len(parity); i++ {
 		cw = cw.SetCoeff(i, 0)
 	}
-	cw = cw.Add(gf.Poly2FromBytes(data).Shl(code.ParityBits()))
-	if !cw.Mod(code.Generator()).IsZero() {
+	cw = cw.Add(poly2FromBytes(data).Mul(gf.NewPoly2(code.ParityBits())))
+	if _, rem := cw.DivMod(code.Generator()); !rem.IsZero() {
 		t.Error("codeword not divisible by generator")
 	}
 }

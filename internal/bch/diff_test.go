@@ -5,11 +5,14 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"chipkillpm/internal/gf"
 )
 
-// Differential tests: the table-driven Encode/EncodeDelta/Syndromes must
-// match the retained bit-serial oracles bit-for-bit on randomized inputs,
-// across code shapes with byte-aligned and unaligned parity widths.
+// Differential tests: the table-driven Encode, EncodeDeltaInto and
+// syndromes must match the bit-serial references (reference_test.go)
+// bit-for-bit on randomized inputs, across code shapes with byte-aligned
+// and unaligned parity widths.
 
 var diffCodes = []struct {
 	m    uint
@@ -31,7 +34,7 @@ func TestEncodeMatchesBitSerial(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			randomData(rng, data, code.k)
 			fast := code.Encode(data)
-			slow := code.EncodeBitSerial(data)
+			slow := code.encodeBitSerial(data)
 			if !bytes.Equal(fast, slow) {
 				t.Fatalf("%v trial %d: Encode mismatch\nfast %x\nslow %x", code, trial, fast, slow)
 			}
@@ -39,33 +42,27 @@ func TestEncodeMatchesBitSerial(t *testing.T) {
 	}
 }
 
+// TestEncodeDeltaMatchesBitSerial checks the delta reference the other
+// tests trust: by linearity, the update for delta at any bit offset,
+// byte-aligned or not, is the parity of the data word holding only that
+// delta there, which Encode computes.
 func TestEncodeDeltaMatchesBitSerial(t *testing.T) {
 	for _, p := range diffCodes {
 		code := Must(p.m, p.k, p.t)
 		rng := rand.New(rand.NewSource(int64(p.k)*3 + int64(p.t)))
 		for trial := 0; trial < 50; trial++ {
-			// Random sparse delta at a random bit offset, mixing byte-
-			// aligned (table path) and unaligned (fallback) offsets.
-			maxLen := code.k / 8
-			if maxLen > 16 {
-				maxLen = 16
-			}
-			n := 1 + rng.Intn(maxLen)
+			n := 1 + rng.Intn(min(code.k/8, 16))
 			delta := make([]byte, n)
 			rng.Read(delta)
-			limit := code.k - 8*n
-			off := 0
-			if limit > 0 {
-				off = rng.Intn(limit + 1)
-			}
+			off := rng.Intn(code.k - 8*n + 1)
 			if trial%2 == 0 {
-				off &^= 7 // force byte alignment half the time
+				off &^= 7 // byte-aligned, EncodeDeltaInto's domain, half the time
 			}
-			fast := code.EncodeDelta(delta, off)
-			slow := code.EncodeDeltaBitSerial(delta, off)
-			if !bytes.Equal(fast, slow) {
-				t.Fatalf("%v trial %d off %d: EncodeDelta mismatch\nfast %x\nslow %x",
-					code, trial, off, fast, slow)
+			placed := poly2Bytes(poly2FromBytes(delta).Mul(gf.NewPoly2(off)), code.DataBytes())
+			want := code.Encode(placed)
+			if got := code.encodeDeltaBitSerial(delta, off); !bytes.Equal(got, want) {
+				t.Fatalf("%v trial %d off %d: delta reference %x, Encode of the placed delta %x",
+					code, trial, off, got, want)
 			}
 		}
 	}
@@ -89,16 +86,9 @@ func TestEncodeDeltaIntoMatchesBitSerial(t *testing.T) {
 					delta[i] = 0 // zero delta must produce zero parity
 				}
 			}
-			limit := code.k - 8*n
-			off := 0
-			if limit > 0 {
-				off = rng.Intn(limit + 1)
-			}
-			if trial%2 == 0 {
-				off &^= 7 // byte-aligned (table path) half the time
-			}
+			off := 8 * rng.Intn((code.k-8*n)/8+1)
 			code.EncodeDeltaInto(out, delta, off)
-			slow := code.EncodeDeltaBitSerial(delta, off)
+			slow := code.encodeDeltaBitSerial(delta, off)
 			if !bytes.Equal(out, slow) {
 				t.Fatalf("%v trial %d off %d: EncodeDeltaInto mismatch\nfast %x\nslow %x",
 					code, trial, off, out, slow)
@@ -110,7 +100,7 @@ func TestEncodeDeltaIntoMatchesBitSerial(t *testing.T) {
 		for off := 0; off+len(delta) <= code.DataBytes() && 8*(off+len(delta)) <= code.k; off++ {
 			rng.Read(delta)
 			code.EncodeDeltaInto(out, delta, 8*off)
-			if slow := code.EncodeDeltaBitSerial(delta, 8*off); !bytes.Equal(out, slow) {
+			if slow := code.encodeDeltaBitSerial(delta, 8*off); !bytes.Equal(out, slow) {
 				t.Fatalf("%v 8 bytes at byte offset %d: EncodeDeltaInto mismatch\nfast %x\nslow %x", code, off, out, slow)
 			}
 		}
@@ -121,11 +111,24 @@ func TestEncodeDeltaIntoMatchesBitSerial(t *testing.T) {
 			dense := make([]byte, lfsrDeltaBytes+rng.Intn(code.k/8-off-lfsrDeltaBytes+1))
 			rng.Read(dense)
 			code.EncodeDeltaInto(out, dense, 8*off)
-			if slow := code.EncodeDeltaBitSerial(dense, 8*off); !bytes.Equal(out, slow) {
+			if slow := code.encodeDeltaBitSerial(dense, 8*off); !bytes.Equal(out, slow) {
 				t.Fatalf("%v %d bytes at byte offset %d: EncodeDeltaInto mismatch\nfast %x\nslow %x", code, len(dense), off, out, slow)
 			}
 		}
 	}
+}
+
+// TestEncodeDeltaIntoPanicsOnUnalignedOffset: chips address whole bytes,
+// so a bit offset that is not byte-aligned is a caller bug, rejected like
+// an out-of-range one.
+func TestEncodeDeltaIntoPanicsOnUnalignedOffset(t *testing.T) {
+	code := Must(12, 2048, 22)
+	defer func() {
+		if recover() == nil {
+			t.Error("EncodeDeltaInto accepted bit offset 3")
+		}
+	}()
+	code.EncodeDeltaInto(make([]byte, code.ParityBytes()), make([]byte, 8), 3)
 }
 
 // TestDeltaNibbleRowsMatchBitSerial checks the table itself, not only the
@@ -151,7 +154,7 @@ func TestDeltaNibbleRowsMatchBitSerial(t *testing.T) {
 					state[j] = lo[j] ^ hi[j]
 				}
 				stateBytes(state, got)
-				if want := code.EncodeDeltaBitSerial([]byte{byte(v)}, 8*pos); !bytes.Equal(got, want) {
+				if want := code.encodeDeltaBitSerial([]byte{byte(v)}, 8*pos); !bytes.Equal(got, want) {
 					t.Fatalf("%v position %d value %#02x: nibble rows %x, bit-serial %x", code, pos, v, got, want)
 				}
 			}
@@ -196,8 +199,8 @@ func TestSyndromesMatchBitSerial(t *testing.T) {
 					}
 				}
 			}
-			fastSyn, fastClean := code.Syndromes(data, parity)
-			slowSyn, slowClean := code.SyndromesBitSerial(data, parity)
+			fastSyn, fastClean := code.syndromes(data, parity)
+			slowSyn, slowClean := code.syndromesBitSerial(data, parity)
 			if fastClean != slowClean {
 				t.Fatalf("%v trial %d: clean mismatch fast=%v slow=%v", code, trial, fastClean, slowClean)
 			}
@@ -237,8 +240,8 @@ func TestSyndromesIgnoreSlackParityBits(t *testing.T) {
 	if !code.CheckClean(data, dirty) {
 		t.Fatal("slack parity bits must be ignored by CheckClean")
 	}
-	if _, clean := code.Syndromes(data, dirty); !clean {
-		t.Fatal("slack parity bits must be ignored by Syndromes")
+	if _, clean := code.syndromes(data, dirty); !clean {
+		t.Fatal("slack parity bits must be ignored by the syndromes")
 	}
 }
 

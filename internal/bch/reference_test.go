@@ -3,6 +3,7 @@ package bch
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,6 +12,111 @@ import (
 
 	"chipkillpm/internal/gf"
 )
+
+// The references for the table kernels. Each is the textbook definition
+// over gf.Poly2 arithmetic, sharing no code with the kernel it checks:
+// parity(x) = data(x)*x^r mod g(x) by polynomial division, syndromes as
+// sums of alpha^(degree*e) over the set bits. They are oracles only;
+// production code has one implementation of each kernel.
+
+// poly2FromBytes reads data as a GF(2) polynomial: bit b of data[i] is the
+// coefficient of x^(8i+b).
+func poly2FromBytes(data []byte) gf.Poly2 {
+	p := make(gf.Poly2, (len(data)+7)/8)
+	for i, b := range data {
+		p[i/8] |= uint64(b) << (8 * uint(i%8))
+	}
+	return p
+}
+
+// poly2Bytes writes the n low bytes of p in poly2FromBytes's order.
+func poly2Bytes(p gf.Poly2, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		if i/8 < len(p) {
+			out[i] = byte(p[i/8] >> (8 * uint(i%8)))
+		}
+	}
+	return out
+}
+
+// shlMod returns p(x)*x^k mod g(x).
+func shlMod(p gf.Poly2, k int, g gf.Poly2) gf.Poly2 {
+	_, rem := p.Mul(gf.NewPoly2(k)).DivMod(g)
+	return rem
+}
+
+// encodeBitSerial is the reference for Encode: data(x)*x^r mod g(x).
+func (c *Code) encodeBitSerial(data []byte) []byte {
+	if len(data) != c.DataBytes() {
+		panic(fmt.Sprintf("bch: encodeBitSerial: got %d data bytes, want %d", len(data), c.DataBytes()))
+	}
+	return poly2Bytes(shlMod(poly2FromBytes(data), c.r, c.gen), c.ParityBytes())
+}
+
+// encodeDeltaBitSerial is the reference for EncodeDeltaInto, at any bit
+// offset: delta(x)*x^(r+bitOffset) mod g(x).
+func (c *Code) encodeDeltaBitSerial(delta []byte, bitOffset int) []byte {
+	if bitOffset < 0 || bitOffset+8*len(delta) > c.k {
+		panic(fmt.Sprintf("bch: encodeDeltaBitSerial: %d bytes at bit offset %d overflow k=%d", len(delta), bitOffset, c.k))
+	}
+	return poly2Bytes(shlMod(poly2FromBytes(delta), c.r+bitOffset, c.gen), c.ParityBytes())
+}
+
+// syndromesBitSerial is the reference for the syndromes: S_e sums
+// alpha^(degree*e) over every set bit of the received word, parity bit p
+// at degree p (p < r; the slack bits above are ignored) and data bit i at
+// degree r+i.
+func (c *Code) syndromesBitSerial(data, parity []byte) ([]gf.Elem, bool) {
+	syn := make([]gf.Elem, 2*c.t)
+	addBit := func(deg int) {
+		for j := range syn {
+			syn[j] ^= c.field.Exp(deg * (j + 1))
+		}
+	}
+	for deg := 0; deg < c.r; deg++ {
+		if parity[deg/8]>>(deg%8)&1 != 0 {
+			addBit(deg)
+		}
+	}
+	for i := 0; i < 8*len(data); i++ {
+		if data[i/8]>>(i%8)&1 != 0 {
+			addBit(c.r + i)
+		}
+	}
+	return syn, !slices.ContainsFunc(syn, func(s gf.Elem) bool { return s != 0 })
+}
+
+// chien is the reference root search: it evaluates sigma at alpha^-p for
+// every position p of the shortened code and returns the roots' positions,
+// reporting false unless there are exactly deg(sigma) of them.
+func (c *Code) chien(sigma gf.Poly) ([]int, bool) {
+	f := c.field
+	deg := gf.PolyDeg(sigma)
+	if deg <= 0 {
+		return nil, deg == 0
+	}
+	positions := make([]int, 0, deg)
+	for p := 0; p < c.n; p++ {
+		if f.PolyEval(sigma, f.Exp(-p)) == 0 {
+			positions = append(positions, p)
+			if len(positions) == deg {
+				break
+			}
+		}
+	}
+	return positions, len(positions) == deg
+}
+
+// syndromes runs the production syndrome path, syndromesInto, with its own
+// scratch and result slice.
+func (c *Code) syndromes(data, parity []byte) ([]gf.Elem, bool) {
+	syn := make([]gf.Elem, 2*c.t)
+	sc := c.getScratch()
+	clean := c.syndromesInto(syn, data, parity, sc)
+	c.putScratch(sc)
+	return syn, clean
+}
 
 // An oracle for the decoder as a whole. decodeReference is Decode spelled
 // the textbook way — per-set-bit syndromes, the full 2t-step
@@ -52,7 +158,7 @@ func berlekampMasseyReference(f *gf.Field, syn []gf.Elem) gf.Poly {
 }
 
 func decodeReference(c *Code, data, parity []byte) (int, error) {
-	syn, clean := c.SyndromesBitSerial(data, parity)
+	syn, clean := c.syndromesBitSerial(data, parity)
 	if clean {
 		return 0, nil
 	}
@@ -65,7 +171,7 @@ func decodeReference(c *Code, data, parity []byte) (int, error) {
 		return 0, ErrUncorrectable
 	}
 	c.flip(data, parity, positions)
-	if _, clean := c.SyndromesBitSerial(data, parity); !clean {
+	if _, clean := c.syndromesBitSerial(data, parity); !clean {
 		c.flip(data, parity, positions)
 		return 0, ErrUncorrectable
 	}
@@ -153,7 +259,7 @@ func TestLocatorMatchesReference(t *testing.T) {
 				parity[i] = 0
 			}
 			code.flip(data, parity, rng.Perm(code.n)[:1+rng.Intn(3*code.t)])
-			syn, _ := code.Syndromes(data, parity)
+			syn, _ := code.syndromes(data, parity)
 			want := berlekampMasseyReference(code.field, syn)
 			got := code.berlekampMassey(syn, sc)
 			if !slices.Equal(got, want) {
@@ -308,7 +414,7 @@ func TestFewErrorTierRejects(t *testing.T) {
 		randomData(rng, data, code.k)
 		parity := code.Encode(data)
 		code.flip(data, parity, errs)
-		syn, clean := code.Syndromes(data, parity)
+		syn, clean := code.syndromes(data, parity)
 		if clean {
 			t.Fatalf("%s: %d errors made a codeword", name, len(errs))
 		}
@@ -348,9 +454,9 @@ func TestFewErrorTierRejects(t *testing.T) {
 	weights := map[int]bool{}
 	for trial := 0; trial < 40; trial++ {
 		span := code.n - g4.Degree()
-		c := g4.Shl(rng.Intn(span))
+		c := g4.Mul(gf.NewPoly2(rng.Intn(span)))
 		if trial%2 == 1 {
-			c = c.Add(g4.Shl(rng.Intn(span)))
+			c = c.Add(g4.Mul(gf.NewPoly2(rng.Intn(span))))
 		}
 		var support []int
 		for p := 0; p <= c.Degree(); p++ {
@@ -509,7 +615,7 @@ func TestRemainderSlicedMatchesByteSerial(t *testing.T) {
 				}
 			}
 			stateBytes(got, gotBytes)
-			if ref := code.EncodeDeltaBitSerial(data, 0); !bytes.Equal(gotBytes, ref) {
+			if ref := code.encodeDeltaBitSerial(data, 0); !bytes.Equal(gotBytes, ref) {
 				t.Fatalf("len %d, %d leading zeros: sliced %x, polynomial division %x", n, zeros, gotBytes, ref)
 			}
 		}
@@ -549,7 +655,7 @@ func TestDecodeConcurrent(t *testing.T) {
 						data[off+i] ^= v
 						want[off+i] ^= v
 					}
-					code.XORParity(parity, upd)
+					gf.XORBytes(parity, upd)
 					if !code.CheckClean(data, parity) {
 						t.Errorf("worker %d trial %d: delta update left a non-codeword", w, trial)
 						return

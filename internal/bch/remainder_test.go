@@ -42,9 +42,21 @@ func remainderKernels(t testing.TB, c *Code) []remainderKernel {
 	return ks
 }
 
+// TestDispatchedRemainderKernel pins which kernel New hands the paper's
+// code and that it keeps only the row families that kernel reads: with
+// carry-less multiply, family 0 alone (the per-byte tail, row and the
+// delta-table build); without, all eight for slice8Feed.
 func TestDispatchedRemainderKernel(t *testing.T) {
-	if got := paperCode().enc.clmul != nil; got != hasCLMUL {
+	e := paperCode().enc
+	if got := e.clmul != nil; got != hasCLMUL {
 		t.Fatalf("paper code carries Barrett constants = %v, CPU support = %v", got, hasCLMUL)
+	}
+	want := 8
+	if hasCLMUL {
+		want = 1
+	}
+	if len(e.slice8) != want {
+		t.Fatalf("paper code holds %d slice8 row families, want %d (CLMUL %v)", len(e.slice8), want, hasCLMUL)
 	}
 }
 
@@ -61,7 +73,7 @@ func TestRemainderKernelsOnBasis(t *testing.T) {
 			if k.enc.clmul == nil {
 				for pos, rows := range k.enc.slice8 {
 					for u, row := range rows {
-						want := words(gf.Poly2{uint64(u)}.Shl(8*pos + c.r).Mod(c.gen))
+						want := words(shlMod(gf.Poly2{uint64(u)}, 8*pos+c.r, c.gen))
 						if row != want {
 							t.Fatalf("slice8[%d][%#x] = %x, want %x", pos, u, row, want)
 						}
@@ -73,7 +85,7 @@ func TestRemainderKernelsOnBasis(t *testing.T) {
 				var s [5]uint64
 				s[j/64] = 1 << (j % 64)
 				k.chunks(&s, data)
-				if want := words(gf.NewPoly2(j + 8*len(data)).Mod(c.gen)); s != want {
+				if want := words(shlMod(gf.NewPoly2(j), 8*len(data), c.gen)); s != want {
 					t.Fatalf("state x^%d: got %x, want %x", j, s, want)
 				}
 			}
@@ -83,7 +95,7 @@ func TestRemainderKernelsOnBasis(t *testing.T) {
 				data[b/8] = 1 << (b % 8)
 				k.chunks(&s, data)
 				data[b/8] = 0
-				if want := words(gf.NewPoly2(b + c.r).Mod(c.gen)); s != want {
+				if want := words(shlMod(gf.NewPoly2(b), c.r, c.gen)); s != want {
 					t.Fatalf("data bit %d: got %x, want %x", b, s, want)
 				}
 			}

@@ -8,11 +8,10 @@ import (
 	"chipkillpm/internal/gf"
 )
 
-// This file implements the table-driven fast paths for encoding and
-// decoding. The reference bit-serial implementations remain in bch.go
-// (EncodeBitSerial, SyndromesBitSerial, ...) both as differential-test
-// oracles and as fallbacks for degenerate codes with fewer than 8 parity
-// bits, where byte-at-a-time processing does not apply.
+// This file implements the table-driven encode and decode paths, the only
+// implementation of each kernel: New rejects the parity widths they do not
+// serve. The bit-serial, polynomial-division and exhaustive-Chien
+// references live in the package's tests, as oracles only.
 //
 // Decode runs in two tiers over five stages, each on its own precomputed
 // structure:
@@ -46,17 +45,18 @@ import (
 // of the syndromes. Any failure falls through to the full t-error path,
 // which reuses the remainder and the first slab.
 
-// encTables drive the LFSR for Encode/EncodeDelta and the decoder's
+// encTables drive the LFSR for Encode/EncodeDeltaInto and the decoder's
 // remainder computation: one byte-indexed feed row per input byte value,
-// and in the r = 264 layout the same rows advanced by 1..7 more bytes.
+// and in the r = 264 layout without carry-less multiply the same rows
+// advanced by 1..7 more bytes for slice8Feed.
 type encTables struct {
-	w      int                // uint64 words per r-bit LFSR state
-	tab    []uint64           // 256 rows of w words: tab[u] = u(x)*x^r mod g; nil when slice8 is set
-	slice8 *[8][256][5]uint64 // r = 264 only: slice8[k][u] = u(x)*x^(8k+r) mod g
-	clmul  *[6]uint64         // r = 264 with PCLMULQDQ only: mu_lo, g0..g4 for clmulFeed264
-	loWord int                // word holding bit r-8 (start of the outgoing byte)
-	loOff  uint               // offset of bit r-8 within loWord
-	split  bool               // outgoing byte straddles loWord and loWord+1
+	w      int              // uint64 words per r-bit LFSR state
+	tab    []uint64         // 256 rows of w words: tab[u] = u(x)*x^r mod g; nil when slice8 is set
+	slice8 [][256][5]uint64 // r = 264 only: slice8[k][u] = u(x)*x^(8k+r) mod g; k = 0 alone with clmul
+	clmul  *[6]uint64       // r = 264 with PCLMULQDQ only: mu_lo, g0..g4 for clmulFeed264
+	loWord int              // word holding bit r-8 (start of the outgoing byte)
+	loOff  uint             // offset of bit r-8 within loWord
+	split  bool             // outgoing byte straddles loWord and loWord+1
 }
 
 // quadNone marks "no solution" entries of the quadratic-root table; the
@@ -105,15 +105,14 @@ type decodeScratch struct {
 	positions []int     // found error positions, cap 2t
 }
 
-// buildEncTables constructs the byte-wise LFSR table, or returns nil for
-// codes with r < 8 where the byte-serial recurrence does not hold. With
-// clmul set (New passes hasCLMUL), the r = 264 layout also gets the
-// Barrett constants that select clmulFeed264; without them feed264 runs
-// the slicing-by-8 table loop, which tests use as the kernel's oracle.
+// buildEncTables constructs the byte-wise LFSR table (New guarantees
+// r >= 8, so the byte-serial recurrence holds). With clmul set (New passes
+// hasCLMUL), the r = 264 layout gets the Barrett constants that select
+// clmulFeed264 and keeps only row family 0, which the per-byte tail and
+// the delta-table build read; without them it also builds families 1..7,
+// and feed264 runs the slicing-by-8 table loop, which tests use as the
+// kernel's oracle.
 func (c *Code) buildEncTables(clmul bool) *encTables {
-	if c.r < 8 {
-		return nil
-	}
 	w := (c.r + 63) / 64
 	e := &encTables{
 		w:      w,
@@ -165,25 +164,27 @@ func (c *Code) buildEncTables(clmul bool) *encTables {
 		}
 	}
 	if w == 5 && e.loOff == 0 && !e.split {
-		// Positions 1..7: each is the previous one advanced by one
-		// zero-feed step (multiply by x^8 mod g).
-		s := new([8][256][5]uint64)
-		for u := range s[0] {
-			copy(s[0][u][:], e.tab[u*w:u*w+w])
-		}
-		for k := 1; k < 8; k++ {
-			for u := 1; u < 256; u++ {
-				s[k][u] = s[k-1][u]
-				e.step(s[k][u][:], 0)
-			}
-		}
-		e.slice8, e.tab = s, nil
+		families := 8
 		if clmul {
 			// mu = floor(x^328 / g) = x^64 + mu_lo, and g without its
 			// x^264 term: four whole words and the 8 bits of the fifth.
 			mu, _ := gf.NewPoly2(328).DivMod(c.gen)
 			g := c.gen
 			e.clmul = &[6]uint64{mu[0], g[0], g[1], g[2], g[3], g[4] & 0xFF}
+			families = 1
+		}
+		s := make([][256][5]uint64, families)
+		for u := range s[0] {
+			copy(s[0][u][:], e.tab[u*w:u*w+w])
+		}
+		e.slice8, e.tab = s, nil
+		// Positions 1..7: each is the previous one advanced by one
+		// zero-feed step (multiply by x^8 mod g).
+		for k := 1; k < families; k++ {
+			for u := 1; u < 256; u++ {
+				s[k][u] = s[k-1][u]
+				e.step(s[k][u][:], 0)
+			}
 		}
 	}
 	return e
@@ -305,7 +306,7 @@ func (e *encTables) feed264(state []uint64, data []byte) {
 // x^r, which is row family slice8[k]. The eight row loads of a step are
 // independent of each other; only the next step waits on them.
 func (e *encTables) slice8Feed(s *[5]uint64, data []byte) {
-	t := e.slice8
+	t := (*[8][256][5]uint64)(e.slice8)
 	s0, s1, s2, s3, s4 := s[0], s[1], s[2], s[3], s[4]
 	for i := len(data); i >= 8; i -= 8 {
 		v := (s4<<56 | s3>>8) ^ binary.LittleEndian.Uint64(data[i-8:i])
@@ -355,7 +356,7 @@ type deltaTables struct {
 // each later one the previous advanced by one zero-feed step (multiply by
 // x^8 mod g), 30 steps per position. Racing builders each construct a
 // candidate; CompareAndSwap keeps exactly one, so callers always share a
-// single table. Requires c.enc != nil.
+// single table.
 func (c *Code) deltaTables() *deltaTables {
 	if d := c.deltaTabs.Load(); d != nil {
 		return d
@@ -438,12 +439,8 @@ func (d *deltaTables) encode(acc []uint64, delta []byte, p0 int) {
 	}
 }
 
-// decTables builds (once) and returns the decode tables, or nil for codes
-// where the fast path is unavailable.
+// decTables builds (once) and returns the decode tables.
 func (c *Code) decTables() *decTables {
-	if c.enc == nil {
-		return nil
-	}
 	c.decOnce.Do(func() {
 		f := c.field
 		pb := c.ParityBytes()
@@ -519,10 +516,7 @@ func (c *Code) getScratch() *decodeScratch {
 	if sc, ok := c.scratch.Get().(*decodeScratch); ok {
 		return sc
 	}
-	w := 0
-	if c.enc != nil {
-		w = c.enc.w
-	}
+	w := c.enc.w
 	return &decodeScratch{
 		state:     make([]uint64, w),
 		check:     make([]uint64, w),
@@ -540,16 +534,9 @@ func (c *Code) getScratch() *decodeScratch {
 func (c *Code) putScratch(sc *decodeScratch) { c.scratch.Put(sc) }
 
 // syndromesInto computes the 2t syndromes into syn and reports whether the
-// received word is a codeword; syn is written only when it is not. It uses
-// the remainder-based fast path when tables are available and falls back
-// to the bit-serial oracle otherwise.
+// received word is a codeword; syn is written only when it is not.
 func (c *Code) syndromesInto(syn []gf.Elem, data, parity []byte, sc *decodeScratch) bool {
 	d := c.decTables()
-	if d == nil {
-		ref, clean := c.SyndromesBitSerial(data, parity)
-		copy(syn, ref)
-		return clean
-	}
 	if c.remainderInto(d, data, parity, sc) {
 		return true
 	}
@@ -676,10 +663,6 @@ func bitRow(b int) int {
 // word is a codeword iff its remainder mod g is zero.
 func (c *Code) isCodeword(data, parity []byte) bool {
 	d := c.decTables()
-	if d == nil {
-		_, clean := c.SyndromesBitSerial(data, parity)
-		return clean
-	}
 	sc := c.getScratch()
 	defer c.putScratch(sc)
 	return c.remainderInto(d, data, parity, sc)
@@ -1175,20 +1158,18 @@ func (c *Code) directRoots(d *decTables, s []gf.Elem, positions []int) ([]int, b
 	return positions, false
 }
 
-// findRoots locates all roots of sigma inside the shortened code: solved
-// directly up to degree maxDirect, and above that by a blocked Chien scan
-// that deflates the locator by every root it meets until the direct
-// solvers apply. Semantics match the reference chien(): it returns
-// ok=false unless exactly deg(sigma) positions are found.
+// findRoots locates all roots of sigma, of degree at most t (Decode
+// rejects higher ones first), inside the shortened code: solved directly
+// up to degree maxDirect, and above that by a blocked Chien scan that
+// deflates the locator by every root it meets until the direct solvers
+// apply. It returns ok=false unless exactly deg(sigma) positions are
+// found, as an exhaustive Chien search would.
 func (c *Code) findRoots(sigma gf.Poly, sc *decodeScratch) ([]int, bool) {
 	deg := gf.PolyDeg(sigma)
 	if deg <= 0 {
 		return nil, deg == 0
 	}
 	d := c.decTables()
-	if d == nil || deg > c.t {
-		return c.chien(sigma)
-	}
 	f := c.field
 	n := f.N()
 	exp := c.exp

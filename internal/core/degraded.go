@@ -189,7 +189,7 @@ func (c *Controller) readDegraded(dst []byte, block int64) error {
 
 // writeDegraded applies a write's data delta (old XOR new) to a block in
 // the striped layout: each chip's slice is read, XORed and stored raw,
-// and the controller folds the delta's code update — EncodeDelta at the
+// and the controller folds the delta's code update — EncodeDeltaInto at the
 // block's offset within the striped word — into the group's holder slot,
 // since the in-chip EUR cannot maintain a cross-chip code word.
 //

@@ -126,7 +126,7 @@ func (e *Engine) runGroup(op batchOp, s *shard, idx []int32, blocks []int64, buf
 
 // sortGroupByRow stably sorts one shard group's batch indices by row so
 // same-row writes land back to back: the open row's EUR registers absorb
-// every delta for the row and the close-drain pays one BCH EncodeDelta
+// every delta for the row and the close-drain pays one BCH EncodeDeltaInto
 // per touched VLEW for the whole run, instead of an open/drain cycle per
 // interleaved write. Insertion sort keeps the path allocation-free and
 // the stability preserves ascending batch-slice order within a row — in

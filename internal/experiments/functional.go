@@ -200,7 +200,7 @@ func ValidateTermB(t int, trials int64, seed int64) (TermBValidation, error) {
 				check[p-code.K()] ^= delta
 			}
 		}
-		corr, derr := code.DecodeLimited(data, check, t)
+		corr, derr := code.DecodeLimitedAppend(nil, data, check, t)
 		switch {
 		case derr == nil && len(corr) <= t:
 			// The decoder "fixed" the word — onto the wrong codeword.

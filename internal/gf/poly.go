@@ -23,13 +23,6 @@ func PolyDeg(p Poly) int {
 // PolyTrim returns p with trailing zero coefficients removed.
 func PolyTrim(p Poly) Poly { return p[:PolyDeg(p)+1] }
 
-// PolyClone returns an independent copy of p.
-func PolyClone(p Poly) Poly {
-	q := make(Poly, len(p))
-	copy(q, p)
-	return q
-}
-
 // PolyMul returns p * q over f.
 func (f *Field) PolyMul(p, q Poly) Poly {
 	dp, dq := PolyDeg(p), PolyDeg(q)
@@ -50,32 +43,6 @@ func (f *Field) PolyMul(p, q Poly) Poly {
 		}
 	}
 	return PolyTrim(r)
-}
-
-// PolyDivMod returns the quotient and remainder of p / d over f. It panics
-// if d is the zero polynomial.
-func (f *Field) PolyDivMod(p, d Poly) (quo, rem Poly) {
-	dd := PolyDeg(d)
-	if dd < 0 {
-		panic("gf: Poly division by zero polynomial")
-	}
-	rem = PolyClone(p)
-	lead := f.Inv(d[dd])
-	for {
-		rd := PolyDeg(rem)
-		if rd < dd {
-			return PolyTrim(quo), PolyTrim(rem)
-		}
-		c := f.Mul(rem[rd], lead)
-		shift := rd - dd
-		if quo == nil {
-			quo = make(Poly, shift+1)
-		}
-		quo[shift] = c
-		for i := 0; i <= dd; i++ {
-			rem[i+shift] ^= f.Mul(d[i], c)
-		}
-	}
 }
 
 // PolyEval evaluates p at x using Horner's rule.

@@ -21,33 +21,6 @@ func NewPoly2(exponents ...int) Poly2 {
 	return p
 }
 
-// Poly2FromBytes interprets data as a polynomial with data[0] bit 0 being
-// the coefficient of x^0 (little-endian bit and byte order).
-func Poly2FromBytes(data []byte) Poly2 {
-	p := make(Poly2, (len(data)+7)/8)
-	for i, b := range data {
-		p[i/8] |= uint64(b) << (8 * uint(i%8))
-	}
-	return p
-}
-
-// Bytes returns the little-endian byte representation of p, with at least
-// minLen bytes (zero-padded).
-func (p Poly2) Bytes(minLen int) []byte {
-	n := (p.Degree() + 8) / 8
-	if n < minLen {
-		n = minLen
-	}
-	out := make([]byte, n)
-	for i := range out {
-		w := i / 8
-		if w < len(p) {
-			out[i] = byte(p[w] >> (8 * uint(i%8)))
-		}
-	}
-	return out
-}
-
 // Degree returns the degree of p, or -1 for the zero polynomial.
 func (p Poly2) Degree() int {
 	for i := len(p) - 1; i >= 0; i-- {
@@ -96,22 +69,6 @@ func (p Poly2) Add(q Poly2) Poly2 {
 	copy(r, p)
 	for i, w := range q {
 		r[i] ^= w
-	}
-	return r
-}
-
-// Shl returns p * x^k.
-func (p Poly2) Shl(k int) Poly2 {
-	if p.IsZero() || k == 0 {
-		return p.Clone()
-	}
-	words, rem := k/64, uint(k%64)
-	r := make(Poly2, len(p)+words+1)
-	for i, w := range p {
-		r[i+words] |= w << rem
-		if rem != 0 {
-			r[i+words+1] |= w >> (64 - rem)
-		}
 	}
 	return r
 }
@@ -168,12 +125,6 @@ func (p Poly2) DivMod(d Poly2) (quo, rem Poly2) {
 		pd = rem.Degree()
 	}
 	return quo, rem
-}
-
-// Mod returns p mod d.
-func (p Poly2) Mod(d Poly2) Poly2 {
-	_, rem := p.DivMod(d)
-	return rem
 }
 
 // Equal reports whether p and q represent the same polynomial.

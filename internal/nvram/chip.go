@@ -151,7 +151,7 @@ type bank struct {
 	// encoded code update — and the chip runs the BCH encoder once when
 	// the slot drains at row close. BCH is linear, so encoding the
 	// accumulated delta equals XORing the per-write encodes, and the
-	// deferred scheme pays one EncodeDelta per drain instead of one per
+	// deferred scheme pays one EncodeDeltaInto per drain instead of one per
 	// write. The slot bounds the touched byte range so the drain encodes
 	// only what changed; a register is kept zeroed while its slot is
 	// empty, so draining is test + encode with no map churn.
@@ -474,7 +474,7 @@ func (c *Chip) WriteXORAt(a *Addr, delta []byte) {
 		return
 	}
 	// Defer the code update: accumulate the raw data delta in the EUR and
-	// widen the touched range. One EncodeDelta over the accumulated delta
+	// widen the touched range. One EncodeDeltaInto over the accumulated delta
 	// at drain time equals the XOR of the per-write encodes (BCH
 	// linearity), at a fraction of the cost. The delta may span several
 	// VLEWs; off is its offset in the row's data, which is also its
@@ -507,7 +507,7 @@ func (c *Chip) encodeCodeDelta(a *Addr, delta []byte) {
 }
 
 // drainSlot folds bank's armed EUR slot v into its VLEW's stored code
-// bits: a single EncodeDelta over the slot's accumulated raw delta, XORed
+// bits: a single EncodeDeltaInto over the slot's accumulated raw delta, XORed
 // into the array. Counts one VLEWCodeWrites event per drain regardless of
 // chip health (a failed chip still "performs" the array write; it just has
 // no effect), exactly as the per-slot drain always has. The caller must

@@ -8,7 +8,7 @@ import (
 
 // Kernel microbenchmarks at the paper shape: RS(72, 64), one 64 B data
 // block plus 8 check bytes. The *PolyDiv/*Horner benchmarks measure the
-// retained reference paths for the before/after comparison.
+// test-local references (diff_test.go) for the kernel-vs-reference ratio.
 
 func benchCode() *Code { return Must(64, 8) }
 
@@ -33,7 +33,7 @@ func BenchmarkKernelEncodePolyDiv(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.EncodePolyDiv(data)
+		c.encodePolyDiv(data)
 	}
 }
 
@@ -56,7 +56,7 @@ func BenchmarkKernelSyndromesHorner(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.SyndromesHorner(data, check)
+		c.syndromesHorner(data, check)
 	}
 }
 
@@ -65,7 +65,7 @@ func BenchmarkKernelDecodeClean(b *testing.B) {
 	check := c.Encode(data)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(data, check, nil); err != nil {
+		if _, err := c.DecodeAppend(nil, data, check, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkKernelDecodeErrors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		data[5] ^= 0x3C
 		data[40] ^= 0x81
-		if corr, err := c.Decode(data, check, nil); err != nil || len(corr) != 2 {
+		if corr, err := c.DecodeAppend(nil, data, check, nil); err != nil || len(corr) != 2 {
 			b.Fatalf("corr=%d err=%v", len(corr), err)
 		}
 	}
@@ -124,7 +124,7 @@ func BenchmarkKernelDecodeErasures(b *testing.B) {
 		for _, p := range erasures {
 			data[p] = 0
 		}
-		if _, err := c.Decode(data, check, erasures); err != nil {
+		if _, err := c.DecodeAppend(nil, data, check, erasures); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,23 +2,85 @@ package rs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"chipkillpm/internal/gf"
 )
 
-// Differential tests: the table-driven Encode/EncodeDelta/syndrome paths
-// must match the retained polynomial-division and Horner oracles exactly,
-// across the paper shape and other (k, r) geometries including one wide
-// enough (r > 8) to exercise the oracle fallback inside the fast entry
-// points.
+// Differential tests: the table-driven Encode, EncodeInto and syndrome
+// paths must match the polynomial-division and Horner references below
+// exactly, across the paper shape and other (k, r) geometries New accepts.
 
 var diffCodes = []struct{ k, r int }{
 	{64, 8}, // the paper's RS(72, 64)
 	{32, 4},
 	{16, 2},
 	{100, 8},
-	{64, 12}, // r > 8: packed LFSR unavailable, fallback path
 	{1, 1},
+}
+
+// The references. Each is the textbook definition over gf.Poly arithmetic
+// and shares no code with the LFSR tables it checks. They are oracles
+// only; production code has one implementation of each kernel.
+
+// polyMod returns p mod d over f by long division.
+func polyMod(f *gf.Field, p, d gf.Poly) gf.Poly {
+	dd := gf.PolyDeg(d)
+	rem := slices.Clone(p)
+	lead := f.Inv(d[dd])
+	for rd := gf.PolyDeg(rem); rd >= dd; rd = gf.PolyDeg(rem) {
+		q := f.Mul(rem[rd], lead)
+		for i := 0; i <= dd; i++ {
+			rem[i+rd-dd] ^= f.Mul(d[i], q)
+		}
+	}
+	return rem
+}
+
+// encodeDeltaPolyDiv is the check-byte update for delta placed at data
+// byte byteOffset: delta(x)*x^(r+byteOffset) mod g(x).
+func (c *Code) encodeDeltaPolyDiv(delta []byte, byteOffset int) []byte {
+	if byteOffset < 0 || byteOffset+len(delta) > c.k {
+		panic(fmt.Sprintf("rs: encodeDeltaPolyDiv: %d bytes at offset %d overflow k=%d", len(delta), byteOffset, c.k))
+	}
+	p := make(gf.Poly, c.r+byteOffset+len(delta))
+	for j, b := range delta {
+		p[c.r+byteOffset+j] = gf.Elem(b)
+	}
+	return polyBytes(polyMod(c.f, p, c.gen), c.r)
+}
+
+// encodePolyDiv is the reference for Encode: data(x)*x^r mod g(x).
+func (c *Code) encodePolyDiv(data []byte) []byte {
+	if len(data) != c.k {
+		panic(fmt.Sprintf("rs: encodePolyDiv: got %d data bytes, want %d", len(data), c.k))
+	}
+	return c.encodeDeltaPolyDiv(data, 0)
+}
+
+// syndromesHorner is the reference for the syndromes: S_1..S_r, the
+// received word evaluated at each root of g by Horner's rule over all n
+// symbols, and whether all are zero.
+func (c *Code) syndromesHorner(data, check []byte) (gf.Poly, bool) {
+	syn := make(gf.Poly, c.r)
+	clean := true
+	for j := 1; j <= c.r; j++ {
+		var s gf.Elem
+		a := c.f.Exp(j)
+		// Highest degree first: data[k-1] has the highest degree r+k-1.
+		for i := c.k - 1; i >= 0; i-- {
+			s = c.f.Mul(s, a) ^ gf.Elem(data[i])
+		}
+		for i := c.r - 1; i >= 0; i-- {
+			s = c.f.Mul(s, a) ^ gf.Elem(check[i])
+		}
+		syn[j-1] = s
+		clean = clean && s == 0
+	}
+	return syn, clean
 }
 
 func TestEncodeMatchesPolyDiv(t *testing.T) {
@@ -35,7 +97,7 @@ func TestEncodeMatchesPolyDiv(t *testing.T) {
 				}
 			}
 			fast := code.Encode(data)
-			slow := code.EncodePolyDiv(data)
+			slow := code.encodePolyDiv(data)
 			if !bytes.Equal(fast, slow) {
 				t.Fatalf("%v trial %d: Encode mismatch\nfast %x\nslow %x", code, trial, fast, slow)
 			}
@@ -43,24 +105,30 @@ func TestEncodeMatchesPolyDiv(t *testing.T) {
 	}
 }
 
+// TestEncodeDeltaMatchesPolyDiv checks Encode on sparse words, the shape
+// its leading-zero skip and all-zero-chunk short circuit serve: a data word
+// holding only delta at byteOffset encodes to the delta reference.
 func TestEncodeDeltaMatchesPolyDiv(t *testing.T) {
 	for _, p := range diffCodes {
 		code := Must(p.k, p.r)
 		rng := rand.New(rand.NewSource(int64(p.k)*23 + int64(p.r)))
+		placed := make([]byte, code.K())
 		for trial := 0; trial < 100; trial++ {
 			n := 1 + rng.Intn(code.K())
 			delta := make([]byte, n)
 			rng.Read(delta)
 			if trial%5 == 0 {
 				for i := range delta {
-					delta[i] = 0 // all-zero delta short-circuit
+					delta[i] = 0 // the all-zero word
 				}
 			}
 			off := rng.Intn(code.K() - n + 1)
-			fast := code.EncodeDelta(delta, off)
-			slow := code.EncodeDeltaPolyDiv(delta, off)
+			clear(placed)
+			copy(placed[off:], delta)
+			fast := code.Encode(placed)
+			slow := code.encodeDeltaPolyDiv(delta, off)
 			if !bytes.Equal(fast, slow) {
-				t.Fatalf("%v trial %d off %d: EncodeDelta mismatch\nfast %x\nslow %x",
+				t.Fatalf("%v trial %d off %d: Encode of the placed delta mismatch\nfast %x\nslow %x",
 					code, trial, off, fast, slow)
 			}
 		}
@@ -156,7 +224,7 @@ func TestSyndromesMatchHorner(t *testing.T) {
 				fast[i] = byte(s)
 			}
 			code.putScratch(sc)
-			slowSyn, slowClean := code.SyndromesHorner(data, check)
+			slowSyn, slowClean := code.syndromesHorner(data, check)
 			if fastClean != slowClean {
 				t.Fatalf("%v trial %d: clean mismatch fast=%v slow=%v", code, trial, fastClean, slowClean)
 			}
@@ -213,7 +281,7 @@ func TestDecodeRandomizedRoundTrip(t *testing.T) {
 				corrupt(pos)
 			}
 
-			corr, err := code.Decode(data, check, erasures)
+			corr, err := code.DecodeAppend(nil, data, check, erasures)
 			if e <= maxErr {
 				if err != nil {
 					t.Fatalf("%v trial %d: rho=%d e=%d should decode: %v", code, trial, rho, e, err)
@@ -256,7 +324,7 @@ func TestDecodeLeavesInputUnchangedOnError(t *testing.T) {
 	dirtyCheck := append([]byte(nil), check...)
 	gotData := append([]byte(nil), dirtyData...)
 	gotCheck := append([]byte(nil), dirtyCheck...)
-	if _, err := code.Decode(gotData, gotCheck, nil); err == nil {
+	if _, err := code.DecodeAppend(nil, gotData, gotCheck, nil); err == nil {
 		return // miscorrected onto another codeword: allowed for e > t
 	}
 	if !bytes.Equal(gotData, dirtyData) || !bytes.Equal(gotCheck, dirtyCheck) {

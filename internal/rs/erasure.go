@@ -24,10 +24,10 @@ type ErasureSolver struct {
 
 // NewErasureSolver builds the solver for the given erasure set, which must
 // be exactly R() distinct in-range positions (data byte p for p < K, check
-// byte p-K otherwise) of a code with at most 8 check symbols.
+// byte p-K otherwise).
 func (c *Code) NewErasureSolver(positions []int) (*ErasureSolver, error) {
-	if c.enc == nil || len(positions) != c.r {
-		return nil, fmt.Errorf("rs: erasure solver needs exactly r = %d positions (and r <= 8), got %d", c.r, len(positions))
+	if len(positions) != c.r {
+		return nil, fmt.Errorf("rs: erasure solver needs exactly r = %d positions, got %d", c.r, len(positions))
 	}
 	// Errata bit b (bit b%8 of the symbol at positions[b/8]) leaves
 	// remainder rem[b]. Gauss-Jordan over GF(2) on the pairs (rem[b], e[b])

@@ -19,7 +19,7 @@ var fuzzCode = Must(64, 8)
 //     sits on an actually-corrupted position;
 //   - beyond the bound: Decode either fails leaving the buffers untouched
 //     or returns a valid codeword (bounded-distance miscorrection);
-//   - errors-only, DecodeLimited(threshold=2): at most 2 errors restore
+//   - errors-only, DecodeLimitedAppend(threshold=2): at most 2 errors restore
 //     exactly; 3 or 4 errors must be refused with ErrThreshold and rolled
 //     back (distance 9 leaves them at least 5 from any other codeword, so
 //     a <=2-correction miscorrection is impossible).
@@ -65,7 +65,7 @@ func FuzzDecode(f *testing.F) {
 		dIn := append([]byte(nil), d2...)
 		cIn := append([]byte(nil), c2...)
 
-		corrs, err := code.Decode(d2, c2, erasures)
+		corrs, err := code.DecodeAppend(nil, d2, c2, erasures)
 		if 2*e+s <= code.R() {
 			if err != nil {
 				t.Fatalf("e=%d s=%d within capability: decode failed: %v", e, s, err)
@@ -101,7 +101,7 @@ func FuzzDecode(f *testing.F) {
 		// Errors-only: the runtime thresholded decoder.
 		d3 := append([]byte(nil), dIn...)
 		c3 := append([]byte(nil), cIn...)
-		corrs, err = code.DecodeLimited(d3, c3, 2)
+		corrs, err = code.DecodeLimitedAppend(nil, d3, c3, 2)
 		switch {
 		case e <= 2:
 			if err != nil {

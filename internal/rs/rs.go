@@ -7,12 +7,12 @@
 // to 8 byte erasures (a whole failed chip whose position is known), or
 // mixes with 2*errors + erasures <= 8.
 //
-// The scheme additionally uses DecodeLimited: an errors-only decode that
-// accepts the result only when it makes at most `threshold` corrections.
-// A miscorrection is far more likely to surface as many corrections than
-// as few, so capping accepted corrections at 2 drops the silent-data-
-// corruption rate from 3.2e-11 to 3.3e-22 (paper appendix) at the cost of
-// occasionally falling back to VLEW correction.
+// The scheme additionally uses DecodeLimitedAppend: an errors-only decode
+// that accepts the result only when it makes at most `threshold`
+// corrections. A miscorrection is far more likely to surface as many
+// corrections than as few, so capping accepted corrections at 2 drops the
+// silent-data-corruption rate from 3.2e-11 to 3.3e-22 (paper appendix) at
+// the cost of occasionally falling back to VLEW correction.
 package rs
 
 import (
@@ -42,16 +42,20 @@ type Code struct {
 	n   int // total symbols
 	gen gf.Poly
 
-	enc     *encTables // packed-uint64 LFSR tables; nil when r > 8
+	enc     *encTables // packed-uint64 LFSR tables
 	dec     *decTables // per-root multiplication tables
 	scratch sync.Pool  // *decodeScratch
 }
 
-// New constructs an RS code with k data bytes and r check bytes.
+// New constructs an RS code with k data bytes and r check bytes. r is at
+// most 8: the table paths pack the check symbols into one uint64.
 func New(k, r int) (*Code, error) {
 	f := gf.MustField(8)
 	if k < 1 || r < 1 {
 		return nil, fmt.Errorf("rs: k=%d, r=%d must be >= 1", k, r)
+	}
+	if r > 8 {
+		return nil, fmt.Errorf("rs: r=%d check symbols exceed the packed LFSR's 8", r)
 	}
 	if k+r > f.N() {
 		return nil, fmt.Errorf("rs: n=%d exceeds field bound %d", k+r, f.N())
@@ -114,15 +118,12 @@ func (c *Code) degreeToPos(d int) int {
 	return d - c.r
 }
 
-// Encode computes the r check bytes for the k data bytes. It streams one
-// byte per LFSR step through the precomputed feedback table; EncodePolyDiv
-// is the retained polynomial-division reference.
+// Encode computes the r check bytes for the k data bytes. It streams the
+// data through the precomputed LFSR tables: eight bytes per step when r = 8
+// and k is a multiple of 8 (the paper's code), one byte per step otherwise.
 func (c *Code) Encode(data []byte) []byte {
 	if len(data) != c.k {
 		panic(fmt.Sprintf("rs: Encode: got %d data bytes, want %d", len(data), c.k))
-	}
-	if c.enc == nil {
-		return c.EncodePolyDiv(data)
 	}
 	state := c.enc.remainder(data)
 	check := make([]byte, c.r)
@@ -133,8 +134,8 @@ func (c *Code) Encode(data []byte) []byte {
 }
 
 // EncodeInto computes the r check bytes for the k data bytes into the
-// caller-owned check buffer, allocation-free on the table-driven path. It
-// is Encode for hot paths (the controller's write path reuses one buffer).
+// caller-owned check buffer, allocation-free. It is Encode for hot paths
+// (the controller's write path reuses one buffer).
 //
 //chipkill:noalloc
 func (c *Code) EncodeInto(check, data []byte) {
@@ -142,118 +143,18 @@ func (c *Code) EncodeInto(check, data []byte) {
 		panic(fmt.Sprintf("rs: EncodeInto: got %d data and %d check bytes, want %d and %d",
 			len(data), len(check), c.k, c.r))
 	}
-	if c.enc == nil {
-		copy(check, c.EncodePolyDiv(data)) //chipkill:allow noalloc table-less codes (r > 8) are never on the demand path
-		return
-	}
 	state := c.enc.remainder(data)
 	for i := range check {
 		check[i] = byte(state >> (8 * uint(i)))
 	}
 }
 
-// EncodePolyDiv is the reference implementation of Encode via generic
-// polynomial division: check(x) = (d(x) * x^r) mod g(x). It is kept as the
-// differential-test oracle for the table-driven path and as the fallback
-// for codes with more than 8 check symbols.
-func (c *Code) EncodePolyDiv(data []byte) []byte {
-	if len(data) != c.k {
-		panic(fmt.Sprintf("rs: Encode: got %d data bytes, want %d", len(data), c.k))
-	}
-	p := make(gf.Poly, c.n)
-	for j, b := range data {
-		p[c.r+j] = gf.Elem(b)
-	}
-	_, rem := c.f.PolyDivMod(p, c.gen)
-	check := make([]byte, c.r)
-	for i := 0; i < c.r && i < len(rem); i++ {
-		check[i] = byte(rem[i])
-	}
-	return check
-}
-
-// EncodeDelta returns the check-byte update for a sparse data change:
-// XORing the result into the old check bytes yields the check bytes of the
-// new data, where delta = old XOR new starting at data byte byteOffset.
-// RS over GF(2^8) is linear over GF(2), so incremental update works exactly
-// as for BCH. The fast path runs the LFSR over the delta bytes and then
-// multiplies by x^byteOffset with zero-feed steps, short-circuiting when
-// the delta itself is all zero.
-func (c *Code) EncodeDelta(delta []byte, byteOffset int) []byte {
-	if byteOffset < 0 || byteOffset+len(delta) > c.k {
-		panic(fmt.Sprintf("rs: EncodeDelta: %d bytes at offset %d overflow k=%d", len(delta), byteOffset, c.k))
-	}
-	if c.enc == nil {
-		return c.EncodeDeltaPolyDiv(delta, byteOffset)
-	}
-	state := c.enc.remainder(delta)
-	if state != 0 {
-		for i := 0; i < byteOffset; i++ {
-			state = c.enc.step(state, 0)
-		}
-	}
-	check := make([]byte, c.r)
-	for i := range check {
-		check[i] = byte(state >> (8 * uint(i)))
-	}
-	return check
-}
-
-// EncodeDeltaPolyDiv is the polynomial-division reference for EncodeDelta,
-// kept as the differential-test oracle.
-func (c *Code) EncodeDeltaPolyDiv(delta []byte, byteOffset int) []byte {
-	if byteOffset < 0 || byteOffset+len(delta) > c.k {
-		panic(fmt.Sprintf("rs: EncodeDelta: %d bytes at offset %d overflow k=%d", len(delta), byteOffset, c.k))
-	}
-	p := make(gf.Poly, c.r+byteOffset+len(delta))
-	for j, b := range delta {
-		p[c.r+byteOffset+j] = gf.Elem(b)
-	}
-	_, rem := c.f.PolyDivMod(p, c.gen)
-	check := make([]byte, c.r)
-	for i := 0; i < c.r && i < len(rem); i++ {
-		check[i] = byte(rem[i])
-	}
-	return check
-}
-
-// SyndromesHorner returns S_1..S_r and whether all are zero, evaluating the
-// received word at each root by Horner's rule over all n symbols. It is the
-// reference implementation behind the remainder-based fast path and the
-// differential-test oracle for it.
-func (c *Code) SyndromesHorner(data, check []byte) (gf.Poly, bool) {
-	syn := make(gf.Poly, c.r)
-	clean := true
-	for j := 1; j <= c.r; j++ {
-		var s gf.Elem
-		a := c.f.Exp(j)
-		// Horner over the full codeword, highest degree first: data[k-1]
-		// has the highest degree r+k-1.
-		for i := c.k - 1; i >= 0; i-- {
-			s = c.f.Mul(s, a) ^ gf.Elem(data[i])
-		}
-		for i := c.r - 1; i >= 0; i-- {
-			s = c.f.Mul(s, a) ^ gf.Elem(check[i])
-		}
-		syn[j-1] = s
-		if s != 0 {
-			clean = false
-		}
-	}
-	return syn, clean
-}
-
 // Check reports whether data||check is a clean codeword: one LFSR pass and
-// an 8-byte compare on the fast path.
+// an 8-byte compare.
 //
 //chipkill:noalloc
 func (c *Code) Check(data, check []byte) bool {
 	c.validate(data, check)
-	if c.enc == nil {
-		//chipkill:allow noalloc table-less codes (r > 8) are never on the demand path
-		_, clean := c.SyndromesHorner(data, check)
-		return clean
-	}
 	rem := c.enc.remainder(data)
 	for i := 0; i < c.r; i++ {
 		rem ^= uint64(check[i]) << (8 * uint(i))
@@ -266,8 +167,8 @@ func (c *Code) Check(data, check []byte) bool {
 // packed like w, which is zero exactly when data||w is a codeword — Check
 // for callers that hold the stored check region as one 64-bit word, with
 // the dirty case's remainder kept for CorrectWord. Only codes with exactly
-// eight check symbols and encoder tables support it (the demand path's
-// RS(72,64) qualifies); anything else panics. The panics use plain
+// eight check symbols support it (the demand path's RS(72,64) qualifies);
+// anything else panics. The panics use plain
 // strings because the engine's seqlock-validated reader calls this
 // between sequence checks and must stay free of impure calls.
 //
@@ -336,8 +237,8 @@ func (c *Code) CorrectWord(data []byte, syn uint64) (pos int, mag byte, ok bool)
 //
 //chipkill:seqread
 func (c *Code) validateWord(data []byte) {
-	if c.enc == nil || c.r != 8 {
-		panic("rs: packed-word check requires an 8-check-symbol code with encoder tables")
+	if c.r != 8 {
+		panic("rs: packed-word check requires an 8-check-symbol code")
 	}
 	if len(data) != c.k {
 		panic("rs: packed-word check data length mismatch")
@@ -359,19 +260,16 @@ type Correction struct {
 	Erasure bool // true when the position was declared an erasure
 }
 
-// Decode corrects errors and erasures in place. erasures lists known-bad
-// positions (data byte index for < k, k+i for check byte i); duplicate or
-// out-of-range positions are rejected. It returns the corrections applied.
-// On ErrUncorrectable, data and check are unchanged.
-func (c *Code) Decode(data, check []byte, erasures []int) ([]Correction, error) {
-	return c.DecodeAppend(nil, data, check, erasures)
-}
-
-// DecodeAppend is Decode writing its corrections into buf[:0]'s backing
-// array (growing it only when capacity runs out), so steady-state callers —
-// the controller's corrected-read path runs one decode per dirty block —
-// allocate nothing. The returned slice aliases buf; it is valid until the
-// caller's next DecodeAppend with the same buffer.
+// DecodeAppend corrects errors and erasures in place. erasures lists
+// known-bad positions (data byte index for < k, k+i for check byte i);
+// duplicate or out-of-range positions are rejected. On ErrUncorrectable,
+// data and check are unchanged.
+//
+// The corrections applied go into buf[:0]'s backing array (grown only
+// when capacity runs out), so steady-state callers — the controller's
+// corrected-read path runs one decode per dirty block — allocate nothing.
+// The returned slice aliases buf; it is valid until the caller's next
+// DecodeAppend with the same buffer. A nil buf allocates the result.
 func (c *Code) DecodeAppend(buf []Correction, data, check []byte, erasures []int) ([]Correction, error) {
 	c.validate(data, check)
 	if len(erasures) > c.r {
@@ -599,16 +497,11 @@ func (c *Code) DecodeAppend(buf []Correction, data, check []byte, erasures []int
 	return corrections, nil
 }
 
-// DecodeLimited performs an errors-only decode but accepts the result only
-// when it applies at most threshold corrections. When the decode would
+// DecodeLimitedAppend performs an errors-only decode but accepts the result
+// only when it applies at most threshold corrections. When the decode would
 // require more, it returns ErrThreshold and leaves the inputs unchanged,
 // signalling the caller to fall back to VLEW correction (paper Fig. 8/9).
-func (c *Code) DecodeLimited(data, check []byte, threshold int) ([]Correction, error) {
-	return c.DecodeLimitedAppend(nil, data, check, threshold)
-}
-
-// DecodeLimitedAppend is DecodeLimited with a caller-owned corrections
-// buffer, mirroring DecodeAppend.
+// buf is used as in DecodeAppend.
 func (c *Code) DecodeLimitedAppend(buf []Correction, data, check []byte, threshold int) ([]Correction, error) {
 	corrections, err := c.DecodeAppend(buf, data, check, nil)
 	if err != nil {

@@ -6,10 +6,10 @@ import (
 	"chipkillpm/internal/gf"
 )
 
-// This file implements the table-driven fast paths for the RS codec. The
-// reference implementations stay in rs.go (EncodePolyDiv, SyndromesHorner)
-// as differential-test oracles and as fallbacks for wide codes whose check
-// symbols do not fit the packed uint64 LFSR state.
+// This file implements the table-driven paths of the RS codec, the only
+// implementation of each kernel: New rejects codes whose check symbols do
+// not fit the packed uint64 LFSR state. The polynomial-division and Horner
+// references live in the package's tests, as oracles only.
 //
 // The paper's code is RS(72, 64) with r = 8 check bytes, so the whole LFSR
 // state packs into one uint64 (check symbol i in byte i). Encoding streams
@@ -18,8 +18,8 @@ import (
 // 72 codeword bytes, because every root of g(x) gives the same value on a
 // polynomial and on its remainder mod g.
 
-// encTables drive the byte-at-a-time LFSR for Encode/EncodeDelta and the
-// decoder's remainder computation. Only built when r <= 8.
+// encTables drive the byte-at-a-time LFSR for Encode/EncodeInto and the
+// decoder's remainder computation.
 type encTables struct {
 	topSh  uint        // shift extracting the top check symbol
 	mask   uint64      // low 8r bits
@@ -37,9 +37,6 @@ type encTables struct {
 }
 
 func (c *Code) buildEncTables() *encTables {
-	if c.r > 8 {
-		return nil
-	}
 	e := &encTables{topSh: uint(8 * (c.r - 1))}
 	if c.r == 8 {
 		e.mask = ^uint64(0)
@@ -109,8 +106,8 @@ func (e *encTables) remainder(data []byte) uint64 {
 // first, so chunks walk backward through data). Folding the state into the
 // chunk first means each iteration is one 8-byte load, one XOR, and eight
 // independent table lookups — no serial per-byte feedback chain. The
-// all-zero chunk test keeps sparse deltas (EncodeDelta's common case) as
-// cheap as the leading-zero skip in the byte loop.
+// all-zero chunk test keeps sparse words (the erasure solver's unit errata)
+// as cheap as the leading-zero skip in the byte loop.
 //
 //chipkill:seqread
 func (e *encTables) remainderSliced(data []byte) uint64 {
@@ -196,15 +193,9 @@ func (c *Code) getScratch() *decodeScratch {
 func (c *Code) putScratch(sc *decodeScratch) { c.scratch.Put(sc) }
 
 // syndromesInto computes S_1..S_r into syn and reports whether the received
-// word is a codeword. Fast path: one LFSR pass over the data plus a Horner
-// evaluation of the r-symbol remainder at each root; falls back to the
-// full-codeword Horner oracle when the packed LFSR is unavailable.
+// word is a codeword: one LFSR pass over the data plus a Horner evaluation
+// of the r-symbol remainder at each root.
 func (c *Code) syndromesInto(syn []gf.Elem, data, check []byte) bool {
-	if c.enc == nil {
-		ref, clean := c.SyndromesHorner(data, check)
-		copy(syn, ref)
-		return clean
-	}
 	rem := c.enc.remainder(data)
 	for i := 0; i < c.r; i++ {
 		rem ^= uint64(check[i]) << (8 * uint(i))

@@ -29,6 +29,8 @@ go vet ./...
 # soak_test.go builds only under the soak tag, which the nightly job
 # alone runs; vet it here so a harness change cannot break it unseen.
 go vet -tags soak ./internal/inject/
+# Likewise the full RS enumeration behind the exhaustive tag.
+go vet -tags exhaustive ./internal/rs/
 # Off amd64 the BCH remainder builds only its table kernel; vet that build
 # too so the fallback keeps compiling.
 GOARCH=arm64 go vet ./...
