@@ -364,18 +364,6 @@ func BenchmarkEngineWrite(b *testing.B) {
 	}
 }
 
-func BenchmarkMonteCarloRuntime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MonteCarloRuntime(2e-4, 1, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.WrongData != 0 {
-			b.Fatalf("SDC observed: %+v", res)
-		}
-	}
-}
-
 // --- Simulation figures (Figs 10, 14-18) ---
 
 // runCampaign runs the three-pass comparison for a representative subset

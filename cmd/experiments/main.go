@@ -41,7 +41,6 @@ var figures = []struct {
 	{"fallback", "Sec V-C/V-E runtime correction rates"},
 	{"appendix", "SDC rate calculation (Terms A and B)"},
 	{"refresh", "refresh interval vs runtime RBER and correction rates"},
-	{"montecarlo", "fault-injection validation on the functional model"},
 	{"termb", "empirical validation of the appendix's Term B"},
 	{"ablation", "design-space ablations (threshold, OMV, EUR, page policy)"},
 }
@@ -52,7 +51,6 @@ func main() {
 	instructions := flag.Int64("instructions", 2_000_000, "measured instructions for simulation figures")
 	warmup := flag.Int64("warmup", 600_000, "warmup instructions for simulation figures")
 	seed := flag.Int64("seed", 7, "simulation seed")
-	trials := flag.Int("trials", 3, "Monte-Carlo rounds")
 	flag.Parse()
 
 	if *list {
@@ -63,7 +61,7 @@ func main() {
 	}
 
 	po := experiments.PerfOptions{Instructions: *instructions, Warmup: *warmup, Seed: *seed}
-	if err := run(*fig, po, *trials); err != nil {
+	if err := run(*fig, po); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -98,7 +96,7 @@ func (c *simCache) get(tech nvram.Tech) ([]sim.Comparison, error) {
 	return *slot, nil
 }
 
-func run(fig string, po experiments.PerfOptions, trials int) error {
+func run(fig string, po experiments.PerfOptions) error {
 	cache := &simCache{po: po}
 	all := fig == ""
 	want := func(id string) bool { return all || fig == id }
@@ -142,22 +140,6 @@ func run(fig string, po experiments.PerfOptions, trials int) error {
 	}
 	if want("appendix") {
 		show("Appendix: SDC rate (RS(72,64) @ 2e-4)", experiments.AppendixSDC())
-	}
-	if want("montecarlo") {
-		runtime, err := experiments.MonteCarloRuntime(2e-4, trials, 99)
-		if err != nil {
-			return err
-		}
-		outage, err := experiments.MonteCarloOutage(1e-3, trials, false, 101)
-		if err != nil {
-			return err
-		}
-		chip, err := experiments.MonteCarloOutage(1e-3, trials, true, 103)
-		if err != nil {
-			return err
-		}
-		show("Monte-Carlo fault injection (functional model)",
-			experiments.MonteCarloTable([]experiments.MonteCarloResult{runtime, outage, chip}))
 	}
 	if want("termb") {
 		v4, err := experiments.ValidateTermB(4, 200_000, 11)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -388,6 +389,65 @@ func TestQuarticRootsMatchChien(t *testing.T) {
 			check("random quartic", sigma)
 		}
 		check("zero constant term", gf.Poly{0, 1, 1, 1, 1})
+	}
+}
+
+// TestFewErrorTierCorrects pins the four-error tier on its own inputs:
+// every pattern of one to four flips over a seeded sample of positions
+// (parity bits, and one data bit of each bit index 0..7 so both nibble
+// rows of the delta table are read) must come back from decodeFew as
+// (weight, true) with the codeword restored. Decode would hide a wrong
+// tier behind the full t-error path.
+func TestFewErrorTierCorrects(t *testing.T) {
+	for _, p := range []struct {
+		m    uint
+		k, t int
+	}{{12, 2048, 22}, {10, 512, 14}} {
+		code := Must(p.m, p.k, p.t)
+		rng := rand.New(rand.NewSource(int64(p.m) * 11))
+		d := code.decTables()
+		sc := code.getScratch()
+		cleanData := make([]byte, code.DataBytes())
+		randomData(rng, cleanData, code.k)
+		cleanParity := code.Encode(cleanData)
+
+		sample := append([]int(nil), rng.Perm(code.r)[:6]...)
+		for bit := 0; bit < 8; bit++ {
+			sample = append(sample, code.r+8*rng.Intn(code.DataBytes())+bit)
+		}
+		data := make([]byte, len(cleanData))
+		parity := make([]byte, len(cleanParity))
+		patterns := 0
+		for mask := 1; mask < 1<<len(sample); mask++ {
+			w := bits.OnesCount(uint(mask))
+			if w > fewErrors {
+				continue
+			}
+			var errs []int
+			for i, pos := range sample {
+				if mask>>i&1 != 0 {
+					errs = append(errs, pos)
+				}
+			}
+			copy(data, cleanData)
+			copy(parity, cleanParity)
+			code.flip(data, parity, errs)
+			if code.remainderInto(d, data, parity, sc) {
+				t.Fatalf("%v: flips %v left a codeword", code, errs)
+			}
+			fixed, ok := code.decodeFew(d, data, parity, sc)
+			if fixed != w || !ok {
+				t.Fatalf("%v: flips %v: decodeFew = (%d, %v), want (%d, true)", code, errs, fixed, ok, w)
+			}
+			if !bytes.Equal(data, cleanData) || !bytes.Equal(parity, cleanParity) {
+				t.Fatalf("%v: flips %v: tier accepted a wrong word", code, errs)
+			}
+			patterns++
+		}
+		code.putScratch(sc)
+		if patterns != 1470 {
+			t.Fatalf("%v: %d patterns, want 1470", code, patterns)
+		}
 	}
 }
 

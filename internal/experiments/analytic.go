@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: the analytical figures (1-5, 7, the appendix, and the
-// storage-cost discussion) directly from internal/reliability and
-// internal/nvram, the functional experiments (boot scrub, chipkill
-// recovery, Monte-Carlo fault injection) from internal/core, and the
-// performance figures (10, 14-18) from internal/sim.
+// storage-cost and boot-scrub discussion) directly from
+// internal/reliability and internal/nvram, the hardware costs from
+// internal/core's constants, the appendix's Term B against the real RS
+// decoder, and the performance figures (10, 14-18) from internal/sim.
+// Fault injection on the functional model is internal/inject's
+// (cmd/faultcampaign).
 //
 // Each experiment returns a stats.Table whose rows mirror the series the
 // paper plots, so cmd/experiments can print them and EXPERIMENTS.md can

@@ -59,36 +59,6 @@ func TestStorageSummaryMatches(t *testing.T) {
 	}
 }
 
-func TestMonteCarloRuntimeNoSDC(t *testing.T) {
-	res, err := MonteCarloRuntime(2e-4, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WrongData != 0 || res.Uncorrectable != 0 {
-		t.Errorf("runtime campaign: %+v", res)
-	}
-	if res.BlocksRead == 0 {
-		t.Error("no blocks read")
-	}
-}
-
-func TestMonteCarloOutageWithChipFailure(t *testing.T) {
-	res, err := MonteCarloOutage(1e-3, 1, true, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WrongData != 0 || res.Uncorrectable != 0 {
-		t.Errorf("outage campaign: %+v", res)
-	}
-	if res.ChipRepairs != 1 {
-		t.Errorf("chip repairs = %d, want 1", res.ChipRepairs)
-	}
-	tab := MonteCarloTable([]MonteCarloResult{res})
-	if !strings.Contains(tab.String(), "chip failure") {
-		t.Error("table missing scenario label")
-	}
-}
-
 func TestRunComparisonsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation campaign skipped in -short")

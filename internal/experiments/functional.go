@@ -1,140 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"math/rand"
 
-	"chipkillpm/internal/core"
-	"chipkillpm/internal/rank"
 	"chipkillpm/internal/reliability"
 	"chipkillpm/internal/rs"
 	"chipkillpm/internal/stats"
 )
-
-// MonteCarloResult summarises a fault-injection campaign on the functional
-// memory model.
-type MonteCarloResult struct {
-	Scenario      string
-	Trials        int64
-	BlocksRead    int64
-	WrongData     int64 // silent data corruptions observed
-	Uncorrectable int64 // detected-but-uncorrectable blocks
-	RSFallbacks   int64
-	ChipRepairs   int64
-}
-
-// newSmallSystem builds a small paper-shaped rank + controller.
-func newSmallSystem(seed int64) (*core.Controller, error) {
-	r, err := rank.New(rank.PaperConfig(2, 8, 1024, seed))
-	if err != nil {
-		return nil, err
-	}
-	return core.NewController(r, core.DefaultConfig(), nil)
-}
-
-// MonteCarloRuntime injects random retention errors at the given RBER and
-// reads every block through the runtime path, verifying data integrity.
-//
-//chipkill:rankwide
-func MonteCarloRuntime(rber float64, rounds int, seed int64) (MonteCarloResult, error) {
-	res := MonteCarloResult{Scenario: "runtime bit errors"}
-	ctrl, err := newSmallSystem(seed)
-	if err != nil {
-		return res, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ref := make(map[int64][]byte)
-	for b := int64(0); b < ctrl.Rank().Blocks(); b++ {
-		data := make([]byte, 64)
-		rng.Read(data)
-		if err := ctrl.WriteBlockInitial(b, data); err != nil {
-			return res, err
-		}
-		ref[b] = data
-	}
-	got := make([]byte, 64)
-	for round := 0; round < rounds; round++ {
-		res.Trials++
-		ctrl.Rank().InjectRetentionErrors(rber)
-		for b := int64(0); b < ctrl.Rank().Blocks(); b++ {
-			res.BlocksRead++
-			if err := ctrl.ReadBlockInto(b, got); err != nil {
-				res.Uncorrectable++
-				continue
-			}
-			if !bytes.Equal(got, ref[b]) {
-				res.WrongData++
-			}
-		}
-		// Scrub between rounds so errors do not accumulate unboundedly
-		// (the runtime model assumes periodic refresh).
-		ctrl.BootScrub()
-	}
-	res.RSFallbacks = ctrl.Stats().ReadsVLEWFallback
-	return res, nil
-}
-
-// MonteCarloOutage simulates repeated power outages: each trial injects
-// boot-time-level errors (optionally with a chip failure), scrubs, and
-// verifies every block.
-//
-//chipkill:rankwide
-func MonteCarloOutage(rber float64, rounds int, withChipFailure bool, seed int64) (MonteCarloResult, error) {
-	res := MonteCarloResult{Scenario: "boot-time outage"}
-	if withChipFailure {
-		res.Scenario = "boot-time outage + chip failure"
-	}
-	rng := rand.New(rand.NewSource(seed))
-	got := make([]byte, 64)
-	for round := 0; round < rounds; round++ {
-		res.Trials++
-		ctrl, err := newSmallSystem(seed + int64(round)*17)
-		if err != nil {
-			return res, err
-		}
-		ref := make(map[int64][]byte)
-		for b := int64(0); b < ctrl.Rank().Blocks(); b++ {
-			data := make([]byte, 64)
-			rng.Read(data)
-			if err := ctrl.WriteBlockInitial(b, data); err != nil {
-				return res, err
-			}
-			ref[b] = data
-		}
-		if withChipFailure {
-			ctrl.Rank().FailChip(rng.Intn(ctrl.Rank().NumChips()))
-		}
-		ctrl.Rank().InjectRetentionErrors(rber)
-		rep := ctrl.BootScrub()
-		if rep.Unrecoverable {
-			res.Uncorrectable += ctrl.Rank().Blocks()
-			continue
-		}
-		res.ChipRepairs += int64(len(rep.ChipsRebuilt))
-		for b := int64(0); b < ctrl.Rank().Blocks(); b++ {
-			res.BlocksRead++
-			if err := ctrl.ReadBlockInto(b, got); err != nil {
-				res.Uncorrectable++
-				continue
-			}
-			if !bytes.Equal(got, ref[b]) {
-				res.WrongData++
-			}
-		}
-	}
-	return res, nil
-}
-
-// MonteCarloTable renders campaign results.
-func MonteCarloTable(results []MonteCarloResult) *stats.Table {
-	tab := &stats.Table{Header: []string{"scenario", "trials", "blocks read", "SDC", "DUE", "VLEW fallbacks", "chips rebuilt"}}
-	for _, r := range results {
-		tab.AddRow(r.Scenario, f("%d", r.Trials), f("%d", r.BlocksRead),
-			f("%d", r.WrongData), f("%d", r.Uncorrectable),
-			f("%d", r.RSFallbacks), f("%d", r.ChipRepairs))
-	}
-	return tab
-}
 
 // AblationThreshold explores the RS acceptance threshold (Sec V-C's
 // design choice): the analytical SDC rate against the VLEW fallback rate

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"chipkillpm/internal/core"
 	"chipkillpm/internal/guard"
 )
 
@@ -362,6 +364,86 @@ func TestReadRepairHealsPrimaryDUE(t *testing.T) {
 	got := make([]byte, f.BlockBytes())
 	if err := f.Engine(rk).ReadBlockInto(local, got); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("primary not healed: %v", err)
+	}
+}
+
+// TestReadRepairLeavesVLEWsBeyondCode pins a raw-write hazard in read
+// repair, after core's TestRawWriteOverDriftReadsNewData. readRepair
+// heals a primary DUE with WriteBlockInitial, and Chip.WriteDataAt
+// derives the VLEW code delta from the corrupted cells it overwrites, so
+// the healed block's VLEWs on the corrupted chips stay beyond the BCH
+// code. Every block still reads back right, but the next boot scrub
+// convicts both chips, and one more correctable error in the same VLEWs
+// becomes a DUE. Healing through the XOR write path (a code delta from
+// the replica's bytes, not from the cells) would remove the hazard; the
+// scrub and block-7 checks then flip, and the read checks stay.
+func TestReadRepairLeavesVLEWsBeyondCode(t *testing.T) {
+	const healed, probe = int64(0), int64(7)
+	// flip flips the given bits of every byte of a block's slice on
+	// each listed chip of its primary rank.
+	flip := func(f *Fleet, block int64, chips []int, bits ...uint) {
+		rk, local := f.locate(block)
+		r := f.Rank(rk)
+		loc := r.Locate(local)
+		f.Engine(rk).Quiesce(func() {
+			for _, ci := range chips {
+				for k := 0; k < r.Config().ChipAccessBytes; k++ {
+					for _, bit := range bits {
+						r.Chip(ci).FlipDataBit(loc.Bank, loc.Row, loc.Col+k, bit)
+					}
+				}
+			}
+		})
+	}
+	build := func() *Fleet {
+		cfg := testConfig()
+		cfg.ReplicatePerTick = -1
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, f)
+		if err := f.ReplicateBand(0); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// probeRead reads block probe straight from its primary engine after
+	// an 8-symbol error on chip 5, so no replica can step in.
+	probeRead := func(f *Fleet) error {
+		flip(f, probe, []int{5}, 0)
+		rk, local := f.locate(probe)
+		got := make([]byte, f.BlockBytes())
+		if err := f.Engine(rk).ReadBlockInto(local, got); err != nil {
+			return err
+		}
+		want := make([]byte, f.BlockBytes())
+		pattern(probe, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d read wrong bytes", probe)
+		}
+		return nil
+	}
+
+	twin := build()
+	if err := probeRead(twin); err != nil {
+		t.Fatalf("without a heal, the 8-symbol error on chip 5: %v", err)
+	}
+
+	f := build()
+	flip(f, healed, []int{1, 3}, 0, 3, 6)
+	for b := int64(0); b < f.Blocks(); b++ {
+		checkBlock(t, f, b)
+	}
+	if got := f.Stats().ReadRepairs; got != 1 {
+		t.Fatalf("ReadRepairs = %d, want 1 (block %d)", got, healed)
+	}
+	rep := f.Engine(0).BootScrub()
+	if !rep.Unrecoverable || !slices.Equal(rep.ChipsFailed, []int{1, 3}) {
+		t.Fatalf("scrub after the heal: %v, want chips [1 3] failed and unrecoverable", rep)
+	}
+	if err := probeRead(f); !errors.Is(err, core.ErrUncorrectable) {
+		t.Fatalf("the 8-symbol error on chip 5 after the heal: %v, want a DUE", err)
 	}
 }
 

@@ -1,10 +1,5 @@
 package gf
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Poly is a polynomial with coefficients in a Field, stored little-endian:
 // p[i] is the coefficient of x^i. The zero polynomial is an empty slice.
 // Poly methods take the field explicitly so that Poly stays a plain slice.
@@ -52,27 +47,4 @@ func (f *Field) PolyEval(p Poly, x Elem) Elem {
 		acc = f.Mul(acc, x) ^ p[i]
 	}
 	return acc
-}
-
-// PolyString renders p with explicit coefficients, highest degree first.
-func PolyString(p Poly) string {
-	d := PolyDeg(p)
-	if d < 0 {
-		return "0"
-	}
-	var terms []string
-	for i := d; i >= 0; i-- {
-		if p[i] == 0 {
-			continue
-		}
-		switch i {
-		case 0:
-			terms = append(terms, fmt.Sprintf("%d", p[i]))
-		case 1:
-			terms = append(terms, fmt.Sprintf("%d·x", p[i]))
-		default:
-			terms = append(terms, fmt.Sprintf("%d·x^%d", p[i], i))
-		}
-	}
-	return strings.Join(terms, " + ")
 }

@@ -127,34 +127,11 @@ func (p Poly2) DivMod(d Poly2) (quo, rem Poly2) {
 	return quo, rem
 }
 
-// Equal reports whether p and q represent the same polynomial.
-func (p Poly2) Equal(q Poly2) bool {
-	n := max(len(p), len(q))
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
-}
-
-// Weight returns the number of nonzero coefficients.
-func (p Poly2) Weight() int {
-	w := 0
-	for _, word := range p {
-		w += bits.OnesCount64(word)
-	}
-	return w
-}
-
-// String renders p as a sum of powers of x, highest degree first.
+// String renders p as a sum of powers of x, highest degree first. No
+// production code prints a Poly2, but the linker keeps String in every
+// binary that links bch (a bch.Code holds its generator as a Poly2 and
+// is used as an interface value), so moving it into a test file would
+// shift all code laid out after gf.
 func (p Poly2) String() string {
 	d := p.Degree()
 	if d < 0 {

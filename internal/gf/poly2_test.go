@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -148,4 +149,31 @@ func TestPoly2DegreeOfProduct(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Equal reports whether p and q represent the same polynomial.
+func (p Poly2) Equal(q Poly2) bool {
+	n := max(len(p), len(q))
+	for i := 0; i < n; i++ {
+		var a, b uint64
+		if i < len(p) {
+			a = p[i]
+		}
+		if i < len(q) {
+			b = q[i]
+		}
+		if a != b {
+			return false
+		}
+	}
+	return true
+}
+
+// Weight returns the number of nonzero coefficients.
+func (p Poly2) Weight() int {
+	w := 0
+	for _, word := range p {
+		w += bits.OnesCount64(word)
+	}
+	return w
 }

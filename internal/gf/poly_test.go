@@ -1,7 +1,9 @@
 package gf
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -95,4 +97,27 @@ func (f *Field) PolyAdd(p, q Poly) Poly {
 		r[i] ^= c
 	}
 	return PolyTrim(r)
+}
+
+// PolyString renders p with explicit coefficients, highest degree first.
+func PolyString(p Poly) string {
+	d := PolyDeg(p)
+	if d < 0 {
+		return "0"
+	}
+	var terms []string
+	for i := d; i >= 0; i-- {
+		if p[i] == 0 {
+			continue
+		}
+		switch i {
+		case 0:
+			terms = append(terms, fmt.Sprintf("%d", p[i]))
+		case 1:
+			terms = append(terms, fmt.Sprintf("%d·x", p[i]))
+		default:
+			terms = append(terms, fmt.Sprintf("%d·x^%d", p[i], i))
+		}
+	}
+	return strings.Join(terms, " + ")
 }

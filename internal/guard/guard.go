@@ -222,7 +222,7 @@ func (s *Supervisor) Report() Report {
 
 // Tick runs one supervisor step: patrol, observe, probe, or migrate,
 // depending on state. Called between demand batches by whoever owns the
-// scheduling loop (cmd/guardsim, the fault campaigns, a service's
+// scheduling loop (the fault campaigns, the fleet, a service's
 // background goroutine).
 func (s *Supervisor) Tick() error {
 	switch s.state {

@@ -304,3 +304,31 @@ func TestCampaignSpecsStateEveryValue(t *testing.T) {
 		t.Errorf("transient storm, which kills no chip: %v", err)
 	}
 }
+
+// TestOutageChipkillRebuildsBothChips runs the standard suite's
+// outage-chipkill campaign: two week-long outages at RBER 1e-3, the
+// first with a random data chip dead and the second with the parity chip
+// dead. Each boot scrub must rebuild its chip, so both crashes verify
+// every block byte-exact and the run ends with every chip healthy.
+func TestOutageChipkillRebuildsBothChips(t *testing.T) {
+	var c Campaign
+	for _, sc := range standardSuite(1) {
+		if sc.Name == "outage-chipkill" {
+			c = sc
+		}
+	}
+	h, err := NewHarness("standard", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := h.Run()
+	if !cr.Pass || cr.SDC != 0 || cr.DUE != 0 {
+		t.Fatalf("campaign: pass=%v sdc=%d due=%d: %s", cr.Pass, cr.SDC, cr.DUE, cr.Reason)
+	}
+	if cr.ChipKills != 2 || cr.Crashes != 2 || cr.Scrubs != 2 {
+		t.Fatalf("kills=%d crashes=%d scrubs=%d, want 2 of each", cr.ChipKills, cr.Crashes, cr.Scrubs)
+	}
+	if n := h.Rank().FailedChips(); n != 0 {
+		t.Fatalf("%d chips still failed after both boot scrubs", n)
+	}
+}

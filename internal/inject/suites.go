@@ -194,6 +194,18 @@ func standardSuite(seed int64) []Campaign {
 			},
 		},
 		{
+			Name:        "outage-chipkill",
+			Description: "week-long outage at 1e-3 with a dead chip: boot scrub rebuilds it",
+			Seed:        seed,
+			Ops:         1500, WriteFrac: 0.3, OMVHitRate: 0.7,
+			Events: []Event{
+				{AtOp: 500, Kind: EvChipKill, Chip: ChipRandom},
+				{AtOp: 500, Kind: EvCrashReboot, RBER: 1e-3},
+				{AtOp: 1000, Kind: EvChipKill, Chip: ChipParity},
+				{AtOp: 1000, Kind: EvCrashReboot, RBER: 1e-3},
+			},
+		},
+		{
 			Name:        "degraded-mode",
 			Description: "Sec V-E remapped mode serving reads and writes under drift",
 			Seed:        seed,

@@ -33,7 +33,7 @@ func TestKernelsOnBasis(t *testing.T) {
 				gen = f.PolyMul(gen, gf.Poly{f.Exp(j), 1})
 			}
 			if !slices.Equal(c.gen, gen) {
-				t.Fatalf("generator %v, want %v", gf.PolyString(c.gen), gf.PolyString(gen))
+				t.Fatalf("generator %v, want %v", c.gen, gen)
 			}
 			// monomial(v, d) is the remainder of v*x^d mod g, packed.
 			monomial := func(v byte, d int) uint64 {
